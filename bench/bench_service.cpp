@@ -5,34 +5,36 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures AnalysisService query throughput under a mixed read/write load.
+// Measures the server's single-program query throughput under a mixed
+// read/write load: one tenant::TenantService hosting the program as its
+// implicit tenant, exactly what `ipse-cli serve --program/--gen` runs.
 // Like bench_incremental, this is not google-benchmark based: each
-// (shape, workers) cell runs one fixed workload and emits one JSON line:
+// (shape, readers) cell runs one fixed workload and emits one JSON line:
 //
-//   {"shape":"fortran-4000","procs":4000,"workers":4,"readers":4,
-//    "reads":600,"edits":40,"wall_ms":812.4,"qps":738.6,
-//    "read_p50_us":2048,"read_p99_us":8192,"read_mean_us":2913,
-//    "published":40,"read_batches":312,"batched_reads":600,
-//    "dedup_saved":41,"qps_vs_w1":1.9}
+//   {"shape":"fortran-4000","procs":4000,"readers":4,"reads":600,
+//    "edits":40,"wall_ms":112.4,"qps":5338.1,"read_p50_us":128,
+//    "read_p99_us":4096,"read_mean_us":187,"qps_vs_r1":1.9}
 //
 // Workload per cell: `readers` client threads each issue `reads/readers`
 // blocking call()s drawn from a pool of gmod/guse/rmod/mod/use queries
 // over the initial procedures, while the main thread streams `edits`
-// effect-set deltas (tier-1, the steady-state editing profile) through the
-// writer.  Latency is measured client-side (submit to response, so it
-// includes queueing), aggregated in a LatencyHistogram; qps counts reads
-// only.  qps_vs_w1 is this cell's qps over the same shape's workers=1 qps
-// — the worker-scaling figure (meaningful only on multi-core hosts; on a
-// single CPU all cells contend for one core and the curve is flat).
+// effect-set deltas (tier-1, the steady-state editing profile) through
+// the tenant's shard.  Reads of a resident tenant run on the calling
+// thread, so the reader count is the read-side concurrency.  Latency is
+// measured client-side (submit to response), aggregated in a
+// LatencyHistogram; qps counts reads only.  qps_vs_r1 is this cell's qps
+// over the same shape's readers=1 qps — the read-scaling figure
+// (meaningful only on multi-core hosts).
 //
 //===----------------------------------------------------------------------===//
 
+#include "incremental/AnalysisSession.h"
 #include "incremental/Edit.h"
-#include "service/AnalysisService.h"
 #include "support/LatencyHistogram.h"
 #include "support/Rng.h"
 #include "synth/EditGen.h"
 #include "synth/ProgramGen.h"
+#include "tenant/TenantService.h"
 
 #include <chrono>
 #include <cstdio>
@@ -42,7 +44,6 @@
 #include <vector>
 
 using namespace ipse;
-using namespace ipse::service;
 
 namespace {
 
@@ -68,19 +69,21 @@ double millisSince(Clock::time_point Start) {
       .count();
 }
 
-double runCell(const Shape &Sh, unsigned Workers, unsigned Readers,
-               double BaselineQps) {
-  ServiceOptions Opts;
-  Opts.Workers = Workers;
+double runCell(const Shape &Sh, unsigned Readers, double BaselineQps) {
+  auto makeProgram = [&] {
+    return synth::makeFortranStyleProgram(Sh.Procs, Sh.Globals,
+                                          /*CallsPerProc=*/3, Sh.Seed);
+  };
+  tenant::TenantOptions Opts;
   Opts.QueueCapacity = 256;
-  AnalysisService Svc(synth::makeFortranStyleProgram(Sh.Procs, Sh.Globals,
-                                                     /*CallsPerProc=*/3,
-                                                     Sh.Seed),
-                      Opts);
+  tenant::TenantService Svc(Opts, makeProgram());
+  // The edit stream is generated against a mirror of the served program
+  // (edits are serial, so the mirror tracks the tenant exactly).
+  incremental::AnalysisSession Mirror(makeProgram());
 
   std::vector<std::string> Pool;
   {
-    const ir::Program &P = Svc.snapshot()->program();
+    const ir::Program &P = Mirror.program();
     for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
       std::string N = P.name(ir::ProcId(I));
       Pool.push_back("gmod " + N);
@@ -91,7 +94,7 @@ double runCell(const Shape &Sh, unsigned Workers, unsigned Readers,
     }
   }
 
-  // Client-side latency: submit to response, queueing included.
+  // Client-side latency: submit to response.
   LatencyHistogram Lat;
   unsigned PerReader = Sh.Reads / Readers;
   Clock::time_point Start = Clock::now();
@@ -102,7 +105,7 @@ double runCell(const Shape &Sh, unsigned Workers, unsigned Readers,
       for (unsigned I = 0; I != PerReader; ++I) {
         const std::string &Cmd = Pool[R.next() % Pool.size()];
         Clock::time_point Sent = Clock::now();
-        (void)Svc.call(Cmd);
+        (void)Svc.call("", Cmd);
         Lat.record(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 Clock::now() - Sent)
@@ -119,33 +122,29 @@ double runCell(const Shape &Sh, unsigned Workers, unsigned Readers,
   synth::EditGen Gen(ECfg);
   unsigned EditsApplied = 0;
   for (unsigned I = 0; I != Sh.Edits; ++I) {
-    std::shared_ptr<const AnalysisSnapshot> Cur = Svc.snapshot();
-    std::optional<incremental::Edit> E = Gen.next(Cur->program());
+    std::optional<incremental::Edit> E = Gen.next(Mirror.program());
     if (!E)
       break;
-    if (Svc.call(incremental::toScriptLine(Cur->program(), *E)).Ok)
+    std::string Line = incremental::toScriptLine(Mirror.program(), *E);
+    incremental::applyEdit(Mirror, *E);
+    if (Svc.call("", Line).Ok)
       ++EditsApplied;
   }
   for (std::thread &T : Threads)
     T.join();
   double WallMs = millisSince(Start);
 
-  ServiceCounters C = Svc.counters();
   unsigned TotalReads = PerReader * Readers;
   double Qps = TotalReads / (WallMs / 1000.0);
-  std::printf(
-      "{\"shape\":\"%s\",\"procs\":%u,\"workers\":%u,\"readers\":%u,"
-      "\"reads\":%u,\"edits\":%u,\"wall_ms\":%.1f,\"qps\":%.1f,"
-      "\"read_p50_us\":%llu,\"read_p99_us\":%llu,\"read_mean_us\":%llu,"
-      "\"published\":%llu,\"read_batches\":%llu,\"batched_reads\":%llu,"
-      "\"dedup_saved\":%llu,\"qps_vs_w1\":%.2f}\n",
-      Sh.Name, Sh.Procs, Workers, Readers, TotalReads, EditsApplied, WallMs,
-      Qps, (unsigned long long)Lat.percentileMicros(50),
-      (unsigned long long)Lat.percentileMicros(99),
-      (unsigned long long)Lat.meanMicros(), (unsigned long long)C.Published,
-      (unsigned long long)C.ReadBatches, (unsigned long long)C.BatchedReads,
-      (unsigned long long)C.DedupSaved,
-      BaselineQps > 0 ? Qps / BaselineQps : 1.0);
+  std::printf("{\"shape\":\"%s\",\"procs\":%u,\"readers\":%u,\"reads\":%u,"
+              "\"edits\":%u,\"wall_ms\":%.1f,\"qps\":%.1f,"
+              "\"read_p50_us\":%llu,\"read_p99_us\":%llu,"
+              "\"read_mean_us\":%llu,\"qps_vs_r1\":%.2f}\n",
+              Sh.Name, Sh.Procs, Readers, TotalReads, EditsApplied, WallMs, Qps,
+              (unsigned long long)Lat.percentileMicros(50),
+              (unsigned long long)Lat.percentileMicros(99),
+              (unsigned long long)Lat.meanMicros(),
+              BaselineQps > 0 ? Qps / BaselineQps : 1.0);
   std::fflush(stdout);
   return Qps;
 }
@@ -155,9 +154,9 @@ double runCell(const Shape &Sh, unsigned Workers, unsigned Readers,
 int main() {
   for (const Shape &Sh : Shapes) {
     double BaselineQps = 0;
-    for (unsigned Workers : {1u, 2u, 4u}) {
-      double Qps = runCell(Sh, Workers, /*Readers=*/4, BaselineQps);
-      if (Workers == 1)
+    for (unsigned Readers : {1u, 2u, 4u}) {
+      double Qps = runCell(Sh, Readers, BaselineQps);
+      if (Readers == 1)
         BaselineQps = Qps;
     }
   }

@@ -342,20 +342,11 @@ Analyzer::open_demand(ir::Program Initial) const {
                                                  Opts.demandView());
 }
 
-std::unique_ptr<service::AnalysisService>
-Analyzer::serve(ir::Program Initial) const {
+std::unique_ptr<tenant::TenantService>
+Analyzer::serve(std::optional<ir::Program> Initial) const {
   EffectSet::setDefaultRepresentation(Opts.Repr);
-  return std::make_unique<service::AnalysisService>(std::move(Initial),
-                                                    Opts.serviceView());
-}
-
-std::unique_ptr<tenant::TenantService> Analyzer::openTenants() const {
-  EffectSet::setDefaultRepresentation(Opts.Repr);
-  if (!Opts.TenantsEnabled)
-    throw std::runtime_error(
-        "multi-tenant serving is disabled (set AnalysisOptions::"
-        "TenantsEnabled / pass --tenants)");
-  return std::make_unique<tenant::TenantService>(Opts.tenantView());
+  return std::make_unique<tenant::TenantService>(Opts.tenantView(),
+                                                 std::move(Initial));
 }
 
 int Analyzer::runSessionScript(const std::string &Script, std::FILE *Out,
@@ -433,8 +424,7 @@ int Analyzer::runSessionScript(const std::string &Script, std::FILE *Out,
         std::fputs(Trace.c_str(), Out);
       } else if (service::isTenantCommand(Cmd->Kind)) {
         throw service::ScriptError{
-            LineNo, "open/close/attach need a multi-tenant server "
-                    "(ipse-cli serve --tenants)"};
+            LineNo, "open/close/attach need a server (ipse-cli serve)"};
       } else if (service::isEditCommand(Cmd->Kind)) {
         if (UseDemand) {
           demand::DemandSession &DS = demandSession(LineNo);

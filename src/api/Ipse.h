@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The library's single public entry point.  The repository grew four
+/// The library's single public entry point.  The repository grew several
 /// engines — the sequential batch pipeline (analysis::SideEffectAnalyzer),
 /// the level-scheduled parallel batch engine (parallel::ParallelAnalyzer),
 /// the delta-driven incremental session (incremental::AnalysisSession),
-/// and the concurrent MVCC service (service::AnalysisService) — each with
-/// its own options struct and entry header.  This facade folds them behind
-/// two types:
+/// the demand-driven session (demand::DemandSession), and the sharded MVCC
+/// server (tenant::TenantService) — each with its own options struct and
+/// entry header.  This facade folds them behind two types:
 ///
 ///  - ipse::AnalysisOptions: one options struct (engine selection, thread
 ///    count, effect tracking, trace sink / profiling) with per-engine
@@ -29,7 +29,7 @@
 /// collect a per-run observe::CostReport (phase wall time + bit-vector
 /// word ops), and/or AnalysisOptions::Sink to stream spans (an
 /// observe::JsonLinesSink or observe::ChromeTraceSink for `--trace-out`;
-/// serve() forwards the sink to the service, which tags spans with
+/// serve() forwards the sink to the server, which tags spans with
 /// request trace ids).
 ///
 //===----------------------------------------------------------------------===//
@@ -47,13 +47,13 @@
 #include "observe/CostReport.h"
 #include "observe/Trace.h"
 #include "parallel/ParallelAnalyzer.h"
-#include "service/AnalysisService.h"
 #include "support/EffectSet.h"
 #include "synth/ProgramGen.h"
 #include "tenant/TenantService.h"
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,8 +73,8 @@ struct AnalysisOptions {
   };
   Engine Backend = Engine::Auto;
 
-  /// Executing lanes for the parallel engine; also the session's /
-  /// service's full-rebuild lane count.  <= 1 = sequential kernels.
+  /// Executing lanes for the parallel engine; also the session's
+  /// full-rebuild lane count.  <= 1 = sequential kernels.
   unsigned Threads = 1;
 
   /// Maintain the USE pipeline alongside MOD (guse / DUSE queries and
@@ -96,27 +96,18 @@ struct AnalysisOptions {
   /// mixing facades with different Repr in one process is unsupported.
   EffectSet::Representation Repr = EffectSet::Representation::Auto;
 
-  /// \name Service knobs (serve() only)
+  /// \name Server knobs (serve() only)
   /// @{
-  unsigned ServiceWorkers = 2;
+  /// Capacity of each shard's job queue, and the group-commit window.
   std::size_t ServiceQueueCapacity = 256;
   std::size_t ServiceMaxBatch = 32;
-  unsigned ServiceStatsIntervalMs = 0;
-  std::FILE *ServiceStatsOut = nullptr;
   /// Durable mode: recover from / persist to this data directory (see
-  /// service::ServiceOptions::DataDir).  Empty = in-memory only.
+  /// tenant::TenantOptions::DataDir).  Empty = in-memory only.
   std::string DataDir;
   /// WAL compaction thresholds for durable mode.
   std::uint64_t CompactWalRecords = 1024;
   std::uint64_t CompactWalBytes = 8u << 20;
-  /// @}
-
-  /// \name Multi-tenant knobs (openTenants() only)
-  /// @{
-  /// Enable the sharded multi-tenant registry (`ipse-cli serve
-  /// --tenants`); openTenants() refuses when false.
-  bool TenantsEnabled = false;
-  /// Writer shards for the tenant registry.
+  /// Writer shards (`ipse-cli serve --tenants=N`).
   unsigned TenantShards = 2;
   /// LRU resident-session cap (0 = unlimited; needs DataDir to evict).
   std::size_t TenantMaxResident = 0;
@@ -129,8 +120,8 @@ struct AnalysisOptions {
   /// \name Observability
   /// @{
   /// Stream spans here during analyze()/report()/runSessionScript(), and
-  /// from serve()'s worker/writer threads (request-tagged).  Not owned;
-  /// may be null.
+  /// from serve()'s request paths (request-tagged).  Not owned; may be
+  /// null.
   observe::TraceSink *Sink = nullptr;
   /// Collect a per-run observe::CostReport (Analysis::costs() /
   /// ReportRun::Costs).
@@ -138,7 +129,7 @@ struct AnalysisOptions {
   /// Slow-query threshold in milliseconds (`ipse-cli --slow-ms`; 0 =
   /// off).  Queries and flushes exceeding it emit a structured record to
   /// Sink, a flight-recorder event, and the "slow_queries_total" counter
-  /// (forwarded to serve()/openTenants() as SlowQueryUs).
+  /// (forwarded to serve() as SlowQueryUs).
   unsigned SlowMs = 0;
   /// @}
 
@@ -175,22 +166,6 @@ struct AnalysisOptions {
     O.TrackUse = TrackUse;
     return O;
   }
-  service::ServiceOptions serviceView() const {
-    service::ServiceOptions O;
-    O.Workers = ServiceWorkers;
-    O.QueueCapacity = ServiceQueueCapacity;
-    O.MaxBatch = ServiceMaxBatch;
-    O.TrackUse = TrackUse;
-    O.AnalysisThreads = Threads;
-    O.StatsIntervalMs = ServiceStatsIntervalMs;
-    O.StatsOut = ServiceStatsOut;
-    O.Sink = Sink;
-    O.DataDir = DataDir;
-    O.CompactWalRecords = CompactWalRecords;
-    O.CompactWalBytes = CompactWalBytes;
-    O.SlowQueryUs = std::uint64_t(SlowMs) * 1000;
-    return O;
-  }
   tenant::TenantOptions tenantView() const {
     tenant::TenantOptions O;
     O.Shards = TenantShards;
@@ -203,9 +178,8 @@ struct AnalysisOptions {
     // `--engine=demand --tenants`: tenants hold DemandSessions, publish
     // partial snapshots, and fault back in without re-solving anything.
     O.DemandFaultIn = resolved() == Engine::Demand;
-    // The tenant registry shares the service's data directory: the
-    // single-program store's files and the per-tenant t-<name> subtrees
-    // are disjoint namespaces within it.
+    // The implicit tenant's store files and the named tenants' t-<name>
+    // subtrees are disjoint namespaces within one data directory.
     O.DataDir = DataDir;
     O.CompactWalRecords = CompactWalRecords;
     O.CompactWalBytes = CompactWalBytes;
@@ -295,17 +269,15 @@ public:
   /// the incremental delta machinery.
   std::unique_ptr<demand::DemandSession> open_demand(ir::Program Initial) const;
 
-  /// Starts the concurrent analysis service over \p Initial, configured
-  /// from these options (service knobs, TrackUse, Threads).
-  std::unique_ptr<service::AnalysisService> serve(ir::Program Initial) const;
-
-  /// Starts the sharded multi-tenant registry (tenant knobs, DataDir),
-  /// recovering the tenant manifest in durable mode.  Throws
-  /// std::runtime_error when TenantsEnabled is false or the data
-  /// directory is unusable.  Pair it with a serve() instance and the
-  /// tenant::serveTenantFd / tenantConnectionHandler front end to run a
-  /// combined server (`ipse-cli serve --tenants`).
-  std::unique_ptr<tenant::TenantService> openTenants() const;
+  /// Starts the sharded MVCC server (server knobs, TrackUse, DataDir),
+  /// recovering the tenant manifest in durable mode.  \p Initial, when
+  /// given, becomes the implicit tenant "" that requests naming no tenant
+  /// reach; a store at the root of DataDir takes its place.  Throws
+  /// std::runtime_error when the data directory is unusable.  Serve it
+  /// with tenant::serveTenantFd / tenantConnectionHandler (`ipse-cli
+  /// serve`).
+  std::unique_ptr<tenant::TenantService>
+  serve(std::optional<ir::Program> Initial = std::nullopt) const;
 
   /// Runs a session script (the service/ScriptDriver.h grammar) against a
   /// fresh session, printing query results to \p Out.  Returns the

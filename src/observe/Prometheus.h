@@ -10,14 +10,14 @@
 /// (version 0.0.4) so the service's `metrics --format=prom` verb and
 /// `ipse-cli metrics-dump` plug straight into standard scrapers:
 ///
-///   # TYPE ipse_service_edits counter
-///   ipse_service_edits 12
-///   # TYPE ipse_service_flush_us histogram
-///   ipse_service_flush_us_bucket{le="1"} 0
+///   # TYPE ipse_tenant_opens counter
+///   ipse_tenant_opens 12
+///   # TYPE ipse_tenant_flush_us histogram
+///   ipse_tenant_flush_us_bucket{le="1"} 0
 ///   ...
-///   ipse_service_flush_us_bucket{le="+Inf"} 12
-///   ipse_service_flush_us_sum 48211
-///   ipse_service_flush_us_count 12
+///   ipse_tenant_flush_us_bucket{le="+Inf"} 12
+///   ipse_tenant_flush_us_sum 48211
+///   ipse_tenant_flush_us_count 12
 ///
 /// Registry names use '.' separators; Prometheus names allow only
 /// [a-zA-Z0-9_:], so names are sanitized ('.' and '-' become '_') and

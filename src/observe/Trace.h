@@ -91,13 +91,13 @@ struct SpanRecord {
 
 /// One query or flush that exceeded the configured `--slow-ms`
 /// threshold, with the demand attribution the slow-query log carries.
-/// Delivered to TraceSink::onSlowQuery by the service/tenant layers.
+/// Delivered to TraceSink::onSlowQuery by the tenant server.
 struct SlowQueryRecord {
-  const char *Op = "";            ///< "service.query", "tenant.flush", ...
+  const char *Op = "";            ///< "tenant.query", "tenant.flush", ...
   std::uint64_t WallUs = 0;       ///< Wall time of the slow operation.
   std::uint32_t Tid = 0;          ///< Thread that ran it.
   std::string TraceId;            ///< Request trace id ("" = none).
-  std::string Tenant;             ///< Owning tenant ("" = single-program).
+  std::string Tenant;             ///< Owning tenant ("" = the implicit one).
   std::uint64_t Generation = 0;   ///< Snapshot generation involved.
   bool HasDemandStats = false;    ///< The three fields below are live.
   std::uint64_t RegionProcs = 0;  ///< Demand region size solved.
@@ -138,7 +138,7 @@ public:
 
   void onSpan(const SpanRecord &R) override;
   /// One flat JSON line per slow query, carrying the demand attribution:
-  ///   {"slow_query":"service.query","wall_us":..,"tid":..,...}
+  ///   {"slow_query":"tenant.query","wall_us":..,"tid":..,...}
   void onSlowQuery(const SlowQueryRecord &R) override;
 
 private:

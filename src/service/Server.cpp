@@ -9,14 +9,17 @@
 
 #include "support/Json.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cctype>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <optional>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -53,84 +56,14 @@ std::string service::renderResponse(const Response &R) {
   return W.finish();
 }
 
-void service::handleRequestLine(
-    AnalysisService &Svc, std::string_view Line,
-    const std::function<void(const std::string &)> &Emit) {
-  // Tolerate blank keep-alive lines without a response-less code path:
-  // every non-blank line gets exactly one response.
-  std::string_view Trimmed = Line;
-  while (!Trimmed.empty() && (Trimmed.back() == '\r' || Trimmed.back() == '\n'))
-    Trimmed.remove_suffix(1);
-  if (Trimmed.empty())
-    return;
-
-  Response R;
-  std::string ParseError;
-  std::optional<JsonObject> Obj = parseJsonObject(Trimmed, ParseError);
-  if (!Obj) {
-    R.Ok = false;
-    R.Error = "bad request: " + ParseError;
-    Emit(renderResponse(R));
-    return;
-  }
-  R.Id = Obj->getUInt("id").value_or(0);
-  // Client-supplied trace id, or a server-assigned "s<N>" — either way
-  // every response (including the inline error paths below) echoes it.
-  std::string TraceId;
-  if (std::optional<std::string> T = Obj->getString("trace");
-      T && !T->empty()) {
-    TraceId = std::move(*T);
-  } else {
-    static std::atomic<std::uint64_t> NextServerTrace{1};
-    TraceId =
-        "s" + std::to_string(NextServerTrace.fetch_add(
-                  1, std::memory_order_relaxed));
-  }
-  R.TraceId = TraceId;
-  std::optional<std::string> CmdText = Obj->getString("cmd");
-  if (!CmdText) {
-    R.Ok = false;
-    R.Error = "bad request: missing 'cmd'";
-    Emit(renderResponse(R));
-    return;
-  }
-
-  std::optional<ScriptCommand> Cmd;
-  try {
-    Cmd = parseScriptLine(*CmdText, 0);
-  } catch (const ScriptError &E) {
-    R.Ok = false;
-    R.Generation = Svc.generation();
-    R.Error = E.Message;
-    Emit(renderResponse(R));
-    return;
-  }
-  if (!Cmd) { // Comment-only cmd: acknowledge trivially.
-    R.Generation = Svc.generation();
-    Emit(renderResponse(R));
-    return;
-  }
-
-  std::uint64_t Id = R.Id;
-  // Captured by value: the response fires on a service thread, after this
-  // frame (and the caller's temporary std::function) is gone.  The copy
-  // still refers to the front end's synchronization state, which outlives
-  // every outstanding response (serveFd drains before returning).
-  std::function<void(const std::string &)> EmitCopy = Emit;
-  bool Accepted = Svc.trySubmit(
-      Id, std::move(*Cmd),
-      [EmitCopy](Response Done) { EmitCopy(renderResponse(Done)); },
-      std::move(TraceId));
-  if (!Accepted) {
-    R.Ok = false;
-    R.Retry = true;
-    R.Generation = Svc.generation();
-    R.Error = "overloaded";
-    Emit(renderResponse(R));
-  }
-}
-
 namespace {
+
+/// Replies are small and written whole; Nagle would hold a reply back
+/// until the peer acknowledges the previous one.
+void setNoDelay(int Fd) {
+  int One = 1;
+  ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+}
 
 /// Writes one whole line (text + '\n') to \p Fd, retrying short writes.
 void writeLine(int Fd, std::mutex &WriteMutex, const std::string &Text) {
@@ -190,7 +123,7 @@ void service::serveLines(const LineHandler &Handle, int InFd, int OutFd) {
          Start = Nl + 1) {
       std::string_view Line(Carry.data() + Start, Nl - Start);
       // Blank keep-alive lines get no response, so no slot; every other
-      // line is answered exactly once (handleRequestLine's contract).
+      // line is answered exactly once (the LineHandler contract).
       if (isBlank(Line))
         continue;
       {
@@ -204,15 +137,6 @@ void service::serveLines(const LineHandler &Handle, int InFd, int OutFd) {
 
   std::unique_lock<std::mutex> Lock(PendingMutex);
   PendingCv.wait(Lock, [&] { return Outstanding == 0; });
-}
-
-void service::serveFd(AnalysisService &Svc, int InFd, int OutFd) {
-  serveLines(
-      [&Svc](std::string_view Line,
-             const std::function<void(const std::string &)> &Emit) {
-        handleRequestLine(Svc, Line, Emit);
-      },
-      InFd, OutFd);
 }
 
 //===----------------------------------------------------------------------===//
@@ -249,20 +173,43 @@ bool TcpServer::start(std::uint16_t Port, std::string &ErrorOut) {
 
 void TcpServer::acceptLoop() {
   while (true) {
-    int Conn = ::accept(ListenFd, nullptr, nullptr);
-    if (Conn < 0)
+    int Fd = ::accept(ListenFd, nullptr, nullptr);
+    if (Fd < 0)
       return; // Listener closed by stop().
+    setNoDelay(Fd);
+    reapFinished();
     std::lock_guard<std::mutex> Lock(ConnMutex);
     if (!Running) {
-      ::close(Conn);
+      ::close(Fd);
       return;
     }
-    ConnFds.push_back(Conn);
-    ConnThreads.emplace_back([this, Conn] {
-      Handler(Conn, Conn);
-      ::close(Conn);
+    Conn *C = Conns.emplace_back(std::make_unique<Conn>()).get();
+    C->Fd = Fd;
+    // The thread's epilogue waits for ConnMutex, which this iteration
+    // holds until C->Thread is assigned.
+    C->Thread = std::thread([this, C, Fd] {
+      Handler(Fd, Fd);
+      std::lock_guard<std::mutex> Lock(ConnMutex);
+      ::close(Fd);
+      C->Fd = -1;
+      C->Done = true;
     });
   }
+}
+
+void TcpServer::reapFinished() {
+  std::vector<std::unique_ptr<Conn>> Finished;
+  {
+    std::lock_guard<std::mutex> Lock(ConnMutex);
+    auto Live = std::partition(Conns.begin(), Conns.end(),
+                               [](const std::unique_ptr<Conn> &C) {
+                                 return !C->Done;
+                               });
+    std::move(Live, Conns.end(), std::back_inserter(Finished));
+    Conns.erase(Live, Conns.end());
+  }
+  for (std::unique_ptr<Conn> &C : Finished)
+    C->Thread.join();
 }
 
 void TcpServer::stop() {
@@ -271,8 +218,9 @@ void TcpServer::stop() {
     if (!Running && ListenFd < 0)
       return;
     Running = false;
-    for (int Fd : ConnFds)
-      ::shutdown(Fd, SHUT_RDWR); // Unblocks each connection's read loop.
+    for (const std::unique_ptr<Conn> &C : Conns)
+      if (C->Fd >= 0)
+        ::shutdown(C->Fd, SHUT_RDWR); // Unblocks the connection's reads.
   }
   if (int Fd = ListenFd.exchange(-1); Fd >= 0) {
     ::shutdown(Fd, SHUT_RDWR);
@@ -280,15 +228,13 @@ void TcpServer::stop() {
   }
   if (Acceptor.joinable())
     Acceptor.join();
-  std::vector<std::thread> Threads;
+  std::vector<std::unique_ptr<Conn>> All;
   {
     std::lock_guard<std::mutex> Lock(ConnMutex);
-    Threads.swap(ConnThreads);
-    ConnFds.clear();
+    All.swap(Conns);
   }
-  for (std::thread &T : Threads)
-    if (T.joinable())
-      T.join();
+  for (std::unique_ptr<Conn> &C : All)
+    C->Thread.join();
 }
 
 //===----------------------------------------------------------------------===//
@@ -315,7 +261,52 @@ int connectLoopback(std::uint16_t Port) {
     ::close(Fd);
     return -1;
   }
+  setNoDelay(Fd);
   return Fd;
+}
+
+/// Sends one request whose `cmd` is \p Cmd and reads its one response
+/// line.  Returns the parsed response when it says ok; otherwise prints a
+/// diagnostic naming \p What and returns nullopt.
+std::optional<JsonObject> oneShot(std::uint16_t Port, const char *Cmd,
+                                  const char *What) {
+  int Fd = connectLoopback(Port);
+  if (Fd < 0)
+    return std::nullopt;
+
+  JsonWriter W;
+  W.field("id", std::uint64_t(1));
+  W.field("cmd", Cmd);
+  std::string Req = W.finish() + "\n";
+  if (::write(Fd, Req.data(), Req.size()) != static_cast<ssize_t>(Req.size())) {
+    std::fprintf(stderr, "error: connection lost\n");
+    ::close(Fd);
+    return std::nullopt;
+  }
+
+  std::string Carry;
+  char Buf[4096];
+  std::size_t Nl;
+  while ((Nl = Carry.find('\n')) == std::string::npos) {
+    ssize_t N = ::read(Fd, Buf, sizeof(Buf));
+    if (N <= 0) {
+      std::fprintf(stderr, "error: connection closed\n");
+      ::close(Fd);
+      return std::nullopt;
+    }
+    Carry.append(Buf, static_cast<std::size_t>(N));
+  }
+  ::close(Fd);
+
+  std::string RespLine = Carry.substr(0, Nl);
+  std::string Err;
+  std::optional<JsonObject> Resp = parseJsonObject(RespLine, Err);
+  if (!Resp || Resp->getBool("ok") != true) {
+    std::fprintf(stderr, "error: bad %s response: %s\n", What,
+                 RespLine.c_str());
+    return std::nullopt;
+  }
+  return Resp;
 }
 
 } // namespace
@@ -396,42 +387,10 @@ int service::runClient(std::uint16_t Port, std::FILE *In, std::FILE *Out) {
 }
 
 int service::runMetricsDump(std::uint16_t Port, bool Prom, std::FILE *Out) {
-  int Fd = connectLoopback(Port);
-  if (Fd < 0)
+  std::optional<JsonObject> Resp =
+      oneShot(Port, Prom ? "metrics --format=prom" : "metrics", "metrics");
+  if (!Resp)
     return 1;
-
-  JsonWriter W;
-  W.field("id", std::uint64_t(1));
-  W.field("cmd", Prom ? "metrics --format=prom" : "metrics");
-  std::string Req = W.finish() + "\n";
-  if (::write(Fd, Req.data(), Req.size()) != static_cast<ssize_t>(Req.size())) {
-    std::fprintf(stderr, "error: connection lost\n");
-    ::close(Fd);
-    return 1;
-  }
-
-  std::string Carry;
-  char Buf[4096];
-  std::size_t Nl;
-  while ((Nl = Carry.find('\n')) == std::string::npos) {
-    ssize_t N = ::read(Fd, Buf, sizeof(Buf));
-    if (N <= 0) {
-      std::fprintf(stderr, "error: connection closed\n");
-      ::close(Fd);
-      return 1;
-    }
-    Carry.append(Buf, static_cast<std::size_t>(N));
-  }
-  ::close(Fd);
-
-  std::string RespLine = Carry.substr(0, Nl);
-  std::string Err;
-  std::optional<JsonObject> Resp = parseJsonObject(RespLine, Err);
-  if (!Resp || Resp->getBool("ok") != true) {
-    std::fprintf(stderr, "error: bad metrics response: %s\n",
-                 RespLine.c_str());
-    return 1;
-  }
   // Prometheus text arrives as a JSON string; the JSON form arrives as a
   // nested object the flat parser keeps as a raw lexeme.
   std::optional<std::string> Payload =
@@ -446,41 +405,9 @@ int service::runMetricsDump(std::uint16_t Port, bool Prom, std::FILE *Out) {
 }
 
 int service::runDebugDump(std::uint16_t Port, std::FILE *Out) {
-  int Fd = connectLoopback(Port);
-  if (Fd < 0)
+  std::optional<JsonObject> Resp = oneShot(Port, "debug", "debug");
+  if (!Resp)
     return 1;
-
-  JsonWriter W;
-  W.field("id", std::uint64_t(1));
-  W.field("cmd", "debug");
-  std::string Req = W.finish() + "\n";
-  if (::write(Fd, Req.data(), Req.size()) != static_cast<ssize_t>(Req.size())) {
-    std::fprintf(stderr, "error: connection lost\n");
-    ::close(Fd);
-    return 1;
-  }
-
-  std::string Carry;
-  char Buf[4096];
-  std::size_t Nl;
-  while ((Nl = Carry.find('\n')) == std::string::npos) {
-    ssize_t N = ::read(Fd, Buf, sizeof(Buf));
-    if (N <= 0) {
-      std::fprintf(stderr, "error: connection closed\n");
-      ::close(Fd);
-      return 1;
-    }
-    Carry.append(Buf, static_cast<std::size_t>(N));
-  }
-  ::close(Fd);
-
-  std::string RespLine = Carry.substr(0, Nl);
-  std::string Err;
-  std::optional<JsonObject> Resp = parseJsonObject(RespLine, Err);
-  if (!Resp || Resp->getBool("ok") != true) {
-    std::fprintf(stderr, "error: bad debug response: %s\n", RespLine.c_str());
-    return 1;
-  }
   // The flight dump arrives as a raw JSON array lexeme; print it as-is
   // (already a complete, Perfetto-loadable Chrome Trace document).
   std::optional<std::string> Payload = Resp->getRaw("result");

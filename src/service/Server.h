@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Newline-delimited JSON front ends for AnalysisService.  One request per
-/// line:
+/// The newline-delimited JSON wire protocol and its front ends.  One
+/// request per line:
 ///
 ///   {"id":7,"cmd":"gmod main"}
 ///
@@ -28,45 +28,61 @@
 /// `"stats":{"region_procs":N,"memo_hits":N,"frontier_cuts":N}` object
 /// attributing that query's region solve.
 ///
-/// Tracing: a request may carry `"trace":"<id>"`; the server assigns
-/// "s<N>" when absent.  The id is echoed back as `"trace"` and tags every
-/// span the request produces in the service's trace sink, so one request's
-/// phase tree is recoverable from a shared trace file.
-///
-/// Front ends: serveFd() pumps one request stream over a pair of file
-/// descriptors (used for stdio serving and for each accepted TCP
-/// connection); TcpServer accepts loopback connections and serves each on
-/// its own thread; runClient() is the line-oriented client the CLI's
-/// `client` subcommand wraps.
+/// The request decoder (tenant routing, trace ids) lives in
+/// tenant/Protocol.h.  This header holds what is protocol-generic:
+/// serveLines() pumps one request stream over a pair of file descriptors
+/// (stdio serving and each accepted TCP connection); TcpServer accepts
+/// loopback connections and serves each on its own thread; runClient()
+/// and the one-shot dumps are the clients the CLI wraps.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPSE_SERVICE_SERVER_H
 #define IPSE_SERVICE_SERVER_H
 
-#include "service/AnalysisService.h"
-
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace ipse {
 namespace service {
 
+/// One answer.  For edits, Result is empty and Generation is the
+/// generation the edit produced; for queries, Result is exactly the text
+/// `ipse-cli session` would print and Generation identifies the snapshot
+/// that answered.
+struct Response {
+  std::uint64_t Id = 0;
+  bool Ok = true;
+  /// True when the request was refused for load (resubmit later).
+  bool Retry = false;
+  /// False only for a failed `check`.
+  bool CheckOk = true;
+  /// True when Result is pre-rendered JSON (the `stats` endpoint).
+  bool ResultIsJson = false;
+  std::uint64_t Generation = 0;
+  /// The request's trace id, echoed back verbatim (empty if none given).
+  std::string TraceId;
+  std::string Result;
+  std::string Error;
+  /// Per-query demand attribution (demand-engine targets only): how much
+  /// region solving this specific query triggered.  Rendered as a nested
+  /// "stats" object on the wire when HasStats is true.
+  bool HasStats = false;
+  std::uint64_t RegionProcs = 0;
+  std::uint64_t MemoHits = 0;
+  std::uint64_t FrontierCuts = 0;
+};
+
 /// Renders one response as a protocol line (no trailing newline).
 std::string renderResponse(const Response &R);
-
-/// Decodes one request line and routes it into \p Svc.  \p Emit receives
-/// exactly one response line per call — possibly on a service thread, so
-/// it must be thread-safe.  Malformed envelopes, script parse errors, and
-/// backpressure refusals are all answered inline.
-void handleRequestLine(AnalysisService &Svc, std::string_view Line,
-                       const std::function<void(const std::string &)> &Emit);
 
 /// One request line dispatched by the generic pump below: decode, route,
 /// and call \p Emit exactly once (possibly later, from a service thread).
@@ -82,21 +98,16 @@ using LineHandler = std::function<void(
 /// no locking.
 void serveLines(const LineHandler &Handle, int InFd, int OutFd);
 
-/// Serves single-program requests from \p InFd until EOF (serveLines over
-/// handleRequestLine).
-void serveFd(AnalysisService &Svc, int InFd, int OutFd);
-
 /// A loopback TCP listener serving each accepted connection on its own
-/// thread.  The single-program constructor pumps serveFd(); the handler
-/// constructor runs an arbitrary per-connection server (the multi-tenant
-/// front end passes a closure that builds fresh connection state and
-/// calls serveLines).
+/// thread with Nagle off.  \p Handler runs the per-connection server (the
+/// tenant front end passes a closure that builds fresh connection state
+/// and calls serveLines).  A finished connection's fd is closed and its
+/// thread joined on the next accept, so a long-lived server holds one
+/// thread per *live* connection.
 class TcpServer {
 public:
   using ConnectionFn = std::function<void(int InFd, int OutFd)>;
 
-  explicit TcpServer(AnalysisService &Svc)
-      : Handler([&Svc](int InFd, int OutFd) { serveFd(Svc, InFd, OutFd); }) {}
   explicit TcpServer(ConnectionFn Handler) : Handler(std::move(Handler)) {}
   ~TcpServer() { stop(); }
 
@@ -113,7 +124,18 @@ public:
   void stop();
 
 private:
+  /// One accepted connection.  Fd is -1 once the connection thread has
+  /// closed it (under ConnMutex, so stop() never shuts down a reused fd
+  /// number); Done marks the thread joinable without blocking.
+  struct Conn {
+    int Fd = -1;
+    bool Done = false;
+    std::thread Thread;
+  };
+
   void acceptLoop();
+  /// Joins and drops finished connections (acceptor thread).
+  void reapFinished();
 
   ConnectionFn Handler;
   /// Atomic: stop() retires it (exchange to -1) while acceptLoop is
@@ -122,8 +144,8 @@ private:
   std::uint16_t BoundPort = 0;
   std::thread Acceptor;
   std::mutex ConnMutex;
-  std::vector<int> ConnFds;
-  std::vector<std::thread> ConnThreads;
+  /// unique_ptr: connection threads hold a stable pointer to their entry.
+  std::vector<std::unique_ptr<Conn>> Conns;
   bool Running = false;
 };
 

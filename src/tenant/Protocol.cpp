@@ -21,8 +21,7 @@ using service::ScriptError;
 using service::renderResponse;
 
 void tenant::handleTenantRequestLine(
-    TenantService &Tenants, service::AnalysisService *Single,
-    TenantConnection &Conn, std::string_view Line,
+    TenantService &Tenants, TenantConnection &Conn, std::string_view Line,
     const std::function<void(const std::string &)> &Emit) {
   std::string_view Trimmed = Line;
   while (!Trimmed.empty() && (Trimmed.back() == '\r' || Trimmed.back() == '\n'))
@@ -45,13 +44,16 @@ void tenant::handleTenantRequestLine(
       T && !T->empty()) {
     TraceId = std::move(*T);
   } else {
-    // "t<N>" distinguishes tenant-front-end-assigned ids from the legacy
-    // server's "s<N>" in a shared trace file.
     static std::atomic<std::uint64_t> NextServerTrace{1};
     TraceId = "t" + std::to_string(
                         NextServerTrace.fetch_add(1, std::memory_order_relaxed));
   }
   R.TraceId = TraceId;
+  // Routing precedence: explicit request field > connection attach >
+  // the implicit tenant "".
+  std::string Target = Obj->getString("tenant").value_or(std::string());
+  if (Target.empty())
+    Target = Conn.Attached;
   std::optional<std::string> CmdText = Obj->getString("cmd");
   if (!CmdText) {
     R.Ok = false;
@@ -65,11 +67,13 @@ void tenant::handleTenantRequestLine(
     Cmd = service::parseScriptLine(*CmdText, 0);
   } catch (const ScriptError &E) {
     R.Ok = false;
+    R.Generation = Tenants.generation(Target);
     R.Error = E.Message;
     Emit(renderResponse(R));
     return;
   }
   if (!Cmd) { // Comment-only cmd: acknowledge trivially.
+    R.Generation = Tenants.generation(Target);
     Emit(renderResponse(R));
     return;
   }
@@ -89,63 +93,36 @@ void tenant::handleTenantRequestLine(
     return;
   }
 
-  // Routing precedence: explicit request field > connection attach >
-  // legacy single-program service.
-  std::string Target = Obj->getString("tenant").value_or(std::string());
-  if (Target.empty())
-    Target = Conn.Attached;
-  bool IsLifecycle = service::isTenantCommand(Cmd->Kind);
-  // Control-plane verbs (stats / metrics / debug) answer from the tenant
-  // service itself — global registry, flight rings — and need no tenant:
-  // `metrics-dump` and `debug-dump` rely on this against a tenants-only
-  // server.  A hybrid server keeps routing them to the single service.
-  bool IsControlPlane = Cmd->Kind == ScriptCommand::Op::Stats ||
-                        Cmd->Kind == ScriptCommand::Op::Metrics ||
-                        Cmd->Kind == ScriptCommand::Op::Debug;
-  if (Target.empty() && !IsLifecycle && !(IsControlPlane && !Single)) {
-    if (Single) {
-      service::handleRequestLine(*Single, Trimmed, Emit);
-      return;
-    }
-    R.Ok = false;
-    R.Error = "no tenant specified (open one, attach, or add a "
-              "\"tenant\" request field)";
-    Emit(renderResponse(R));
-    return;
-  }
-
   std::uint64_t Id = R.Id;
   // Captured by value: the response may fire on a shard thread after this
   // frame is gone (the pump drains before returning; see serveLines).
   std::function<void(const std::string &)> EmitCopy = Emit;
   bool Accepted = Tenants.trySubmit(
-      std::move(Target), Id, std::move(*Cmd),
+      Target, Id, std::move(*Cmd),
       [EmitCopy](Response Done) { EmitCopy(renderResponse(Done)); },
       std::move(TraceId));
   if (!Accepted) {
     R.Ok = false;
     R.Retry = true;
+    R.Generation = Tenants.generation(Target);
     R.Error = "overloaded";
     Emit(renderResponse(R));
   }
 }
 
-void tenant::serveTenantFd(TenantService &Tenants,
-                           service::AnalysisService *Single, int InFd,
-                           int OutFd) {
+void tenant::serveTenantFd(TenantService &Tenants, int InFd, int OutFd) {
   TenantConnection Conn;
   service::serveLines(
       [&](std::string_view Line,
           const std::function<void(const std::string &)> &Emit) {
-        handleTenantRequestLine(Tenants, Single, Conn, Line, Emit);
+        handleTenantRequestLine(Tenants, Conn, Line, Emit);
       },
       InFd, OutFd);
 }
 
 service::TcpServer::ConnectionFn
-tenant::tenantConnectionHandler(TenantService &Tenants,
-                                service::AnalysisService *Single) {
-  return [&Tenants, Single](int InFd, int OutFd) {
-    serveTenantFd(Tenants, Single, InFd, OutFd);
+tenant::tenantConnectionHandler(TenantService &Tenants) {
+  return [&Tenants](int InFd, int OutFd) {
+    serveTenantFd(Tenants, InFd, OutFd);
   };
 }

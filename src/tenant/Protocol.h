@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tenant-aware request decoder layered on the service's NDJSON
-/// protocol (service/Server.h).  The envelope grows two things:
+/// The request decoder of the NDJSON protocol (service/Server.h): every
+/// `ipse-cli serve` connection speaks it.  The envelope grows two things
+/// beyond `id` / `cmd` / `trace`:
 ///
 ///  - lifecycle verbs in `cmd`: `open <tenant> [k=v ...]` creates a
 ///    tenant, `close <tenant>` ends its lifetime, and `attach <tenant>`
@@ -15,11 +16,17 @@
 ///  - an optional `"tenant":"<name>"` request field, which routes a
 ///    single command to a tenant and overrides the connection default.
 ///
-/// A request naming no tenant (neither field nor attach) keeps today's
-/// single-program semantics: it is forwarded verbatim to the legacy
-/// AnalysisService, so a tenant-mode server is a strict superset of a
-/// plain one.  Tenant-routed `stats` answers the tenant service's
-/// aggregate stats object; `metrics` is process-wide either way.
+/// Routing precedence: the `tenant` field, then the connection's
+/// `attach`, then the implicit tenant "" — the program `serve
+/// --program/--gen` hosts (or recovered from its data dir).  A server
+/// without one answers such requests "no tenant specified".  `stats`
+/// answers the service's aggregate stats object and `metrics` / `debug`
+/// are process-wide, so control-plane verbs need no tenant at all.
+///
+/// Tracing: a request may carry `"trace":"<id>"`; the server assigns
+/// "t<N>" when absent.  The id is echoed back as `"trace"` and tags every
+/// span the request produces, so one request's phase tree is recoverable
+/// from a shared trace file.
 ///
 ///   {"id":1,"cmd":"open acme procs=100 seed=7"}
 ///   {"id":2,"cmd":"attach acme"}
@@ -50,26 +57,24 @@ struct TenantConnection {
   std::string Attached;
 };
 
-/// Decodes one request line and routes it into \p Tenants, the legacy
-/// \p Single service (may be null: unattached requests then fail), or
-/// \p Conn (attach).  \p Emit receives exactly one response line per
-/// non-blank request — possibly on a shard thread, so it must be
-/// thread-safe.
+/// Decodes one request line and routes it into \p Tenants or \p Conn
+/// (attach).  \p Emit receives exactly one response line per non-blank
+/// request — possibly on a shard thread, so it must be thread-safe.
+/// Malformed envelopes, script parse errors, and backpressure refusals
+/// are answered inline; the last two carry the routed tenant's
+/// generation.
 void handleTenantRequestLine(
-    TenantService &Tenants, service::AnalysisService *Single,
-    TenantConnection &Conn, std::string_view Line,
+    TenantService &Tenants, TenantConnection &Conn, std::string_view Line,
     const std::function<void(const std::string &)> &Emit);
 
 /// Serves tenant-aware requests from \p InFd until EOF (serveLines over
 /// handleTenantRequestLine with fresh per-connection state).
-void serveTenantFd(TenantService &Tenants, service::AnalysisService *Single,
-                   int InFd, int OutFd);
+void serveTenantFd(TenantService &Tenants, int InFd, int OutFd);
 
 /// A per-connection handler for service::TcpServer: each accepted
 /// connection gets its own TenantConnection (its own attach default).
 service::TcpServer::ConnectionFn
-tenantConnectionHandler(TenantService &Tenants,
-                        service::AnalysisService *Single);
+tenantConnectionHandler(TenantService &Tenants);
 
 } // namespace tenant
 } // namespace ipse

@@ -32,6 +32,20 @@ using service::ScriptError;
 
 namespace {
 
+/// The process-wide EffectSet representation policy as the short string
+/// slow-query records carry ("auto" / "dense" / "sparse").
+const char *defaultReprName() {
+  switch (EffectSet::defaultRepresentation()) {
+  case EffectSet::Representation::Dense:
+    return "dense";
+  case EffectSet::Representation::Sparse:
+    return "sparse";
+  case EffectSet::Representation::Auto:
+    break;
+  }
+  return "auto";
+}
+
 /// Full, final planes for a demand tenant — what the store's snapshot
 /// format requires.  Forces the whole program solved (ensureSolvedAll via
 /// exportPlanes), so durable opens, compactions, and evictions of a demand
@@ -65,7 +79,7 @@ void noteSlowOp(const TenantOptions &Opts, const std::string &Tenant,
   SQ.TraceId = TraceId;
   SQ.Tenant = Tenant;
   SQ.Generation = Gen;
-  SQ.Repr = service::defaultReprName();
+  SQ.Repr = defaultReprName();
   if (QR && QR->HasStats) {
     SQ.HasDemandStats = true;
     SQ.RegionProcs = QR->RegionProcs;
@@ -81,7 +95,9 @@ void noteSlowOp(const TenantOptions &Opts, const std::string &Tenant,
 // Construction / registry.
 //===----------------------------------------------------------------------===//
 
-TenantService::TenantService(TenantOptions Options) : Opts(Options) {
+TenantService::TenantService(TenantOptions Options,
+                             std::optional<ir::Program> Initial)
+    : Opts(Options) {
   if (Opts.Shards == 0)
     Opts.Shards = 1;
   if (Opts.MaxBatch == 0)
@@ -96,6 +112,9 @@ TenantService::TenantService(TenantOptions Options) : Opts(Options) {
   }
   for (unsigned I = 0; I != Opts.Shards; ++I)
     Shards.push_back(std::make_unique<Shard>(Opts.QueueCapacity));
+  // Before the shard threads start, so the implicit tenant's session is
+  // handed to its shard fully built.
+  seedImplicitTenant(std::move(Initial));
   for (unsigned I = 0; I != Opts.Shards; ++I)
     Shards[I]->Thread = std::thread([this, I] { shardLoop(I); });
   refreshGauges();
@@ -127,7 +146,73 @@ unsigned TenantService::shardOf(std::string_view Name) const {
 }
 
 std::string TenantService::tenantDir(const std::string &Name) const {
-  return Opts.DataDir + "/t-" + Name;
+  // The implicit tenant's store is the data dir itself, so a
+  // single-program store recovers unchanged.
+  return Name.empty() ? Opts.DataDir : Opts.DataDir + "/t-" + Name;
+}
+
+persist::StoreOptions TenantService::storeOptions() const {
+  persist::StoreOptions PO;
+  PO.CompactWalRecords = Opts.CompactWalRecords;
+  PO.CompactWalBytes = Opts.CompactWalBytes;
+  return PO;
+}
+
+void TenantService::seedImplicitTenant(std::optional<ir::Program> Initial) {
+  const bool Recover =
+      !Opts.DataDir.empty() && persist::Store::exists(Opts.DataDir);
+  if (!Recover && !Initial)
+    return;
+  std::string Err;
+  std::shared_ptr<Tenant> T = registerTenant("", Err);
+  if (Recover) {
+    // The fault-in path: snapshot planes install directly, the WAL tail
+    // replays, and TrackUse follows the store.
+    if (!ensureResident(*T, Err))
+      throw std::runtime_error("tenant: cannot recover '" + Opts.DataDir +
+                               "': " + Err);
+    return;
+  }
+  Err = installSession(*T, std::move(*Initial));
+  if (!Err.empty())
+    throw std::runtime_error("tenant: " + Err);
+  publish(*T,
+          T->DemandS ? T->DemandS->generation() : T->Session->generation());
+  Resident.fetch_add(1, std::memory_order_relaxed);
+  touch(*T);
+}
+
+std::string TenantService::installSession(Tenant &T, ir::Program Prog) {
+  T.TrackUse = Opts.TrackUse;
+  if (Opts.DemandFaultIn) {
+    // Demand tenant: nothing is solved at open.  A memory-only open is
+    // O(structure); the first query pays only for its own region.
+    demand::DemandOptions DO;
+    DO.TrackUse = Opts.TrackUse;
+    T.DemandS = std::make_unique<demand::DemandSession>(std::move(Prog), DO);
+  } else {
+    incremental::SessionOptions SO;
+    SO.TrackUse = Opts.TrackUse;
+    T.Session =
+        std::make_unique<incremental::AnalysisSession>(std::move(Prog), SO);
+  }
+  if (Opts.DataDir.empty())
+    return {};
+  const std::string Dir = tenantDir(T.Name);
+  T.Store = std::make_unique<persist::Store>();
+  std::string Err;
+  // The store needs full planes, so a *durable* demand open pays the one
+  // batch-sized solve here; every later fault-in is solve-free.
+  if (T.DemandS ? persist::Store::init(Dir, storeOptions(),
+                                       demandSnapshotData(*T.DemandS),
+                                       *T.Store, Err)
+                : persist::Store::init(Dir, storeOptions(), *T.Session,
+                                       *T.Store, Err))
+    return {};
+  T.Session.reset();
+  T.DemandS.reset();
+  T.Store.reset();
+  return "cannot initialize tenant store '" + Dir + "': " + Err;
 }
 
 std::shared_ptr<TenantService::Tenant>
@@ -227,7 +312,9 @@ bool TenantService::saveManifest(std::string &Err) {
     std::lock_guard<std::mutex> Lock(RegistryMutex);
     bool First = true;
     for (const auto &[Name, T] : Registry) {
-      if (T->Closed.load(std::memory_order_relaxed))
+      // The implicit tenant ("") is recovered from the root store, never
+      // from the manifest.
+      if (Name.empty() || T->Closed.load(std::memory_order_relaxed))
         continue;
       if (!First)
         Arr += ",";
@@ -297,12 +384,12 @@ bool TenantService::submit(std::string TenantName, Job J, bool Blocking) {
   const Op K = J.Cmd.Kind;
   J.Enqueued = std::chrono::steady_clock::now();
 
-  auto Inline = [&](bool Ok, std::string Text, bool Retry = false) {
+  auto Inline = [&](bool Ok, std::string Text, std::uint64_t Gen = 0) {
     Response R;
     R.Id = J.Id;
     R.TraceId = J.TraceId;
     R.Ok = Ok;
-    R.Retry = Retry;
+    R.Generation = Gen;
     if (Ok)
       R.Result = std::move(Text);
     else {
@@ -319,6 +406,7 @@ bool TenantService::submit(std::string TenantName, Job J, bool Blocking) {
     Response R;
     R.Id = J.Id;
     R.TraceId = J.TraceId;
+    R.Generation = generation(TenantName);
     R.ResultIsJson = true;
     if (K == Op::Stats) {
       R.Result = statsJson();
@@ -379,12 +467,14 @@ bool TenantService::submit(std::string TenantName, Job J, bool Blocking) {
     // before requests reach the service proper.
     return Inline(false, "attach is a connection verb");
 
-  if (TenantName.empty())
-    return Inline(false, "no tenant specified (open one, attach, or add a "
-                         "\"tenant\" request field)");
+  // "" names the implicit tenant, which exists only when the server was
+  // given a program (or recovered one from its data dir).
   std::shared_ptr<Tenant> T = lookup(TenantName);
   if (!T)
-    return Inline(false, "unknown tenant '" + TenantName + "'");
+    return Inline(false, TenantName.empty()
+                             ? "no tenant specified (open one, attach, or "
+                               "add a \"tenant\" request field)"
+                             : "unknown tenant '" + TenantName + "'");
 
   if (service::isEditCommand(K)) {
     if (Opts.MaxQueuedEdits &&
@@ -443,7 +533,9 @@ bool TenantService::submit(std::string TenantName, Job J, bool Blocking) {
     return Accepted;
   }
 
-  return Inline(false, "command not available while serving");
+  // load / gen re-seed a program wholesale; `serve` does that at start-up.
+  return Inline(false, "command not available while serving",
+                generation(TenantName));
 }
 
 bool TenantService::trySubmit(std::string TenantName, std::uint64_t Id,
@@ -480,6 +572,7 @@ Response TenantService::call(std::string TenantName, std::string_view Line,
     std::optional<ScriptCommand> Cmd = service::parseScriptLine(Line, 0);
     if (!Cmd) {
       Response R;
+      R.Generation = generation(TenantName);
       R.TraceId = std::move(TraceId);
       return R;
     }
@@ -487,6 +580,7 @@ Response TenantService::call(std::string TenantName, std::string_view Line,
   } catch (const ScriptError &E) {
     Response R;
     R.Ok = false;
+    R.Generation = generation(TenantName);
     R.TraceId = std::move(TraceId);
     R.Error = E.Message;
     CntErrors.fetch_add(1, std::memory_order_relaxed);
@@ -605,58 +699,26 @@ void TenantService::runOpen(Job &J) {
     CntRejected.fetch_add(1, std::memory_order_relaxed);
     T.CtrRejected->add();
   }
-  if (Fail.empty()) {
-    T.TrackUse = Opts.TrackUse;
-    if (Opts.DemandFaultIn) {
-      // Demand tenant: nothing is solved at open.  A memory-only open is
-      // O(structure); the first query pays only for its own region.
-      demand::DemandOptions DO;
-      DO.TrackUse = Opts.TrackUse;
-      T.DemandS =
-          std::make_unique<demand::DemandSession>(std::move(Prog), DO);
-    } else {
-      incremental::SessionOptions SO;
-      SO.TrackUse = Opts.TrackUse;
-      T.Session =
-          std::make_unique<incremental::AnalysisSession>(std::move(Prog), SO);
-    }
-    if (!Opts.DataDir.empty()) {
-      std::string Dir = tenantDir(T.Name);
-      std::error_code Ec;
-      // A leftover subtree here is an orphan (crashed open, or a close
-      // that died before deleting): this name is not in the manifest.
-      std::filesystem::remove_all(Dir, Ec);
-      std::filesystem::create_directories(Dir, Ec);
-      persist::StoreOptions PO;
-      PO.CompactWalRecords = Opts.CompactWalRecords;
-      PO.CompactWalBytes = Opts.CompactWalBytes;
-      T.Store = std::make_unique<persist::Store>();
-      std::string Err;
-      // The store needs full planes, so a *durable* demand open pays the
-      // one batch-sized solve here; every later fault-in is solve-free.
-      bool Ok = !Ec && (T.DemandS ? persist::Store::init(
-                                        Dir, PO, demandSnapshotData(*T.DemandS),
-                                        *T.Store, Err)
-                                  : persist::Store::init(Dir, PO, *T.Session,
-                                                         *T.Store, Err));
-      if (!Ok) {
-        Fail = "cannot initialize tenant store '" + Dir +
-               "': " + (Ec ? Ec.message() : Err);
-        T.Session.reset();
-        T.DemandS.reset();
-        T.Store.reset();
-      } else {
-        std::string MErr;
-        // Manifest before the open acks: a crash after the ack must
-        // recover the tenant.
-        if (!saveManifest(MErr)) {
-          Fail = "cannot write tenant manifest: " + MErr;
-          T.Session.reset();
-          T.DemandS.reset();
-          T.Store.reset();
-        }
-      }
-    }
+  if (Fail.empty() && !Opts.DataDir.empty()) {
+    std::string Dir = tenantDir(T.Name);
+    std::error_code Ec;
+    // A leftover subtree here is an orphan (crashed open, or a close that
+    // died before deleting): this name is not in the manifest.
+    std::filesystem::remove_all(Dir, Ec);
+    std::filesystem::create_directories(Dir, Ec);
+    if (Ec)
+      Fail = "cannot initialize tenant store '" + Dir + "': " + Ec.message();
+  }
+  if (Fail.empty())
+    Fail = installSession(T, std::move(Prog));
+  std::string MErr;
+  // Manifest before the open acks: a crash after the ack must recover the
+  // tenant.
+  if (Fail.empty() && !saveManifest(MErr)) {
+    Fail = "cannot write tenant manifest: " + MErr;
+    T.Session.reset();
+    T.DemandS.reset();
+    T.Store.reset();
   }
 
   Response R;
@@ -982,13 +1044,11 @@ bool TenantService::ensureResident(Tenant &T, std::string &Err) {
     return false;
   }
   const std::uint64_t T0 = observe::nowNanos();
-  persist::StoreOptions PO;
-  PO.CompactWalRecords = Opts.CompactWalRecords;
-  PO.CompactWalBytes = Opts.CompactWalBytes;
   auto Store = std::make_unique<persist::Store>();
   persist::RecoveredState RS;
   std::string OpenErr;
-  if (!persist::Store::open(tenantDir(T.Name), PO, *Store, RS, OpenErr)) {
+  if (!persist::Store::open(tenantDir(T.Name), storeOptions(), *Store, RS,
+                            OpenErr)) {
     Err = "cannot fault in tenant '" + T.Name + "': " + OpenErr;
     return false;
   }

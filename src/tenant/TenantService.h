@@ -9,23 +9,25 @@
 /// One server, thousands of programs: a registry of named tenants, each
 /// owning an independent incremental::AnalysisSession with its own MVCC
 /// snapshot chain and (in durable mode) its own persist::Store subtree.
+/// This is the only serving engine: `ipse-cli serve --program/--gen`
+/// hosts its program as the *implicit tenant*, named "" (a name
+/// isValidTenantName rejects, so no `open` can collide with it).  A
+/// request that names no tenant routes to it.
 ///
 /// Threading is sharded rather than per-tenant: a fixed pool of writer
 /// threads each owns a bounded job queue, and a tenant is pinned to the
 /// shard its name hashes to.  Everything that touches a tenant's session
 /// or store — open, close, edits, fault-in, eviction — runs on its owning
-/// shard thread, so per-tenant mutable state needs no locking, exactly as
-/// AnalysisService confines its session to one writer.  A burst of edits
-/// to one tenant group-commits: the shard drains its batch, applies every
-/// consecutive edit for the tenant, appends them to the tenant's WAL with
-/// one fsync, and captures/publishes one snapshot.
+/// shard thread, so per-tenant mutable state needs no locking.  A burst
+/// of edits to one tenant group-commits: the shard drains its batch,
+/// applies every consecutive edit for the tenant, appends them to the
+/// tenant's WAL with one fsync, and captures/publishes one snapshot.
 ///
 /// Queries against a *resident* tenant never enter a queue: the caller
 /// pins the tenant's published snapshot (one atomic shared_ptr load) and
-/// evaluates on its own thread — the read path is identical to
-/// AnalysisService's, minus the batching, and scales with client threads
-/// rather than with a worker-pool knob.  Queries against an evicted
-/// tenant queue to the shard, which faults the session back in first.
+/// evaluates on its own thread, so reads scale with client threads rather
+/// than with a worker-pool knob.  Queries against an evicted tenant queue
+/// to the shard, which faults the session back in first.
 ///
 /// LRU evict-to-disk: with MaxResident set (durable mode only), a shard
 /// that finds the resident population over the cap picks the
@@ -41,27 +43,34 @@
 ///
 ///   <dir>/tenants.json   {"schema":1,"tenants":["acme","beta",...]}
 ///   <dir>/t-<name>/      a persist::Store (manifest + snapshot + WAL)
+///   <dir>/               the implicit tenant's store, if there is one
 ///
 /// The manifest is rewritten atomically on every open/close; restart
 /// re-registers every listed tenant as evicted and faults each in on
 /// first touch, so a server hosting thousands of tenants restarts in
-/// O(live set), not O(tenant count).  `close` ends the tenant's lifetime:
-/// it leaves the registry and the manifest and its subtree is deleted.
+/// O(live set), not O(tenant count).  The implicit tenant is never
+/// listed: a store at the root of DataDir is recovered eagerly by the
+/// constructor, so a single-program data dir restarts unchanged.  `close`
+/// ends a named tenant's lifetime: it leaves the registry and the
+/// manifest and its subtree is deleted.
 ///
 /// Quotas (admission control, per tenant): MaxProcs bounds the program's
 /// procedure count — `open` refuses to create an oversized program and
 /// add-proc refuses at application time (ok=false, not a retry).
 /// MaxQueuedEdits bounds a tenant's in-flight edit backlog — trySubmit
-/// refuses beyond it, which the front end renders as the same
-/// "overloaded, retry" response the single-program service uses, so one
-/// tenant's edit storm cannot monopolize its shard's queue.
+/// refuses beyond it, which the front end renders as an "overloaded,
+/// retry" response, so one tenant's edit storm cannot monopolize its
+/// shard's queue.  The implicit tenant is subject to the same quotas.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPSE_TENANT_TENANTSERVICE_H
 #define IPSE_TENANT_TENANTSERVICE_H
 
-#include "service/AnalysisService.h"
+#include "ir/Program.h"
+#include "service/AnalysisSnapshot.h"
+#include "service/ScriptDriver.h"
+#include "service/Server.h"
 #include "support/MpmcQueue.h"
 
 #include <atomic>
@@ -71,6 +80,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -90,6 +100,7 @@ class TraceSink;
 }
 namespace persist {
 class Store;
+struct StoreOptions;
 }
 
 namespace tenant {
@@ -121,7 +132,8 @@ struct TenantOptions {
   /// write full planes, so they force the whole program solved.
   bool DemandFaultIn = false;
   /// When non-empty, durable mode: tenants.json + one store subtree per
-  /// tenant (created if missing; recovered if present).
+  /// named tenant, and the implicit tenant's store at the root (created
+  /// if missing; recovered if present).
   std::string DataDir;
   /// Per-tenant store compaction thresholds.
   std::uint64_t CompactWalRecords = 1024;
@@ -156,16 +168,22 @@ public:
 
   /// Starts the shard threads.  With DataDir set, creates the directory
   /// if needed and re-registers every tenant in tenants.json as evicted
-  /// (sessions fault in lazily); throws std::runtime_error when the
-  /// directory or manifest is unusable.
-  explicit TenantService(TenantOptions Options = {});
+  /// (sessions fault in lazily).  The implicit tenant is recovered from a
+  /// store at the root of DataDir when there is one (\p Initial is then
+  /// ignored, and TrackUse follows the store), else seeded from
+  /// \p Initial when given (and, in durable mode, stored at the root).
+  /// Throws std::runtime_error when the directory, the manifest or the
+  /// implicit tenant's store is unusable.
+  explicit TenantService(TenantOptions Options = {},
+                         std::optional<ir::Program> Initial = std::nullopt);
   ~TenantService();
 
   TenantService(const TenantService &) = delete;
   TenantService &operator=(const TenantService &) = delete;
 
-  /// Routes \p Cmd for \p TenantName without blocking.  `open` / `close`
-  /// carry their tenant in Cmd.Args[0] and \p TenantName is ignored.
+  /// Routes \p Cmd for \p TenantName ("" = the implicit tenant) without
+  /// blocking.  `open` / `close` carry their tenant in Cmd.Args[0] and
+  /// \p TenantName is ignored.
   /// Returns true if accepted — \p Done fires exactly once, inline (for
   /// resident queries, stats, and errors) or on a shard thread.  Returns
   /// false on backpressure (shard queue full, or the tenant's edit quota
@@ -182,9 +200,10 @@ public:
   service::Response call(std::string TenantName, std::string_view Line,
                          std::string TraceId = {});
 
-  /// True when \p Name is currently open (resident or evicted).
+  /// True when \p Name is currently open (resident or evicted); "" asks
+  /// for the implicit tenant.
   bool hasTenant(const std::string &Name) const;
-  /// Open tenants, resident or not.
+  /// Open tenants, resident or not (the implicit tenant included).
   std::size_t tenantCount() const;
   /// Tenants currently holding a live session.
   std::size_t residentCount() const;
@@ -261,6 +280,14 @@ private:
   std::shared_ptr<Tenant> lookup(const std::string &Name) const;
   std::shared_ptr<Tenant> registerTenant(const std::string &Name,
                                          std::string &Err);
+  /// Registers the implicit tenant: recovered from DataDir's root store,
+  /// or seeded from \p Initial (constructor only; throws on failure).
+  void seedImplicitTenant(std::optional<ir::Program> Initial);
+  /// Installs a fresh session over \p Prog into \p T and, in durable
+  /// mode, initializes its store in tenantDir(T.Name), which must exist.
+  /// Returns the failure text ("" on success, with T unpublished).
+  std::string installSession(Tenant &T, ir::Program Prog);
+  persist::StoreOptions storeOptions() const;
   void touch(Tenant &T) const;
 
   bool submit(std::string TenantName, Job J, bool Blocking);

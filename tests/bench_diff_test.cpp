@@ -73,7 +73,7 @@ struct BenchDir {
               R"({"shape":"small","mix":"call-churn","delta_us_per_edit":20.0})"
               "\n");
     writeFile(Root / "seed" / "service.jsonl",
-              R"({"shape":"tiny","workers":2,"qps":50000.0})"
+              R"({"shape":"tiny","readers":2,"qps":50000.0})"
               "\n");
     writeFile(Root / "seed" / "observe.jsonl",
               R"({"kind":"overhead","engine":"sequential","shape":"s","ratio":1.01})"
@@ -131,7 +131,7 @@ TEST(BenchDiff, SeedsABaselineAndRerunsClean) {
             10.0);
   EXPECT_EQ(Obj->getDouble("incremental/small/call-churn/delta_us_per_edit"),
             20.0);
-  EXPECT_EQ(Obj->getDouble("service/tiny/w2/qps"), 50000.0);
+  EXPECT_EQ(Obj->getDouble("service/tiny/r2/qps"), 50000.0);
   EXPECT_EQ(Obj->getDouble("parallel/s/k4/wall_ms"), 8.5);
   EXPECT_EQ(Obj->getDouble("parallel/s/summary/speedup_k4"), 1.02);
   EXPECT_EQ(Obj->getDouble("observe/sequential/s/gmod/wall_ns"), 1000000.0);
@@ -179,7 +179,7 @@ TEST(BenchDiff, FailsOnSyntheticRegression) {
             R"({"shape":"small","mix":"effect-add","delta_us_per_edit":25.0})"
             "\n");
   writeFile(Fresh / "service.jsonl",
-            R"({"shape":"tiny","workers":2,"qps":20000.0})"
+            R"({"shape":"tiny","readers":2,"qps":20000.0})"
             "\n");
   writeFile(Fresh / "observe.jsonl",
             R"({"kind":"phase","engine":"sequential","shape":"s","phase":"gmod","wall_ns":1000000,"bv_ops":5200})"
@@ -193,7 +193,7 @@ TEST(BenchDiff, FailsOnSyntheticRegression) {
   EXPECT_NE(Out.find("REGRESSION: incremental/small/effect-add"),
             std::string::npos)
       << Out;
-  EXPECT_NE(Out.find("REGRESSION: service/tiny/w2/qps"), std::string::npos)
+  EXPECT_NE(Out.find("REGRESSION: service/tiny/r2/qps"), std::string::npos)
       << Out;
   EXPECT_NE(Out.find("REGRESSION: observe/sequential/s/gmod/bv_ops"),
             std::string::npos)

@@ -321,7 +321,7 @@ TEST(Cli, ServeOverStdio) {
                          R"({"id":3,"cmd":"check"}\n)";
   std::string Out;
   ASSERT_EQ(run("printf '" + Requests + "' | " + cli() +
-                    " serve --gen procs=8,globals=4,seed=5 --workers 2",
+                    " serve --gen procs=8,globals=4,seed=5",
                 Out),
             0)
       << Out;
@@ -370,7 +370,7 @@ TEST(Cli, ServeClientMetricsDumpOverTcpWithChromeTrace) {
   // runs and stops cleanly afterwards.
   std::string Cmd =
       "( while [ ! -e " + Done + " ]; do sleep 0.1; done ) | " + cli() +
-      " serve --gen procs=8,globals=4,seed=5 --port 0 --workers 2"
+      " serve --gen procs=8,globals=4,seed=5 --port 0"
       " --trace-out=" + Trace + " --trace-format=chrome 2>" + ErrFile +
       " & SRV=$!; "
       "for I in $(seq 1 100); do"
@@ -396,7 +396,7 @@ TEST(Cli, ServeClientMetricsDumpOverTcpWithChromeTrace) {
   EXPECT_NE(Out.find("\"trace\":\"c2\""), std::string::npos) << Out;
   // metrics-dump appended Prometheus text after the response lines.
   EXPECT_NE(Out.find("# TYPE"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("ipse_service_read_lat_us"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("ipse_tenant_read_lat_us"), std::string::npos) << Out;
 
   // The trace file: one well-formed Chrome Trace Event document whose
   // service spans carry the client's trace ids.
@@ -405,9 +405,9 @@ TEST(Cli, ServeClientMetricsDumpOverTcpWithChromeTrace) {
   ASSERT_TRUE(ipse::validateJsonDocument(Doc, Error))
       << Error << "\n" << Doc;
   if (ipse::observe::enabled()) {
-    EXPECT_NE(Doc.find("\"name\":\"service.query\""), std::string::npos)
+    EXPECT_NE(Doc.find("\"name\":\"tenant.query\""), std::string::npos)
         << Doc;
-    EXPECT_NE(Doc.find("\"name\":\"service.flush\""), std::string::npos)
+    EXPECT_NE(Doc.find("\"name\":\"tenant.flush\""), std::string::npos)
         << Doc;
     EXPECT_NE(Doc.find("\"trace\":\"c1\""), std::string::npos) << Doc;
     // The edit (request c2) committed generation 1; its flush span says so.
@@ -496,7 +496,7 @@ TEST(Cli, ServeDataDirSurvivesKillNine) {
   std::string Cmd =
       "( printf '" + Requests + "'; while [ ! -e " + Done +
       " ]; do sleep 0.1; done ) | " + cli() +
-      " serve --gen procs=8,globals=4,seed=5 --workers 2 --data-dir " + Dir +
+      " serve --gen procs=8,globals=4,seed=5 --data-dir " + Dir +
       " >" + Out1 + " 2>/dev/null & SRV=$!; "
       "for I in $(seq 1 100); do"
       "  grep -q '\"gen\":3' " + Out1 + " 2>/dev/null && break;"
@@ -629,7 +629,7 @@ TEST(Cli, ServeSigquitWritesFlightDump) {
     // The dump holds the pre-crash history: the query span the server
     // just answered, attributed to the flight category.
     EXPECT_NE(Out.find("\"cat\":\"flight\""), std::string::npos) << Out;
-    EXPECT_NE(Out.find("service.query"), std::string::npos) << Out;
+    EXPECT_NE(Out.find("tenant.query"), std::string::npos) << Out;
   }
   run("rm -rf " + Dir + " && rm -f " + Out1 + " " + Done, Out);
 }
@@ -705,7 +705,7 @@ TEST(Cli, DebugDumpOverTcpIsAChromeTraceDocument) {
 
   std::string Cmd =
       "( while [ ! -e " + Done + " ]; do sleep 0.1; done ) | " + cli() +
-      " serve --gen procs=8,globals=4,seed=5 --port 0 --workers 2 2>" +
+      " serve --gen procs=8,globals=4,seed=5 --port 0 2>" +
       ErrFile + " & SRV=$!; "
       "for I in $(seq 1 100); do"
       "  grep -q 'serving on' " + ErrFile + " 2>/dev/null && break;"
@@ -723,7 +723,7 @@ TEST(Cli, DebugDumpOverTcpIsAChromeTraceDocument) {
   ASSERT_TRUE(ipse::validateJsonDocument(Out, Error)) << Error << "\n" << Out;
   if (ipse::observe::enabled()) {
     EXPECT_NE(Out.find("\"cat\":\"flight\""), std::string::npos) << Out;
-    EXPECT_NE(Out.find("service.query"), std::string::npos) << Out;
+    EXPECT_NE(Out.find("tenant.query"), std::string::npos) << Out;
   }
   std::remove(Script.c_str());
   std::remove(ErrFile.c_str());

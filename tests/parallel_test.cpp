@@ -29,7 +29,6 @@
 #include "parallel/ParallelAnalyzer.h"
 #include "parallel/ParallelReport.h"
 #include "parallel/ThreadPool.h"
-#include "service/AnalysisService.h"
 #include "synth/EditGen.h"
 #include "synth/ProgramGen.h"
 
@@ -622,33 +621,6 @@ TEST(ParallelOpCounts, WordCountsAreExactAndThreadCountInvariant) {
   for (std::size_t I = 1; I != Deltas.size(); ++I)
     EXPECT_EQ(Deltas[I], Deltas[0])
         << "word count differs between K=1 and K=" << ThreadCounts[I];
-}
-
-//===----------------------------------------------------------------------===//
-// Service wiring: AnalysisThreads must be answer-invisible.
-//===----------------------------------------------------------------------===//
-
-TEST(ParallelService, AnalysisThreadsOptionIsAnswerInvisible) {
-  Program P = synth::makeFortranStyleProgram(30, 12, 3, 3);
-  service::ServiceOptions ParOpts;
-  ParOpts.AnalysisThreads = 4;
-  service::AnalysisService Par(P, ParOpts);
-  service::AnalysisService Seq(P, service::ServiceOptions{});
-
-  std::string Main = P.name(P.main());
-  service::Response R1 = Par.call("gmod " + Main);
-  service::Response R2 = Seq.call("gmod " + Main);
-  ASSERT_TRUE(R1.Ok && R2.Ok);
-  EXPECT_EQ(R1.Result, R2.Result);
-
-  // A universe edit routes the writer thread through the parallel rebuild.
-  ASSERT_TRUE(Par.call("add-global par_g").Ok);
-  ASSERT_TRUE(Seq.call("add-global par_g").Ok);
-  R1 = Par.call("gmod " + Main);
-  R2 = Seq.call("gmod " + Main);
-  ASSERT_TRUE(R1.Ok && R2.Ok);
-  EXPECT_EQ(R1.Result, R2.Result);
-  EXPECT_TRUE(Par.call("check").CheckOk);
 }
 
 } // namespace

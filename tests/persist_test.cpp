@@ -21,11 +21,11 @@
 #include "persist/Snapshot.h"
 #include "persist/Store.h"
 #include "persist/Wal.h"
-#include "service/AnalysisService.h"
 #include "support/Binary.h"
 #include "synth/EditGen.h"
 #include "synth/ProgramGen.h"
 #include "synth/SourceGen.h"
+#include "tenant/TenantService.h"
 #include "ProgramTables.h"
 
 #include <gtest/gtest.h>
@@ -34,6 +34,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -776,57 +777,62 @@ TEST(Store, CompactRotatesFilesAndSweepsOrphans) {
 }
 
 //===----------------------------------------------------------------------===//
-// Service integration: durable mode end to end (in-process).
+// Server integration: durable mode end to end (in-process).  The
+// single-program server is a TenantService whose implicit tenant "" keeps
+// its store at the root of the data directory.
 //===----------------------------------------------------------------------===//
+
+using tenant::TenantService;
+
+tenant::TenantOptions durableAt(const std::string &Dir) {
+  tenant::TenantOptions Opts;
+  Opts.DataDir = Dir;
+  return Opts;
+}
 
 TEST(ServicePersist, WarmRestartResumesGenerationAndAnswers) {
   std::string Dir = freshDir("svc_warm");
-  service::ServiceOptions Opts;
-  Opts.Workers = 1;
-  Opts.DataDir = Dir;
-
   std::string GModMain;
   std::uint64_t Gen = 0;
   {
-    service::AnalysisService Svc(genProgram(12, 1, 71), Opts);
-    ASSERT_TRUE(Svc.call("add-global persist_g").Ok);
-    ASSERT_TRUE(Svc.call("add-stmt main").Ok);
-    ASSERT_TRUE(Svc.call("add-mod main 0 persist_g").Ok);
-    service::Response R = Svc.call("gmod main");
+    TenantService Svc(durableAt(Dir), genProgram(12, 1, 71));
+    ASSERT_TRUE(Svc.call("", "add-global persist_g").Ok);
+    ASSERT_TRUE(Svc.call("", "add-stmt main").Ok);
+    ASSERT_TRUE(Svc.call("", "add-mod main 0 persist_g").Ok);
+    service::Response R = Svc.call("", "gmod main");
     ASSERT_TRUE(R.Ok);
     GModMain = R.Result;
     EXPECT_NE(GModMain.find("persist_g"), std::string::npos) << GModMain;
-    Gen = Svc.generation();
+    Gen = Svc.generation("");
     EXPECT_GE(Gen, 2u);
   } // Clean stop: drains, final-compacts.
+  EXPECT_TRUE(persist::Store::exists(Dir));
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/t-"));
 
-  // Restart from the directory alone — the constructor's program is a
+  // Restart from the directory alone — an initial program, if given, is a
   // placeholder and must be ignored.
-  service::AnalysisService Again(Program(), Opts);
-  EXPECT_EQ(Again.generation(), Gen);
-  service::Response R = Again.call("gmod main");
+  TenantService Again(durableAt(Dir), Program());
+  EXPECT_EQ(Again.generation(""), Gen);
+  service::Response R = Again.call("", "gmod main");
   ASSERT_TRUE(R.Ok);
   EXPECT_EQ(R.Result, GModMain);
-  ASSERT_TRUE(Again.call("check").CheckOk);
+  ASSERT_TRUE(Again.call("", "check").CheckOk);
 }
 
 TEST(ServicePersist, CrashWithWalTailRestartsWarm) {
-  // Simulate the SIGKILL case: copy the store directory while the service
+  // Simulate the SIGKILL case: copy the store directory while the server
   // is live (edits acknowledged = fsync'd, but no final compaction), then
-  // recover a second service from the copy and compare answers.
+  // recover a second server from the copy and compare answers.
   std::string Dir = freshDir("svc_crash");
   std::string CrashCopy = freshDir("svc_crash_copy");
-  service::ServiceOptions Opts;
-  Opts.Workers = 1;
-  Opts.DataDir = Dir;
 
-  service::AnalysisService Svc(genProgram(12, 1, 73), Opts);
-  ASSERT_TRUE(Svc.call("add-global crash_g").Ok);
-  ASSERT_TRUE(Svc.call("add-stmt main").Ok);
-  ASSERT_TRUE(Svc.call("add-mod main 0 crash_g").Ok);
-  service::Response Live = Svc.call("gmod main");
+  TenantService Svc(durableAt(Dir), genProgram(12, 1, 73));
+  ASSERT_TRUE(Svc.call("", "add-global crash_g").Ok);
+  ASSERT_TRUE(Svc.call("", "add-stmt main").Ok);
+  ASSERT_TRUE(Svc.call("", "add-mod main 0 crash_g").Ok);
+  service::Response Live = Svc.call("", "gmod main");
   ASSERT_TRUE(Live.Ok);
-  std::uint64_t Gen = Svc.generation();
+  std::uint64_t Gen = Svc.generation("");
 
   // The acknowledged edits are on disk *now*; this copy is exactly what a
   // kill -9 would leave behind.
@@ -834,29 +840,37 @@ TEST(ServicePersist, CrashWithWalTailRestartsWarm) {
                         std::filesystem::copy_options::recursive |
                             std::filesystem::copy_options::overwrite_existing);
 
-  service::ServiceOptions Opts2 = Opts;
-  Opts2.DataDir = CrashCopy;
-  service::AnalysisService Recovered(Program(), Opts2);
-  EXPECT_EQ(Recovered.generation(), Gen);
-  service::Response R = Recovered.call("gmod main");
+  TenantService Recovered(durableAt(CrashCopy));
+  EXPECT_EQ(Recovered.generation(""), Gen);
+  service::Response R = Recovered.call("", "gmod main");
   ASSERT_TRUE(R.Ok);
   EXPECT_EQ(R.Result, Live.Result);
-  ASSERT_TRUE(Recovered.call("check").CheckOk);
+  ASSERT_TRUE(Recovered.call("", "check").CheckOk);
 }
 
 TEST(ServicePersist, TrackUseFollowsTheStoreOnRecovery) {
   std::string Dir = freshDir("svc_trackuse");
-  service::ServiceOptions Opts;
-  Opts.Workers = 1;
-  Opts.DataDir = Dir;
+  tenant::TenantOptions Opts = durableAt(Dir);
   Opts.TrackUse = false;
-  { service::AnalysisService Svc(genProgram(6, 1, 79), Opts); }
+  { TenantService Svc(Opts, genProgram(6, 1, 79)); }
 
-  // Ask for TrackUse on restart: the store says off, the store wins.
-  service::ServiceOptions Opts2 = Opts;
+  // Ask for TrackUse on restart: the store says off, the store wins — the
+  // recovered session runs without USE, so the snapshot its clean stop
+  // compacts still says off.
+  tenant::TenantOptions Opts2 = Opts;
   Opts2.TrackUse = true;
-  service::AnalysisService Again(Program(), Opts2);
-  EXPECT_FALSE(Again.options().TrackUse);
+  {
+    TenantService Again(Opts2);
+    ASSERT_TRUE(Again.call("", "add-global trackuse_g").Ok);
+    ASSERT_TRUE(Again.call("", "gmod main").Ok);
+  }
+  persist::Store S;
+  persist::RecoveredState RS;
+  std::string Err;
+  ASSERT_TRUE(persist::Store::open(Dir, persist::StoreOptions(), S, RS, Err))
+      << Err;
+  EXPECT_EQ(RS.Snapshot.Generation, 1u);
+  EXPECT_FALSE(RS.Snapshot.TrackUse);
 }
 
 TEST(ServicePersist, UnusableDataDirFailsLoudly) {
@@ -866,10 +880,48 @@ TEST(ServicePersist, UnusableDataDirFailsLoudly) {
   std::string Dir = freshDir("svc_baddir");
   std::string File = Dir + "/occupied";
   spitBytes(File, {0x00});
-  service::ServiceOptions Opts;
-  Opts.DataDir = File + "/store";
-  EXPECT_THROW(service::AnalysisService(genProgram(4, 1, 83), Opts),
+  EXPECT_THROW(TenantService(durableAt(File + "/store"), genProgram(4, 1, 83)),
                std::runtime_error);
+}
+
+TEST(ServicePersist, ImplicitAndNamedTenantsShareOneDataDir) {
+  // The hybrid layout: the implicit tenant's store at the root, two named
+  // tenants under t-<name>, one tenants.json listing only the named ones.
+  std::string Dir = freshDir("svc_hybrid");
+  std::map<std::string, std::string> Before;
+  const std::vector<std::string> Names = {"", "acme", "beta"};
+  {
+    TenantService Svc(durableAt(Dir), genProgram(10, 1, 91));
+    ASSERT_TRUE(Svc.call("", "open acme procs=8 globals=4 seed=5").Ok);
+    ASSERT_TRUE(Svc.call("", "open beta procs=6 globals=3 seed=9").Ok);
+    for (const std::string &N : Names) {
+      ASSERT_TRUE(Svc.call(N, "add-global hy_g").Ok) << N;
+      ASSERT_TRUE(Svc.call(N, "add-stmt main").Ok) << N;
+      ASSERT_TRUE(Svc.call(N, "add-mod main 0 hy_g").Ok) << N;
+      service::Response R = Svc.call(N, "gmod main");
+      ASSERT_TRUE(R.Ok) << N << ": " << R.Error;
+      EXPECT_NE(R.Result.find("hy_g"), std::string::npos) << R.Result;
+      Before[N] = R.Result;
+    }
+  }
+  EXPECT_TRUE(persist::Store::exists(Dir));
+  EXPECT_TRUE(persist::Store::exists(Dir + "/t-acme"));
+  EXPECT_TRUE(persist::Store::exists(Dir + "/t-beta"));
+  std::vector<std::uint8_t> Manifest = slurpBytes(Dir + "/tenants.json");
+  std::string ManifestText(Manifest.begin(), Manifest.end());
+  EXPECT_NE(ManifestText.find("\"acme\""), std::string::npos) << ManifestText;
+  EXPECT_NE(ManifestText.find("\"beta\""), std::string::npos) << ManifestText;
+  EXPECT_EQ(ManifestText.find("\"\""), std::string::npos) << ManifestText;
+
+  TenantService Again(durableAt(Dir));
+  EXPECT_EQ(Again.tenantCount(), 3u);
+  for (const std::string &N : Names) {
+    service::Response R = Again.call(N, "gmod main");
+    ASSERT_TRUE(R.Ok) << N << ": " << R.Error;
+    EXPECT_EQ(R.Result, Before[N]) << N;
+    EXPECT_EQ(R.Generation, 3u) << N;
+    EXPECT_TRUE(Again.call(N, "check").CheckOk) << N;
+  }
 }
 
 } // namespace

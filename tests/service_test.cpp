@@ -7,12 +7,12 @@
 //
 // Covers the src/service stack bottom-up: the JSON codec, the shared
 // script driver (including the EditGen -> toScriptLine -> applyEditCommand
-// round trip that lets synthetic edit streams drive the service by name),
-// snapshot capture, the concurrent service itself (MVCC semantics,
-// batching + dedup, deterministic backpressure), the TCP front end, and a
+// round trip that lets synthetic edit streams drive the server by name),
+// snapshot capture, the single-program server (a TenantService hosting
+// its program as the implicit tenant ""), the TCP front end, and a
 // randomized multi-threaded stress run whose every response is re-checked
-// bit-for-bit against the published snapshot that answered it.  The
-// stress test is the ThreadSanitizer workload in CI.
+// bit-for-bit against the snapshot of the generation that answered it.
+// The stress test is the ThreadSanitizer workload in CI.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 #include "incremental/Edit.h"
 #include "observe/Trace.h"
 #include "ir/Printer.h"
-#include "service/AnalysisService.h"
 #include "service/AnalysisSnapshot.h"
 #include "support/Json.h"
 #include "service/ScriptDriver.h"
@@ -29,18 +28,22 @@
 #include "support/Rng.h"
 #include "synth/EditGen.h"
 #include "synth/ProgramGen.h"
+#include "tenant/Protocol.h"
+#include "tenant/TenantService.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <thread>
 
 using namespace ipse;
 using namespace ipse::service;
+using tenant::TenantService;
 
 namespace {
 
@@ -235,18 +238,22 @@ TEST(AnalysisSnapshot, IsImmuneToLaterSessionEdits) {
 }
 
 //===----------------------------------------------------------------------===//
-// The concurrent service.
+// The single-program server: the implicit tenant.
 //===----------------------------------------------------------------------===//
 
-TEST(AnalysisService, AnswersQueriesAndAppliesEdits) {
-  ServiceOptions Opts;
-  Opts.Workers = 2;
-  AnalysisService Svc(makeProgram(), Opts);
+/// A server hosting makeProgram(...) as its implicit tenant.
+std::unique_ptr<TenantService> serveProgram(ir::Program P,
+                                            tenant::TenantOptions Opts = {}) {
+  return std::make_unique<TenantService>(Opts, std::move(P));
+}
+
+TEST(ImplicitTenant, AnswersQueriesAndAppliesEdits) {
+  auto Svc = serveProgram(makeProgram());
 
   incremental::AnalysisSession Ref(makeProgram());
   std::string MainName = Ref.program().name(Ref.program().main());
 
-  Response R = Svc.call("gmod " + MainName);
+  Response R = Svc->call("", "gmod " + MainName);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Generation, 0u);
   EXPECT_EQ(R.Result, "GMOD(" + MainName + ") = {" +
@@ -254,140 +261,51 @@ TEST(AnalysisService, AnswersQueriesAndAppliesEdits) {
                                       Ref.gmod(Ref.program().main())) +
                           "}");
 
-  Response E = Svc.call("add-global svc_g");
+  Response E = Svc->call("", "add-global svc_g");
   ASSERT_TRUE(E.Ok) << E.Error;
   EXPECT_EQ(E.Generation, 1u);
-  EXPECT_EQ(Svc.generation(), 1u);
+  EXPECT_EQ(Svc->generation(""), 1u);
 
-  Response C = Svc.call("check");
+  Response C = Svc->call("", "check");
   ASSERT_TRUE(C.Ok) << C.Error;
   EXPECT_TRUE(C.CheckOk) << C.Result;
   EXPECT_EQ(C.Generation, 1u);
 
-  Response Bad = Svc.call("gmod nope");
+  Response Bad = Svc->call("", "gmod nope");
   EXPECT_FALSE(Bad.Ok);
   EXPECT_EQ(Bad.Error, "unknown procedure 'nope'");
+  EXPECT_EQ(Bad.Generation, 1u);
 
-  Response Parse = Svc.call("definitely-not-a-command");
+  Response Parse = Svc->call("", "definitely-not-a-command");
   EXPECT_FALSE(Parse.Ok);
+  EXPECT_EQ(Parse.Generation, 1u);
 
-  Response NotServed = Svc.call("load x.mp");
+  Response NotServed = Svc->call("", "load x.mp");
   EXPECT_FALSE(NotServed.Ok);
   EXPECT_EQ(NotServed.Error, "command not available while serving");
+  EXPECT_EQ(NotServed.Generation, 1u);
 
-  Response Stats = Svc.call("stats");
+  Response Stats = Svc->call("", "stats");
   ASSERT_TRUE(Stats.Ok);
   EXPECT_TRUE(Stats.ResultIsJson);
+  EXPECT_EQ(Stats.Generation, 1u);
   std::string Err;
   auto Obj = parseJsonObject(Stats.Result, Err);
   ASSERT_TRUE(Obj.has_value()) << Err << " in " << Stats.Result;
-  EXPECT_EQ(Obj->getUInt("gen"), 1u);
   EXPECT_EQ(Obj->getUInt("edits"), 1u);
+  EXPECT_EQ(Obj->getUInt("tenants"), 1u);
 
-  ServiceCounters Cnt = Svc.counters();
+  tenant::TenantCounters Cnt = Svc->counters();
   EXPECT_EQ(Cnt.Edits, 1u);
   EXPECT_GE(Cnt.Errors, 3u);
-  EXPECT_EQ(Cnt.Published, 1u);
-}
-
-TEST(AnalysisService, PublishesSnapshotPerCommittedBatch) {
-  ServiceOptions Opts;
-  Opts.Workers = 1;
-  AnalysisService Svc(makeProgram(), Opts);
-  std::mutex M;
-  std::vector<std::uint64_t> Gens;
-  Svc.setPublishHook([&](std::shared_ptr<const AnalysisSnapshot> S) {
-    std::lock_guard<std::mutex> Lock(M);
-    Gens.push_back(S->generation());
-  });
-  for (int I = 0; I != 3; ++I)
-    ASSERT_TRUE(Svc.call("add-global pub_g" + std::to_string(I)).Ok);
-  std::lock_guard<std::mutex> Lock(M);
-  // Serial blocking edits: one snapshot each, strictly increasing.
-  ASSERT_EQ(Gens.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(Gens.begin(), Gens.end()));
-  EXPECT_EQ(Gens.back(), Svc.generation());
-}
-
-TEST(AnalysisService, BackpressureIsDeterministicWithNoWorkers) {
-  ServiceOptions Opts;
-  Opts.Workers = 0; // Nobody drains the read queue.
-  Opts.QueueCapacity = 4;
-  AnalysisService Svc(makeProgram(), Opts);
-
-  auto Cmd = *parseScriptLine("gmod main", 0);
-  unsigned Accepted = 0, Refused = 0;
-  for (unsigned I = 0; I != 6; ++I) {
-    if (Svc.trySubmit(I, Cmd, [](Response) {}))
-      ++Accepted;
-    else
-      ++Refused;
-  }
-  EXPECT_EQ(Accepted, 4u);
-  EXPECT_EQ(Refused, 2u);
-  EXPECT_EQ(Svc.counters().Rejected, 2u);
-  // The write path is independent: edits still commit while reads are
-  // saturated.
-  Response E = Svc.call("add-global bp_g");
-  EXPECT_TRUE(E.Ok);
-  EXPECT_EQ(E.Generation, 1u);
-}
-
-TEST(AnalysisService, BurstOfIdenticalQueriesIsDeduplicated) {
-  ServiceOptions Opts;
-  Opts.Workers = 1; // Single worker: batch boundaries are controllable.
-  Opts.MaxBatch = 64;
-  AnalysisService Svc(makeProgram(), Opts);
-
-  // Block the worker inside the first response callback, queue a burst of
-  // identical queries behind it, then release: the worker's next wakeup
-  // drains the whole burst as one batch and evaluates it once.
-  std::mutex M;
-  std::condition_variable Cv;
-  bool Ready = false, Release = false;
-  ASSERT_TRUE(Svc.trySubmit(0, *parseScriptLine("gmod main", 0),
-                            [&](Response) {
-                              std::unique_lock<std::mutex> Lock(M);
-                              Ready = true;
-                              Cv.notify_all();
-                              Cv.wait(Lock, [&] { return Release; });
-                            }));
-  {
-    std::unique_lock<std::mutex> Lock(M);
-    Cv.wait(Lock, [&] { return Ready; });
-  }
-
-  constexpr unsigned Burst = 10;
-  std::atomic<unsigned> Answered{0};
-  std::vector<std::string> Results(Burst);
-  for (unsigned I = 0; I != Burst; ++I)
-    ASSERT_TRUE(Svc.trySubmit(I + 1, *parseScriptLine("rmod main", 0),
-                              [&, I](Response R) {
-                                Results[I] = R.Result;
-                                Answered.fetch_add(1);
-                              }));
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    Release = true;
-  }
-  Cv.notify_all();
-
-  // Drain: a final blocking call is FIFO-ordered behind the burst.
-  ASSERT_TRUE(Svc.call("gmod main").Ok);
-  EXPECT_EQ(Answered.load(), Burst);
-  for (const std::string &R : Results)
-    EXPECT_EQ(R, Results[0]);
-
-  ServiceCounters Cnt = Svc.counters();
-  EXPECT_EQ(Cnt.DedupSaved, Burst - 1);
 }
 
 //===----------------------------------------------------------------------===//
-// Request-scoped tracing through the service.
+// Request-scoped tracing through the server.
 //===----------------------------------------------------------------------===//
 
 /// Copies each span's identity out of the live SpanRecord (Tags is only
-/// valid during onSpan).  Worker and writer threads both deliver here.
+/// valid during onSpan).  Reader and shard threads both deliver here.
 struct ServiceTagSink : observe::TraceSink {
   struct Row {
     std::string Name;
@@ -411,33 +329,32 @@ struct ServiceTagSink : observe::TraceSink {
   }
 };
 
-TEST(AnalysisService, EchoesTraceIdsAndTagsSpans) {
+TEST(ImplicitTenant, EchoesTraceIdsAndTagsSpans) {
   ServiceTagSink Sink;
-  ServiceOptions Opts;
-  Opts.Workers = 1;
+  tenant::TenantOptions Opts;
   Opts.Sink = &Sink;
-  AnalysisService Svc(makeProgram(), Opts);
+  auto Svc = serveProgram(makeProgram(), Opts);
 
-  Response Q = Svc.call("gmod main", "req-q");
+  Response Q = Svc->call("", "gmod main", "req-q");
   ASSERT_TRUE(Q.Ok) << Q.Error;
   EXPECT_EQ(Q.TraceId, "req-q");
 
-  Response E = Svc.call("add-global trace_g", "req-e");
+  Response E = Svc->call("", "add-global trace_g", "req-e");
   ASSERT_TRUE(E.Ok) << E.Error;
   EXPECT_EQ(E.TraceId, "req-e");
   EXPECT_EQ(E.Generation, 1u);
 
   // Inline verbs and inline errors echo too.
-  EXPECT_EQ(Svc.call("stats", "req-s").TraceId, "req-s");
-  EXPECT_EQ(Svc.call("load x.mp", "req-x").TraceId, "req-x");
+  EXPECT_EQ(Svc->call("", "stats", "req-s").TraceId, "req-s");
+  EXPECT_EQ(Svc->call("", "load x.mp", "req-x").TraceId, "req-x");
   // No trace supplied: none invented at this layer.
-  EXPECT_EQ(Svc.call("gmod main").TraceId, "");
+  EXPECT_EQ(Svc->call("", "gmod main").TraceId, "");
 
   if (!observe::enabled())
     return;
   // The query's evaluation span carries its trace id and the snapshot
   // generation that answered it (0: before the edit).
-  std::vector<ServiceTagSink::Row> Queries = Sink.named("service.query");
+  std::vector<ServiceTagSink::Row> Queries = Sink.named("tenant.query");
   bool SawQuery = false;
   for (const ServiceTagSink::Row &R : Queries)
     if (R.TraceId == "req-q") {
@@ -447,36 +364,34 @@ TEST(AnalysisService, EchoesTraceIdsAndTagsSpans) {
   EXPECT_TRUE(SawQuery);
   // The flush span carries the editing request's id and the generation it
   // produced.
-  std::vector<ServiceTagSink::Row> Flushes = Sink.named("service.flush");
+  std::vector<ServiceTagSink::Row> Flushes = Sink.named("tenant.flush");
   ASSERT_FALSE(Flushes.empty());
   EXPECT_EQ(Flushes[0].TraceId, "req-e");
   EXPECT_EQ(Flushes[0].Generation, 1u);
 }
 
-TEST(AnalysisService, MetricsVerbSpeaksJsonAndPrometheus) {
-  ServiceOptions Opts;
-  Opts.Workers = 1;
-  AnalysisService Svc(makeProgram(), Opts);
+TEST(ImplicitTenant, MetricsVerbSpeaksJsonAndPrometheus) {
+  auto Svc = serveProgram(makeProgram());
   // Touch the latency paths so the exported histograms are non-trivial.
-  ASSERT_TRUE(Svc.call("gmod main").Ok);
-  ASSERT_TRUE(Svc.call("add-global prom_g").Ok);
+  ASSERT_TRUE(Svc->call("", "gmod main").Ok);
+  ASSERT_TRUE(Svc->call("", "add-global prom_g").Ok);
 
-  Response Json = Svc.call("metrics");
+  Response Json = Svc->call("", "metrics");
   ASSERT_TRUE(Json.Ok) << Json.Error;
   EXPECT_TRUE(Json.ResultIsJson);
   std::string Err;
   ASSERT_TRUE(parseJsonObject(Json.Result, Err).has_value())
       << Err << " in " << Json.Result;
 
-  Response Prom = Svc.call("metrics --format=prom");
+  Response Prom = Svc->call("", "metrics --format=prom");
   ASSERT_TRUE(Prom.Ok) << Prom.Error;
   // Prometheus text is a plain string payload, not a JSON object.
   EXPECT_FALSE(Prom.ResultIsJson);
   EXPECT_NE(Prom.Result.find("# TYPE"), std::string::npos) << Prom.Result;
-  EXPECT_NE(Prom.Result.find("ipse_service_read_lat_us_bucket"),
+  EXPECT_NE(Prom.Result.find("ipse_tenant_read_lat_us_bucket"),
             std::string::npos)
       << Prom.Result;
-  EXPECT_NE(Prom.Result.find("ipse_service_write_lat_us_count"),
+  EXPECT_NE(Prom.Result.find("ipse_tenant_write_lat_us_count"),
             std::string::npos)
       << Prom.Result;
 }
@@ -510,34 +425,38 @@ TEST(Server, RenderedResponsesParseBack) {
   EXPECT_EQ(RObj->getString("error"), "overloaded");
 }
 
-TEST(Server, TcpRoundTripThroughLineClient) {
-  ServiceOptions Opts;
-  Opts.Workers = 2;
-  AnalysisService Svc(makeProgram(), Opts);
-  TcpServer Server(Svc);
-  std::string Error;
-  ASSERT_TRUE(Server.start(0, Error)) << Error;
-  ASSERT_NE(Server.port(), 0);
-
-  std::string Script = "gmod main\n"
-                       "add-global tcp_g\n"
-                       "gmod main\n"
-                       "check\n"
-                       "# a comment line\n"
-                       "\n";
+/// Runs \p Script through runClient against \p Port; returns the output.
+std::string runScript(std::uint16_t Port, std::string Script, int &Exit) {
   std::FILE *In = fmemopen(Script.data(), Script.size(), "r");
-  ASSERT_NE(In, nullptr);
+  EXPECT_NE(In, nullptr);
   char *OutBuf = nullptr;
   std::size_t OutLen = 0;
   std::FILE *Out = open_memstream(&OutBuf, &OutLen);
-  ASSERT_NE(Out, nullptr);
-
-  int Exit = runClient(Server.port(), In, Out);
+  EXPECT_NE(Out, nullptr);
+  Exit = runClient(Port, In, Out);
   std::fclose(In);
   std::fclose(Out);
   std::string Output(OutBuf, OutLen);
   std::free(OutBuf);
+  return Output;
+}
 
+TEST(Server, TcpRoundTripThroughLineClient) {
+  auto Svc = serveProgram(makeProgram());
+  TcpServer Server(tenant::tenantConnectionHandler(*Svc));
+  std::string Error;
+  ASSERT_TRUE(Server.start(0, Error)) << Error;
+  ASSERT_NE(Server.port(), 0);
+
+  int Exit = 0;
+  std::string Output = runScript(Server.port(),
+                                 "gmod main\n"
+                                 "add-global tcp_g\n"
+                                 "gmod main\n"
+                                 "check\n"
+                                 "# a comment line\n"
+                                 "\n",
+                                 Exit);
   EXPECT_EQ(Exit, 0) << Output;
   EXPECT_NE(Output.find("\"result\":\"GMOD(main) = {"), std::string::npos)
       << Output;
@@ -547,28 +466,17 @@ TEST(Server, TcpRoundTripThroughLineClient) {
   EXPECT_EQ(std::count(Output.begin(), Output.end(), '\n'), 4);
 
   Server.stop();
-  EXPECT_EQ(Svc.counters().Edits, 1u);
+  EXPECT_EQ(Svc->counters().Edits, 1u);
 }
 
 TEST(Server, ScriptErrorsComeBackAsErrorResponses) {
-  ServiceOptions Opts;
-  Opts.Workers = 1;
-  AnalysisService Svc(makeProgram(), Opts);
-  TcpServer Server(Svc);
+  auto Svc = serveProgram(makeProgram());
+  TcpServer Server(tenant::tenantConnectionHandler(*Svc));
   std::string Error;
   ASSERT_TRUE(Server.start(0, Error)) << Error;
 
-  std::string Script = "gmod nope\n";
-  std::FILE *In = fmemopen(Script.data(), Script.size(), "r");
-  char *OutBuf = nullptr;
-  std::size_t OutLen = 0;
-  std::FILE *Out = open_memstream(&OutBuf, &OutLen);
-  int Exit = runClient(Server.port(), In, Out);
-  std::fclose(In);
-  std::fclose(Out);
-  std::string Output(OutBuf, OutLen);
-  std::free(OutBuf);
-
+  int Exit = 0;
+  std::string Output = runScript(Server.port(), "gmod nope\n", Exit);
   EXPECT_EQ(Exit, 1);
   EXPECT_NE(Output.find("unknown procedure 'nope'"), std::string::npos)
       << Output;
@@ -576,9 +484,8 @@ TEST(Server, ScriptErrorsComeBackAsErrorResponses) {
 }
 
 TEST(Server, TraceIdsAreEchoedOrServerAssigned) {
-  ServiceOptions Opts;
-  Opts.Workers = 1;
-  AnalysisService Svc(makeProgram(), Opts);
+  auto Svc = serveProgram(makeProgram());
+  tenant::TenantConnection Conn;
 
   std::mutex M;
   std::vector<std::string> Lines;
@@ -586,14 +493,15 @@ TEST(Server, TraceIdsAreEchoedOrServerAssigned) {
     std::lock_guard<std::mutex> Lock(M);
     Lines.push_back(L);
   };
-  handleRequestLine(Svc, R"({"id":1,"cmd":"gmod main","trace":"cli-7"})",
-                    Emit);
-  handleRequestLine(Svc, R"({"id":2,"cmd":"rmod main"})", Emit);
+  tenant::handleTenantRequestLine(
+      *Svc, Conn, R"({"id":1,"cmd":"gmod main","trace":"cli-7"})", Emit);
+  tenant::handleTenantRequestLine(*Svc, Conn, R"({"id":2,"cmd":"rmod main"})",
+                                  Emit);
   // Inline error paths carry the trace too.
-  handleRequestLine(Svc, R"({"id":3,"cmd":"load x.mp","trace":"cli-9"})",
-                    Emit);
+  tenant::handleTenantRequestLine(
+      *Svc, Conn, R"({"id":3,"cmd":"load x.mp","trace":"cli-9"})", Emit);
 
-  // Query responses arrive on the worker thread; wait for all three.
+  // Resident queries answer on the calling thread, but wait regardless.
   for (int Spin = 0; Spin != 5000; ++Spin) {
     {
       std::lock_guard<std::mutex> Lock(M);
@@ -616,37 +524,28 @@ TEST(Server, TraceIdsAreEchoedOrServerAssigned) {
   EXPECT_EQ(ById.at(1).getString("trace"), "cli-7");
   EXPECT_EQ(ById.at(3).getString("trace"), "cli-9");
   EXPECT_EQ(ById.at(3).getBool("ok"), false);
-  // No trace supplied: the server assigns one ("s<N>").
+  // No trace supplied: the server assigns one ("t<N>").
   std::optional<std::string> Assigned = ById.at(2).getString("trace");
   ASSERT_TRUE(Assigned.has_value());
-  EXPECT_EQ(Assigned->front(), 's');
+  EXPECT_EQ(Assigned->front(), 't');
   EXPECT_GT(Assigned->size(), 1u);
 }
 
 TEST(Server, MetricsAndStatsFlowOverTcp) {
-  ServiceOptions Opts;
-  Opts.Workers = 1;
-  AnalysisService Svc(makeProgram(), Opts);
-  TcpServer Server(Svc);
+  auto Svc = serveProgram(makeProgram());
+  TcpServer Server(tenant::tenantConnectionHandler(*Svc));
   std::string Error;
   ASSERT_TRUE(Server.start(0, Error)) << Error;
 
   // The line client: stats and both metrics formats are served inline
   // over the wire, and every request carries a client trace id.
-  std::string Script = "gmod main\n"
-                       "stats\n"
-                       "metrics\n"
-                       "metrics --format=prom\n";
-  std::FILE *In = fmemopen(Script.data(), Script.size(), "r");
-  char *OutBuf = nullptr;
-  std::size_t OutLen = 0;
-  std::FILE *Out = open_memstream(&OutBuf, &OutLen);
-  int Exit = runClient(Server.port(), In, Out);
-  std::fclose(In);
-  std::fclose(Out);
-  std::string Output(OutBuf, OutLen);
-  std::free(OutBuf);
-
+  int Exit = 0;
+  std::string Output = runScript(Server.port(),
+                                 "gmod main\n"
+                                 "stats\n"
+                                 "metrics\n"
+                                 "metrics --format=prom\n",
+                                 Exit);
   EXPECT_EQ(Exit, 0) << Output;
   EXPECT_NE(Output.find("\"edits\":"), std::string::npos) << Output;
   EXPECT_NE(Output.find("\"counters\""), std::string::npos) << Output;
@@ -662,7 +561,7 @@ TEST(Server, MetricsAndStatsFlowOverTcp) {
   std::string Prom(DumpBuf, DumpLen);
   std::free(DumpBuf);
   EXPECT_NE(Prom.find("# TYPE"), std::string::npos) << Prom;
-  EXPECT_NE(Prom.find("ipse_service_read_lat_us_count"), std::string::npos)
+  EXPECT_NE(Prom.find("ipse_tenant_read_lat_us_count"), std::string::npos)
       << Prom;
   // Decoded payload, not a protocol envelope.
   EXPECT_EQ(Prom.find("\"ok\""), std::string::npos) << Prom;
@@ -683,34 +582,61 @@ TEST(Server, MetricsAndStatsFlowOverTcp) {
   std::fclose(Null);
 }
 
+/// This process's virtual size in KiB (/proc/self/status VmSize).
+std::uint64_t vmSizeKiB() {
+  std::ifstream In("/proc/self/status");
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind("VmSize:", 0) == 0)
+      return std::strtoull(Line.c_str() + 7, nullptr, 10);
+  return 0;
+}
+
+TEST(Server, FinishedConnectionsAreReaped) {
+  // Each finished connection used to keep an unjoined thread — and its
+  // whole stack — until stop(): a server scraped by metrics-dump grew by
+  // one stack per scrape.  Finished connections must be reaped instead.
+  auto Svc = serveProgram(makeProgram());
+  TcpServer Server(tenant::tenantConnectionHandler(*Svc));
+  std::string Error;
+  ASSERT_TRUE(Server.start(0, Error)) << Error;
+  std::FILE *Null = std::fopen("/dev/null", "w");
+  ASSERT_EQ(runMetricsDump(Server.port(), /*Prom=*/false, Null), 0);
+  const std::uint64_t Before = vmSizeKiB();
+  ASSERT_GT(Before, 0u);
+  for (int I = 0; I != 200; ++I)
+    ASSERT_EQ(runMetricsDump(Server.port(), /*Prom=*/false, Null), 0) << I;
+  const std::uint64_t After = vmSizeKiB();
+  std::fclose(Null);
+  EXPECT_LT(After, Before + 128 * 1024)
+      << "VmSize grew from " << Before << " KiB to " << After << " KiB";
+  Server.stop();
+}
+
 //===----------------------------------------------------------------------===//
 // Randomized concurrency stress: every response must be bit-for-bit
-// consistent with SOME published snapshot generation.  This is the TSan
-// workload in CI.
+// consistent with the snapshot of the generation it cites.  This is the
+// TSan workload in CI.
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceStress, EveryResponseMatchesItsSnapshotGeneration) {
-  ServiceOptions Opts;
-  Opts.Workers = 4;
+  tenant::TenantOptions Opts;
   Opts.QueueCapacity = 128;
-  AnalysisService Svc(makeProgram(24, 8, 11), Opts);
+  auto Svc = serveProgram(makeProgram(24, 8, 11), Opts);
 
-  // Record every published generation (plus the initial one) so readers'
-  // responses can be replayed against the exact snapshot that answered.
-  std::mutex HistM;
+  // Edits are serial, so generation G is the state after G edits: a
+  // mirror session that applies the same edits yields the expected
+  // snapshot of every generation the server can publish.
+  incremental::AnalysisSession Mirror(makeProgram(24, 8, 11));
   std::map<std::uint64_t, std::shared_ptr<const AnalysisSnapshot>> History;
-  History[Svc.generation()] = Svc.snapshot();
-  Svc.setPublishHook([&](std::shared_ptr<const AnalysisSnapshot> S) {
-    std::lock_guard<std::mutex> Lock(HistM);
-    History[S->generation()] = std::move(S);
-  });
+  History[Mirror.generation()] =
+      AnalysisSnapshot::capture(Mirror, Mirror.generation());
 
   // Query pool drawn from the initial program; later generations may
   // invalidate some names (rm-proc), which must surface as clean error
   // responses, never as torn data.
   std::vector<std::string> Pool;
   {
-    const ir::Program &P = Svc.snapshot()->program();
+    const ir::Program &P = Mirror.program();
     for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
       std::string N = P.name(ir::ProcId(I));
       Pool.push_back("gmod " + N);
@@ -736,48 +662,44 @@ TEST(ServiceStress, EveryResponseMatchesItsSnapshotGeneration) {
       Logs[T].reserve(QueriesPerReader);
       for (unsigned I = 0; I != QueriesPerReader; ++I) {
         const std::string &Cmd = Pool[R.next() % Pool.size()];
-        Logs[T].push_back({Cmd, Svc.call(Cmd)});
+        Logs[T].push_back({Cmd, Svc->call("", Cmd)});
       }
     });
 
-  // Main thread is the edit stream: EditGen against the service's own
-  // (single-writer) program view, shipped through the script grammar like
-  // a real client.
+  // Main thread is the edit stream: EditGen against the mirror's program,
+  // shipped through the script grammar like a real client.
   synth::EditGenConfig ECfg;
   ECfg.Seed = 77;
   synth::EditGen Gen(ECfg);
   unsigned EditsApplied = 0;
   for (unsigned I = 0; I != NumEdits; ++I) {
-    std::shared_ptr<const AnalysisSnapshot> Cur = Svc.snapshot();
-    std::optional<incremental::Edit> E = Gen.next(Cur->program());
+    std::optional<incremental::Edit> E = Gen.next(Mirror.program());
     if (!E)
       break;
-    Response R = Svc.call(incremental::toScriptLine(Cur->program(), *E));
-    ASSERT_TRUE(R.Ok) << R.Error << " for "
-                      << incremental::toScriptLine(Cur->program(), *E);
+    std::string Line = incremental::toScriptLine(Mirror.program(), *E);
+    incremental::applyEdit(Mirror, *E);
+    Response R = Svc->call("", Line);
+    ASSERT_TRUE(R.Ok) << R.Error << " for " << Line;
+    ASSERT_EQ(R.Generation, Mirror.generation()) << Line;
+    History[R.Generation] = AnalysisSnapshot::capture(Mirror, R.Generation);
     ++EditsApplied;
   }
   for (std::thread &T : Readers)
     T.join();
   ASSERT_GT(EditsApplied, 0u);
 
-  Response Final = Svc.call("check");
+  Response Final = Svc->call("", "check");
   ASSERT_TRUE(Final.Ok) << Final.Error;
   EXPECT_TRUE(Final.CheckOk) << Final.Result;
 
   // Replay: each response must reproduce exactly against the snapshot of
   // its generation — same text for successes, same message for errors.
-  std::map<std::uint64_t, std::shared_ptr<const AnalysisSnapshot>> Hist;
-  {
-    std::lock_guard<std::mutex> Lock(HistM);
-    Hist = History;
-  }
   unsigned Replayed = 0;
   for (const auto &Log : Logs)
     for (const Logged &L : Log) {
-      auto It = Hist.find(L.R.Generation);
-      ASSERT_NE(It, Hist.end())
-          << "response cites unpublished generation " << L.R.Generation;
+      auto It = History.find(L.R.Generation);
+      ASSERT_NE(It, History.end())
+          << "response cites unknown generation " << L.R.Generation;
       std::optional<ScriptCommand> Cmd = parseScriptLine(L.Cmd, 0);
       ASSERT_TRUE(Cmd.has_value());
       try {
@@ -793,9 +715,9 @@ TEST(ServiceStress, EveryResponseMatchesItsSnapshotGeneration) {
     }
   EXPECT_EQ(Replayed, NumReaders * QueriesPerReader);
 
-  // Independently, every recorded snapshot must equal a fresh batch run
-  // over its own program copy (no torn captures).
-  for (const auto &[Gen2, Snap] : Hist) {
+  // Independently, every expected snapshot must equal a fresh batch run
+  // over its own program copy.
+  for (const auto &[Gen2, Snap] : History) {
     const ir::Program &P = Snap->program();
     analysis::SideEffectAnalyzer Mod(P);
     for (std::uint32_t I = 0; I != P.numProcs(); ++I)

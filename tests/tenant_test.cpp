@@ -281,21 +281,21 @@ TEST(TenantProtocol, AttachRoutesAndFallbackAnswers) {
   auto Emit = [&](std::string Line) { Log(std::move(Line)); };
 
   tenant::handleTenantRequestLine(
-      Svc, nullptr, Conn,
+      Svc, Conn,
       R"({"id":1,"cmd":"open acme procs=4 globals=2 seed=5"})", Emit);
-  tenant::handleTenantRequestLine(Svc, nullptr, Conn,
+  tenant::handleTenantRequestLine(Svc, Conn,
                                   R"({"id":2,"cmd":"attach acme"})", Emit);
   EXPECT_EQ(Conn.Attached, "acme");
   EXPECT_EQ(Log.waitFor(1).getBool("ok"), true);
   EXPECT_EQ(Log.waitFor(2).getBool("ok"), true);
 
   // Edits and queries route through the attachment.
-  tenant::handleTenantRequestLine(Svc, nullptr, Conn,
+  tenant::handleTenantRequestLine(Svc, Conn,
                                   R"({"id":3,"cmd":"add-global fresh"})", Emit);
   JsonObject Obj = Log.waitFor(3);
   EXPECT_EQ(Obj.getBool("ok"), true);
   EXPECT_EQ(Obj.getUInt("gen"), 1u);
-  tenant::handleTenantRequestLine(Svc, nullptr, Conn,
+  tenant::handleTenantRequestLine(Svc, Conn,
                                   R"({"id":4,"cmd":"gmod main"})", Emit);
   std::string Line = Log.waitLine(4);
   EXPECT_NE(Line.find("\"ok\":true"), std::string::npos) << Line;
@@ -303,25 +303,68 @@ TEST(TenantProtocol, AttachRoutesAndFallbackAnswers) {
 
   // An explicit "tenant" field overrides the attachment...
   tenant::handleTenantRequestLine(
-      Svc, nullptr, Conn, R"({"id":5,"cmd":"gmod main","tenant":"ghost"})",
+      Svc, Conn, R"({"id":5,"cmd":"gmod main","tenant":"ghost"})",
       Emit);
   Line = Log.waitLine(5);
   EXPECT_NE(Line.find("\"ok\":false"), std::string::npos) << Line;
   EXPECT_NE(Line.find("unknown tenant"), std::string::npos) << Line;
 
   // ...and attaching to an unknown tenant is refused, keeping the old one.
-  tenant::handleTenantRequestLine(Svc, nullptr, Conn,
+  tenant::handleTenantRequestLine(Svc, Conn,
                                   R"({"id":6,"cmd":"attach ghost"})", Emit);
   EXPECT_EQ(Conn.Attached, "acme");
   EXPECT_EQ(Log.waitFor(6).getBool("ok"), false);
 
-  // Unattached data requests with no single-program service get guidance.
+  // Unattached data requests on a server without an implicit tenant get
+  // guidance.
   tenant::TenantConnection Fresh;
-  tenant::handleTenantRequestLine(Svc, nullptr, Fresh,
+  tenant::handleTenantRequestLine(Svc, Fresh,
                                   R"({"id":7,"cmd":"gmod main"})", Emit);
   Line = Log.waitLine(7);
   EXPECT_NE(Line.find("\"ok\":false"), std::string::npos) << Line;
   EXPECT_NE(Line.find("no tenant"), std::string::npos) << Line;
+}
+
+TEST(TenantProtocol, RoutingPrecedenceIsFieldThenAttachThenImplicit) {
+  // A server given a program hosts it as the implicit tenant "": requests
+  // that name no tenant reach it, an attach overrides it, and a "tenant"
+  // field overrides both.
+  TenantOptions Opts;
+  Opts.Shards = 1;
+  TenantService Svc(Opts, synth::makeFortranStyleProgram(6, 3, 3, 4));
+  ASSERT_TRUE(Svc.call("", "open acme procs=4 globals=2 seed=5").Ok);
+  // Make main modify a global only its own tenant has.
+  for (const auto &[Tenant, Global] :
+       {std::pair<std::string, std::string>{"", "only_implicit"},
+        {"acme", "only_acme"}})
+    for (const std::string &Edit :
+         {"add-global " + Global, std::string("add-stmt main"),
+          "add-mod main 0 " + Global})
+      ASSERT_TRUE(Svc.call(Tenant, Edit).Ok) << Tenant << ": " << Edit;
+  tenant::TenantConnection Conn;
+  ResponseLog Log;
+  auto Emit = [&](std::string Line) { Log(std::move(Line)); };
+  auto Send = [&](const std::string &Req) {
+    tenant::handleTenantRequestLine(Svc, Conn, Req, Emit);
+  };
+
+  Send(R"({"id":1,"cmd":"gmod main"})");
+  EXPECT_NE(Log.waitLine(1).find("only_implicit"), std::string::npos);
+  Send(R"({"id":2,"cmd":"gmod main","tenant":"acme"})");
+  EXPECT_NE(Log.waitLine(2).find("only_acme"), std::string::npos);
+  Send(R"({"id":3,"cmd":"attach acme"})");
+  Send(R"({"id":4,"cmd":"gmod main"})");
+  EXPECT_NE(Log.waitLine(4).find("only_acme"), std::string::npos);
+  // Inline errors carry the routed tenant's generation.
+  Send(R"({"id":5,"cmd":"no-such-verb"})");
+  JsonObject Obj = Log.waitFor(5);
+  EXPECT_EQ(Obj.getBool("ok"), false);
+  EXPECT_EQ(Obj.getUInt("gen"), 3u);
+  // Control-plane verbs need no tenant.
+  tenant::TenantConnection Fresh;
+  tenant::handleTenantRequestLine(Svc, Fresh, R"({"id":6,"cmd":"stats"})",
+                                  Emit);
+  EXPECT_NE(Log.waitLine(6).find("\"tenants\":2"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,7 +20,7 @@
 //   parallel/fortran-2000/k4/wall_ms
 //   parallel/fortran-2000/summary/speedup_k4
 //   observe/sequential/fortran-1000/gmod/bv_ops
-//   service/fortran-500/w2/qps
+//   service/fortran-500/r2/qps
 //
 // Later --in sources override earlier ones key-wise (pass the committed
 // seed results first and the fresh run last), and within one file the last
@@ -128,8 +128,8 @@ std::string identDemand(const JsonObject &Row) {
 }
 
 std::string identService(const JsonObject &Row) {
-  std::string Shape = field(Row, "shape"), W = field(Row, "workers");
-  return Shape.empty() || W.empty() ? "" : Shape + "/w" + W;
+  std::string Shape = field(Row, "shape"), R = field(Row, "readers");
+  return Shape.empty() || R.empty() ? "" : Shape + "/r" + R;
 }
 
 std::string identPersist(const JsonObject &Row) {

@@ -127,8 +127,7 @@ namespace {
       "                                      memo hits, frontier cuts —\n"
       "                                      plus the cumulative counters)\n"
       "  serve (--program <file> | --gen k=v[,k=v...] | --data-dir DIR)\n"
-      "        [--port N] [--workers N] [--queue N] [--batch N]\n"
-      "        [--stats-ms N] [--no-use] [--parallel[=K]]\n"
+      "        [--port N] [--queue N] [--batch N] [--no-use]\n"
       "        [--compact-records N] [--compact-bytes N]\n"
       "        [--trace-out=FILE] [--trace-format=F] [--slow-ms N]\n"
       "        [--tenants[=SHARDS]] [--resident-cap N]\n"
@@ -147,19 +146,21 @@ namespace {
       "                                      may be omitted).  SIGTERM /\n"
       "                                      SIGINT drain, flush, and\n"
       "                                      compact before exiting.\n"
-      "                                      --tenants hosts many programs\n"
-      "                                      in one server (protocol verbs\n"
-      "                                      open/close/attach, sharded\n"
-      "                                      writers, per-tenant stores\n"
-      "                                      under --data-dir);\n"
+      "                                      One server hosts many programs\n"
+      "                                      (protocol verbs open/close/\n"
+      "                                      attach, sharded writers, per-\n"
+      "                                      tenant stores under --data-\n"
+      "                                      dir); the --program / --gen\n"
+      "                                      program is the implicit tenant\n"
+      "                                      that requests naming no tenant\n"
+      "                                      reach.  --tenants makes the\n"
+      "                                      program source optional and\n"
+      "                                      =SHARDS sets the writer count.\n"
       "                                      --resident-cap bounds live\n"
       "                                      sessions (LRU evict-to-disk),\n"
       "                                      --tenant-max-procs /\n"
       "                                      --tenant-max-edits set per-\n"
-      "                                      tenant quotas.  --program /\n"
-      "                                      --gen stay optional: requests\n"
-      "                                      naming no tenant go to the\n"
-      "                                      single-program service.\n"
+      "                                      tenant quotas.\n"
       "                                      --slow-ms logs queries and\n"
       "                                      flushes slower than N ms to\n"
       "                                      the --trace-out sink with\n"
@@ -708,7 +709,7 @@ void installCrashDumpHandler(const std::string &DataDir) {
 
 int cmdServe(const std::vector<std::string> &Args) {
   std::string ProgramPath, GenSpec;
-  bool HavePort = false;
+  bool HavePort = false, SourceOptional = false;
   std::uint16_t Port = 0;
   CommonFlags F;
   ipse::AnalysisOptions &Opts = F.Opts;
@@ -734,22 +735,18 @@ int cmdServe(const std::vector<std::string> &Args) {
     else if (Args[I] == "--port") {
       HavePort = true;
       Port = static_cast<std::uint16_t>(intArg());
-    } else if (Args[I] == "--workers")
-      Opts.ServiceWorkers = intArg();
-    else if (Args[I] == "--queue")
+    } else if (Args[I] == "--queue")
       Opts.ServiceQueueCapacity = intArg();
     else if (Args[I] == "--batch")
       Opts.ServiceMaxBatch = intArg();
-    else if (Args[I] == "--stats-ms")
-      Opts.ServiceStatsIntervalMs = intArg();
     else if (Args[I] == "--slow-ms")
       Opts.SlowMs = intArg();
     else if (Args[I] == "--no-use")
       Opts.TrackUse = false;
     else if (Args[I] == "--tenants")
-      Opts.TenantsEnabled = true;
+      SourceOptional = true;
     else if (Args[I].rfind("--tenants=", 0) == 0) {
-      Opts.TenantsEnabled = true;
+      SourceOptional = true;
       Opts.TenantShards =
           static_cast<unsigned>(std::atoi(Args[I].c_str() + 10));
     } else if (Args[I] == "--resident-cap")
@@ -763,6 +760,8 @@ int cmdServe(const std::vector<std::string> &Args) {
     else
       usage();
   }
+  // A store at the root of the data dir is the implicit tenant; it wins
+  // over --program / --gen.
   const bool HaveStore =
       !Opts.DataDir.empty() && persist::Store::exists(Opts.DataDir);
   if (HaveStore) {
@@ -771,35 +770,26 @@ int cmdServe(const std::vector<std::string> &Args) {
                    "note: '%s' holds a store; --program/--gen ignored, "
                    "recovering from it\n",
                    Opts.DataDir.c_str());
-  } else if (Opts.TenantsEnabled) {
-    // Tenant mode: the single-program service is optional (requests that
-    // name no tenant need it; tenant-only deployments skip it).
-    if (!ProgramPath.empty() && !GenSpec.empty()) {
-      std::fprintf(stderr, "error: 'serve' takes --program or --gen, "
-                           "not both\n");
-      return 2;
-    }
-  } else if (ProgramPath.empty() == GenSpec.empty()) {
+  } else if (!ProgramPath.empty() && !GenSpec.empty()) {
+    std::fprintf(stderr, "error: 'serve' takes --program or --gen, "
+                         "not both\n");
+    return 2;
+  } else if (!SourceOptional && ProgramPath.empty() && GenSpec.empty()) {
     std::fprintf(stderr,
                  "error: 'serve' needs exactly one of --program / --gen "
-                 "(or --data-dir pointing at an existing store)\n");
+                 "(or --data-dir pointing at an existing store, or "
+                 "--tenants)\n");
     return 2;
   }
   F.finish();
 
-  const bool HaveSingle =
-      HaveStore || !ProgramPath.empty() || !GenSpec.empty();
-  Program P;
-  if (HaveSingle && !HaveStore)
-    P = buildInitialProgram(ProgramPath, GenSpec);
+  std::optional<Program> Initial;
+  if (!HaveStore && (!ProgramPath.empty() || !GenSpec.empty()))
+    Initial = buildInitialProgram(ProgramPath, GenSpec);
 
-  std::unique_ptr<service::AnalysisService> SvcPtr;
-  std::unique_ptr<tenant::TenantService> TenantsPtr;
+  std::unique_ptr<tenant::TenantService> Svc;
   try {
-    if (HaveSingle)
-      SvcPtr = ipse::Analyzer(Opts).serve(std::move(P));
-    if (Opts.TenantsEnabled)
-      TenantsPtr = ipse::Analyzer(Opts).openTenants();
+    Svc = ipse::Analyzer(Opts).serve(std::move(Initial));
   } catch (const std::exception &E) {
     std::fprintf(stderr, "error: %s\n", E.what());
     return 1;
@@ -807,40 +797,34 @@ int cmdServe(const std::vector<std::string> &Args) {
   installShutdownHandler();
   if (!Opts.DataDir.empty())
     installCrashDumpHandler(Opts.DataDir);
-  if (HaveStore && SvcPtr)
+  const bool HaveImplicit = Svc->hasTenant("");
+  auto namedTenants = [&] {
+    return Svc->tenantCount() - (HaveImplicit ? 1 : 0);
+  };
+  if (HaveStore)
     std::fprintf(stderr, "recovered '%s' at generation %llu\n",
                  Opts.DataDir.c_str(),
-                 (unsigned long long)SvcPtr->generation());
-  if (TenantsPtr && !Opts.DataDir.empty())
-    std::fprintf(stderr, "tenants: %llu registered in '%s'\n",
-                 (unsigned long long)TenantsPtr->tenantCount(),
-                 Opts.DataDir.c_str());
+                 (unsigned long long)Svc->generation(""));
+  if (SourceOptional && !Opts.DataDir.empty())
+    std::fprintf(stderr, "tenants: %zu registered in '%s'\n",
+                 namedTenants(), Opts.DataDir.c_str());
 
   if (!HavePort) {
     // The pump returns on EOF or on an EINTR'd read (our signal
     // handler); either way fall through to the drain + final-compact
     // shutdown.
-    if (TenantsPtr)
-      tenant::serveTenantFd(*TenantsPtr, SvcPtr.get(), /*InFd=*/0,
-                            /*OutFd=*/1);
-    else
-      service::serveFd(*SvcPtr, /*InFd=*/0, /*OutFd=*/1);
+    tenant::serveTenantFd(*Svc, /*InFd=*/0, /*OutFd=*/1);
   } else {
-    std::unique_ptr<service::TcpServer> Server;
-    if (TenantsPtr)
-      Server = std::make_unique<service::TcpServer>(
-          tenant::tenantConnectionHandler(*TenantsPtr, SvcPtr.get()));
-    else
-      Server = std::make_unique<service::TcpServer>(*SvcPtr);
+    service::TcpServer Server(tenant::tenantConnectionHandler(*Svc));
     std::string Error;
-    if (!Server->start(Port, Error)) {
+    if (!Server.start(Port, Error)) {
       std::fprintf(stderr, "error: cannot listen on port %u: %s\n",
                    unsigned(Port), Error.c_str());
       return 1;
     }
     std::fprintf(stderr,
                  "serving on 127.0.0.1:%u (EOF on stdin or SIGTERM stops)\n",
-                 unsigned(Server->port()));
+                 unsigned(Server.port()));
     // Block until the operator closes stdin or a shutdown signal lands;
     // connections are served on their own threads meanwhile.
     char Buf[256];
@@ -852,26 +836,22 @@ int cmdServe(const std::vector<std::string> &Args) {
         continue; // Re-check ShutdownRequested.
       break;      // EOF or hard error.
     }
-    Server->stop();
+    Server.stop();
   }
 
-  // Drain the queues and join the writer threads: with --data-dir this is
-  // what folds every WAL into a final snapshot (the writer/shard loops'
-  // exit compaction).
+  // Drain the queues and join the shard threads: with --data-dir this is
+  // what folds every WAL into a final snapshot (the shard loops' exit
+  // compaction).
   if (ShutdownRequested)
     std::fprintf(stderr, "shutdown signal: draining\n");
-  if (TenantsPtr)
-    TenantsPtr->stop();
-  if (SvcPtr)
-    SvcPtr->stop();
-  if (!Opts.DataDir.empty() && SvcPtr)
+  Svc->stop();
+  if (!Opts.DataDir.empty() && HaveImplicit)
     std::fprintf(stderr, "stopped at generation %llu; store '%s' compacted\n",
-                 (unsigned long long)SvcPtr->generation(),
+                 (unsigned long long)Svc->generation(""),
                  Opts.DataDir.c_str());
-  if (!Opts.DataDir.empty() && TenantsPtr)
-    std::fprintf(stderr, "tenants stopped; %llu in manifest '%s'\n",
-                 (unsigned long long)TenantsPtr->tenantCount(),
-                 Opts.DataDir.c_str());
+  if (SourceOptional && !Opts.DataDir.empty())
+    std::fprintf(stderr, "tenants stopped; %zu in manifest '%s'\n",
+                 namedTenants(), Opts.DataDir.c_str());
   return 0;
 }
 
