@@ -44,9 +44,10 @@
 //  sequential/fortran-1000 cell: the recorder ships enabled by default
 //  in `serve`, so its overhead is a promise, not a tunable.
 //
-// Engines: the sequential batch analyzer, the parallel engine at K=2, and
-// incremental-session construction (its full-rebuild path) — all driven
-// through the ipse::Analyzer facade, like every consumer.
+// Engines: the batch analyzer at K=1 ("sequential") and at K=2
+// ("parallel-k2"), and incremental-session construction (its full-rebuild
+// path) — all driven through the ipse::Analyzer facade, like every
+// consumer.
 //
 // Under IPSE_OBSERVE=OFF the overhead rows still print (both cells then
 // time the same dormant code) and the phase rows vanish.
@@ -91,7 +92,7 @@ std::vector<EngineCell> engineCells() {
   }
   {
     ipse::AnalysisOptions O;
-    O.Backend = ipse::AnalysisOptions::Engine::Parallel;
+    O.Backend = ipse::AnalysisOptions::Engine::Sequential;
     O.Threads = 2;
     Cells.push_back({"parallel-k2", O});
   }

@@ -1,51 +1,48 @@
-//===- bench/bench_parallel.cpp - Parallel batch engine scaling --------------===//
+//===- bench/bench_parallel.cpp - Batch analyzer lane scaling -----------------===//
 //
 // Part of the ipse project: a reproduction of Cooper & Kennedy,
 // "Interprocedural Side-Effect Analysis in Linear Time", PLDI 1988.
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the level-scheduled parallel batch engine (E9) against the
-// sequential SideEffectAnalyzer.  Not google-benchmark based: each rep
-// times the full MOD pipeline once per cell — the sequential engine and
-// every thread count back to back — so host noise and clock drift hit all
-// cells of a shape alike instead of biasing whichever ran last.  Each cell
-// keeps its minimum over `Reps` and emits one JSON line keyed by "mode":
+// Measures the batch analyzer (E9) at K = 2, 4, 8 lanes against K = 1.
+// Not google-benchmark based: each rep times the full MOD pipeline once
+// per cell — every lane count back to back — so host noise and clock
+// drift hit all cells of a shape alike instead of biasing whichever ran
+// last.  Each cell keeps its minimum over `Reps` and emits one JSON line
+// keyed by "mode":
 //
-//   {"shape":"fortran-2000","mode":"k4","procs":2001,"threads":4,
-//    "wall_ms":48.1,"seq_ms":55.9,"speedup_vs_seq":1.16,
-//    "overhead_vs_seq_pct":-13.9,"levels":7,"components":2001,
-//    "widest_level":1204,"reps":5}
+//   {"shape":"fortran-2000","mode":"k4","kernel":"condensation",
+//    "procs":2001,"threads":4,"lanes":4,"wall_ms":0.61,"seq_ms":0.66,
+//    "speedup_vs_seq":1.08,"overhead_vs_seq_pct":-7.6,"levels":7,
+//    "components":2001,"widest_level":1204,"reps":41}
 //
-// mode "seq" is the sequential engine itself (the baseline row); "k1",
-// "k2", "k4", "k8" are the parallel engine at that lane count.  The
-// speedup column is seq_ms / wall_ms; overhead_vs_seq_pct is the signed
-// percentage by which the cell is *slower* than sequential.  After the
+// mode "seq" is K = 1 (the baseline row); "k2", "k4", "k8" are the same
+// analyzer at that lane count.  "kernel" is the analyzer's choice for the
+// shape (the same at every K: it is made from the program alone), and
+// "lanes" is the host's affinity lane count, which caps K.  The speedup
+// column is seq_ms / wall_ms; overhead_vs_seq_pct is the signed
+// percentage by which the cell is *slower* than K = 1.  After the
 // per-mode rows each shape emits one "summary" row carrying speedup_k4 —
 // the median of per-rep paired seq/k4 ratios (robust against host drift
 // in a way a ratio of independent minima is not) and the headline ratio
-// ipse-bench-diff hard-gates: with the adaptive
-// scheduler (per-level fan-out decisions, lazy worker spawn), asking for
-// K=4 must never lose to the sequential engine, on any host.
+// ipse-bench-diff hard-gates: asking for K = 4 must never lose to K = 1.
 //
 // Shapes cover the schedule spectrum: wide FORTRAN-style programs (many
-// components per level — the parallel-friendly regime), a deep chain (one
-// component per level — pure barrier overhead, the adversarial case), a
-// giant cycle (one SCC — no level parallelism, the representative fast
-// path carries it), and a nested tower (multi-level filters on β).
-//
-// On a single-CPU host the adaptive schedule inlines every level (one
-// real lane means a handoff can only add latency), so every K row tracks
-// sequential and speedup_k4 sits at ~1.0; on a many-core host the wide
-// shapes fan out and speedup_k4 rises above it.  Either way the gate
-// holds — that is the point of the scheduler.  See EXPERIMENTS.md E9.
+// components per level — the condensation kernel's regime), a deep chain
+// (one component per level) and a giant cycle (one SCC), where no level
+// is wide, so every K runs the reference solvers, and a nested tower
+// (multi-level filters on β).  See EXPERIMENTS.md E9.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/SideEffectAnalyzer.h"
-#include "parallel/ParallelAnalyzer.h"
+#include "graph/CallGraph.h"
+#include "graph/LevelSchedule.h"
+#include "support/ThreadPool.h"
 #include "synth/ProgramGen.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -87,24 +84,38 @@ double timeBatchMs(unsigned Inner, const std::function<void()> &Fn) {
 
 void runShape(const Shape &Sh) {
   const ir::Program &P = Sh.P;
-  constexpr unsigned Ks[] = {1u, 2u, 4u, 8u};
+  constexpr unsigned Ks[] = {2u, 4u, 8u};
   constexpr std::size_t NumKs = sizeof(Ks) / sizeof(Ks[0]);
+  constexpr std::size_t K4 = 1; // Ks[K4] == 4
+
+  // Schedule shape, for context: fixed by the program, not by K.
+  graph::CallGraph CG(P);
+  graph::SccDecomposition Sccs = graph::computeSccs(CG.graph());
+  graph::LevelSchedule Levels = graph::computeLevelSchedule(CG.graph(), Sccs);
+  std::size_t Widest = 0;
+  for (std::size_t L = 0; L != Levels.numLevels(); ++L)
+    Widest = std::max(Widest, Levels.level(L).size());
+  const char *Kernel =
+      analysis::chooseKernel(P, CG) == analysis::PassKernel::Condensation
+          ? "condensation"
+          : "reference";
 
   double SeqMs = 0;
   double ParMs[NumKs] = {};
-  parallel::GModScheduleStats Stats[NumKs];
+
+  auto Solve = [&](unsigned Lanes) {
+    analysis::SideEffectAnalyzer An(P, analysis::AnalyzerOptions(), Lanes);
+    (void)An.gmod(P.main());
+  };
 
   // Calibrate the per-sample batch off one warm-up solve (which also pages
   // the program in before measurement starts).
-  double CalMs = timeOnceMs([&] {
-    analysis::SideEffectAnalyzer An(P);
-    (void)An.gmod(P.main());
-  });
+  double CalMs = timeOnceMs([&] { Solve(1); });
   unsigned Inner = 1;
   if (CalMs < 4.0)
     Inner = (unsigned)(4.0 / (CalMs > 0.005 ? CalMs : 0.005)) + 1;
 
-  // One measurement window per shape: every rep runs all five cells in a
+  // One measurement window per shape: every rep runs all four cells in a
   // row, each cell keeping its own minimum.  The summary ratio is instead
   // the median of *per-rep paired* seq/k4 ratios: the two cells of a pair
   // run back to back (in alternating order, seq-first on even reps and
@@ -112,50 +123,36 @@ void runShape(const Shape &Sh) {
   // neighbours, scheduler episodes — hits both sides of a ratio alike and
   // cancels, and whatever bias remains against the cell that runs second
   // flips sign every rep and drops out of the median.
-  auto MeasureSeq = [&] {
-    return timeBatchMs(Inner, [&] {
-      analysis::SideEffectAnalyzer An(P);
-      (void)An.gmod(P.main());
-    });
-  };
+  auto MeasureSeq = [&] { return timeBatchMs(Inner, [&] { Solve(1); }); };
   auto MeasureK = [&](std::size_t KI) {
-    return timeBatchMs(Inner, [&] {
-      parallel::ParallelAnalyzerOptions Opts;
-      Opts.Threads = Ks[KI];
-      // Measure raw K: the small-program floor would silently turn
-      // every row below the threshold into a K=1 rerun.
-      Opts.SmallProgramThreshold = 0;
-      parallel::ParallelAnalyzer An(P, Opts);
-      Stats[KI] = An.scheduleStats();
-    });
+    return timeBatchMs(Inner, [&] { Solve(Ks[KI]); });
   };
   std::vector<double> K4Ratios;
   K4Ratios.reserve(Reps);
   for (unsigned R = 0; R != Reps; ++R) {
-    // Four slots per rep — the seq/k4 pair plus the other three lane
+    // Three slots per rep — the seq/k4 pair plus the other two lane
     // counts — visited in an order rotated by the rep index, so no cell
     // owns a fixed position (early slots run measurably colder, and a
-    // fixed order would bias the per-cell minima apart even though the
-    // cells execute identical code on a delegating host).
-    constexpr std::size_t Others[3] = {0, 1, 3}; // k1, k2, k8
-    for (unsigned Slot = 0; Slot != 4; ++Slot) {
-      const unsigned Which = (Slot + R) % 4;
+    // fixed order would bias the per-cell minima apart).
+    constexpr std::size_t Others[2] = {0, 2}; // k2, k8
+    for (unsigned Slot = 0; Slot != 3; ++Slot) {
+      const unsigned Which = (Slot + R) % 3;
       if (Which == 0) {
         double RepSeqMs, K4Ms;
         if (R % 2 == 0) {
           RepSeqMs = MeasureSeq();
-          K4Ms = MeasureK(2);
+          K4Ms = MeasureK(K4);
         } else {
-          K4Ms = MeasureK(2);
+          K4Ms = MeasureK(K4);
           RepSeqMs = MeasureSeq();
         }
         if (R == 0 || RepSeqMs < SeqMs)
           SeqMs = RepSeqMs;
-        if (R == 0 || K4Ms < ParMs[2])
-          ParMs[2] = K4Ms;
+        if (R == 0 || K4Ms < ParMs[K4])
+          ParMs[K4] = K4Ms;
         K4Ratios.push_back(RepSeqMs / K4Ms);
       } else {
-        const std::size_t KI = Others[(Which - 1 + R) % 3];
+        const std::size_t KI = Others[(Which - 1 + R) % 2];
         double Ms = MeasureK(KI);
         if (R == 0 || Ms < ParMs[KI])
           ParMs[KI] = Ms;
@@ -165,25 +162,25 @@ void runShape(const Shape &Sh) {
   std::sort(K4Ratios.begin(), K4Ratios.end());
   double SpeedupK4 = K4Ratios[K4Ratios.size() / 2];
 
-  std::printf("{\"shape\":\"%s\",\"mode\":\"seq\",\"procs\":%u,\"threads\":0,"
-              "\"wall_ms\":%.2f,\"seq_ms\":%.2f,\"speedup_vs_seq\":1.00,"
-              "\"overhead_vs_seq_pct\":0.0,\"levels\":0,\"components\":0,"
-              "\"widest_level\":0,\"reps\":%u}\n",
-              Sh.Name, (unsigned)P.numProcs(), SeqMs, SeqMs, Reps);
-  for (std::size_t KI = 0; KI != NumKs; ++KI) {
+  auto Row = [&](const char *Mode, unsigned Threads, double Ms) {
     std::printf(
-        "{\"shape\":\"%s\",\"mode\":\"k%u\",\"procs\":%u,\"threads\":%u,"
-        "\"wall_ms\":%.2f,"
-        "\"seq_ms\":%.2f,\"speedup_vs_seq\":%.2f,"
-        "\"overhead_vs_seq_pct\":%.1f,\"levels\":%u,\"components\":%u,"
-        "\"widest_level\":%u,\"reps\":%u}\n",
-        Sh.Name, Ks[KI], (unsigned)P.numProcs(), Ks[KI], ParMs[KI], SeqMs,
-        SeqMs / ParMs[KI], (ParMs[KI] - SeqMs) / SeqMs * 100.0,
-        (unsigned)Stats[KI].Levels, (unsigned)Stats[KI].Components,
-        (unsigned)Stats[KI].WidestLevel, Reps);
+        "{\"shape\":\"%s\",\"mode\":\"%s\",\"kernel\":\"%s\",\"procs\":%u,"
+        "\"threads\":%u,\"lanes\":%u,\"wall_ms\":%.2f,\"seq_ms\":%.2f,"
+        "\"speedup_vs_seq\":%.2f,\"overhead_vs_seq_pct\":%.1f,\"levels\":%u,"
+        "\"components\":%u,\"widest_level\":%u,\"reps\":%u}\n",
+        Sh.Name, Mode, Kernel, (unsigned)P.numProcs(), Threads,
+        availableLanes(), Ms, SeqMs, SeqMs / Ms, (Ms - SeqMs) / SeqMs * 100.0,
+        (unsigned)Levels.numLevels(), (unsigned)Sccs.numSccs(),
+        (unsigned)Widest, Reps);
+  };
+  Row("seq", 1, SeqMs);
+  for (std::size_t KI = 0; KI != NumKs; ++KI) {
+    char Mode[8];
+    std::snprintf(Mode, sizeof(Mode), "k%u", Ks[KI]);
+    Row(Mode, Ks[KI], ParMs[KI]);
   }
-  // The headline row: K=4 against sequential, the ratio the diff tool
-  // hard-gates (>= 1 up to noise tolerance, never warn-only).
+  // The headline row: K=4 against K=1, the ratio the diff tool
+  // hard-gates (>= 0.85, never warn-only).
   std::printf("{\"shape\":\"%s\",\"mode\":\"summary\",\"procs\":%u,"
               "\"speedup_k4\":%.3f,\"reps\":%u}\n",
               Sh.Name, (unsigned)P.numProcs(), SpeedupK4, Reps);

@@ -74,13 +74,18 @@ RModResult analysis::solveRModOnBits(const ir::Program &P,
   return Result;
 }
 
-RModResult analysis::solveRMod(const ir::Program &P,
-                               const graph::BindingGraph &BG,
+EffectSet analysis::formalBits(const ir::Program &P,
                                const LocalEffects &Local) {
-  EffectSet FormalBits(P.numVars());
+  EffectSet Bits(P.numVars());
   for (std::uint32_t I = 0; I != P.numProcs(); ++I)
     for (ir::VarId F : P.proc(ir::ProcId(I)).Formals)
       if (Local.formalBit(P, F))
-        FormalBits.set(F.index());
-  return solveRModOnBits(P, BG, FormalBits);
+        Bits.set(F.index());
+  return Bits;
+}
+
+RModResult analysis::solveRMod(const ir::Program &P,
+                               const graph::BindingGraph &BG,
+                               const LocalEffects &Local) {
+  return solveRModOnBits(P, BG, formalBits(P, Local));
 }

@@ -49,6 +49,10 @@ struct RModResult {
   }
 };
 
+/// The IMOD(fp_i^p) node values: one bit per formal directly modified
+/// (used) within its owner's nesting-extended body (§3.2, §3.3).
+EffectSet formalBits(const ir::Program &P, const LocalEffects &Local);
+
 /// Runs Figure 1 on \p BG.  \p Local supplies the IMOD(fp_i^p) node values
 /// (nesting-extended, per §3.3).
 RModResult solveRMod(const ir::Program &P, const graph::BindingGraph &BG,

@@ -7,48 +7,108 @@
 
 #include "analysis/SideEffectAnalyzer.h"
 
+#include "analysis/LevelSolvers.h"
 #include "analysis/MultiLevelGMod.h"
+#include "graph/LevelSchedule.h"
 #include "support/Compiler.h"
+#include "support/ThreadPool.h"
+
+#include <algorithm>
+#include <optional>
 
 using namespace ipse;
 using namespace ipse::analysis;
 
+PassKernel analysis::chooseKernel(const ir::Program &P,
+                                  const graph::CallGraph &CG) {
+  // A GMOD task streams one effect universe; no level can be wide unless
+  // the whole program could fill one.
+  const std::size_t Words = EffectSet(P.numVars()).wordCount();
+  if (!isWideLevel(P.numProcs(), Words))
+    return PassKernel::Reference;
+  for (std::uint32_t Width : graph::levelWidths(CG.graph()))
+    if (isWideLevel(Width, Words))
+      return PassKernel::Condensation;
+  return PassKernel::Reference;
+}
+
+PassResults analysis::solvePasses(const ir::Program &P,
+                                  const graph::CallGraph &CG,
+                                  const graph::BindingGraph &BG,
+                                  const VarMasks &Masks,
+                                  const LocalEffects &Local,
+                                  const EffectSet &FormalBits,
+                                  PassKernel Kernel, unsigned Lanes,
+                                  AnalyzerOptions::GModAlgorithm Algorithm) {
+  PassResults R;
+  if (Kernel == PassKernel::Condensation) {
+    // Lanes only place wide levels: on a pool when the host has more than
+    // one lane to give, inline otherwise.
+    std::optional<ThreadPool> Pool;
+    if (const unsigned K = std::min(Lanes, availableLanes()); K > 1)
+      Pool.emplace(K);
+    ThreadPool *Lent = Pool ? &*Pool : nullptr;
+    {
+      observe::TraceSpan Span("rmod");
+      R.RMod = solveRModLevels(P, BG, FormalBits, Lent);
+      observe::addCounter("rmod.boolean_steps", R.RMod.BooleanSteps);
+    }
+    {
+      observe::TraceSpan Span("imodplus");
+      R.IModPlus =
+          computeIModPlusLevels(P, Local, R.RMod.ModifiedFormals, Lent);
+    }
+    observe::TraceSpan Span("gmod");
+    R.GMod = solveGModLevels(P, CG, Masks, R.IModPlus, Lent);
+    return R;
+  }
+
+  {
+    observe::TraceSpan Span("rmod");
+    R.RMod = solveRModOnBits(P, BG, FormalBits);
+    observe::addCounter("rmod.boolean_steps", R.RMod.BooleanSteps);
+  }
+  {
+    observe::TraceSpan Span("imodplus");
+    R.IModPlus = computeIModPlus(P, Local, R.RMod);
+  }
+
+  using Algo = AnalyzerOptions::GModAlgorithm;
+  if (Algorithm == Algo::Auto)
+    Algorithm =
+        P.maxProcLevel() <= 1 ? Algo::FindGMod : Algo::MultiLevelCombined;
+
+  observe::TraceSpan Span("gmod");
+  switch (Algorithm) {
+  case Algo::FindGMod:
+    R.GMod = solveGMod(P, CG, Masks, R.IModPlus);
+    break;
+  case Algo::MultiLevelRepeated:
+    R.GMod = solveMultiLevelRepeated(P, CG, Masks, R.IModPlus);
+    break;
+  case Algo::MultiLevelCombined:
+    R.GMod = solveMultiLevelCombined(P, CG, Masks, R.IModPlus);
+    break;
+  case Algo::Auto:
+    unreachable("Auto was resolved above");
+  }
+  return R;
+}
+
 SideEffectAnalyzer::SideEffectAnalyzer(const ir::Program &P,
-                                       AnalyzerOptions Options)
+                                       AnalyzerOptions Options, unsigned Lanes)
     : P(P), Options(Options), Masks(P), CG(P), BG(P) {
   GraphsSpan.close();
   {
     observe::TraceSpan Span("local");
     Local = std::make_unique<LocalEffects>(P, Masks, Options.Kind);
   }
-  {
-    observe::TraceSpan Span("rmod");
-    RMod = solveRMod(P, BG, *Local);
-    observe::addCounter("rmod.boolean_steps", RMod.BooleanSteps);
-  }
-  {
-    observe::TraceSpan Span("imodplus");
-    IModPlus = computeIModPlus(P, *Local, RMod);
-  }
-
-  using Algo = AnalyzerOptions::GModAlgorithm;
-  Algo Chosen = Options.Algorithm;
-  if (Chosen == Algo::Auto)
-    Chosen = P.maxProcLevel() <= 1 ? Algo::FindGMod : Algo::MultiLevelCombined;
-
-  observe::TraceSpan Span("gmod");
-  switch (Chosen) {
-  case Algo::FindGMod:
-    GMod = solveGMod(P, CG, Masks, IModPlus);
-    break;
-  case Algo::MultiLevelRepeated:
-    GMod = solveMultiLevelRepeated(P, CG, Masks, IModPlus);
-    break;
-  case Algo::MultiLevelCombined:
-    GMod = solveMultiLevelCombined(P, CG, Masks, IModPlus);
-    break;
-  case Algo::Auto:
-    unreachable("Auto was resolved above");
-  }
+  Kernel = Options.Algorithm == AnalyzerOptions::GModAlgorithm::Auto
+               ? chooseKernel(P, CG)
+               : PassKernel::Reference;
+  PassResults R = solvePasses(P, CG, BG, Masks, *Local, formalBits(P, *Local),
+                              Kernel, Lanes, Options.Algorithm);
+  RMod = std::move(R.RMod);
+  IModPlus = std::move(R.IModPlus);
+  GMod = std::move(R.GMod);
 }
-

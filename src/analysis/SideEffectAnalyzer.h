@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The library's main entry point: runs the whole Cooper–Kennedy pipeline
+/// The library's batch analyzer: runs the whole Cooper–Kennedy pipeline
 /// on a program —
 ///
 ///   LMOD/IMOD (§2, §3.3)  →  β + RMOD (§3, Figure 1)  →  IMOD+ (eq. 5)
@@ -17,6 +17,20 @@
 /// is O(N (E + N)) as §5 states; with alias pairs supplied, MOD queries add
 /// time linear in the pair counts.  The same pipeline solves USE when
 /// constructed with EffectKind::Use.
+///
+/// The RMOD, IMOD+ and GMOD passes run through one dispatch (solvePasses),
+/// shared with the incremental session's full rebuild.  It makes two
+/// decisions:
+///
+///  - which kernel, from the program alone (chooseKernel): the
+///    condensation kernels (analysis/LevelSolvers.h) when some call-graph
+///    condensation level is wide, the reference solvers otherwise.  On a
+///    wide program the per-component GMOD kernel beats findgmod even on
+///    one lane; on a deep or narrow one it loses, since no level has
+///    anything to spread and the level bookkeeping is pure cost;
+///  - where a wide level runs: the lane count only picks a pool or the
+///    calling thread, which changes neither the answer nor the word-op
+///    count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +50,7 @@
 #include "ir/Printer.h"
 #include "ir/Program.h"
 #include "observe/Trace.h"
+#include "support/EffectSet.h"
 
 #include <memory>
 #include <string>
@@ -58,15 +73,54 @@ struct AnalyzerOptions {
   GModAlgorithm Algorithm = GModAlgorithm::Auto;
 };
 
+/// Which implementation runs the RMOD, IMOD+ and GMOD passes.
+enum class PassKernel {
+  Reference,   ///< solveRModOnBits, computeIModPlus, findgmod / §4.
+  Condensation ///< solveRModLevels, computeIModPlusLevels, solveGModLevels.
+};
+
+/// The kernel for \p P, from the program alone: Condensation when some
+/// level of \p CG's condensation is wide (isWideLevel, one effect universe
+/// of words per component), Reference otherwise.  O(N + E).
+PassKernel chooseKernel(const ir::Program &P, const graph::CallGraph &CG);
+
+/// RMOD, IMOD+ and GMOD of one effect kind.
+struct PassResults {
+  RModResult RMod;
+  std::vector<EffectSet> IModPlus;
+  GModResult GMod;
+};
+
+/// The one dispatch for the paper's three passes, each under its span
+/// ("rmod", "imodplus", "gmod").  \p FormalBits is the IMOD bit of every
+/// formal (formalBits(P, Local)).  Under the Condensation kernel, \p Lanes
+/// (clamped to availableLanes()) decides whether wide levels fan out to a
+/// pool; the Reference kernel runs \p Algorithm (Auto: findgmod for
+/// two-level programs, the combined §4 algorithm otherwise) and ignores
+/// the lanes.
+PassResults solvePasses(const ir::Program &P, const graph::CallGraph &CG,
+                        const graph::BindingGraph &BG, const VarMasks &Masks,
+                        const LocalEffects &Local, const EffectSet &FormalBits,
+                        PassKernel Kernel, unsigned Lanes,
+                        AnalyzerOptions::GModAlgorithm Algorithm =
+                            AnalyzerOptions::GModAlgorithm::Auto);
+
 /// Runs the pipeline at construction; every query afterwards is cheap.
 /// The analyzed Program must outlive the analyzer.
 class SideEffectAnalyzer {
 public:
+  /// \p Lanes: executing lanes a wide level may fan out to (<= 1 =
+  /// inline).  Answers and word-op counts are the same at every value.
+  /// Naming a GMOD algorithm in \p Options pins the reference kernel.
   explicit SideEffectAnalyzer(const ir::Program &P,
-                              AnalyzerOptions Options = AnalyzerOptions());
+                              AnalyzerOptions Options = AnalyzerOptions(),
+                              unsigned Lanes = 1);
 
   const ir::Program &program() const { return P; }
   EffectKind kind() const { return Options.Kind; }
+
+  /// The kernel the passes ran on.
+  PassKernel kernel() const { return Kernel; }
 
   /// GMOD(p) (or GUSE(p)): every variable an invocation of p may modify
   /// (use).
@@ -121,6 +175,7 @@ private:
   graph::CallGraph CG;
   graph::BindingGraph BG;
   std::unique_ptr<LocalEffects> Local;
+  PassKernel Kernel = PassKernel::Reference;
   RModResult RMod;
   std::vector<EffectSet> IModPlus;
   GModResult GMod;

@@ -11,8 +11,6 @@
 #include "observe/FlightRecorder.h"
 #include "observe/Metrics.h"
 #include "observe/Prometheus.h"
-#include "parallel/ParallelReport.h"
-#include "parallel/ThreadPool.h"
 #include "service/ScriptDriver.h"
 
 #include <cassert>
@@ -34,9 +32,6 @@ struct Analysis::Impl {
 
   // Sequential.
   std::unique_ptr<analysis::SideEffectAnalyzer> SeqMod, SeqUse;
-  // Parallel (MOD and USE share one pool).
-  std::unique_ptr<parallel::ThreadPool> Pool;
-  std::unique_ptr<parallel::ParallelAnalyzer> ParMod, ParUse;
   // Session.
   std::unique_ptr<incremental::AnalysisSession> Session;
   // Demand (lazy: queries solve their region on first touch).
@@ -66,8 +61,6 @@ const EffectSet &Analysis::gmod(ir::ProcId Proc, EffectKind Kind) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse).gmod(Proc);
-  case AnalysisOptions::Engine::Parallel:
-    return (Kind == EffectKind::Mod ? *I->ParMod : *I->ParUse).gmod(Proc);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->gmod(Proc, Kind);
   default:
@@ -82,9 +75,6 @@ bool Analysis::rmodContains(ir::VarId Formal, EffectKind Kind) const {
   case AnalysisOptions::Engine::Sequential:
     return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse)
         .rmodContains(Formal);
-  case AnalysisOptions::Engine::Parallel:
-    return (Kind == EffectKind::Mod ? *I->ParMod : *I->ParUse)
-        .rmodContains(Formal);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->rmodContains(Formal, Kind);
   default:
@@ -96,8 +86,6 @@ EffectSet Analysis::dmod(ir::StmtId S) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return I->SeqMod->dmod(S);
-  case AnalysisOptions::Engine::Parallel:
-    return I->ParMod->dmod(S);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->dmod(S);
   default:
@@ -115,8 +103,6 @@ EffectSet Analysis::dmod(ir::CallSiteId C, EffectKind Kind) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse).dmod(C);
-  case AnalysisOptions::Engine::Parallel:
-    return (Kind == EffectKind::Mod ? *I->ParMod : *I->ParUse).dmod(C);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->dmod(C, Kind);
   default:
@@ -128,8 +114,6 @@ EffectSet Analysis::mod(ir::StmtId S, const ir::AliasInfo &Aliases) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return I->SeqMod->mod(S, Aliases);
-  case AnalysisOptions::Engine::Parallel:
-    return I->ParMod->mod(S, Aliases);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->mod(S, Aliases);
   default:
@@ -143,8 +127,6 @@ const analysis::GModResult &Analysis::gmodResult(EffectKind Kind) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse).gmodResult();
-  case AnalysisOptions::Engine::Parallel:
-    return (Kind == EffectKind::Mod ? *I->ParMod : *I->ParUse).gmodResult();
   case AnalysisOptions::Engine::Demand:
     // Full-plane export: forces the whole program solved.
     return I->Demand->gmodResult(Kind);
@@ -157,8 +139,6 @@ std::string Analysis::setToString(const EffectSet &Set) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return I->SeqMod->setToString(Set);
-  case AnalysisOptions::Engine::Parallel:
-    return I->ParMod->setToString(Set);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->setToString(Set);
   default:
@@ -191,12 +171,9 @@ private:
 std::string renderForEngine(const AnalysisOptions &Opts, const ir::Program &P,
                             analysis::ReportOptions R) {
   observe::TraceSpan Span("report");
-  switch (Opts.resolved()) {
+  switch (Opts.Backend) {
   case AnalysisOptions::Engine::Sequential:
-    return analysis::makeReport(P, R);
-  case AnalysisOptions::Engine::Parallel:
-    return parallel::makeReportParallel(P, R,
-                                        Opts.Threads < 1 ? 1 : Opts.Threads);
+    return analysis::makeReport(P, R, Opts.Threads);
   case AnalysisOptions::Engine::Demand: {
     demand::DemandOptions DO = Opts.demandView();
     DO.TrackUse = DO.TrackUse || R.IncludeUse;
@@ -251,7 +228,7 @@ void printDemandStats(const demand::DemandStats &St, std::FILE *Out) {
 Analysis Analyzer::analyze(const ir::Program &P) const {
   EffectSet::setDefaultRepresentation(Opts.Repr);
   auto Impl = std::make_unique<Analysis::Impl>();
-  Impl->Engine = Opts.resolved();
+  Impl->Engine = Opts.Backend;
   Impl->TrackUse = Opts.TrackUse;
   {
     std::optional<observe::TraceScope> Scope;
@@ -261,27 +238,11 @@ Analysis Analyzer::analyze(const ir::Program &P) const {
     switch (Impl->Engine) {
     case AnalysisOptions::Engine::Sequential:
       Impl->SeqMod = std::make_unique<analysis::SideEffectAnalyzer>(
-          P, Opts.analyzerView(EffectKind::Mod));
+          P, Opts.analyzerView(EffectKind::Mod), Opts.Threads);
       if (Opts.TrackUse)
         Impl->SeqUse = std::make_unique<analysis::SideEffectAnalyzer>(
-            P, Opts.analyzerView(EffectKind::Use));
+            P, Opts.analyzerView(EffectKind::Use), Opts.Threads);
       break;
-    case AnalysisOptions::Engine::Parallel: {
-      // The facade lends one pool to both kinds, so the small-program
-      // floor is applied here, where the pool is sized.
-      const unsigned Eff =
-          Opts.parallelView(EffectKind::Mod).effectiveThreads(P.numProcs());
-      observe::addCounter("parallel.effective_threads", Eff);
-      if (Eff < (Opts.Threads < 1 ? 1u : Opts.Threads))
-        observe::addCounter("parallel.small_program_clamp", 1);
-      Impl->Pool = std::make_unique<parallel::ThreadPool>(Eff);
-      Impl->ParMod = std::make_unique<parallel::ParallelAnalyzer>(
-          P, Opts.parallelView(EffectKind::Mod), *Impl->Pool);
-      if (Opts.TrackUse)
-        Impl->ParUse = std::make_unique<parallel::ParallelAnalyzer>(
-            P, Opts.parallelView(EffectKind::Use), *Impl->Pool);
-      break;
-    }
     case AnalysisOptions::Engine::Demand:
       // No eager solve: the first query pays for its region only.
       Impl->Demand =
@@ -359,7 +320,7 @@ int Analyzer::runSessionScript(const std::string &Script, std::FILE *Out,
   // Under --engine=demand the script runs against a DemandSession: edits
   // funnel through the same resolved-Edit wire form, and queries solve
   // only the region they touch.
-  const bool UseDemand = Opts.resolved() == AnalysisOptions::Engine::Demand;
+  const bool UseDemand = Opts.Backend == AnalysisOptions::Engine::Demand;
   std::optional<incremental::AnalysisSession> S;
   std::optional<demand::DemandSession> D;
   auto session = [&](unsigned LineNo) -> incremental::AnalysisSession & {

@@ -6,15 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The library's single public entry point.  The repository grew several
-/// engines — the sequential batch pipeline (analysis::SideEffectAnalyzer),
-/// the level-scheduled parallel batch engine (parallel::ParallelAnalyzer),
-/// the delta-driven incremental session (incremental::AnalysisSession),
-/// the demand-driven session (demand::DemandSession), and the sharded MVCC
-/// server (tenant::TenantService) — each with its own options struct and
-/// entry header.  This facade folds them behind two types:
+/// The library's single public entry point.  The repository has three
+/// engines — the batch analyzer (analysis::SideEffectAnalyzer), the
+/// delta-driven incremental session (incremental::AnalysisSession) and
+/// the demand-driven session (demand::DemandSession) — plus the sharded
+/// MVCC server (tenant::TenantService), each with its own options struct
+/// and entry header.  This facade folds them behind two types:
 ///
-///  - ipse::AnalysisOptions: one options struct (engine selection, thread
+///  - ipse::AnalysisOptions: one options struct (engine selection, lane
 ///    count, effect tracking, trace sink / profiling) with per-engine
 ///    view methods.  The per-engine structs remain as the facade's
 ///    internal wire format; new code should not reach for them.
@@ -22,8 +21,14 @@
 ///  - ipse::Analyzer: the entry point.  analyze() runs a batch analysis
 ///    on the selected engine and returns a unified query handle;
 ///    report() / reportSource() render the standard MOD/USE report (byte
-///    identical across engines); open_session() and serve() hand back the
-///    long-lived engines configured from the same options.
+///    identical across engines and lane counts); open_session() and
+///    serve() hand back the long-lived engines configured from the same
+///    options.
+///
+/// Threads is a lane count, never an engine choice: the batch analyzer
+/// picks its kernel from the program's shape (analysis/SideEffectAnalyzer.h),
+/// and lanes only decide whether its wide condensation levels run on a
+/// pool or inline.
 ///
 /// Observability is threaded through: set AnalysisOptions::Profile to
 /// collect a per-run observe::CostReport (phase wall time + bit-vector
@@ -46,7 +51,6 @@
 #include "ir/Program.h"
 #include "observe/CostReport.h"
 #include "observe/Trace.h"
-#include "parallel/ParallelAnalyzer.h"
 #include "support/EffectSet.h"
 #include "synth/ProgramGen.h"
 #include "tenant/TenantService.h"
@@ -65,23 +69,23 @@ namespace ipse {
 struct AnalysisOptions {
   /// Which engine answers.
   enum class Engine {
-    Auto,       ///< Parallel when Threads > 1, else Sequential.
-    Sequential, ///< analysis::SideEffectAnalyzer.
-    Parallel,   ///< parallel::ParallelAnalyzer (level-scheduled pool).
+    Sequential, ///< analysis::SideEffectAnalyzer (batch).
     Session,    ///< incremental::AnalysisSession (delta-driven).
     Demand      ///< demand::DemandSession (query-driven region solving).
   };
-  Engine Backend = Engine::Auto;
+  Engine Backend = Engine::Sequential;
 
-  /// Executing lanes for the parallel engine; also the session's
-  /// full-rebuild lane count.  <= 1 = sequential kernels.
+  /// Executing lanes for the batch analyzer's wide condensation levels;
+  /// also the session's full-rebuild lane count.  <= 1 = inline.  Never
+  /// changes an answer, a report byte or a word-op count.
   unsigned Threads = 1;
 
   /// Maintain the USE pipeline alongside MOD (guse / DUSE queries and
   /// report lines need this).
   bool TrackUse = true;
 
-  /// GMOD algorithm for the sequential engine.
+  /// GMOD algorithm for the batch analyzer (naming one pins the reference
+  /// kernel; Auto lets the program's shape choose).
   analysis::AnalyzerOptions::GModAlgorithm Algorithm =
       analysis::AnalyzerOptions::GModAlgorithm::Auto;
 
@@ -133,26 +137,12 @@ struct AnalysisOptions {
   unsigned SlowMs = 0;
   /// @}
 
-  /// The engine Auto resolves to.
-  Engine resolved() const {
-    if (Backend != Engine::Auto)
-      return Backend;
-    return Threads > 1 ? Engine::Parallel : Engine::Sequential;
-  }
-
   /// \name Per-engine views (the facade's wire format)
   /// @{
   analysis::AnalyzerOptions analyzerView(analysis::EffectKind Kind) const {
     analysis::AnalyzerOptions O;
     O.Kind = Kind;
     O.Algorithm = Algorithm;
-    return O;
-  }
-  parallel::ParallelAnalyzerOptions
-  parallelView(analysis::EffectKind Kind) const {
-    parallel::ParallelAnalyzerOptions O;
-    O.Kind = Kind;
-    O.Threads = Threads;
     return O;
   }
   incremental::SessionOptions sessionView() const {
@@ -177,7 +167,7 @@ struct AnalysisOptions {
     O.MaxQueuedEdits = TenantMaxQueuedEdits;
     // `--engine=demand --tenants`: tenants hold DemandSessions, publish
     // partial snapshots, and fault back in without re-solving anything.
-    O.DemandFaultIn = resolved() == Engine::Demand;
+    O.DemandFaultIn = Backend == Engine::Demand;
     // The implicit tenant's store files and the named tenants' t-<name>
     // subtrees are disjoint namespaces within one data directory.
     O.DataDir = DataDir;
@@ -248,7 +238,7 @@ public:
   Analysis analyze(const ir::Program &P) const;
 
   /// Renders the standard MOD/USE report for \p P.  Byte-identical across
-  /// engines at any thread count.
+  /// engines at any lane count.
   ReportRun report(const ir::Program &P,
                    analysis::ReportOptions R = analysis::ReportOptions()) const;
 

@@ -15,9 +15,9 @@ using namespace ipse;
 using namespace ipse::graph;
 using namespace ipse::ir;
 
-BitVector graph::reachableProcs(const Program &P) {
+EffectSet graph::reachableProcs(const Program &P) {
   CallGraph CG(P);
-  BitVector Reached(P.numProcs());
+  EffectSet Reached(P.numProcs());
   std::vector<NodeId> Stack;
   Reached.set(P.main().index());
   Stack.push_back(P.main().index());
@@ -35,7 +35,7 @@ BitVector graph::reachableProcs(const Program &P) {
 }
 
 Program graph::eliminateUnreachable(const Program &P) {
-  BitVector Reached = reachableProcs(P);
+  EffectSet Reached = reachableProcs(P);
 
   ProgramBuilder B;
   std::vector<ProcId> ProcMap(P.numProcs());

@@ -17,14 +17,14 @@
 #define IPSE_GRAPH_REACHABILITY_H
 
 #include "ir/Program.h"
-#include "support/BitVector.h"
+#include "support/EffectSet.h"
 
 namespace ipse {
 namespace graph {
 
 /// Returns the set of procedures reachable from main by call chains
 /// (including main itself), as a bit per ProcId index.  O(N + E).
-BitVector reachableProcs(const ir::Program &P);
+EffectSet reachableProcs(const ir::Program &P);
 
 /// Returns a copy of \p P with all unreachable procedures (and their
 /// variables, statements, and call sites) removed.  Ids are remapped

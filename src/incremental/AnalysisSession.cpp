@@ -9,14 +9,12 @@
 
 #include "analysis/IModPlus.h"
 #include "analysis/LocalEffects.h"
-#include "analysis/MultiLevelGMod.h"
 #include "analysis/RMod.h"
+#include "analysis/SideEffectAnalyzer.h"
 #include "graph/CallGraph.h"
 #include "ir/Printer.h"
 #include "ir/ProgramEditor.h"
 #include "observe/Trace.h"
-#include "parallel/ParallelSolvers.h"
-#include "parallel/ThreadPool.h"
 
 #include <algorithm>
 #include <queue>
@@ -299,17 +297,13 @@ void AnalysisSession::rebuildAll() {
   ++Stats.FullRebuilds;
   rebuildSharedStructure();
 
-  const std::size_t V = P.numVars();
-  const unsigned DP = P.maxProcLevel();
   graph::CallGraph CG(P);
 
-  // Tier-3 rebuilds redo every pass over the whole program — exactly the
-  // shape the level-scheduled batch engine parallelizes.  Incremental
-  // flushes stay sequential: their dirty cones are small by construction.
-  std::unique_ptr<parallel::ThreadPool> Pool;
-  if (Opts.Threads > 1)
-    Pool = std::make_unique<parallel::ThreadPool>(Opts.Threads);
-
+  // Tier-3 rebuilds redo every pass over the whole program through the
+  // batch analyzer's dispatch (kernel by program shape, lanes from
+  // SessionOptions::Threads).  Incremental flushes stay sequential: their
+  // dirty cones are small by construction.
+  const analysis::PassKernel Kernel = analysis::chooseKernel(P, CG);
   for (KindState &K : States) {
     analysis::LocalEffects Local(P, *Masks, K.Kind);
     K.Own.clear();
@@ -321,29 +315,12 @@ void AnalysisSession::rebuildAll() {
       K.Ext.push_back(Local.extended(ir::ProcId(I)));
     }
 
-    K.FormalBits = EffectSet(V);
-    for (std::uint32_t I = 0; I != P.numProcs(); ++I)
-      for (ir::VarId F : P.proc(ir::ProcId(I)).Formals)
-        if (Local.formalBit(P, F))
-          K.FormalBits.set(F.index());
-
-    if (Pool) {
-      analysis::RModResult RMod =
-          parallel::solveRModLevels(P, *BG, K.FormalBits, *Pool);
-      K.RModBits = std::move(RMod.ModifiedFormals);
-      K.IModPlus = parallel::computeIModPlusParallel(P, K.Ext, K.RModBits,
-                                                     *Pool);
-      K.GMod = parallel::solveGModLevels(P, CG, *Masks, K.IModPlus, *Pool);
-      continue;
-    }
-
-    analysis::RModResult RMod = analysis::solveRModOnBits(P, *BG, K.FormalBits);
-    K.RModBits = RMod.ModifiedFormals;
-    K.IModPlus = analysis::computeIModPlus(P, Local, RMod);
-
-    K.GMod = DP <= 1 ? analysis::solveGMod(P, CG, *Masks, K.IModPlus)
-                     : analysis::solveMultiLevelCombined(P, CG, *Masks,
-                                                         K.IModPlus);
+    K.FormalBits = analysis::formalBits(P, Local);
+    analysis::PassResults R = analysis::solvePasses(
+        P, CG, *BG, *Masks, Local, K.FormalBits, Kernel, Opts.Threads);
+    K.RModBits = std::move(R.RMod.ModifiedFormals);
+    K.IModPlus = std::move(R.IModPlus);
+    K.GMod = std::move(R.GMod);
   }
 }
 

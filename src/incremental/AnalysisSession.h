@@ -76,9 +76,10 @@ struct SessionOptions {
   /// analyzer).
   bool TrackUse = true;
 
-  /// Solve full rebuilds (tier-3 flushes and session construction) with
-  /// the level-scheduled parallel engine on this many lanes; <= 1 keeps
-  /// the sequential solvers.  Incremental flushes are dirty-cone-sized and
+  /// Lanes for full rebuilds (tier-3 flushes and session construction),
+  /// which run the batch analyzer's dispatch (analysis::solvePasses): a
+  /// wide condensation level may fan out to this many lanes; <= 1 runs
+  /// every level inline.  Incremental flushes are dirty-cone-sized and
   /// stay sequential either way.  Results are bit-for-bit identical.
   unsigned Threads = 1;
 };

@@ -9,20 +9,19 @@
 /// Where one analysis run's spans accumulate: a CostReport is the target a
 /// TraceScope installs, and after the run it answers "which phase
 /// dominates" — per phase name, how many spans closed, their total wall
-/// time, and their total BitVector word operations.  Span rows are
+/// time, and their total word operations (support/OpCount).  Span rows are
 /// *inclusive* (a nested span's cost also appears in its parent's row; the
 /// span taxonomy in DESIGN.md keeps parents and children distinguishable
 /// by name).  Named counters carry whatever the engines attribute
-/// explicitly — boolean steps from the RMOD solvers, pool idle time from
-/// the parallel engine.
+/// explicitly — boolean steps from the RMOD solvers, for one.
 ///
 /// Rendering: toText() is the `--profile` block the CLI prints; toJson()
 /// is the flat object the observe benchmark emits per phase into
 /// bench/results/*.jsonl.
 ///
 /// Not thread-safe: one report belongs to one TraceScope on one thread
-/// (engines that fan out record worker-side cost through the BitVector
-/// op-count aggregation and explicit counters instead).
+/// (solvers that fan out record worker-side cost through the
+/// support/OpCount aggregation and explicit counters instead).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +42,7 @@ struct PhaseCost {
   std::string Name;
   std::uint64_t Count = 0;  ///< Spans closed under this name.
   std::uint64_t WallNs = 0; ///< Total wall time (inclusive of children).
-  std::uint64_t BitOps = 0; ///< Total BitVector word operations.
+  std::uint64_t BitOps = 0; ///< Total word operations (support/OpCount).
 };
 
 /// A named per-run counter (boolean steps, idle time, ...).

@@ -13,10 +13,10 @@
 /// scalability claims checkable.  Three pieces:
 ///
 ///  - TraceSpan: an RAII scoped timer.  Opening one captures a steady
-///    clock and the global BitVector word-operation count; closing one
-///    emits a SpanRecord (name, nesting depth, wall time, word-op delta)
-///    to the thread's active trace context.  Spans nest; engines open
-///    them unconditionally at phase granularity.
+///    clock and the global word-operation count (support/OpCount);
+///    closing one emits a SpanRecord (name, nesting depth, wall time,
+///    word-op delta) to the thread's active trace context.  Spans nest;
+///    engines open them unconditionally at phase granularity.
 ///
 ///  - TraceScope: installs a per-thread context (a CostReport to
 ///    accumulate into and/or a TraceSink to stream to) for its lifetime.
@@ -82,7 +82,7 @@ struct SpanRecord {
   unsigned Depth = 0;         ///< Nesting depth at open time (0 = root).
   std::uint64_t StartNs = 0;  ///< Steady-clock offset from process start.
   std::uint64_t WallNs = 0;   ///< Wall time between open and close.
-  std::uint64_t BitOps = 0;   ///< BitVector word operations in the span.
+  std::uint64_t BitOps = 0;   ///< Word operations in the span (OpCount).
   std::uint32_t Tid = 0;      ///< Compact id of the closing thread.
   /// The innermost scope's tags, or nullptr.  Valid only for the
   /// duration of the onSpan() call (it points into the live TraceScope).

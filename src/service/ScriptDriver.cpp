@@ -307,10 +307,23 @@ incremental::Edit service::resolveEditCommand(const Program &P,
     E.Proc = findProc(P, A[0], LineNo);
     E.Name = A[1];
     return E;
-  case ScriptCommand::Op::RmProc:
+  case ScriptCommand::Op::RmProc: {
+    // ProgramEditor::removeProc's preconditions, refused here as script
+    // errors instead of tripping its asserts.
     E.Kind = incremental::EditKind::RemoveProc;
     E.Proc = findProc(P, A[0], LineNo);
+    if (E.Proc == P.main())
+      die(LineNo, "cannot remove the main program '" + A[0] + "'");
+    if (!P.proc(E.Proc).Nested.empty())
+      die(LineNo, "cannot remove '" + A[0] + "': it has nested procedures");
+    for (std::uint32_t I = 0; I != P.numCallSites(); ++I) {
+      const ir::CallSite &C = P.callSite(ir::CallSiteId(I));
+      if (C.Callee == E.Proc)
+        die(LineNo, "cannot remove '" + A[0] + "': '" + P.name(C.Caller) +
+                        "' calls it");
+    }
     return E;
+  }
   default:
     die(LineNo, "not an edit command");
   }

@@ -222,8 +222,7 @@ public:
 
   /// \name Word-operation accounting
   /// Forwarders to the shared registry (support/OpCount.h) kept for the
-  /// pre-EffectSet call sites; BitVector's statics fold into the same
-  /// totals.
+  /// pre-EffectSet call sites.
   /// @{
   static void resetOpCount() { ops::reset(); }
   static std::uint64_t opCount() { return ops::total(); }

@@ -47,12 +47,11 @@ void reset();
 /// Samples ops::total() over a region: the count at construction is the
 /// baseline, delta() is the word operations performed since.  Under
 /// threads the sample is *exact* when both endpoints are quiescent points
-/// — no counted operation in flight — which a parallel::ThreadPool
-/// barrier guarantees: its completion handshake orders every worker's
-/// counted operations before the caller continues, so a scope opened
-/// before and read after a level-scheduled solve sees precisely that
-/// solve's words.  Unlike ops::reset(), scopes nest and never disturb
-/// other measurers.
+/// — no counted operation in flight — which a ThreadPool barrier
+/// guarantees: its completion handshake orders every worker's counted
+/// operations before the caller continues, so a scope opened before and
+/// read after a level-scheduled solve sees precisely that solve's words.
+/// Unlike ops::reset(), scopes nest and never disturb other measurers.
 class OpCountScope {
 public:
   OpCountScope() : Start(ops::total()) {}

@@ -8,11 +8,11 @@
 /// \file
 /// One fixture enumerating every GMOD/GUSE engine in the repository —
 /// the three data-flow baselines, the paper's Figure 2 and §4 algorithms,
-/// the public SideEffectAnalyzer, the incremental session, and the
-/// level-scheduled parallel engine at several thread counts.  Property and
-/// edge-case suites iterate this list instead of instantiating solvers ad
-/// hoc, so a future engine added here is automatically covered by every
-/// differential test.
+/// the public SideEffectAnalyzer, the incremental and demand sessions, and
+/// the condensation kernels (inline and fanned out on a 4-lane pool).
+/// Property and edge-case suites iterate this list instead of
+/// instantiating solvers ad hoc, so a future engine added here is
+/// automatically covered by every differential test.
 ///
 /// Index 0 is the round-robin iterative baseline — the semantic oracle the
 /// others are compared against.
@@ -24,6 +24,7 @@
 
 #include "analysis/GMod.h"
 #include "analysis/IModPlus.h"
+#include "analysis/LevelSolvers.h"
 #include "analysis/LocalEffects.h"
 #include "analysis/MultiLevelGMod.h"
 #include "analysis/RMod.h"
@@ -35,6 +36,7 @@
 #include "graph/BindingGraph.h"
 #include "graph/CallGraph.h"
 #include "ir/Program.h"
+#include "support/ThreadPool.h"
 
 #include <functional>
 #include <vector>
@@ -69,6 +71,31 @@ struct FrontHalf {
         RMod(analysis::solveRMod(P, BG, Local)),
         Plus(analysis::computeIModPlus(P, Local, RMod)) {}
 };
+
+/// The condensation kernels end to end (RMOD, IMOD+ and GMOD by level)
+/// on \p Pool, or inline when it is null.  The fan-out bar is 0, so on a
+/// pool every level of two or more tasks fans out, however small the
+/// program.
+inline analysis::GModResult solveByLevels(const ir::Program &P,
+                                          analysis::EffectKind K,
+                                          ThreadPool *Pool) {
+  analysis::VarMasks Masks(P);
+  graph::CallGraph CG(P);
+  graph::BindingGraph BG(P);
+  analysis::LocalEffects Local(P, Masks, K);
+  analysis::RModResult RMod = analysis::solveRModLevels(
+      P, BG, analysis::formalBits(P, Local), Pool, 0);
+  std::vector<EffectSet> Plus =
+      analysis::computeIModPlusLevels(P, Local, RMod.ModifiedFormals, Pool, 0);
+  return analysis::solveGModLevels(P, CG, Masks, Plus, Pool, nullptr, 0);
+}
+
+/// One 4-lane pool shared by the pool rows (the suites drive engines from
+/// one thread, which is all ThreadPool asks).
+inline ThreadPool &sharedPool() {
+  static ThreadPool Pool(4);
+  return Pool;
+}
 
 } // namespace detail
 
@@ -139,40 +166,23 @@ inline const std::vector<SolverEngine> &allSolverEngines() {
                    Opts.Backend = ipse::AnalysisOptions::Engine::Demand;
                    return viaFacade(Opts, P, K);
                  }});
-    for (unsigned Threads : {1u, 2u, 4u}) {
-      const char *Name = Threads == 1   ? "parallel-k1"
-                         : Threads == 2 ? "parallel-k2"
-                                        : "parallel-k4";
-      E.push_back({Name, false, [viaFacade, Threads](const Program &P,
-                                                     EffectKind K) {
-                     ipse::AnalysisOptions Opts;
-                     Opts.Backend = ipse::AnalysisOptions::Engine::Parallel;
-                     Opts.Threads = Threads;
-                     return viaFacade(Opts, P, K);
-                   }});
-    }
+    E.push_back({"levels-inline", false, [](const Program &P, EffectKind K) {
+                   return detail::solveByLevels(P, K, nullptr);
+                 }});
+    E.push_back({"levels-pool4", false, [](const Program &P, EffectKind K) {
+                   return detail::solveByLevels(P, K, &detail::sharedPool());
+                 }});
     // The representation axis: the same engines with the effect-set
     // storage pinned dense or sparse.  The oracle diff then proves the
     // byte-identity promise of AnalysisOptions::Repr, not just Auto.
-    struct ReprEngine {
-      const char *Name;
-      ipse::AnalysisOptions::Engine Backend;
-      unsigned Threads;
-      EffectSet::Representation Repr;
-    };
-    for (ReprEngine RE : std::initializer_list<ReprEngine>{
-             {"analyzer-dense", ipse::AnalysisOptions::Engine::Sequential, 1,
-              EffectSet::Representation::Dense},
-             {"analyzer-sparse", ipse::AnalysisOptions::Engine::Sequential, 1,
-              EffectSet::Representation::Sparse},
-             {"parallel-k4-sparse", ipse::AnalysisOptions::Engine::Parallel, 4,
-              EffectSet::Representation::Sparse}})
-      E.push_back({RE.Name, false, [viaFacade, RE](const Program &P,
-                                                   EffectKind K) {
+    for (EffectSet::Representation Repr :
+         {EffectSet::Representation::Dense, EffectSet::Representation::Sparse})
+      E.push_back({Repr == EffectSet::Representation::Dense
+                       ? "analyzer-dense"
+                       : "analyzer-sparse",
+                   false, [viaFacade, Repr](const Program &P, EffectKind K) {
                      ipse::AnalysisOptions Opts;
-                     Opts.Backend = RE.Backend;
-                     Opts.Threads = RE.Threads;
-                     Opts.Repr = RE.Repr;
+                     Opts.Repr = Repr;
                      analysis::GModResult R = viaFacade(Opts, P, K);
                      // Restore the process default for engines that do
                      // not pass through the facade.
@@ -180,6 +190,16 @@ inline const std::vector<SolverEngine> &allSolverEngines() {
                          EffectSet::Representation::Auto);
                      return R;
                    }});
+    E.push_back({"levels-pool4-sparse", false, [](const Program &P,
+                                                  EffectKind K) {
+                   EffectSet::setDefaultRepresentation(
+                       EffectSet::Representation::Sparse);
+                   analysis::GModResult R =
+                       detail::solveByLevels(P, K, &detail::sharedPool());
+                   EffectSet::setDefaultRepresentation(
+                       EffectSet::Representation::Auto);
+                   return R;
+                 }});
     return E;
   }();
   return Engines;

@@ -169,6 +169,29 @@ TEST(Cli, SessionRejectsBadScript) {
   EXPECT_EQ(run("printf 'gmod nope\\n' | " + cli() + " session -", Out), 1);
 }
 
+TEST(Cli, SessionRefusesIllegalRmProcWithACleanError) {
+  // In accumulator.mp, add is called, process nests add and publish, and
+  // accumulator is the main program: each removal must end the script
+  // with a script error (exit 1), never an assertion abort.
+  for (const char *Proc : {"add", "process", "accumulator"}) {
+    std::string Out;
+    EXPECT_EQ(run("printf 'load " + corpus("accumulator.mp") +
+                      "\\nrm-proc " + Proc + "\\n' | " + cli() +
+                      " session -",
+                  Out),
+              1)
+        << Proc;
+  }
+  // A removal that meets every precondition still works.
+  std::string Out;
+  EXPECT_EQ(run("printf 'load " + corpus("accumulator.mp") +
+                    "\\nadd-proc extra process\\nrm-proc extra\\ncheck\\n'"
+                    " | " + cli() + " session -",
+                Out),
+            0)
+      << Out;
+}
+
 TEST(Cli, ReportEnginesAreByteIdentical) {
   std::string Seq, Par, Sess;
   ASSERT_EQ(run(cli() + " report --rmod " + corpus("tower.mp"), Seq), 0);
@@ -240,8 +263,9 @@ std::size_t countOf(const std::string &Hay, const std::string &Needle) {
 TEST(Cli, ReportTraceFormatChromeIsOneWellFormedDocument) {
   std::string Path = testing::TempDir() + "/ipse_cli_trace.chrome.json";
   std::string Out;
-  // Four analysis threads interleave their spans into one file.
-  ASSERT_EQ(run(cli() + " report --engine=parallel --parallel=4"
+  // Four lanes requested: whatever runs where, the spans land in one
+  // well-formed file.
+  ASSERT_EQ(run(cli() + " report --parallel=4"
                         " --trace-out=" + Path + " --trace-format=chrome " +
                     corpus("tower.mp"),
                 Out),

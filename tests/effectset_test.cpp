@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <thread>
 #include <vector>
 
 using namespace ipse;
@@ -431,6 +432,26 @@ TEST(EffectSetDifferential, OpAccountingIsRepresentationBlind) {
     EXPECT_EQ(EffectSet::opCount(), A.wordCount())
         << "repr " << static_cast<int>(R);
   }
+}
+
+TEST(EffectSetOpCount, AggregatesAcrossThreads) {
+  // Each thread's words feed a per-thread counter; opCount() folds live
+  // counters plus retired totals, so the sum survives thread exit.
+  EffectSet::resetOpCount();
+  constexpr unsigned Threads = 4, Iters = 25;
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T != Threads; ++T)
+    Pool.emplace_back([] {
+      EffectSet A(640, EffectSet::Representation::Dense),
+          B(640, EffectSet::Representation::Dense); // 10 words each.
+      for (unsigned I = 0; I != Iters; ++I)
+        A.orWith(B);
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  EXPECT_EQ(EffectSet::opCount(), std::uint64_t(Threads) * Iters * 10);
+  EffectSet::resetOpCount();
+  EXPECT_EQ(EffectSet::opCount(), 0u);
 }
 
 } // namespace

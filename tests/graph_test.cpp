@@ -270,7 +270,7 @@ TEST(Reachability, FindsReachableSet) {
   B.addCallStmt(Dead, DeadChild, {});
   Program P = B.finish();
 
-  BitVector R = reachableProcs(P);
+  EffectSet R = reachableProcs(P);
   EXPECT_TRUE(R.test(Main.index()));
   EXPECT_TRUE(R.test(A.index()));
   EXPECT_TRUE(R.test(Bp.index()));

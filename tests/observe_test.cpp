@@ -455,12 +455,11 @@ TEST(Facade, ReportsByteIdenticalAcrossEnginesAndProfiling) {
   const std::string Baseline = analysis::makeReport(P, RO);
 
   using Engine = ipse::AnalysisOptions::Engine;
-  for (Engine E : {Engine::Sequential, Engine::Parallel, Engine::Session}) {
+  for (Engine E : {Engine::Sequential, Engine::Session}) {
     for (bool Profile : {false, true}) {
       ipse::AnalysisOptions O;
       O.Backend = E;
-      if (E == Engine::Parallel)
-        O.Threads = 3;
+      O.Threads = 3;
       O.Profile = Profile;
       ipse::ReportRun Run = ipse::Analyzer(O).report(P, RO);
       EXPECT_TRUE(Run.Ok);
@@ -490,7 +489,7 @@ TEST(Facade, AnalyzeAnswersTheSameQueriesOnEveryEngine) {
   ipse::Analysis Seq = ipse::Analyzer(SeqO).analyze(P);
 
   using Engine = ipse::AnalysisOptions::Engine;
-  for (Engine E : {Engine::Parallel, Engine::Session}) {
+  for (Engine E : {Engine::Sequential, Engine::Session}) {
     ipse::AnalysisOptions O;
     O.Backend = E;
     O.Threads = 2;
@@ -510,13 +509,12 @@ TEST(Facade, AnalyzeAnswersTheSameQueriesOnEveryEngine) {
   }
 }
 
-TEST(Facade, AutoResolvesByThreadCount) {
+TEST(Facade, ThreadsNeverChooseTheEngine) {
   ipse::AnalysisOptions O;
-  EXPECT_EQ(O.resolved(), ipse::AnalysisOptions::Engine::Sequential);
+  EXPECT_EQ(O.Backend, ipse::AnalysisOptions::Engine::Sequential);
   O.Threads = 4;
-  EXPECT_EQ(O.resolved(), ipse::AnalysisOptions::Engine::Parallel);
-  O.Backend = ipse::AnalysisOptions::Engine::Session;
-  EXPECT_EQ(O.resolved(), ipse::AnalysisOptions::Engine::Session);
+  ipse::Analysis A = ipse::Analyzer(O).analyze(synth::makeChainProgram(8, 2));
+  EXPECT_EQ(A.engine(), ipse::AnalysisOptions::Engine::Sequential);
 }
 
 TEST(Facade, ProfiledAnalyzeCollectsPhases) {

@@ -1,17 +1,19 @@
-//===- tests/parallel_test.cpp - Parallel engine differential harness ---------===//
+//===- tests/parallel_test.cpp - Condensation kernels and lanes ---------------===//
 //
 // Part of the ipse project: a reproduction of Cooper & Kennedy,
 // "Interprocedural Side-Effect Analysis in Linear Time", PLDI 1988.
 //
 //===----------------------------------------------------------------------===//
 //
-// The differential harness for the level-scheduled parallel batch engine:
-// on randomized programs across shapes × {MOD, USE} × thread counts
-// {1, 2, 4, 8}, the parallel engine must be bit-for-bit equal to the
-// sequential SideEffectAnalyzer, the iterative oracle, and the incremental
-// session after replayed edits — plus determinism (byte-identical reports
-// at every thread count), exact op accounting under threads, and the
-// ThreadPool/LevelSchedule invariants everything above rests on.
+// The differential harness for the condensation kernels
+// (analysis/LevelSolvers.h) and the batch analyzer's lane count: on
+// randomized programs across shapes × {MOD, USE}, the kernels — inline and
+// fanned out on pools of 2, 4 and 8 lanes with the fan-out bar at 0 — must
+// be bit-for-bit equal to the reference solvers and the iterative oracle,
+// and to the incremental session after replayed edits.  Plus the kernel
+// choice (made from the program alone), determinism (byte-identical
+// reports at every lane count), exact op accounting under threads, and
+// the ThreadPool/LevelSchedule invariants everything above rests on.
 //
 // Adversarial shapes: a single giant SCC (level scheduling degenerates to
 // one task — the representative fast path must still beat Gauss–Seidel),
@@ -20,15 +22,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/LevelSolvers.h"
 #include "analysis/Report.h"
 #include "analysis/SideEffectAnalyzer.h"
+#include "graph/LevelSchedule.h"
 #include "graph/Reachability.h"
 #include "incremental/AnalysisSession.h"
 #include "ir/ProgramBuilder.h"
-#include "parallel/LevelSchedule.h"
-#include "parallel/ParallelAnalyzer.h"
-#include "parallel/ParallelReport.h"
-#include "parallel/ThreadPool.h"
+#include "support/ThreadPool.h"
 #include "synth/EditGen.h"
 #include "synth/ProgramGen.h"
 
@@ -37,8 +38,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace ipse;
@@ -55,7 +59,7 @@ constexpr unsigned ThreadCounts[] = {1, 2, 4, 8};
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   for (unsigned K : ThreadCounts) {
-    parallel::ThreadPool Pool(K);
+    ThreadPool Pool(K);
     EXPECT_EQ(Pool.threads(), K == 0 ? 1 : K);
     for (std::size_t N : {std::size_t(0), std::size_t(1), std::size_t(7),
                           std::size_t(1000)}) {
@@ -72,7 +76,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
 TEST(ThreadPool, BatchLargerThanQueueCapacity) {
   // The internal queue holds 1024 entries; a larger batch forces the
   // producer onto its help-while-full path.
-  parallel::ThreadPool Pool(4);
+  ThreadPool Pool(4);
   constexpr std::size_t N = 5000;
   std::atomic<std::size_t> Sum{0};
   Pool.parallelFor(N, [&](std::size_t I) {
@@ -82,7 +86,7 @@ TEST(ThreadPool, BatchLargerThanQueueCapacity) {
 }
 
 TEST(ThreadPool, ReusableAcrossManyBatches) {
-  parallel::ThreadPool Pool(3);
+  ThreadPool Pool(3);
   std::atomic<std::size_t> Total{0};
   for (unsigned Round = 0; Round != 50; ++Round)
     Pool.parallelFor(Round, [&](std::size_t) {
@@ -100,7 +104,13 @@ TEST(ThreadPool, ReusableAcrossManyBatches) {
 /// both graphs the engine schedules: the call graph and β.
 void expectValidSchedule(const graph::Digraph &G) {
   graph::SccDecomposition Sccs = graph::computeSccs(G);
-  parallel::LevelSchedule S = parallel::computeLevelSchedule(G, Sccs);
+  graph::LevelSchedule S = graph::computeLevelSchedule(G, Sccs);
+
+  // levelWidths counts the same buckets without building them.
+  std::vector<std::uint32_t> Widths = graph::levelWidths(G);
+  ASSERT_EQ(Widths.size(), S.numLevels());
+  for (std::size_t L = 0; L != S.numLevels(); ++L)
+    EXPECT_EQ(Widths[L], S.level(L).size()) << "level " << L;
 
   ASSERT_EQ(S.LevelOf.size(), Sccs.numSccs());
   std::size_t Bucketed = 0;
@@ -114,10 +124,11 @@ void expectValidSchedule(const graph::Digraph &G) {
   for (std::uint32_t N = 0; N != G.numNodes(); ++N)
     for (const graph::Adjacency &A : G.succs(graph::NodeId(N))) {
       std::uint32_t CU = Sccs.SccOf[N], CV = Sccs.SccOf[A.Dst];
-      if (CU != CV)
+      if (CU != CV) {
         EXPECT_GT(S.LevelOf[CU], S.LevelOf[CV])
             << "cross edge " << N << " -> " << A.Dst
             << " does not descend a level";
+      }
     }
 }
 
@@ -142,10 +153,11 @@ TEST(LevelSchedule, KnownShapes) {
     Program P = synth::makeChainProgram(100, 2);
     graph::CallGraph CG(P);
     graph::SccDecomposition Sccs = graph::computeSccs(CG.graph());
-    parallel::LevelSchedule S = parallel::computeLevelSchedule(CG.graph(), Sccs);
+    graph::LevelSchedule S = graph::computeLevelSchedule(CG.graph(), Sccs);
     EXPECT_EQ(S.numLevels(), P.numProcs());
     for (std::size_t L = 0; L != S.numLevels(); ++L)
       EXPECT_EQ(S.level(L).size(), 1u);
+    expectValidSchedule(CG.graph());
   }
   // Cycle: the whole chain collapses into one SCC; two levels (main above
   // the cycle component).
@@ -153,9 +165,21 @@ TEST(LevelSchedule, KnownShapes) {
     Program P = synth::makeCycleProgram(100, 2);
     graph::CallGraph CG(P);
     graph::SccDecomposition Sccs = graph::computeSccs(CG.graph());
-    parallel::LevelSchedule S = parallel::computeLevelSchedule(CG.graph(), Sccs);
+    graph::LevelSchedule S = graph::computeLevelSchedule(CG.graph(), Sccs);
     EXPECT_EQ(Sccs.numSccs(), 2u);
     EXPECT_EQ(S.numLevels(), 2u);
+    expectValidSchedule(CG.graph());
+  }
+  // A larger random program with recursion: nontrivial SCCs on several
+  // levels.
+  {
+    synth::ProgramGenConfig Cfg;
+    Cfg.Seed = 3;
+    Cfg.NumProcs = 400;
+    Cfg.NumGlobals = 16;
+    Program P = synth::generateProgram(Cfg);
+    expectValidSchedule(graph::CallGraph(P).graph());
+    expectValidSchedule(graph::BindingGraph(P).graph());
   }
 }
 
@@ -163,42 +187,58 @@ TEST(LevelSchedule, KnownShapes) {
 // The differential suite proper.
 //===----------------------------------------------------------------------===//
 
-/// Compares the parallel engine at every thread count against the
-/// sequential SideEffectAnalyzer and the iterative oracle, for one kind:
-/// GMOD per procedure (bit-for-bit), IMOD+ per procedure, the RMOD bit
-/// set, and the RMOD solver's boolean step count (the parallel Figure 1
-/// performs *exactly* the sequential kernel's steps).
+/// Compares the condensation kernels — inline, then on pools of every
+/// lane count with the fan-out bar at 0 so even these tiny programs fan
+/// out every level of two or more components — against the reference
+/// solvers and the iterative oracle, for one kind: the RMOD bit set and
+/// the RMOD solver's boolean step count (Figure 1 by level performs
+/// *exactly* the reference kernel's steps), IMOD+ and GMOD per procedure
+/// (bit-for-bit).  The analyzer at each lane count must agree too.
 void expectParallelMatches(const Program &P, EffectKind Kind,
                            const std::string &Context) {
-  AnalyzerOptions SeqOpts;
-  SeqOpts.Kind = Kind;
-  SideEffectAnalyzer Seq(P, SeqOpts);
+  AnalyzerOptions RefOpts;
+  RefOpts.Kind = Kind;
+  // Naming the algorithm pins the reference kernel whatever the shape.
+  RefOpts.Algorithm = P.maxProcLevel() <= 1
+                          ? AnalyzerOptions::GModAlgorithm::FindGMod
+                          : AnalyzerOptions::GModAlgorithm::MultiLevelCombined;
+  SideEffectAnalyzer Ref(P, RefOpts);
+  ASSERT_EQ(Ref.kernel(), PassKernel::Reference);
   GModResult Oracle = testmatrix::allSolverEngines().front().Solve(P, Kind);
 
-  for (unsigned K : ThreadCounts) {
-    parallel::ParallelAnalyzerOptions Opts;
-    Opts.Kind = Kind;
-    Opts.Threads = K;
-    // These programs are tiny; keep the lanes real and fan out every
-    // level so the differential actually exercises the parallel kernels
-    // even on hosts where the adaptive policy would inline them.
-    Opts.SmallProgramThreshold = 0;
-    Opts.Schedule.AdaptiveFanout = false;
-    parallel::ParallelAnalyzer Par(P, Opts);
+  VarMasks Masks(P);
+  graph::CallGraph CG(P);
+  graph::BindingGraph BG(P);
+  LocalEffects Local(P, Masks, Kind);
+  const EffectSet Formals = formalBits(P, Local);
 
-    EXPECT_EQ(Par.rmodResult().ModifiedFormals,
-              Seq.rmodResult().ModifiedFormals)
+  for (unsigned K : ThreadCounts) {
+    std::optional<ThreadPool> Pool;
+    if (K > 1)
+      Pool.emplace(K);
+    ThreadPool *Lanes = Pool ? &*Pool : nullptr;
+    RModResult RMod = solveRModLevels(P, BG, Formals, Lanes, 0);
+    std::vector<EffectSet> Plus =
+        computeIModPlusLevels(P, Local, RMod.ModifiedFormals, Lanes, 0);
+    GModResult GMod = solveGModLevels(P, CG, Masks, Plus, Lanes, nullptr, 0);
+
+    EXPECT_EQ(RMod.ModifiedFormals, Ref.rmodResult().ModifiedFormals)
         << Context << " K=" << K;
-    EXPECT_EQ(Par.rmodResult().BooleanSteps, Seq.rmodResult().BooleanSteps)
+    EXPECT_EQ(RMod.BooleanSteps, Ref.rmodResult().BooleanSteps)
         << Context << " K=" << K;
+    AnalyzerOptions Opts;
+    Opts.Kind = Kind;
+    SideEffectAnalyzer An(P, Opts, K);
     for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
-      EXPECT_EQ(Par.imodPlus(ProcId(I)), Seq.imodPlus(ProcId(I)))
+      EXPECT_EQ(Plus[I], Ref.imodPlus(ProcId(I)))
           << Context << " K=" << K << " proc " << P.name(ProcId(I));
-      EXPECT_EQ(Par.gmod(ProcId(I)), Seq.gmod(ProcId(I)))
+      EXPECT_EQ(GMod.GMod[I], Ref.gmod(ProcId(I)))
           << Context << " K=" << K << " proc " << P.name(ProcId(I));
-      EXPECT_EQ(Par.gmod(ProcId(I)), Oracle.GMod[I])
+      EXPECT_EQ(GMod.GMod[I], Oracle.GMod[I])
           << Context << " K=" << K << " vs oracle, proc "
           << P.name(ProcId(I));
+      EXPECT_EQ(An.gmod(ProcId(I)), Ref.gmod(ProcId(I)))
+          << Context << " analyzer K=" << K << " proc " << P.name(ProcId(I));
     }
     if (::testing::Test::HasFailure())
       return; // One divergence produces enough output.
@@ -267,7 +307,7 @@ const DiffShape DiffShapes[] = {
 
 TEST(ParallelDifferential, RandomPrograms) {
   // 6 shapes × 17 seeds = 102 programs, each checked for MOD and USE at
-  // thread counts 1/2/4/8 against the sequential analyzer and the oracle.
+  // lane counts 1/2/4/8 against the reference solvers and the oracle.
   const std::uint64_t Base = testseed::baseSeed(1);
   for (const DiffShape &Shape : DiffShapes)
     for (std::uint64_t Seed = Base; Seed != Base + 17; ++Seed) {
@@ -337,128 +377,120 @@ TEST(ParallelDifferential, WideStar) {
   }
   Program P = B.finish();
 
-  parallel::ParallelAnalyzerOptions Opts;
-  Opts.Threads = 4;
-  Opts.SmallProgramThreshold = 0;
-  // Force the level schedule into existence: under the adaptive policy a
-  // one-core host would take the direct sweep and report no levels.
-  Opts.Schedule.AdaptiveFanout = false;
-  parallel::ParallelAnalyzer An(P, Opts);
-  EXPECT_EQ(An.scheduleStats().Levels, 2u);
-  EXPECT_EQ(An.scheduleStats().WidestLevel, 300u);
+  VarMasks Masks(P);
+  graph::CallGraph CG(P);
+  LocalEffects Local(P, Masks, EffectKind::Mod);
+  std::vector<EffectSet> Plus =
+      computeIModPlus(P, Local, solveRMod(P, graph::BindingGraph(P), Local));
+  ThreadPool Pool(4);
+  LevelStats Stats;
+  solveGModLevels(P, CG, Masks, Plus, &Pool, &Stats, 0);
+  EXPECT_EQ(Stats.Levels, 2u);
+  EXPECT_EQ(Stats.WidestLevel, 300u);
+  EXPECT_EQ(Stats.FanoutLevels, 1u); // The leaves; main's level is width 1.
 
   for (EffectKind Kind : {EffectKind::Mod, EffectKind::Use})
     expectParallelMatches(P, Kind, "star-300");
 }
 
 //===----------------------------------------------------------------------===//
-// The small-program floor: K > 1 on tiny inputs is pure pool overhead
-// (every benchmarked shape loses), so the owned-pool constructor clamps
-// to one lane below the threshold.
+// The kernel choice: made from the program alone, never from the lanes.
 //===----------------------------------------------------------------------===//
 
-TEST(ParallelAnalyzer, SmallProgramFloorClampsOwnedPool) {
-  Program P = synth::makeFortranStyleProgram(64, 16, 3, 7);
-  ASSERT_LT(P.numProcs(), 4096u);
-
-  parallel::ParallelAnalyzerOptions Opts;
-  Opts.Threads = 8;
-  parallel::ParallelAnalyzer Clamped(P, Opts);
-  EXPECT_EQ(Clamped.threads(), 1u);
-
-  Opts.SmallProgramThreshold = 0; // disabled: the request stands
-  parallel::ParallelAnalyzer Raw(P, Opts);
-  EXPECT_EQ(Raw.threads(), 8u);
-
-  Opts.SmallProgramThreshold = 32; // program is above it: no clamp
-  parallel::ParallelAnalyzer Above(P, Opts);
-  EXPECT_EQ(Above.threads(), 8u);
-
-  // Answer-invisible: clamped and raw runs agree bit for bit.
-  for (std::uint32_t I = 0; I != P.numProcs(); ++I)
-    EXPECT_EQ(Clamped.gmod(ProcId(I)), Raw.gmod(ProcId(I)));
-
-  parallel::ParallelAnalyzerOptions O;
-  O.Threads = 8;
-  EXPECT_EQ(O.effectiveThreads(100), 1u);
-  EXPECT_EQ(O.effectiveThreads(4096), 8u);
-  O.SmallProgramThreshold = 0;
-  EXPECT_EQ(O.effectiveThreads(1), 8u);
-  O.Threads = 0;
-  EXPECT_EQ(O.effectiveThreads(1), 1u);
+/// A wide two-level program: four layers of 160 procedures over a
+/// 21-word universe, so every layer's width × words (3360) clears the
+/// fan-out bar.
+Program makeWideProgram() {
+  return synth::makeLayeredProgram(4, 160, 3, 2, 64, 7);
 }
 
-//===----------------------------------------------------------------------===//
-// The adaptive fan-out policy: per-level inline-vs-pool decisions are
-// answer-invisible, and the decision logic itself is deterministic.
-//===----------------------------------------------------------------------===//
-
-TEST(AdaptiveSchedule, ShouldFanOutDecision) {
-  parallel::ScheduleOptions S;
-  S.AdaptiveFanout = true;
-  S.MinFanoutTasks = 2;
-  S.MinFanoutWords = 2048;
-
-  S.HardwareLanes = 1; // one real lane: never worth a handoff
-  EXPECT_FALSE(S.shouldFanOut(1000, 1000));
-
-  S.HardwareLanes = 8;
-  EXPECT_FALSE(S.shouldFanOut(1, 1 << 20)); // one task: nothing to spread
-  EXPECT_FALSE(S.shouldFanOut(100, 1));     // 100 words: below the bar
-  EXPECT_TRUE(S.shouldFanOut(100, 32));     // 3200 words: clears it
-  EXPECT_TRUE(S.shouldFanOut(2048, 1));     // many tiny tasks still add up
-
-  S.HardwareLanes = 0; // unknown host: fan out on faith
-  EXPECT_TRUE(S.shouldFanOut(100, 32));
-
-  S.AdaptiveFanout = false; // forced: every level fans out
-  S.HardwareLanes = 1;
-  EXPECT_TRUE(S.shouldFanOut(1, 1));
+TEST(KernelChoice, WideLevelDecision) {
+  EXPECT_FALSE(isWideLevel(1, 1 << 20)); // One task: nothing to spread.
+  EXPECT_FALSE(isWideLevel(100, 1));     // 100 words: below the bar.
+  EXPECT_TRUE(isWideLevel(100, 32));     // 3200 words: clears it.
+  EXPECT_TRUE(isWideLevel(2048, 1));     // Many tiny tasks still add up.
+  EXPECT_TRUE(isWideLevel(2, 1, 0));     // Bar at 0: any two tasks.
+  EXPECT_FALSE(isWideLevel(1, 1, 0));
 }
 
-TEST(AdaptiveSchedule, ForcedAndAdaptiveRunsAgreeBitForBit) {
-  // A wide two-level program large enough that per-level decisions can
-  // differ between policies; both runs must produce the same planes, and
-  // the stats must account every level as exactly one of fanned-out or
-  // inlined.
+TEST(KernelChoice, ShapePicksTheKernelAndLanesNever) {
+  struct Case {
+    const char *Name;
+    Program P;
+    PassKernel Expected;
+  };
+  std::vector<Case> Cases;
+  Cases.push_back({"wide", makeWideProgram(), PassKernel::Condensation});
+  // No level has two components of any weight: a chain has one per
+  // level, a cycle collapses into one SCC, and a small program cannot
+  // fill the bar at all.
+  Cases.push_back(
+      {"chain", synth::makeChainProgram(3000, 3), PassKernel::Reference});
+  Cases.push_back(
+      {"cycle", synth::makeCycleProgram(3000, 2), PassKernel::Reference});
+  Cases.push_back({"small", synth::makeFortranStyleProgram(40, 8, 3, 7),
+                   PassKernel::Reference});
+  for (const Case &C : Cases) {
+    EXPECT_EQ(chooseKernel(C.P, graph::CallGraph(C.P)), C.Expected) << C.Name;
+    for (unsigned K : ThreadCounts) {
+      SideEffectAnalyzer An(C.P, AnalyzerOptions(), K);
+      EXPECT_EQ(An.kernel(), C.Expected) << C.Name << " K=" << K;
+    }
+  }
+
+  // Naming a GMOD algorithm pins the reference kernel.
+  Program Wide = makeWideProgram();
+  AnalyzerOptions Pinned;
+  Pinned.Algorithm = AnalyzerOptions::GModAlgorithm::FindGMod;
+  EXPECT_EQ(SideEffectAnalyzer(Wide, Pinned, 4).kernel(),
+            PassKernel::Reference);
+}
+
+TEST(KernelChoice, InlineAndFannedOutRunsAgreeBitForBit) {
+  // A layered program with the bar at 0: on the pool every level of two
+  // or more components fans out, inline none does; the planes must be
+  // identical and the stats must account for every level.
   Program P = synth::makeLayeredProgram(6, 20, 3, 3, 5, 11);
+  VarMasks Masks(P);
+  graph::CallGraph CG(P);
+  graph::BindingGraph BG(P);
+  LocalEffects Local(P, Masks, EffectKind::Mod);
+  std::vector<EffectSet> Plus =
+      computeIModPlus(P, Local, solveRMod(P, BG, Local));
 
-  parallel::ParallelAnalyzerOptions Forced;
-  Forced.Threads = 4;
-  Forced.SmallProgramThreshold = 0;
-  Forced.Schedule.AdaptiveFanout = false;
-  parallel::ParallelAnalyzer ForcedAn(P, Forced);
-  const auto &FS = ForcedAn.scheduleStats();
-  EXPECT_EQ(FS.InlineLevels, 0u);
-  EXPECT_EQ(FS.FanoutLevels, FS.Levels);
-
-  parallel::ParallelAnalyzerOptions Lanes1;
-  Lanes1.Threads = 4;
-  Lanes1.SmallProgramThreshold = 0;
-  Lanes1.Schedule.AdaptiveFanout = true;
-  Lanes1.Schedule.HardwareLanes = 1; // adaptive floor: everything inlines
-  parallel::ParallelAnalyzer InlineAn(P, Lanes1);
-  const auto &IS = InlineAn.scheduleStats();
-  EXPECT_EQ(IS.FanoutLevels, 0u);
-  EXPECT_EQ(IS.InlineLevels, IS.Levels);
-
+  ThreadPool Pool(4);
+  LevelStats Fanned, Inline;
+  GModResult A = solveGModLevels(P, CG, Masks, Plus, &Pool, &Fanned, 0);
+  GModResult B = solveGModLevels(P, CG, Masks, Plus, nullptr, &Inline, 0);
+  EXPECT_GT(Fanned.FanoutLevels, 0u);
+  EXPECT_LE(Fanned.FanoutLevels, Fanned.Levels);
+  EXPECT_EQ(Inline.FanoutLevels, 0u);
+  EXPECT_EQ(Inline.Levels, Fanned.Levels);
   for (std::uint32_t I = 0; I != P.numProcs(); ++I)
-    EXPECT_EQ(ForcedAn.gmod(ProcId(I)), InlineAn.gmod(ProcId(I)))
-        << "policy-dependent answer at proc " << P.name(ProcId(I));
+    EXPECT_EQ(A.GMod[I], B.GMod[I])
+        << "placement-dependent answer at proc " << P.name(ProcId(I));
+}
+
+TEST(ThreadPool, AvailableLanesFollowsTheAffinityMask) {
+  // At least one lane, and never more than the machine has; under
+  // `taskset -c 0` it is exactly 1, which is how CI covers the one-lane
+  // path of every test here.
+  const unsigned Lanes = availableLanes();
+  EXPECT_GE(Lanes, 1u);
+  EXPECT_LE(Lanes, std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(ThreadPool, ChunkedClaimingCoversAllIndices) {
-  // Explicit chunk sizes, including ones that do not divide the batch:
-  // every index must run exactly once whatever the chunk geometry.
-  parallel::ThreadPool Pool(4);
-  for (std::size_t Chunk : {std::size_t(1), std::size_t(3), std::size_t(7),
-                            std::size_t(64), std::size_t(1000)}) {
-    const std::size_t N = 193;
+  // Batch sizes around the chunk geometry (one chunk per lane and a
+  // quarter, ragged last chunks, one index per chunk): every index must
+  // run exactly once.
+  ThreadPool Pool(4);
+  for (std::size_t N : {std::size_t(2), std::size_t(15), std::size_t(16),
+                        std::size_t(17), std::size_t(193)}) {
     std::vector<std::atomic<unsigned>> Hits(N);
-    Pool.parallelFor(
-        N, [&](std::size_t I) { Hits[I].fetch_add(1); }, Chunk);
+    Pool.parallelFor(N, [&](std::size_t I) { Hits[I].fetch_add(1); });
     for (std::size_t I = 0; I != N; ++I)
-      EXPECT_EQ(Hits[I].load(), 1u) << "chunk " << Chunk << " index " << I;
+      EXPECT_EQ(Hits[I].load(), 1u) << "batch " << N << " index " << I;
   }
 }
 
@@ -494,8 +526,9 @@ Program makeSessionShape(unsigned Shape, std::uint64_t Seed) {
 
 TEST(ParallelDifferential, MatchesIncrementalSessionAfterReplayedEdits) {
   // 5 shapes × 6 seeds, 10 random edits each (all tiers enabled): the
-  // session's delta-maintained results and a fresh parallel solve of the
-  // edited program must coincide bit-for-bit.
+  // session's delta-maintained results and a fresh solve of the edited
+  // program by the condensation kernels — inline and on a 4-lane pool
+  // with the bar at 0 — must coincide bit-for-bit.
   const std::uint64_t Base = testseed::baseSeed(1);
   for (unsigned Shape = 0; Shape != 5; ++Shape)
     for (std::uint64_t Seed = Base; Seed != Base + 6; ++Seed) {
@@ -513,27 +546,26 @@ TEST(ParallelDifferential, MatchesIncrementalSessionAfterReplayedEdits) {
 
       std::string Context = "session shape " + std::to_string(Shape) +
                             " seed " + std::to_string(Seed);
-      for (unsigned K : {1u, 4u}) {
+      for (ThreadPool *Pool : {(ThreadPool *)nullptr,
+                               &testmatrix::detail::sharedPool()}) {
         for (EffectKind Kind : {EffectKind::Mod, EffectKind::Use}) {
-          parallel::ParallelAnalyzerOptions Opts;
-          Opts.Kind = Kind;
-          Opts.Threads = K;
-          Opts.SmallProgramThreshold = 0;
-          parallel::ParallelAnalyzer Par(S.program(), Opts);
+          GModResult Levels =
+              testmatrix::detail::solveByLevels(S.program(), Kind, Pool);
           for (std::uint32_t I = 0; I != S.program().numProcs(); ++I)
-            EXPECT_EQ(Par.gmod(ProcId(I)), S.gmod(ProcId(I), Kind))
-                << Context << " K=" << K << " proc " << I;
+            EXPECT_EQ(Levels.GMod[I], S.gmod(ProcId(I), Kind))
+                << Context << (Pool ? " pool" : " inline") << " proc " << I;
         }
       }
       ASSERT_FALSE(::testing::Test::HasFailure()) << Context;
     }
 }
 
-/// The session's own parallel mode (SessionOptions::Threads) must be
-/// invisible in results — construction and tier-3 rebuilds run the
-/// level-scheduled solvers, everything else is shared code.
+/// The session's lane count (SessionOptions::Threads) must be invisible in
+/// results — construction and tier-3 rebuilds run the batch analyzer's
+/// dispatch, everything else is shared code.  The program is wide, so the
+/// rebuilds take the condensation kernel.
 TEST(ParallelDifferential, SessionThreadsOptionIsResultInvisible) {
-  Program P = synth::makeNestedProgram(4, 3, 2);
+  Program P = makeWideProgram();
   incremental::SessionOptions Par;
   Par.Threads = 4;
   incremental::AnalysisSession S4(P, Par);
@@ -548,7 +580,7 @@ TEST(ParallelDifferential, SessionThreadsOptionIsResultInvisible) {
   };
   expectSessionsEqual("initial");
 
-  // A universe edit forces the tier-3 rebuild — the parallel path.
+  // A universe edit forces the tier-3 rebuild.
   VarId G4 = S4.addGlobal("fresh_g");
   VarId G1 = S1.addGlobal("fresh_g");
   ASSERT_EQ(G4, G1);
@@ -563,7 +595,7 @@ TEST(ParallelDifferential, SessionThreadsOptionIsResultInvisible) {
 }
 
 //===----------------------------------------------------------------------===//
-// Determinism: byte-identical reports at every thread count.
+// Determinism: byte-identical reports at every lane count and kernel.
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelDeterminism, ReportsAreByteIdenticalAcrossThreadCounts) {
@@ -572,6 +604,7 @@ TEST(ParallelDeterminism, ReportsAreByteIdenticalAcrossThreadCounts) {
   Cases.emplace_back("nested", synth::makeNestedProgram(4, 3, 2));
   Cases.emplace_back("cycle", synth::makeCycleProgram(24, 2));
   Cases.emplace_back("chain", synth::makeChainProgram(50, 2));
+  Cases.emplace_back("wide", makeWideProgram());
   {
     synth::ProgramGenConfig Cfg;
     Cfg.Seed = 5;
@@ -584,13 +617,20 @@ TEST(ParallelDeterminism, ReportsAreByteIdenticalAcrossThreadCounts) {
   ReportOptions Options;
   Options.IncludeRMod = true;
   for (const auto &[Name, P] : Cases) {
-    const std::string Seq = makeReport(P, Options);
+    // The reference kernel's text, pinned by naming the GMOD algorithm.
+    AnalyzerOptions ModOpts, UseOpts;
+    ModOpts.Algorithm = UseOpts.Algorithm =
+        P.maxProcLevel() <= 1
+            ? AnalyzerOptions::GModAlgorithm::FindGMod
+            : AnalyzerOptions::GModAlgorithm::MultiLevelCombined;
+    UseOpts.Kind = EffectKind::Use;
+    SideEffectAnalyzer RefMod(P, ModOpts), RefUse(P, UseOpts);
+    const std::string Ref = renderReport(P, Options, RefMod, &RefUse);
     for (unsigned K : ThreadCounts) {
-      // Two runs per thread count: equal to the sequential text AND to
-      // each other (no dependence on scheduling whatsoever).
-      EXPECT_EQ(parallel::makeReportParallel(P, Options, K), Seq)
-          << Name << " K=" << K;
-      EXPECT_EQ(parallel::makeReportParallel(P, Options, K), Seq)
+      // Two runs per lane count: equal to the reference text AND to each
+      // other (no dependence on scheduling whatsoever).
+      EXPECT_EQ(makeReport(P, Options, K), Ref) << Name << " K=" << K;
+      EXPECT_EQ(makeReport(P, Options, K), Ref)
           << Name << " K=" << K << " (second run)";
     }
   }
@@ -600,27 +640,69 @@ TEST(ParallelDeterminism, ReportsAreByteIdenticalAcrossThreadCounts) {
 // Op accounting stays exact under threads.
 //===----------------------------------------------------------------------===//
 
+/// Word operations of one MOD analysis at \p Lanes lanes.
+std::uint64_t analyzerWords(const Program &P, unsigned Lanes) {
+  OpCountScope Scope;
+  SideEffectAnalyzer An(P, AnalyzerOptions(), Lanes);
+  const std::uint64_t Words = Scope.delta();
+  EXPECT_TRUE(An.gmod(P.main()).any());
+  return Words;
+}
+
 TEST(ParallelOpCounts, WordCountsAreExactAndThreadCountInvariant) {
-  // Every per-component kernel is deterministic and the barrier orders all
-  // counted operations before the scope is read, so the measured word count
-  // must be the same at every thread count — a sampling race or a lost
-  // per-thread counter would show up as a diff here (TSan runs this too).
+  // The kernel is chosen from the program alone and every per-component
+  // kernel is deterministic; the barrier orders all counted operations
+  // before the scope is read, so the measured word count must be the same
+  // at every lane count — a sampling race or a lost per-thread counter
+  // would show up as a diff here (TSan runs this too).
   Program P = synth::makeFortranStyleProgram(300, 64, 3, 7);
   std::vector<std::uint64_t> Deltas;
-  for (unsigned K : ThreadCounts) {
-    OpCountScope Scope;
-    parallel::ParallelAnalyzerOptions Opts;
-    Opts.Threads = K;
-    Opts.SmallProgramThreshold = 0;
-    parallel::ParallelAnalyzer An(P, Opts);
-    Deltas.push_back(Scope.delta());
-    EXPECT_TRUE(An.gmod(P.main()).any());
-  }
+  for (unsigned K : ThreadCounts)
+    Deltas.push_back(analyzerWords(P, K));
   ASSERT_EQ(Deltas.size(), 4u);
   EXPECT_GT(Deltas[0], 0u);
   for (std::size_t I = 1; I != Deltas.size(); ++I)
     EXPECT_EQ(Deltas[I], Deltas[0])
         << "word count differs between K=1 and K=" << ThreadCounts[I];
+}
+
+TEST(ParallelOpCounts, WideProgramFansOutWithExactWordCounts) {
+  // A program that takes the condensation kernel: the analyzer's word
+  // count is the same at every lane count, and the GMOD kernel run
+  // directly on a K-lane pool at the default bar really fans out for
+  // K >= 2 — with exactly the inline run's word count.
+  Program P = makeWideProgram();
+  ASSERT_EQ(SideEffectAnalyzer(P).kernel(), PassKernel::Condensation);
+  std::vector<std::uint64_t> Deltas;
+  for (unsigned K : ThreadCounts)
+    Deltas.push_back(analyzerWords(P, K));
+  EXPECT_GT(Deltas[0], 0u);
+  for (std::size_t I = 1; I != Deltas.size(); ++I)
+    EXPECT_EQ(Deltas[I], Deltas[0])
+        << "word count differs between K=1 and K=" << ThreadCounts[I];
+
+  VarMasks Masks(P);
+  graph::CallGraph CG(P);
+  LocalEffects Local(P, Masks, EffectKind::Mod);
+  std::vector<EffectSet> Plus =
+      computeIModPlus(P, Local, solveRMod(P, graph::BindingGraph(P), Local));
+  std::uint64_t InlineWords = 0;
+  for (unsigned K : ThreadCounts) {
+    std::optional<ThreadPool> Pool;
+    if (K > 1)
+      Pool.emplace(K);
+    LevelStats Stats;
+    OpCountScope Scope;
+    solveGModLevels(P, CG, Masks, Plus, Pool ? &*Pool : nullptr, &Stats);
+    const std::uint64_t Words = Scope.delta();
+    if (K == 1) {
+      InlineWords = Words;
+      EXPECT_EQ(Stats.FanoutLevels, 0u);
+    } else {
+      EXPECT_GT(Stats.FanoutLevels, 0u) << "K=" << K;
+      EXPECT_EQ(Words, InlineWords) << "K=" << K;
+    }
+  }
 }
 
 } // namespace

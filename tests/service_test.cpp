@@ -21,6 +21,7 @@
 #include "incremental/Edit.h"
 #include "observe/Trace.h"
 #include "ir/Printer.h"
+#include "ir/ProgramBuilder.h"
 #include "service/AnalysisSnapshot.h"
 #include "support/Json.h"
 #include "service/ScriptDriver.h"
@@ -480,6 +481,53 @@ TEST(Server, ScriptErrorsComeBackAsErrorResponses) {
   EXPECT_EQ(Exit, 1);
   EXPECT_NE(Output.find("unknown procedure 'nope'"), std::string::npos)
       << Output;
+  Server.stop();
+}
+
+TEST(Server, RmProcPreconditionsComeBackAsErrorsAndTheServerKeepsAnswering) {
+  // main calls outer, which nests and calls inner; leaf is never called.
+  ir::ProgramBuilder B;
+  ir::ProcId Main = B.createMain("main");
+  ir::VarId G = B.addGlobal("g");
+  ir::ProcId Outer = B.createProc("outer", Main);
+  ir::ProcId Inner = B.createProc("inner", Outer);
+  ir::ProcId Leaf = B.createProc("leaf", Main);
+  B.addMod(B.addStmt(Inner), G);
+  B.addMod(B.addStmt(Leaf), G);
+  B.addCallStmt(Main, Outer, {});
+  B.addCallStmt(Outer, Inner, {});
+
+  auto Svc = serveProgram(B.finish());
+  TcpServer Server(tenant::tenantConnectionHandler(*Svc));
+  std::string Error;
+  ASSERT_TRUE(Server.start(0, Error)) << Error;
+
+  int Exit = 0;
+  std::string Output = runScript(Server.port(),
+                                 "rm-proc inner\n"
+                                 "rm-proc outer\n"
+                                 "rm-proc main\n"
+                                 "gmod main\n"
+                                 "rm-proc leaf\n"
+                                 "check\n",
+                                 Exit);
+  EXPECT_EQ(Exit, 1) << Output; // Three refusals.
+  EXPECT_NE(Output.find("cannot remove 'inner': 'outer' calls it"),
+            std::string::npos)
+      << Output;
+  EXPECT_NE(Output.find("cannot remove 'outer': it has nested procedures"),
+            std::string::npos)
+      << Output;
+  EXPECT_NE(Output.find("cannot remove the main program 'main'"),
+            std::string::npos)
+      << Output;
+  // The server survived all three and keeps answering: the query, the
+  // legal removal and the check all succeed.
+  EXPECT_NE(Output.find("\"result\":\"GMOD(main) = {g}\""),
+            std::string::npos)
+      << Output;
+  EXPECT_NE(Output.find("check: OK"), std::string::npos) << Output;
+  EXPECT_EQ(std::count(Output.begin(), Output.end(), '\n'), 6) << Output;
   Server.stop();
 }
 

@@ -1,11 +1,10 @@
-//===- tests/support_test.cpp - BitVector, Rng, StringInterner tests ----------===//
+//===- tests/support_test.cpp - Queue, histogram, Rng, interner tests --------===//
 //
 // Part of the ipse project: a reproduction of Cooper & Kennedy,
 // "Interprocedural Side-Effect Analysis in Linear Time", PLDI 1988.
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/BitVector.h"
 #include "support/LatencyHistogram.h"
 #include "support/MpmcQueue.h"
 #include "support/Rng.h"
@@ -22,191 +21,6 @@
 using namespace ipse;
 
 namespace {
-
-TEST(BitVector, StartsEmpty) {
-  BitVector BV(100);
-  EXPECT_EQ(BV.size(), 100u);
-  EXPECT_TRUE(BV.none());
-  EXPECT_FALSE(BV.any());
-  EXPECT_EQ(BV.count(), 0u);
-  for (std::size_t I = 0; I != 100; ++I)
-    EXPECT_FALSE(BV.test(I));
-}
-
-TEST(BitVector, SetResetTest) {
-  BitVector BV(130);
-  BV.set(0);
-  BV.set(63);
-  BV.set(64);
-  BV.set(129);
-  EXPECT_TRUE(BV.test(0));
-  EXPECT_TRUE(BV.test(63));
-  EXPECT_TRUE(BV.test(64));
-  EXPECT_TRUE(BV.test(129));
-  EXPECT_FALSE(BV.test(1));
-  EXPECT_EQ(BV.count(), 4u);
-  BV.reset(63);
-  EXPECT_FALSE(BV.test(63));
-  EXPECT_EQ(BV.count(), 3u);
-}
-
-TEST(BitVector, ZeroSized) {
-  BitVector BV(0);
-  EXPECT_TRUE(BV.none());
-  EXPECT_EQ(BV.count(), 0u);
-  EXPECT_EQ(BV.findNext(0), 0u);
-  BitVector Other(0);
-  EXPECT_FALSE(BV.orWith(Other));
-  EXPECT_EQ(BV, Other);
-}
-
-TEST(BitVector, ExactlyOneWord) {
-  BitVector BV(64);
-  BV.set(0);
-  BV.set(63);
-  EXPECT_EQ(BV.count(), 2u);
-  EXPECT_EQ(BV.findNext(1), 63u);
-  EXPECT_EQ(BV.findNext(64), 64u);
-}
-
-TEST(BitVector, OrWithDetectsChange) {
-  BitVector A(70), B(70);
-  B.set(5);
-  B.set(69);
-  EXPECT_TRUE(A.orWith(B));
-  EXPECT_FALSE(A.orWith(B)); // Second or is a no-op.
-  EXPECT_TRUE(A.test(5));
-  EXPECT_TRUE(A.test(69));
-}
-
-TEST(BitVector, AndWith) {
-  BitVector A(70), B(70);
-  A.set(1);
-  A.set(2);
-  B.set(2);
-  B.set(3);
-  EXPECT_TRUE(A.andWith(B));
-  EXPECT_FALSE(A.test(1));
-  EXPECT_TRUE(A.test(2));
-  EXPECT_FALSE(A.test(3));
-  EXPECT_FALSE(A.andWith(B));
-}
-
-TEST(BitVector, AndNotWith) {
-  BitVector A(70), B(70);
-  A.set(1);
-  A.set(2);
-  B.set(2);
-  EXPECT_TRUE(A.andNotWith(B));
-  EXPECT_TRUE(A.test(1));
-  EXPECT_FALSE(A.test(2));
-}
-
-TEST(BitVector, OrWithAndNot) {
-  BitVector Out(70), A(70), B(70);
-  A.set(3);
-  A.set(4);
-  B.set(4);
-  EXPECT_TRUE(Out.orWithAndNot(A, B));
-  EXPECT_TRUE(Out.test(3));
-  EXPECT_FALSE(Out.test(4));
-  EXPECT_FALSE(Out.orWithAndNot(A, B));
-}
-
-TEST(BitVector, OrWithIntersectMinus) {
-  BitVector Out(70), A(70), Keep(70), Drop(70);
-  A.set(1);
-  A.set(2);
-  A.set(3);
-  Keep.set(1);
-  Keep.set(2);
-  Drop.set(2);
-  EXPECT_TRUE(Out.orWithIntersectMinus(A, Keep, Drop));
-  EXPECT_TRUE(Out.test(1));
-  EXPECT_FALSE(Out.test(2));
-  EXPECT_FALSE(Out.test(3));
-}
-
-TEST(BitVector, IntersectsAndSubset) {
-  BitVector A(128), B(128);
-  A.set(100);
-  EXPECT_FALSE(A.intersects(B));
-  B.set(100);
-  EXPECT_TRUE(A.intersects(B));
-  EXPECT_TRUE(A.isSubsetOf(B));
-  A.set(1);
-  EXPECT_FALSE(A.isSubsetOf(B));
-  EXPECT_TRUE(B.isSubsetOf(A));
-}
-
-TEST(BitVector, FindNextAndIteration) {
-  BitVector BV(200);
-  std::set<std::size_t> Expected = {0, 1, 63, 64, 65, 127, 128, 199};
-  for (std::size_t I : Expected)
-    BV.set(I);
-
-  std::set<std::size_t> Seen;
-  for (std::size_t I : BV)
-    Seen.insert(I);
-  EXPECT_EQ(Seen, Expected);
-
-  std::vector<std::size_t> Collected;
-  BV.getSetBits(Collected);
-  EXPECT_EQ(Collected.size(), Expected.size());
-  EXPECT_TRUE(std::is_sorted(Collected.begin(), Collected.end()));
-
-  EXPECT_EQ(BV.findNext(2), 63u);
-  EXPECT_EQ(BV.findNext(129), 199u);
-  EXPECT_EQ(BV.findNext(200), 200u);
-}
-
-TEST(BitVector, ResizeClearsNewBits) {
-  BitVector BV(10);
-  BV.set(9);
-  BV.resize(100);
-  EXPECT_EQ(BV.size(), 100u);
-  EXPECT_TRUE(BV.test(9));
-  for (std::size_t I = 10; I != 100; ++I)
-    EXPECT_FALSE(BV.test(I));
-  BV.resize(5);
-  EXPECT_EQ(BV.count(), 0u);
-}
-
-TEST(BitVector, EqualityIncludesSize) {
-  BitVector A(10), B(11);
-  EXPECT_NE(A, B);
-  BitVector C(10);
-  EXPECT_EQ(A, C);
-  C.set(3);
-  EXPECT_NE(A, C);
-}
-
-TEST(BitVector, OpCounting) {
-  BitVector::resetOpCount();
-  BitVector A(640), B(640);
-  A.orWith(B);
-  EXPECT_EQ(BitVector::opCount(), 10u); // 640 bits = 10 words.
-}
-
-
-TEST(BitVector, OpCountingAggregatesAcrossThreads) {
-  // Each thread's words feed a per-thread counter; opCount() folds live
-  // counters plus retired totals, so the sum survives thread exit.
-  BitVector::resetOpCount();
-  constexpr unsigned Threads = 4, Iters = 25;
-  std::vector<std::thread> Pool;
-  for (unsigned T = 0; T != Threads; ++T)
-    Pool.emplace_back([] {
-      BitVector A(640), B(640); // 10 words each.
-      for (unsigned I = 0; I != Iters; ++I)
-        A.orWith(B);
-    });
-  for (std::thread &T : Pool)
-    T.join();
-  EXPECT_EQ(BitVector::opCount(), std::uint64_t(Threads) * Iters * 10);
-  BitVector::resetOpCount();
-  EXPECT_EQ(BitVector::opCount(), 0u);
-}
 
 TEST(MpmcQueue, FifoAndTryPushBackpressure) {
   MpmcQueue<int> Q(3);

@@ -36,7 +36,7 @@
 // A second tier — HardGates — checks absolute promises against the fresh
 // fold itself, with no baseline and no escape hatch: --warn-only and
 // --threshold-scale do not apply.  Today that is parallel/*/speedup_k4,
-// the adaptive scheduler's guarantee that K=4 never loses to sequential.
+// the batch analyzer's guarantee that K=4 never loses to K=1.
 //
 // Exit codes: 0 = no regression (or fresh baseline written), 1 = at least
 // one regression (suppressed by --warn-only), 2 = usage or I/O error.
@@ -101,9 +101,9 @@ std::string identIncremental(const JsonObject &Row) {
 }
 
 std::string identParallel(const JsonObject &Row) {
-  // Rows are keyed by their "mode" ("seq", "k1".."k8", "summary"); the
-  // legacy "threads" field stays in the JSONL for context but no longer
-  // names rows.
+  // Rows are keyed by their "mode" ("seq", "k2".."k8", "summary"); the
+  // "threads" field stays in the JSONL for context but does not name
+  // rows.
   std::string Shape = field(Row, "shape"), Mode = field(Row, "mode");
   return Shape.empty() || Mode.empty() ? "" : Shape + "/" + Mode;
 }
@@ -150,7 +150,7 @@ const RowSpec Specs[] = {
      {{"delta_us_per_edit", false, 0.75, 5.0}}},
     {"parallel", identParallel,
      {{"wall_ms", false, 0.75, 0.5},
-      // The headline ratio of the adaptive scheduler: K=4 vs sequential.
+      // The headline lane ratio: K=4 vs K=1.
       // Gated both relatively (below) and absolutely (HardGates).
       {"speedup_k4", true, 0.25, 0.1}}},
     // recorder_overhead_pct is percentage points near zero, so baseline-
@@ -193,15 +193,14 @@ struct HardGate {
   const char *Why;
 };
 
-// The adaptive scheduler's contract: asking for K=4 must never lose to
-// the sequential engine.  On a single-core host the solvers delegate to
-// their sequential counterparts and the ratio sits at ~0.95-1.0 (the
-// parallel facade's constant per-run cost over sub-ms solves); on a
-// many-core host the wide shapes fan out and it rises.  0.85 leaves
-// room for a sustained interference burst skewing one run's median on a
-// shared runner, nothing more — a real scheduling regression (eager
-// fan-out, schedule construction on the delegating path) measured
-// 0.73-0.75 before the adaptive policy and lands well below the floor.
+// The lane contract: asking for K=4 must never lose to K=1.  The kernel
+// is chosen from the program alone, so both run the same kernel; lanes
+// only move wide levels onto a pool (and on a one-lane host nothing
+// moves, so the ratio sits at ~1.0).  0.85 leaves room for a sustained
+// interference burst skewing one run's median on a shared runner,
+// nothing more — a real scheduling regression (eager fan-out of narrow
+// levels, a lane-dependent kernel choice) measured 0.65-0.75 and lands
+// well below the floor.
 const HardGate HardGates[] = {
     {"speedup_k4", "parallel/", 0.85, 1e300,
      "the adaptive schedule must keep K=4 from losing to sequential"},

@@ -37,6 +37,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/IModPlus.h"
+#include "analysis/LevelSolvers.h"
 #include "analysis/LocalEffects.h"
 #include "analysis/MultiLevelGMod.h"
 #include "analysis/RMod.h"
@@ -83,12 +84,12 @@ namespace {
       "         [--repr=R] [--profile] [--trace-out=FILE]\n"
       "         [--trace-format=F] <file>\n"
       "                                      MOD/USE summary report\n"
-      "                                      (--engine: sequential, parallel,\n"
-      "                                      session or demand;\n"
-      "                                      --parallel[=K]:\n"
-      "                                      the parallel engine on K lanes,\n"
-      "                                      default 4; the report is byte-\n"
-      "                                      identical on every engine.\n"
+      "                                      (--engine: sequential, session\n"
+      "                                      or demand; --parallel[=K]: K\n"
+      "                                      lanes for wide condensation\n"
+      "                                      levels, default 4; the report\n"
+      "                                      is byte-identical on every\n"
+      "                                      engine and lane count.\n"
       "                                      --repr: effect-set storage —\n"
       "                                      auto (sparse until dense pays,\n"
       "                                      the default), dense, or sparse;\n"
@@ -246,7 +247,6 @@ struct CommonFlags {
   bool parse(const std::string &A) {
     using Engine = ipse::AnalysisOptions::Engine;
     if (unsigned K = parseParallelFlag(A)) {
-      Opts.Backend = Engine::Parallel;
       Opts.Threads = K;
       return true;
     }
@@ -255,11 +255,7 @@ struct CommonFlags {
       std::string Name = A.substr(EnginePrefix.size());
       if (Name == "sequential")
         Opts.Backend = Engine::Sequential;
-      else if (Name == "parallel") {
-        Opts.Backend = Engine::Parallel;
-        if (Opts.Threads < 2)
-          Opts.Threads = 4;
-      } else if (Name == "session")
+      else if (Name == "session")
         Opts.Backend = Engine::Session;
       else if (Name == "demand")
         Opts.Backend = Engine::Demand;
@@ -389,7 +385,7 @@ int cmdStats(const std::vector<std::string> &Args) {
   Program P = compileOrDie(Args[0]);
   graph::CallGraph CG(P);
   graph::BindingGraph BG(P);
-  BitVector Reached = graph::reachableProcs(P);
+  EffectSet Reached = graph::reachableProcs(P);
 
   unsigned Formals = 0, Globals = 0, Locals = 0;
   for (std::uint32_t I = 0; I != P.numVars(); ++I) {
@@ -443,11 +439,12 @@ int cmdCheck(const std::vector<std::string> &Args) {
   baselines::IterativeResult Work =
       baselines::solveWorklist(P, CG, Masks, Local);
   baselines::SwiftResult Swift = baselines::solveSwift(P, CG, Masks, Local);
-  ipse::AnalysisOptions ParOpts;
-  ParOpts.Backend = ipse::AnalysisOptions::Engine::Parallel;
-  ParOpts.Threads = 2;
-  ParOpts.TrackUse = false;
-  ipse::Analysis Par = ipse::Analyzer(ParOpts).analyze(P);
+  // The condensation kernel, inline and fanned out on a 4-lane pool with
+  // the fan-out bar at 0 (every level of two or more components).
+  analysis::GModResult Levels = analysis::solveGModLevels(P, CG, Masks, Plus);
+  ThreadPool Pool(4);
+  analysis::GModResult LevelsPool =
+      analysis::solveGModLevels(P, CG, Masks, Plus, &Pool, nullptr, 0);
 
   bool Ok = true;
   for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
@@ -455,10 +452,10 @@ int cmdCheck(const std::vector<std::string> &Args) {
     Ok &= Rep.GMod[I] == Oracle.GMod.GMod[I];
     Ok &= Work.GMod.GMod[I] == Oracle.GMod.GMod[I];
     Ok &= Swift.GMod.GMod[I] == Oracle.GMod.GMod[I];
-    Ok &= Par.gmodResult(analysis::EffectKind::Mod).GMod[I] ==
-          Oracle.GMod.GMod[I];
+    Ok &= Levels.GMod[I] == Oracle.GMod.GMod[I];
+    Ok &= LevelsPool.GMod[I] == Oracle.GMod.GMod[I];
   }
-  std::printf("%zu procedures, 6 solvers: %s\n", P.numProcs(),
+  std::printf("%zu procedures, 7 solvers: %s\n", P.numProcs(),
               Ok ? "all agree" : "DISAGREEMENT");
   return Ok ? 0 : 1;
 }
@@ -597,7 +594,7 @@ int cmdQuery(const std::vector<std::string> &Args) {
 
   ipse::Analyzer An(F.Opts);
   try {
-    if (F.Opts.resolved() == ipse::AnalysisOptions::Engine::Demand) {
+    if (F.Opts.Backend == ipse::AnalysisOptions::Engine::Demand) {
       std::unique_ptr<demand::DemandSession> D = An.open_demand(std::move(P));
       service::DemandSessionQueryTarget Target(*D);
       service::QueryResult R = service::evalQueryCommand(Target, Cmd);
