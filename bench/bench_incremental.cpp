@@ -1,27 +1,34 @@
-//===- bench/bench_incremental.cpp - Session vs from-scratch analysis --------===//
+//===- bench/bench_incremental.cpp - Eager edits vs from-scratch analysis -===//
 //
 // Part of the ipse project: a reproduction of Cooper & Kennedy,
 // "Interprocedural Side-Effect Analysis in Linear Time", PLDI 1988.
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the incremental AnalysisSession against rerunning the full batch
-// pipeline after every edit.  Not built on google-benchmark: each (shape,
-// edit-mix) cell is timed once over a fixed edit sequence and emitted as one
-// JSON line, so results can be diffed and plotted directly:
+// Measures the stateful engine (demand::DemandSession) driven eagerly —
+// every procedure re-solved after each edit, as the tenant server's
+// default mode does — against rerunning the full batch pipeline after
+// every edit.  Not built on google-benchmark: each (shape, edit-mix) cell
+// is timed once over a fixed edit sequence and emitted as one JSON line,
+// so results can be diffed and plotted directly:
 //
 //   {"shape":"fortran","procs":4001,"vars":4513,"mix":"effect-add",
 //    "edits":200,"delta_us_per_edit":12.3,"full_us_per_edit":8456.1,
-//    "speedup":687.5,"effect_only":200,"intra_scc":0,"recondense":0,
-//    "full_rebuild":0}
+//    "speedup":687.5,"absorbed":120,"components":310,"invalidations":0,
+//    "region_procs":0,"batch_solves":0}
+//
+// The trailing columns are the engine's DemandStats over the timed edits:
+// effect deltas absorbed by the monotone-growth prune, components whose
+// GMOD a GMOD-only re-solve recomputed, procedures un-solved, procedures
+// in re-solved regions, and regions the batch ceiling served.
 //
 // Edit mixes:
-//   effect-add    append LMOD entries (tier-1 deltas; the pure fast path)
-//   effect-churn  alternating add/remove of LMOD entries (tier 1)
-//   call-churn    add + remove call sites (tier 2; β rebuilds, occasional
-//                 re-condensation)
+//   effect-add    append LMOD entries (absorbed or GMOD-only re-solves)
+//   effect-churn  alternating add/remove of LMOD entries
+//   call-churn    add + remove formal-free call sites (β unchanged, so
+//                 GMOD-only re-solves over the resident condensation)
 //
-// The session runs Mod-only (TrackUse=false) and the baseline is a Mod-only
+// The engine runs Mod-only (TrackUse=false) and the baseline is a Mod-only
 // SideEffectAnalyzer, so both sides do the same amount of semantic work.
 // The full baseline is sampled (every edit on small shapes, every k-th on
 // large ones) to keep wall time sane; per-edit cost is the sampled mean.
@@ -29,7 +36,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/SideEffectAnalyzer.h"
-#include "incremental/AnalysisSession.h"
+#include "demand/DemandSession.h"
 #include "synth/ProgramGen.h"
 
 #include <chrono>
@@ -97,7 +104,7 @@ struct PlannedEdit {
 };
 
 /// Plans \p Count edits for \p Mix against \p P.  Planning is done up front
-/// so the timed loop measures only session work.
+/// so the timed loop measures only engine work.
 std::vector<PlannedEdit> planEdits(const ir::Program &P,
                                    const std::string &Mix, unsigned Count,
                                    std::uint64_t Seed) {
@@ -167,7 +174,7 @@ std::vector<PlannedEdit> planEdits(const ir::Program &P,
   return Plan;
 }
 
-void applyPlanned(incremental::AnalysisSession &S, const PlannedEdit &E) {
+void applyPlanned(demand::DemandSession &S, const PlannedEdit &E) {
   switch (E.Kind) {
   case PlannedEdit::AddMod:
     S.addMod(E.Stmt, E.Var);
@@ -188,18 +195,19 @@ void runCell(const Shape &Sh, const std::string &Mix, unsigned Edits) {
   ir::Program P = Sh.Make();
   std::vector<PlannedEdit> Plan = planEdits(P, Mix, Edits, /*Seed=*/42);
 
-  // --- Incremental: apply each edit, query GMOD(main) to force a flush.
-  incremental::SessionOptions Opts;
+  // --- Eager: apply each edit, then bring every procedure up to date.
+  demand::DemandOptions Opts;
   Opts.TrackUse = false;
-  incremental::AnalysisSession S(P, Opts);
-  (void)S.gmod(P.main());
+  demand::DemandSession S(P, Opts);
+  S.ensureSolvedAll();
+  const demand::DemandStats Before = S.stats();
   Clock::time_point Start = Clock::now();
   for (const PlannedEdit &E : Plan) {
     applyPlanned(S, E);
-    (void)S.gmod(S.program().main());
+    S.ensureSolvedAll();
   }
   double DeltaUs = microsSince(Start) / Edits;
-  const incremental::SessionStats &St = S.stats();
+  const demand::DemandStats &St = S.stats();
 
   // --- Full: rerun a Mod-only SideEffectAnalyzer over the current (fully
   // edited) program.  Sampled so large shapes finish in reasonable time.
@@ -217,16 +225,19 @@ void runCell(const Shape &Sh, const std::string &Mix, unsigned Edits) {
               "\"mix\":\"%s\",\"edits\":%u,"
               "\"delta_us_per_edit\":%.2f,\"full_us_per_edit\":%.2f,"
               "\"speedup\":%.1f,"
-              "\"effect_only\":%llu,\"intra_scc\":%llu,"
-              "\"recondense\":%llu,\"full_rebuild\":%llu}\n",
+              "\"absorbed\":%llu,\"components\":%llu,"
+              "\"invalidations\":%llu,\"region_procs\":%llu,"
+              "\"batch_solves\":%llu}\n",
               Sh.Name, static_cast<unsigned>(Edited.numProcs()),
               static_cast<unsigned>(Edited.numVars()),
               static_cast<unsigned>(Edited.numCallSites()), Mix.c_str(),
               Edits, DeltaUs, FullUs, FullUs / DeltaUs,
-              (unsigned long long)St.EffectOnlyFlushes,
-              (unsigned long long)St.IntraSccFlushes,
-              (unsigned long long)St.Recondensations,
-              (unsigned long long)St.FullRebuilds);
+              (unsigned long long)(St.AbsorbedEdits - Before.AbsorbedEdits),
+              (unsigned long long)(St.ComponentsRecomputed -
+                                   Before.ComponentsRecomputed),
+              (unsigned long long)(St.Invalidations - Before.Invalidations),
+              (unsigned long long)(St.RegionProcs - Before.RegionProcs),
+              (unsigned long long)(St.BatchSolves - Before.BatchSolves));
   std::fflush(stdout);
 }
 

@@ -45,9 +45,9 @@
 //  in `serve`, so its overhead is a promise, not a tunable.
 //
 // Engines: the batch analyzer at K=1 ("sequential") and at K=2
-// ("parallel-k2"), and incremental-session construction (its full-rebuild
-// path) — all driven through the ipse::Analyzer facade, like every
-// consumer.
+// ("parallel-k2"), driven through the ipse::Analyzer facade, like every
+// consumer.  (The demand engine's analyze() solves nothing up front, so
+// it has no pipeline to profile here.)
 //
 // Under IPSE_OBSERVE=OFF the overhead rows still print (both cells then
 // time the same dormant code) and the phase rows vanish.
@@ -95,11 +95,6 @@ std::vector<EngineCell> engineCells() {
     O.Backend = ipse::AnalysisOptions::Engine::Sequential;
     O.Threads = 2;
     Cells.push_back({"parallel-k2", O});
-  }
-  {
-    ipse::AnalysisOptions O;
-    O.Backend = ipse::AnalysisOptions::Engine::Session;
-    Cells.push_back({"session", O});
   }
   return Cells;
 }

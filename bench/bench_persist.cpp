@@ -19,8 +19,9 @@
 // recovery_ms times the full boot path the service takes with --data-dir:
 // Store::open (manifest, snapshot decode + CRC + graph cross-check, WAL
 // tail recovery), the plane-restoring session constructor, replay of the
-// WAL tail, and one GMOD query.  cold_solve_ms builds the same session
-// from source and pays the first full solve.  warm_speedup is their
+// WAL tail, and bringing every procedure up to date (what the server's
+// first full-snapshot publish does).  cold_solve_ms builds the same
+// session from source and pays the first full solve.  warm_speedup is their
 // ratio; the acceptance bar is >1 at 4000 procs.  wal_append_us is the
 // mean per-record append with one fsync per append — the worst-case
 // (batch size 1) group-commit cost.
@@ -29,7 +30,7 @@
 
 #include "analysis/EffectKind.h"
 #include "frontend/Frontend.h"
-#include "incremental/AnalysisSession.h"
+#include "demand/DemandSession.h"
 #include "incremental/Edit.h"
 #include "persist/Snapshot.h"
 #include "persist/Store.h"
@@ -70,9 +71,11 @@ double millisSince(Clock::time_point Start) {
       .count();
 }
 
-/// One query that a warm restore answers from planes and a cold build
-/// answers by solving; both sides of the comparison end on it.
-std::size_t touch(incremental::AnalysisSession &S) {
+/// Every procedure solved, then one query: a warm restore answers from
+/// its planes (re-solving only what the replayed tail invalidated), a cold
+/// build by solving; both sides of the comparison end on it.
+std::size_t touch(demand::DemandSession &S) {
+  S.ensureSolvedAll();
   return S.gmod(ir::ProcId(0), analysis::EffectKind::Mod).count();
 }
 
@@ -95,15 +98,15 @@ void runShape(const Shape &Sh, const std::string &Dir) {
   frontend::CompileResult CR = frontend::compileMiniProc(Source);
   if (!CR.Program)
     die("generated source failed to recompile");
-  incremental::SessionOptions SO;
-  incremental::AnalysisSession Cold(std::move(*CR.Program), SO);
+  demand::DemandSession Cold(std::move(*CR.Program));
   touch(Cold);
   double ColdMs = millisSince(T0);
 
   // Save bandwidth.
   std::string Snap = Dir + "/bench.ipsesnap", Err;
   T0 = Clock::now();
-  if (!persist::SnapshotWriter::capture(Snap, Cold, Err))
+  if (!persist::SnapshotWriter::write(Snap, persist::SnapshotData::of(Cold),
+                                     Err))
     die(Err);
   double SaveMs = millisSince(T0);
   double Mb = double(std::filesystem::file_size(Snap)) / (1024.0 * 1024.0);
@@ -118,7 +121,8 @@ void runShape(const Shape &Sh, const std::string &Dir) {
   // WAL appends, one record per append: every append pays its own fsync.
   persist::StoreOptions StoreOpts;
   persist::Store Store;
-  if (!persist::Store::init(Dir, StoreOpts, Cold, Store, Err))
+  if (!persist::Store::init(Dir, StoreOpts, persist::SnapshotData::of(Cold),
+                            Store, Err))
     die(Err);
   synth::EditGenConfig ECfg;
   ECfg.Seed = 31;
@@ -129,7 +133,7 @@ void runShape(const Shape &Sh, const std::string &Dir) {
     std::optional<incremental::Edit> E = Gen.next(Cold.program());
     if (!E)
       break;
-    incremental::applyEdit(Cold, *E);
+    demand::applyEdit(Cold, *E);
     if (!Store.appendEdits({*E}, Err))
       die(Err);
     ++Appended;
@@ -142,12 +146,12 @@ void runShape(const Shape &Sh, const std::string &Dir) {
   persist::RecoveredState RS;
   if (!persist::Store::open(Dir, StoreOpts, Reopened, RS, Err))
     die(Err);
-  incremental::SessionOptions RSO;
+  demand::DemandOptions RSO;
   RSO.TrackUse = RS.Snapshot.TrackUse;
-  incremental::AnalysisSession Warm(std::move(RS.Snapshot.Program), RSO,
-                                    std::move(RS.Snapshot.Planes));
+  demand::DemandSession Warm(std::move(RS.Snapshot.Program), RSO,
+                             std::move(RS.Snapshot.Planes));
   for (const incremental::Edit &E : RS.Tail)
-    incremental::applyEdit(Warm, E);
+    demand::applyEdit(Warm, E);
   touch(Warm);
   double RecoveryMs = millisSince(T0);
 

@@ -28,7 +28,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "incremental/AnalysisSession.h"
+#include "demand/DemandSession.h"
 #include "incremental/Edit.h"
 #include "support/LatencyHistogram.h"
 #include "support/Rng.h"
@@ -79,7 +79,7 @@ double runCell(const Shape &Sh, unsigned Readers, double BaselineQps) {
   tenant::TenantService Svc(Opts, makeProgram());
   // The edit stream is generated against a mirror of the served program
   // (edits are serial, so the mirror tracks the tenant exactly).
-  incremental::AnalysisSession Mirror(makeProgram());
+  demand::DemandSession Mirror(makeProgram());
 
   std::vector<std::string> Pool;
   {
@@ -126,7 +126,7 @@ double runCell(const Shape &Sh, unsigned Readers, double BaselineQps) {
     if (!E)
       break;
     std::string Line = incremental::toScriptLine(Mirror.program(), *E);
-    incremental::applyEdit(Mirror, *E);
+    demand::applyEdit(Mirror, *E);
     if (Svc.call("", Line).Ok)
       ++EditsApplied;
   }

@@ -57,6 +57,12 @@ public:
 
   EffectKind kind() const { return Kind; }
 
+  /// Moves the own / extended planes out, one per procedure, leaving this
+  /// object empty — for callers that keep them past the analysis (the
+  /// demand engine's batch path installs them as its resident planes).
+  std::vector<EffectSet> takeOwn() { return std::move(Own); }
+  std::vector<EffectSet> takeExtended() { return std::move(Ext); }
+
   /// IMOD(p) from \p Proc's own body alone, recomputed from the program —
   /// the per-procedure re-propagation entry point the incremental engine
   /// uses after an LMOD/LUSE delta.  Equals own(Proc) on a fresh program.

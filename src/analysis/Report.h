@@ -13,8 +13,8 @@
 ///
 /// The rendering itself (renderReport) is a template over any pair of
 /// engines exposing the SideEffectAnalyzer query surface, so the batch
-/// analyzer and the incremental session produce the report through the
-/// same code path — byte-identical by construction, which is what the
+/// analyzer and the demand engine produce the report through the same
+/// code path — byte-identical by construction, which is what the
 /// facade's cross-engine differential tests rely on.
 ///
 //===----------------------------------------------------------------------===//

@@ -19,7 +19,7 @@
 /// constructed with EffectKind::Use.
 ///
 /// The RMOD, IMOD+ and GMOD passes run through one dispatch (solvePasses),
-/// shared with the incremental session's full rebuild.  It makes two
+/// shared with the demand engine's batch ceiling.  It makes two
 /// decisions:
 ///
 ///  - which kernel, from the program alone (chooseKernel): the

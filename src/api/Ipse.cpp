@@ -32,10 +32,12 @@ struct Analysis::Impl {
 
   // Sequential.
   std::unique_ptr<analysis::SideEffectAnalyzer> SeqMod, SeqUse;
-  // Session.
-  std::unique_ptr<incremental::AnalysisSession> Session;
   // Demand (lazy: queries solve their region on first touch).
   std::unique_ptr<demand::DemandSession> Demand;
+
+  const analysis::SideEffectAnalyzer &seq(EffectKind Kind) const {
+    return Kind == EffectKind::Mod ? *SeqMod : *SeqUse;
+  }
 };
 
 Analysis::Analysis(std::unique_ptr<Impl> Impl) : I(std::move(Impl)) {}
@@ -58,39 +60,18 @@ const EffectSet &Analysis::guse(ir::ProcId Proc) const {
 const EffectSet &Analysis::gmod(ir::ProcId Proc, EffectKind Kind) const {
   assert((Kind == EffectKind::Mod || I->TrackUse) &&
          "USE queries need AnalysisOptions::TrackUse");
-  switch (I->Engine) {
-  case AnalysisOptions::Engine::Sequential:
-    return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse).gmod(Proc);
-  case AnalysisOptions::Engine::Demand:
-    return I->Demand->gmod(Proc, Kind);
-  default:
-    return I->Session->gmod(Proc, Kind);
-  }
+  return I->Demand ? I->Demand->gmod(Proc, Kind) : I->seq(Kind).gmod(Proc);
 }
 
 bool Analysis::rmodContains(ir::VarId Formal, EffectKind Kind) const {
   assert((Kind == EffectKind::Mod || I->TrackUse) &&
          "USE queries need AnalysisOptions::TrackUse");
-  switch (I->Engine) {
-  case AnalysisOptions::Engine::Sequential:
-    return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse)
-        .rmodContains(Formal);
-  case AnalysisOptions::Engine::Demand:
-    return I->Demand->rmodContains(Formal, Kind);
-  default:
-    return I->Session->rmodContains(Formal, Kind);
-  }
+  return I->Demand ? I->Demand->rmodContains(Formal, Kind)
+                   : I->seq(Kind).rmodContains(Formal);
 }
 
 EffectSet Analysis::dmod(ir::StmtId S) const {
-  switch (I->Engine) {
-  case AnalysisOptions::Engine::Sequential:
-    return I->SeqMod->dmod(S);
-  case AnalysisOptions::Engine::Demand:
-    return I->Demand->dmod(S);
-  default:
-    return I->Session->dmod(S);
-  }
+  return I->Demand ? I->Demand->dmod(S) : I->SeqMod->dmod(S);
 }
 
 EffectSet Analysis::dmod(ir::CallSiteId C) const {
@@ -100,50 +81,22 @@ EffectSet Analysis::dmod(ir::CallSiteId C) const {
 EffectSet Analysis::dmod(ir::CallSiteId C, EffectKind Kind) const {
   assert((Kind == EffectKind::Mod || I->TrackUse) &&
          "USE queries need AnalysisOptions::TrackUse");
-  switch (I->Engine) {
-  case AnalysisOptions::Engine::Sequential:
-    return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse).dmod(C);
-  case AnalysisOptions::Engine::Demand:
-    return I->Demand->dmod(C, Kind);
-  default:
-    return I->Session->dmod(C, Kind);
-  }
+  return I->Demand ? I->Demand->dmod(C, Kind) : I->seq(Kind).dmod(C);
 }
 
 EffectSet Analysis::mod(ir::StmtId S, const ir::AliasInfo &Aliases) const {
-  switch (I->Engine) {
-  case AnalysisOptions::Engine::Sequential:
-    return I->SeqMod->mod(S, Aliases);
-  case AnalysisOptions::Engine::Demand:
-    return I->Demand->mod(S, Aliases);
-  default:
-    return I->Session->mod(S, Aliases);
-  }
+  return I->Demand ? I->Demand->mod(S, Aliases) : I->SeqMod->mod(S, Aliases);
 }
 
 const analysis::GModResult &Analysis::gmodResult(EffectKind Kind) const {
   assert((Kind == EffectKind::Mod || I->TrackUse) &&
          "USE queries need AnalysisOptions::TrackUse");
-  switch (I->Engine) {
-  case AnalysisOptions::Engine::Sequential:
-    return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse).gmodResult();
-  case AnalysisOptions::Engine::Demand:
-    // Full-plane export: forces the whole program solved.
-    return I->Demand->gmodResult(Kind);
-  default:
-    return I->Session->gmodResult(Kind);
-  }
+  // Under demand this is a full-plane export: it solves everything.
+  return I->Demand ? I->Demand->gmodResult(Kind) : I->seq(Kind).gmodResult();
 }
 
 std::string Analysis::setToString(const EffectSet &Set) const {
-  switch (I->Engine) {
-  case AnalysisOptions::Engine::Sequential:
-    return I->SeqMod->setToString(Set);
-  case AnalysisOptions::Engine::Demand:
-    return I->Demand->setToString(Set);
-  default:
-    return I->Session->setToString(Set);
-  }
+  return I->Demand ? I->Demand->setToString(Set) : I->SeqMod->setToString(Set);
 }
 
 //===----------------------------------------------------------------------===//
@@ -152,74 +105,50 @@ std::string Analysis::setToString(const EffectSet &Set) const {
 
 namespace {
 
-/// One effect kind of a session or a demand session, presented through
-/// the batch analyzers' query surface so analysis::renderReport treats
-/// all engines alike.  The report sweeps every procedure, so under demand
-/// it is the one path that pays for the full program.
-template <class SessionT> class KindView {
+/// One effect kind of a demand session, presented through the batch
+/// analyzers' query surface so analysis::renderReport treats both engines
+/// alike.  The report sweeps every procedure, so its first query already
+/// takes the batch path.
+class KindView {
 public:
-  KindView(SessionT &S, EffectKind Kind) : S(S), Kind(Kind) {}
+  KindView(demand::DemandSession &S, EffectKind Kind) : S(S), Kind(Kind) {}
   const EffectSet &gmod(ir::ProcId Proc) const { return S.gmod(Proc, Kind); }
   bool rmodContains(ir::VarId F) const { return S.rmodContains(F, Kind); }
   EffectSet dmod(ir::CallSiteId C) const { return S.dmod(C, Kind); }
 
 private:
-  SessionT &S;
+  demand::DemandSession &S;
   EffectKind Kind;
 };
 
 std::string renderForEngine(const AnalysisOptions &Opts, const ir::Program &P,
                             analysis::ReportOptions R) {
   observe::TraceSpan Span("report");
-  switch (Opts.Backend) {
-  case AnalysisOptions::Engine::Sequential:
+  if (Opts.Backend == AnalysisOptions::Engine::Sequential)
     return analysis::makeReport(P, R, Opts.Threads);
-  case AnalysisOptions::Engine::Demand: {
-    demand::DemandOptions DO = Opts.demandView();
-    DO.TrackUse = DO.TrackUse || R.IncludeUse;
-    demand::DemandSession S(P, DO);
-    KindView Mod(S, EffectKind::Mod);
-    KindView Use(S, EffectKind::Use);
-    return analysis::renderReport(P, R, Mod, R.IncludeUse ? &Use : nullptr);
-  }
-  default: {
-    incremental::SessionOptions SO = Opts.sessionView();
-    SO.TrackUse = SO.TrackUse || R.IncludeUse;
-    incremental::AnalysisSession S(P, SO);
-    KindView Mod(S, EffectKind::Mod);
-    KindView Use(S, EffectKind::Use);
-    return analysis::renderReport(P, R, Mod, R.IncludeUse ? &Use : nullptr);
-  }
-  }
-}
-
-void printSessionStats(const incremental::SessionStats &St, std::FILE *Out) {
-  std::fprintf(Out,
-               "edits %llu  flushes %llu  effect-only %llu  intra-scc %llu"
-               "  recondense %llu  full-rebuild %llu  components %llu"
-               "  rmod-resolves %llu\n",
-               (unsigned long long)St.EditsApplied,
-               (unsigned long long)St.Flushes,
-               (unsigned long long)St.EffectOnlyFlushes,
-               (unsigned long long)St.IntraSccFlushes,
-               (unsigned long long)St.Recondensations,
-               (unsigned long long)St.FullRebuilds,
-               (unsigned long long)St.ComponentsRecomputed,
-               (unsigned long long)St.RModResolves);
+  demand::DemandOptions DO = Opts.demandView();
+  DO.TrackUse = DO.TrackUse || R.IncludeUse;
+  demand::DemandSession S(P, DO);
+  KindView Mod(S, EffectKind::Mod);
+  KindView Use(S, EffectKind::Use);
+  return analysis::renderReport(P, R, Mod, R.IncludeUse ? &Use : nullptr);
 }
 
 void printDemandStats(const demand::DemandStats &St, std::FILE *Out) {
   std::fprintf(Out,
                "edits %llu  queries %llu  region-solves %llu"
-               "  region-procs %llu  memo-hits %llu  invalidations %llu"
-               "  absorbed %llu  full-resets %llu\n",
+               "  region-procs %llu  batch-solves %llu  memo-hits %llu"
+               "  invalidations %llu  absorbed %llu  components %llu"
+               "  full-resets %llu\n",
                (unsigned long long)St.EditsApplied,
                (unsigned long long)St.Queries,
                (unsigned long long)St.RegionSolves,
                (unsigned long long)St.RegionProcs,
+               (unsigned long long)St.BatchSolves,
                (unsigned long long)St.MemoHits,
                (unsigned long long)St.Invalidations,
                (unsigned long long)St.AbsorbedEdits,
+               (unsigned long long)St.ComponentsRecomputed,
                (unsigned long long)St.FullResets);
 }
 
@@ -235,24 +164,16 @@ Analysis Analyzer::analyze(const ir::Program &P) const {
     if (Opts.Profile || Opts.Sink)
       Scope.emplace(Opts.Profile ? &Impl->Costs : nullptr, Opts.Sink);
 
-    switch (Impl->Engine) {
-    case AnalysisOptions::Engine::Sequential:
+    if (Impl->Engine == AnalysisOptions::Engine::Demand) {
+      // No eager solve: the first query pays for its region only.
+      Impl->Demand =
+          std::make_unique<demand::DemandSession>(P, Opts.demandView());
+    } else {
       Impl->SeqMod = std::make_unique<analysis::SideEffectAnalyzer>(
           P, Opts.analyzerView(EffectKind::Mod), Opts.Threads);
       if (Opts.TrackUse)
         Impl->SeqUse = std::make_unique<analysis::SideEffectAnalyzer>(
             P, Opts.analyzerView(EffectKind::Use), Opts.Threads);
-      break;
-    case AnalysisOptions::Engine::Demand:
-      // No eager solve: the first query pays for its region only.
-      Impl->Demand =
-          std::make_unique<demand::DemandSession>(P, Opts.demandView());
-      break;
-    default:
-      Impl->Session = std::make_unique<incremental::AnalysisSession>(
-          P, Opts.sessionView());
-      Impl->Session->flush();
-      break;
     }
   }
   return Analysis(std::move(Impl));
@@ -289,13 +210,6 @@ ReportRun Analyzer::reportSource(std::string_view Source,
   return Run;
 }
 
-std::unique_ptr<incremental::AnalysisSession>
-Analyzer::open_session(ir::Program Initial) const {
-  EffectSet::setDefaultRepresentation(Opts.Repr);
-  return std::make_unique<incremental::AnalysisSession>(std::move(Initial),
-                                                        Opts.sessionView());
-}
-
 std::unique_ptr<demand::DemandSession>
 Analyzer::open_demand(ir::Program Initial) const {
   EffectSet::setDefaultRepresentation(Opts.Repr);
@@ -317,19 +231,12 @@ int Analyzer::runSessionScript(const std::string &Script, std::FILE *Out,
   if ((Opts.Profile && CostsOut) || Opts.Sink)
     Scope.emplace(Opts.Profile ? CostsOut : nullptr, Opts.Sink);
 
-  // Under --engine=demand the script runs against a DemandSession: edits
-  // funnel through the same resolved-Edit wire form, and queries solve
-  // only the region they touch.
-  const bool UseDemand = Opts.Backend == AnalysisOptions::Engine::Demand;
-  std::optional<incremental::AnalysisSession> S;
+  // The script drives one DemandSession.  By default queries see the
+  // whole program solved first (as the server's full snapshots do); under
+  // --engine=demand each query solves only the region it touches.
+  const bool Eager = Opts.Backend != AnalysisOptions::Engine::Demand;
   std::optional<demand::DemandSession> D;
-  auto session = [&](unsigned LineNo) -> incremental::AnalysisSession & {
-    if (!S)
-      throw service::ScriptError{
-          LineNo, "no program loaded ('load' or 'gen' must come first)"};
-    return *S;
-  };
-  auto demandSession = [&](unsigned LineNo) -> demand::DemandSession & {
+  auto session = [&](unsigned LineNo) -> demand::DemandSession & {
     if (!D)
       throw service::ScriptError{
           LineNo, "no program loaded ('load' or 'gen' must come first)"};
@@ -358,22 +265,13 @@ int Analyzer::runSessionScript(const std::string &Script, std::FILE *Out,
         frontend::CompileResult CR = frontend::compileMiniProc(SS.str());
         if (!CR.succeeded())
           throw service::ScriptError{LineNo, CR.Diags.renderAll()};
-        if (UseDemand)
-          D.emplace(std::move(*CR.Program), Opts.demandView());
-        else
-          S.emplace(std::move(*CR.Program), Opts.sessionView());
+        D.emplace(std::move(*CR.Program), Opts.demandView());
       } else if (Cmd->Kind == Op::Gen) {
         ir::Program P =
             synth::generateProgram(parseGenSpec(Cmd->Args, LineNo));
-        if (UseDemand)
-          D.emplace(std::move(P), Opts.demandView());
-        else
-          S.emplace(std::move(P), Opts.sessionView());
+        D.emplace(std::move(P), Opts.demandView());
       } else if (Cmd->Kind == Op::Stats) {
-        if (UseDemand)
-          printDemandStats(demandSession(LineNo).stats(), Out);
-        else
-          printSessionStats(session(LineNo).stats(), Out);
+        printDemandStats(session(LineNo).stats(), Out);
       } else if (Cmd->Kind == Op::Metrics) {
         observe::MetricsRegistry &Reg = observe::MetricsRegistry::global();
         bool Prom = !Cmd->Args.empty() && Cmd->Args[0] == "--format=prom";
@@ -387,20 +285,12 @@ int Analyzer::runSessionScript(const std::string &Script, std::FILE *Out,
         throw service::ScriptError{
             LineNo, "open/close/attach need a server (ipse-cli serve)"};
       } else if (service::isEditCommand(Cmd->Kind)) {
-        if (UseDemand) {
-          demand::DemandSession &DS = demandSession(LineNo);
-          demand::applyEdit(DS,
-                            service::resolveEditCommand(DS.program(), *Cmd));
-        } else {
-          service::applyEditCommand(session(LineNo), *Cmd);
-        }
-      } else if (UseDemand) {
-        service::DemandSessionQueryTarget Target(demandSession(LineNo));
-        service::QueryResult R = service::evalQueryCommand(Target, *Cmd);
-        std::fprintf(Out, "%s\n", R.Text.c_str());
-        AllChecksPassed &= R.CheckOk;
+        service::applyEditCommand(session(LineNo), *Cmd);
       } else {
-        service::SessionQueryTarget Target(session(LineNo));
+        demand::DemandSession &S = session(LineNo);
+        if (Eager)
+          S.ensureSolvedAll();
+        service::DemandSessionQueryTarget Target(S);
         service::QueryResult R = service::evalQueryCommand(Target, *Cmd);
         std::fprintf(Out, "%s\n", R.Text.c_str());
         AllChecksPassed &= R.CheckOk;

@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The library's single public entry point.  The repository has three
-/// engines — the batch analyzer (analysis::SideEffectAnalyzer), the
-/// delta-driven incremental session (incremental::AnalysisSession) and
-/// the demand-driven session (demand::DemandSession) — plus the sharded
-/// MVCC server (tenant::TenantService), each with its own options struct
-/// and entry header.  This facade folds them behind two types:
+/// The library's single public entry point.  The repository has two
+/// engines — the batch analyzer (analysis::SideEffectAnalyzer) and the
+/// stateful demand-driven session (demand::DemandSession), which answers
+/// queries and absorbs edits by solving only what they touch, never at
+/// more than batch cost — plus the sharded MVCC server
+/// (tenant::TenantService), each with its own options struct and entry
+/// header.  This facade folds them behind two types:
 ///
 ///  - ipse::AnalysisOptions: one options struct (engine selection, lane
 ///    count, effect tracking, trace sink / profiling) with per-engine
@@ -21,7 +22,7 @@
 ///  - ipse::Analyzer: the entry point.  analyze() runs a batch analysis
 ///    on the selected engine and returns a unified query handle;
 ///    report() / reportSource() render the standard MOD/USE report (byte
-///    identical across engines and lane counts); open_session() and
+///    identical across engines and lane counts); open_demand() and
 ///    serve() hand back the long-lived engines configured from the same
 ///    options.
 ///
@@ -47,7 +48,6 @@
 #include "analysis/Report.h"
 #include "analysis/SideEffectAnalyzer.h"
 #include "demand/DemandSession.h"
-#include "incremental/AnalysisSession.h"
 #include "ir/Program.h"
 #include "observe/CostReport.h"
 #include "observe/Trace.h"
@@ -69,15 +69,16 @@ namespace ipse {
 struct AnalysisOptions {
   /// Which engine answers.
   enum class Engine {
-    Sequential, ///< analysis::SideEffectAnalyzer (batch).
-    Session,    ///< incremental::AnalysisSession (delta-driven).
-    Demand      ///< demand::DemandSession (query-driven region solving).
+    Sequential, ///< analysis::SideEffectAnalyzer (batch); `serve` and
+                ///< `session` publish / answer from full solutions.
+    Demand      ///< demand::DemandSession (query-driven region solving);
+                ///< `serve` keeps partial snapshots.
   };
   Engine Backend = Engine::Sequential;
 
-  /// Executing lanes for the batch analyzer's wide condensation levels;
-  /// also the session's full-rebuild lane count.  <= 1 = inline.  Never
-  /// changes an answer, a report byte or a word-op count.
+  /// Executing lanes for the batch analyzer's wide condensation levels.
+  /// <= 1 = inline.  Never changes an answer, a report byte or a word-op
+  /// count.
   unsigned Threads = 1;
 
   /// Maintain the USE pipeline alongside MOD (guse / DUSE queries and
@@ -145,12 +146,6 @@ struct AnalysisOptions {
     O.Algorithm = Algorithm;
     return O;
   }
-  incremental::SessionOptions sessionView() const {
-    incremental::SessionOptions O;
-    O.TrackUse = TrackUse;
-    O.Threads = Threads;
-    return O;
-  }
   demand::DemandOptions demandView() const {
     demand::DemandOptions O;
     O.TrackUse = TrackUse;
@@ -182,7 +177,7 @@ struct AnalysisOptions {
 
 /// A finished batch analysis: one engine's results behind the unified
 /// query surface.  Movable, engine-agnostic; the analyzed Program must
-/// outlive it (the Session engine keeps its own copy, but ids are shared
+/// outlive it (the Demand engine keeps its own copy, but ids are shared
 /// so queries still refer to the caller's program).
 class Analysis {
 public:
@@ -248,15 +243,11 @@ public:
   reportSource(std::string_view Source,
                analysis::ReportOptions R = analysis::ReportOptions()) const;
 
-  /// Opens a long-lived incremental session over \p Initial, configured
-  /// from these options (TrackUse, Threads).
-  std::unique_ptr<incremental::AnalysisSession>
-  open_session(ir::Program Initial) const;
-
   /// Opens a long-lived demand-driven session over \p Initial, configured
   /// from these options (TrackUse).  Queries solve only their
-  /// backward-reachable region and memoize it; edits invalidate through
-  /// the incremental delta machinery.
+  /// backward-reachable region and memoize it, at batch cost at most;
+  /// edits invalidate only what they can change.  ensureSolvedAll() keeps
+  /// every procedure final.
   std::unique_ptr<demand::DemandSession> open_demand(ir::Program Initial) const;
 
   /// Starts the sharded MVCC server (server knobs, TrackUse, DataDir),
@@ -270,7 +261,8 @@ public:
   serve(std::optional<ir::Program> Initial = std::nullopt) const;
 
   /// Runs a session script (the service/ScriptDriver.h grammar) against a
-  /// fresh session, printing query results to \p Out.  Returns the
+  /// fresh DemandSession, printing query results to \p Out.  Queries see
+  /// the whole program solved first unless the engine is Demand.  Returns the
   /// process exit code: 0 on success, 1 on a script error (reported to
   /// stderr) or any failed `check`.  Spans stream to Sink; with Profile
   /// set and \p CostsOut non-null, phase costs accumulate there.

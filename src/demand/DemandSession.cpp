@@ -1,4 +1,4 @@
-//===- demand/DemandSession.cpp - Demand-driven MOD/USE queries ---------------===//
+//===- demand/DemandSession.cpp - The stateful analysis engine ----------------===//
 //
 // Part of the ipse project: a reproduction of Cooper & Kennedy,
 // "Interprocedural Side-Effect Analysis in Linear Time", PLDI 1988.
@@ -9,6 +9,10 @@
 
 #include "analysis/IModPlus.h"
 #include "analysis/LocalEffects.h"
+#include "analysis/RMod.h"
+#include "analysis/SideEffectAnalyzer.h"
+#include "analysis/VarMasks.h"
+#include "graph/CallGraph.h"
 #include "graph/Tarjan.h"
 #include "ir/Printer.h"
 #include "ir/ProgramEditor.h"
@@ -16,12 +20,15 @@
 #include "observe/Trace.h"
 
 #include <algorithm>
+#include <queue>
 
 using namespace ipse;
 using namespace ipse::demand;
 using analysis::EffectKind;
 
 namespace {
+
+constexpr std::uint32_t NoSlot = ~std::uint32_t(0);
 
 std::size_t kindIndex(EffectKind Kind) {
   return Kind == EffectKind::Mod ? 0 : 1;
@@ -38,6 +45,33 @@ void addUnique(std::vector<std::uint32_t> &List, std::vector<char> &Flag,
   List.push_back(Value);
 }
 
+/// The monotone-growth prune: IMOD+(p) moving from \p Old to \p New leaves
+/// the least fixed point unchanged iff it only grew and every new bit is
+/// already in the memoized GMOD(p) — the old solution still satisfies p's
+/// equation (IMOD+(p) ⊆ GMOD(p) always holds, so "grew by absorbed bits"
+/// is exactly Old ⊆ New ⊆ GMOD(p)).
+bool absorbed(const EffectSet &Old, const EffectSet &New,
+              const EffectSet &GMod) {
+  return Old.isSubsetOf(New) && New.isSubsetOf(GMod);
+}
+
+/// True when a call site binds a formal (of the caller or a lexical
+/// ancestor) — the only call sites that carry β edges.
+bool bindsFormal(const ir::Program &P, const ir::CallSite &Site) {
+  for (const ir::Actual &A : Site.Actuals)
+    if (A.isVariable() && P.var(A.Var).Kind == ir::VarKind::Formal)
+      return true;
+  return false;
+}
+
+std::vector<ir::ProcId> allProcs(const ir::Program &P) {
+  std::vector<ir::ProcId> All;
+  All.reserve(P.numProcs());
+  for (std::uint32_t I = 0; I != P.numProcs(); ++I)
+    All.push_back(ir::ProcId(I));
+  return All;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -52,7 +86,7 @@ DemandSession::DemandSession(ir::Program Initial, DemandOptions Options)
 }
 
 DemandSession::DemandSession(ir::Program Initial, DemandOptions Options,
-                             incremental::SessionPlanes Planes)
+                             SessionPlanes Planes)
     : P(std::move(Initial)), Opts(Options) {
   observe::TraceSpan Span("demand.restore");
   initKindStates();
@@ -60,7 +94,7 @@ DemandSession::DemandSession(ir::Program Initial, DemandOptions Options,
          "restored planes must match the TrackUse configuration");
   rebuildVarStructure();
   rebuildBindingStructure();
-  for (incremental::SessionPlanes::KindPlanes &KP : Planes.Kinds) {
+  for (SessionPlanes::KindPlanes &KP : Planes.Kinds) {
     KindState &K = state(KP.Kind);
     assert(KP.Own.size() == P.numProcs() && KP.Ext.size() == P.numProcs() &&
            KP.IModPlus.size() == P.numProcs() &&
@@ -76,6 +110,7 @@ DemandSession::DemandSession(ir::Program Initial, DemandOptions Options,
     K.GMod.GMod = std::move(KP.GMod);
     K.Ready.assign(P.numProcs(), 1);
     K.Solved.assign(P.numProcs(), 1);
+    K.NumSolved = P.numProcs();
   }
   Generation = CleanGeneration = Planes.Generation;
 }
@@ -116,15 +151,17 @@ DemandSession::KindState &DemandSession::state(EffectKind Kind) {
 void DemandSession::rebuildVarStructure() {
   const std::size_t V = P.numVars();
   const unsigned DP = P.maxProcLevel();
-  EmptyVars = EffectSet(V);
 
-  std::vector<EffectSet> Levels(DP + 1, EffectSet(V));
+  // The level filters are read by every GMOD step; dense words keep those
+  // steps on the SIMD kernels whatever the representation policy.
+  const EffectSet Empty(V, EffectSet::Representation::Dense);
+  std::vector<EffectSet> Levels(DP + 1, Empty);
   for (std::uint32_t I = 0; I != V; ++I) {
     unsigned L = P.varLevel(ir::VarId(I));
     assert(L <= DP && "variable deeper than the deepest procedure");
     Levels[L].set(I);
   }
-  Below.assign(DP + 1, EffectSet(V));
+  Below.assign(DP + 1, Empty);
   for (unsigned L = 1; L <= DP; ++L) {
     Below[L] = Below[L - 1];
     Below[L].orWith(Levels[L - 1]);
@@ -137,27 +174,23 @@ void DemandSession::rebuildVarStructure() {
 void DemandSession::rebuildBindingStructure() {
   BG = std::make_unique<graph::BindingGraph>(P);
 
-  const std::size_t N = P.numProcs();
-  FwdDep.assign(N, {});
-  RevDep.assign(N, {});
+  Deps = graph::Digraph(P.numProcs());
   for (std::uint32_t I = 0; I != P.numCallSites(); ++I) {
     const ir::CallSite &C = P.callSite(ir::CallSiteId(I));
-    FwdDep[C.Caller.index()].push_back(C.Callee.index());
-    RevDep[C.Callee.index()].push_back(C.Caller.index());
+    Deps.addEdge(C.Caller.index(), C.Callee.index());
   }
   // β-owner edges: RMOD of a formal of a reads the RMOD of its β
   // successors, whose owners need not be callees of a (the binding event
   // can sit in a procedure nested inside a, §3.3).  Folding them into the
-  // same adjacency makes one closure walk dependency-complete.
+  // same graph makes one closure walk dependency-complete.
   const graph::Digraph &G = BG->graph();
   for (graph::NodeId Node = 0; Node != BG->numNodes(); ++Node) {
     std::uint32_t A = P.var(BG->formal(Node)).Owner.index();
-    for (const graph::Adjacency &Adj : G.succs(Node)) {
-      std::uint32_t Q = P.var(BG->formal(Adj.Dst)).Owner.index();
-      FwdDep[A].push_back(Q);
-      RevDep[Q].push_back(A);
-    }
+    for (const graph::Adjacency &Adj : G.succs(Node))
+      Deps.addEdge(A, P.var(BG->formal(Adj.Dst)).Owner.index());
   }
+  Deps.finalize();
+  RevDeps = Deps.reversed();
 }
 
 const EffectSet &DemandSession::localMask(ir::ProcId Proc) {
@@ -179,6 +212,7 @@ void DemandSession::fullReset() {
   ++Stats.FullResets;
   rebuildVarStructure();
   rebuildBindingStructure();
+  CondValid = false;
   States.clear();
   initKindStates();
 }
@@ -211,9 +245,13 @@ void DemandSession::markEffectDirty(EffectKind Kind, ir::ProcId Proc) {
   addUnique(DirtyEffectProcs[I], DirtyEffectFlag[I], Proc.index());
 }
 
-void DemandSession::markCallDirty(ir::ProcId Caller) {
+void DemandSession::markCallDelta(const ir::CallSite &Site) {
   CallStructureDirty = true;
-  addUnique(CallDirtyProcs, CallDirtyFlag, Caller.index());
+  const std::uint32_t Caller = Site.Caller.index();
+  if (bindsFormal(P, Site))
+    addUnique(BetaDirtyProcs, BetaDirtyFlag, Caller);
+  else
+    addUnique(CallDirtyProcs, CallDirtyFlag, Caller);
 }
 
 void DemandSession::markUniverseDirty() { UniverseDirty = true; }
@@ -256,14 +294,14 @@ ir::CallSiteId DemandSession::addCall(ir::StmtId S, ir::ProcId Callee,
                                       std::vector<ir::Actual> Actuals) {
   ir::CallSiteId C =
       ir::ProgramEditor(P).addCall(S, Callee, std::move(Actuals));
-  markCallDirty(P.callSite(C).Caller);
+  markCallDelta(P.callSite(C));
   bump();
   return C;
 }
 
 ir::CallSiteId DemandSession::removeCall(ir::CallSiteId C) {
-  ir::ProcId Caller = P.callSite(C).Caller;
-  markCallDirty(Caller);
+  // Record before the program forgets the site.
+  markCallDelta(P.callSite(C));
   ir::CallSiteId Moved = ir::ProgramEditor(P).removeCall(C);
   bump();
   return Moved;
@@ -356,18 +394,43 @@ void DemandSession::flushDirt() {
   if (UniverseDirty) {
     fullReset();
   } else {
-    if (CallStructureDirty)
+    if (CallStructureDirty) {
       rebuildBindingStructure();
-    // A call-site delta changes the touched caller's GMOD/IMOD+ inputs
-    // and may add or remove β edges originating at formals of the
-    // caller's lexical ancestors (§3.3), so the reverse closure of the
-    // whole lexical chain is un-solved, in every kind.
-    for (std::uint32_t C : CallDirtyProcs)
+      CondValid = false;
+    }
+    // A call delta that touches β may add or remove binding edges
+    // originating at formals of the caller's lexical ancestors (§3.3), so
+    // the reverse closure of the whole lexical chain is un-solved, in
+    // every kind.
+    for (std::uint32_t C : BetaDirtyProcs)
       for (ir::ProcId Cur(C); Cur.isValid(); Cur = P.proc(Cur).Parent)
         for (KindState &K : States)
           unsolveClosure(K, Cur.index());
-    for (KindState &K : States)
-      applyEffectDelta(K, DirtyEffectProcs[kindIndex(K.Kind)]);
+    for (KindState &K : States) {
+      std::vector<std::uint32_t> Seeds;
+      applyEffectDelta(K, DirtyEffectProcs[kindIndex(K.Kind)], Seeds);
+      // A β-neutral call delta moves no RMOD bit: only the caller's IMOD+
+      // and call edges changed, so GMOD is re-solved from the caller —
+      // provided every dependency of the caller is still final (a new
+      // callee may never have been solved).
+      for (std::uint32_t C : CallDirtyProcs) {
+        if (!K.Solved[C])
+          continue;
+        const std::span<const graph::Adjacency> Succs = Deps.succs(C);
+        if (!std::all_of(Succs.begin(), Succs.end(),
+                         [&](const graph::Adjacency &A) {
+                           return K.Solved[A.Dst] != 0;
+                         })) {
+          unsolveClosure(K, C);
+          continue;
+        }
+        K.IModPlus[C] = analysis::computeIModPlusFor(P, K.Ext[C], K.RModBits,
+                                                     ir::ProcId(C));
+        Seeds.push_back(C);
+      }
+      if (!Seeds.empty())
+        resolveGMod(K, Seeds);
+    }
   }
 
   UniverseDirty = CallStructureDirty = false;
@@ -377,6 +440,8 @@ void DemandSession::flushDirt() {
   }
   CallDirtyProcs.clear();
   CallDirtyFlag.assign(P.numProcs(), 0);
+  BetaDirtyProcs.clear();
+  BetaDirtyFlag.assign(P.numProcs(), 0);
   CleanGeneration = Generation;
 }
 
@@ -387,16 +452,18 @@ void DemandSession::unsolveClosure(KindState &K, std::uint32_t Root) {
     return;
   std::vector<std::uint32_t> Stack{Root};
   K.Solved[Root] = 0;
+  --K.NumSolved;
   ++Stats.Invalidations;
   while (!Stack.empty()) {
     std::uint32_t Proc = Stack.back();
     Stack.pop_back();
-    for (std::uint32_t Dep : RevDep[Proc]) {
-      if (!K.Solved[Dep])
+    for (const graph::Adjacency &A : RevDeps.succs(Proc)) {
+      if (!K.Solved[A.Dst])
         continue;
-      K.Solved[Dep] = 0;
+      K.Solved[A.Dst] = 0;
+      --K.NumSolved;
       ++Stats.Invalidations;
-      Stack.push_back(Dep);
+      Stack.push_back(A.Dst);
     }
   }
 }
@@ -424,7 +491,8 @@ void DemandSession::makeEffectReady(KindState &K, std::uint32_t Proc) {
 }
 
 void DemandSession::applyEffectDelta(KindState &K,
-                                     const std::vector<std::uint32_t> &Dirty) {
+                                     const std::vector<std::uint32_t> &Dirty,
+                                     std::vector<std::uint32_t> &Seeds) {
   if (Dirty.empty())
     return;
 
@@ -446,7 +514,9 @@ void DemandSession::applyEffectDelta(KindState &K,
 
   // Extended IMOD climbs the lexical chain; a Ready procedure's ancestors
   // are recomputed while they are Ready too (an un-Ready ancestor has no
-  // resident Ext, and neither has anything above it).
+  // resident Ext, and neither has anything above it).  Children have
+  // larger ids than parents, so decreasing id order finishes children
+  // first.
   std::vector<std::uint32_t> Chain;
   std::vector<char> InChain;
   for (std::uint32_t Proc : OwnChanged)
@@ -490,61 +560,175 @@ void DemandSession::applyEffectDelta(KindState &K,
       continue;
     }
     // The procedure's formals kept their bits, so RMOD (hence every other
-    // procedure's planes) is unaffected; only IMOD+(p) and GMOD(p) can
-    // move.  Reuse the session's monotone-growth prune: if IMOD+ only
-    // grew and every new bit is already in the memoized GMOD(p), the old
-    // solution still satisfies p's equation and the least fixed point is
-    // unchanged — p stays Solved and nothing is invalidated.
+    // procedure's IMOD+) is unaffected; only IMOD+(p) moved, and with it
+    // at most the GMOD of p and of its transitive callers.
     EffectSet New = analysis::computeIModPlusFor(P, K.Ext[Proc], K.RModBits,
                                                  ir::ProcId(Proc));
     if (New == K.IModPlus[Proc])
       continue;
-    bool Absorbed = K.IModPlus[Proc].isSubsetOf(New) &&
-                    New.isSubsetOf(K.GMod.GMod[Proc]);
+    const bool Absorbed =
+        absorbed(K.IModPlus[Proc], New, K.GMod.GMod[Proc]);
     K.IModPlus[Proc] = std::move(New);
     if (Absorbed) {
       ++Stats.AbsorbedEdits;
       continue;
     }
-    unsolveClosure(K, Proc);
+    Seeds.push_back(Proc);
   }
+}
+
+void DemandSession::resolveGMod(KindState &K,
+                                const std::vector<std::uint32_t> &Seeds) {
+  observe::TraceSpan Span("demand.gmod-resolve");
+  if (!CondValid) {
+    graph::CallGraph CG(P);
+    Cond.rebuild(CG.graph());
+    CondValid = true;
+  }
+  // Ascending component-id worklist: ids are reverse-topological, so every
+  // pop sees its callee components final, and processing a component can
+  // only dirty components with larger ids (its callers) — each component
+  // is re-evaluated at most once.  Solved is closed under dependency
+  // successors, so a component is wholly Solved or wholly not; un-Solved
+  // ones are left to their next region.
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                      std::greater<std::uint32_t>>
+      Queue;
+  std::vector<char> Pending(Cond.numComponents(), 0);
+  auto Enqueue = [&](std::uint32_t Proc) {
+    std::uint32_t C = Cond.compOf(Proc);
+    if (!K.Solved[Proc] || Pending[C])
+      return;
+    Pending[C] = 1;
+    Queue.push(C);
+  };
+  for (std::uint32_t Proc : Seeds)
+    Enqueue(Proc);
+
+  while (!Queue.empty()) {
+    std::uint32_t C = Queue.top();
+    Queue.pop();
+    ++Stats.ComponentsRecomputed;
+    const std::vector<graph::NodeId> &Members = Cond.members(C);
+    solveComponentGMod(K, Members, MemberVals);
+    // Early termination: only members whose value actually changed dirty
+    // their callers (the call edges among their reverse dependencies).
+    for (std::uint32_t J = 0; J != Members.size(); ++J) {
+      std::uint32_t M = Members[J];
+      if (MemberVals[J] == K.GMod.GMod[M])
+        continue;
+      std::swap(K.GMod.GMod[M], MemberVals[J]);
+      for (const graph::Adjacency &A : RevDeps.succs(M))
+        if (A.Edge < P.numCallSites())
+          Enqueue(A.Dst);
+    }
+  }
+}
+
+void DemandSession::solveComponentGMod(KindState &K,
+                                       std::span<const std::uint32_t> Members,
+                                       std::vector<EffectSet> &Vals) {
+  if (MemberSlot.size() < P.numProcs())
+    MemberSlot.resize(P.numProcs(), NoSlot);
+  Vals.resize(Members.size());
+  for (std::uint32_t J = 0; J != Members.size(); ++J) {
+    MemberSlot[Members[J]] = J;
+    Vals[J] = K.IModPlus[Members[J]];
+  }
+
+  // Equation (4) with the §4 multi-level filter: across an edge whose
+  // callee sits at level L, exactly the variables declared at levels < L
+  // survive the return.  Callees outside the component are final (callers
+  // solve components in reverse-topological order); intra-component edges
+  // iterate to the local fixpoint.
+  Intra.clear();
+  for (std::uint32_t J = 0; J != Members.size(); ++J) {
+    for (ir::CallSiteId Site : P.proc(ir::ProcId(Members[J])).CallSites) {
+      const ir::CallSite &C = P.callSite(Site);
+      std::uint32_t Q = C.Callee.index();
+      unsigned Level = P.proc(C.Callee).Level;
+      if (MemberSlot[Q] != NoSlot)
+        Intra.push_back({J, MemberSlot[Q], Level});
+      else
+        Vals[J].orWithIntersect(K.GMod.GMod[Q], Below[Level]);
+    }
+  }
+
+  bool IterChanged = true;
+  while (IterChanged) {
+    IterChanged = false;
+    for (const IntraEdge &E : Intra)
+      IterChanged |=
+          Vals[E.FromSlot].orWithIntersect(Vals[E.ToSlot], Below[E.CalleeLevel]);
+  }
+
+  for (std::uint32_t M : Members)
+    MemberSlot[M] = NoSlot;
 }
 
 //===----------------------------------------------------------------------===//
 // Region solving.
 //===----------------------------------------------------------------------===//
 
-void DemandSession::ensureSolved(std::span<const ir::ProcId> Procs,
-                                 EffectKind Kind) {
-  flushDirt();
-  KindState &K = state(Kind);
+std::size_t DemandSession::noteQuery(KindState &K,
+                                     std::span<const ir::ProcId> Procs) {
   ++Stats.Queries;
-
   std::uint64_t Hits = 0;
-  bool AllCovered = true;
-  for (ir::ProcId Q : Procs) {
-    if (K.Solved[Q.index()])
-      ++Hits;
-    else
-      AllCovered = false;
-  }
+  for (ir::ProcId Q : Procs)
+    Hits += K.Solved[Q.index()] ? 1 : 0;
   if (Hits) {
     Stats.MemoHits += Hits;
     observe::addCounter("demand.memo_hits", Hits);
     observe::MetricsRegistry::global().counter("demand.memo_hits").add(Hits);
   }
-  if (AllCovered)
+  return Procs.size() - Hits;
+}
+
+void DemandSession::noteRegion(std::size_t Size) {
+  ++Stats.RegionSolves;
+  Stats.RegionProcs += Size;
+  observe::addCounter("demand.region_procs", Size);
+  observe::MetricsRegistry::global().counter("demand.region_procs").add(Size);
+}
+
+void DemandSession::ensureSolved(std::span<const ir::ProcId> Procs,
+                                 EffectKind Kind) {
+  flushDirt();
+  KindState &K = state(Kind);
+  if (!noteQuery(K, Procs))
     return;
-  solveRegion(K, Procs);
+  std::vector<std::uint32_t> Region;
+  collectRegion(K, Procs, Region);
+  noteRegion(Region.size());
+  if (batchWorthy(Region.size())) {
+    KindState *const One[] = {&K};
+    solveBatch(One);
+  } else {
+    solveRegion(K, Region);
+  }
 }
 
 void DemandSession::ensureSolvedAll() {
-  std::vector<ir::ProcId> All;
-  All.reserve(P.numProcs());
-  for (std::uint32_t I = 0; I != P.numProcs(); ++I)
-    All.push_back(ir::ProcId(I));
-  for (KindState &K : States)
-    ensureSolved(All, K.Kind);
+  flushDirt();
+  std::vector<KindState *> Batch;
+  for (KindState &K : States) {
+    // The region of a whole-program sweep is exactly the uncovered set:
+    // its size decides the path before any walk.
+    const std::size_t Missing = P.numProcs() - K.NumSolved;
+    if (!Missing)
+      continue;
+    noteRegion(Missing);
+    if (batchWorthy(Missing)) {
+      Batch.push_back(&K);
+      continue;
+    }
+    std::vector<std::uint32_t> Region;
+    collectRegion(K, allProcs(P), Region);
+    solveRegion(K, Region);
+  }
+  // The kinds share one call graph and one set of masks.
+  if (!Batch.empty())
+    solveBatch(Batch);
 }
 
 bool DemandSession::covered(ir::ProcId Proc, EffectKind Kind) {
@@ -554,19 +738,16 @@ bool DemandSession::covered(ir::ProcId Proc, EffectKind Kind) {
 
 std::size_t DemandSession::coveredCount(EffectKind Kind) {
   flushDirt();
-  const std::vector<char> &S = state(Kind).Solved;
-  return static_cast<std::size_t>(std::count(S.begin(), S.end(), char(1)));
+  return state(Kind).NumSolved;
 }
 
-void DemandSession::solveRegion(KindState &K,
-                                std::span<const ir::ProcId> Procs) {
-  observe::TraceSpan Span("demand.solve");
-
+void DemandSession::collectRegion(KindState &K,
+                                  std::span<const ir::ProcId> Procs,
+                                  std::vector<std::uint32_t> &Region) {
   // The query's region: closure of the un-covered queried procedures
   // under the dependency successor relation, cut at Solved procedures
   // (whose memoized planes are the frontier summaries).
   nextEpoch();
-  std::vector<std::uint32_t> Region;
   std::vector<std::uint32_t> Stack;
   for (ir::ProcId Q : Procs) {
     std::uint32_t I = Q.index();
@@ -580,22 +761,24 @@ void DemandSession::solveRegion(KindState &K,
     Stack.pop_back();
     ProcSlot[Proc] = static_cast<std::uint32_t>(Region.size());
     Region.push_back(Proc);
-    for (std::uint32_t Dep : FwdDep[Proc]) {
-      if (K.Solved[Dep]) {
+    for (const graph::Adjacency &A : Deps.succs(Proc)) {
+      if (K.Solved[A.Dst]) {
         // The memo frontier cut this edge: the callee's plane is final
         // and folds in as a constant instead of growing the region.
         ++Stats.FrontierCuts;
         continue;
       }
-      if (ProcStamp[Dep] != Epoch) {
-        ProcStamp[Dep] = Epoch;
-        Stack.push_back(Dep);
+      if (ProcStamp[A.Dst] != Epoch) {
+        ProcStamp[A.Dst] = Epoch;
+        Stack.push_back(A.Dst);
       }
     }
   }
-  if (Region.empty())
-    return;
+}
 
+void DemandSession::solveRegion(KindState &K,
+                                const std::vector<std::uint32_t> &Region) {
+  observe::TraceSpan Span("demand.solve");
   for (std::uint32_t Proc : Region)
     makeEffectReady(K, Proc);
 
@@ -607,12 +790,30 @@ void DemandSession::solveRegion(KindState &K,
 
   for (std::uint32_t Proc : Region)
     K.Solved[Proc] = 1;
-  ++Stats.RegionSolves;
-  Stats.RegionProcs += Region.size();
-  observe::addCounter("demand.region_procs", Region.size());
-  observe::MetricsRegistry::global()
-      .counter("demand.region_procs")
-      .add(Region.size());
+  K.NumSolved += Region.size();
+}
+
+void DemandSession::solveBatch(std::span<KindState *const> Kinds) {
+  observe::TraceSpan Span("demand.batch");
+  const std::uint32_t N = P.numProcs();
+  graph::CallGraph CG(P);
+  analysis::VarMasks Masks(P);
+  const analysis::PassKernel Kernel = analysis::chooseKernel(P, CG);
+  for (KindState *K : Kinds) {
+    analysis::LocalEffects Local(P, Masks, K->Kind);
+    K->FormalBits = analysis::formalBits(P, Local);
+    analysis::PassResults R = analysis::solvePasses(
+        P, CG, *BG, Masks, Local, K->FormalBits, Kernel, /*Lanes=*/1);
+    K->Own = Local.takeOwn();
+    K->Ext = Local.takeExtended();
+    K->RModBits = std::move(R.RMod.ModifiedFormals);
+    K->IModPlus = std::move(R.IModPlus);
+    K->GMod = std::move(R.GMod);
+    K->Ready.assign(N, 1);
+    K->Solved.assign(N, 1);
+    K->NumSolved = N;
+    ++Stats.BatchSolves;
+  }
 }
 
 void DemandSession::solveRegionRMod(KindState &K,
@@ -695,54 +896,17 @@ void DemandSession::solveRegionGMod(KindState &K,
     }
   Sub.finalize();
 
+  // Components in ascending id order (reverse-topological): callees in
+  // earlier components are installed before their callers read them.
   graph::SccDecomposition Sccs = graph::computeSccs(Sub);
-  constexpr std::uint32_t NoSlot = ~std::uint32_t(0);
-  std::vector<std::uint32_t> MemberOf(Region.size(), NoSlot);
-
-  struct IntraEdge {
-    std::uint32_t FromSlot;
-    std::uint32_t ToSlot;
-    unsigned CalleeLevel;
-  };
-  std::vector<IntraEdge> Intra;
-  std::vector<EffectSet> Vals;
-
-  for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C) {
-    const std::vector<graph::NodeId> &Members = Sccs.Members[C];
-    Vals.assign(Members.size(), EffectSet());
-    Intra.clear();
-    for (std::uint32_t J = 0; J != Members.size(); ++J)
-      MemberOf[Members[J]] = J;
-
-    for (std::uint32_t J = 0; J != Members.size(); ++J) {
-      std::uint32_t Proc = Region[Members[J]];
-      Vals[J] = K.IModPlus[Proc];
-      for (ir::CallSiteId Site : P.proc(ir::ProcId(Proc)).CallSites) {
-        const ir::CallSite &CS = P.callSite(Site);
-        std::uint32_t Q = CS.Callee.index();
-        unsigned Level = P.proc(CS.Callee).Level;
-        if (ProcStamp[Q] == Epoch && Sccs.SccOf[ProcSlot[Q]] == C)
-          Intra.push_back({J, MemberOf[ProcSlot[Q]], Level});
-        else
-          // Solved frontier or an earlier (smaller-id) region component,
-          // whose plane was installed before this sweep step.
-          Vals[J].orWithIntersectMinus(K.GMod.GMod[Q], Below[Level],
-                                       EmptyVars);
-      }
-    }
-
-    bool IterChanged = true;
-    while (IterChanged) {
-      IterChanged = false;
-      for (const IntraEdge &E : Intra)
-        IterChanged |= Vals[E.FromSlot].orWithIntersectMinus(
-            Vals[E.ToSlot], Below[E.CalleeLevel], EmptyVars);
-    }
-
-    for (std::uint32_t J = 0; J != Members.size(); ++J) {
-      K.GMod.GMod[Region[Members[J]]] = std::move(Vals[J]);
-      MemberOf[Members[J]] = NoSlot;
-    }
+  std::vector<std::uint32_t> Procs;
+  for (const std::vector<graph::NodeId> &Members : Sccs.Members) {
+    Procs.clear();
+    for (graph::NodeId Slot : Members)
+      Procs.push_back(Region[Slot]);
+    solveComponentGMod(K, Procs, MemberVals);
+    for (std::uint32_t J = 0; J != Procs.size(); ++J)
+      K.GMod.GMod[Procs[J]] = std::move(MemberVals[J]);
   }
 }
 
@@ -863,20 +1027,12 @@ EffectSet DemandSession::use(ir::StmtId S, const ir::AliasInfo &Aliases) {
 //===----------------------------------------------------------------------===//
 
 const analysis::GModResult &DemandSession::gmodResult(EffectKind Kind) {
-  std::vector<ir::ProcId> All;
-  All.reserve(P.numProcs());
-  for (std::uint32_t I = 0; I != P.numProcs(); ++I)
-    All.push_back(ir::ProcId(I));
-  ensureSolved(All, Kind);
+  ensureSolvedAll();
   return state(Kind).GMod;
 }
 
 const EffectSet &DemandSession::rmodBits(EffectKind Kind) {
-  std::vector<ir::ProcId> All;
-  All.reserve(P.numProcs());
-  for (std::uint32_t I = 0; I != P.numProcs(); ++I)
-    All.push_back(ir::ProcId(I));
-  ensureSolved(All, Kind);
+  ensureSolvedAll();
   return state(Kind).RModBits;
 }
 
@@ -895,12 +1051,12 @@ std::vector<char> DemandSession::coveredFlags(EffectKind Kind) {
   return state(Kind).Solved;
 }
 
-incremental::SessionPlanes DemandSession::exportPlanes() {
+SessionPlanes DemandSession::exportPlanes() {
   ensureSolvedAll();
-  incremental::SessionPlanes Out;
+  SessionPlanes Out;
   Out.Generation = Generation;
   for (const KindState &K : States) {
-    incremental::SessionPlanes::KindPlanes KP;
+    SessionPlanes::KindPlanes KP;
     KP.Kind = K.Kind;
     KP.Own = K.Own;
     KP.Ext = K.Ext;

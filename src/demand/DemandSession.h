@@ -1,4 +1,4 @@
-//===- demand/DemandSession.h - Demand-driven MOD/USE queries ---*- C++ -*-===//
+//===- demand/DemandSession.h - The stateful analysis engine ----*- C++ -*-===//
 //
 // Part of the ipse project: a reproduction of Cooper & Kennedy,
 // "Interprocedural Side-Effect Analysis in Linear Time", PLDI 1988.
@@ -6,11 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The demand-driven analysis engine: load a Program, then answer GMOD /
-/// RMOD / MOD(s) queries for *individual* procedures or call sites by
-/// solving only the region of the call/binding graphs the query actually
-/// depends on — instead of the whole-program fixed point every batch engine
-/// (and the incremental session's first flush) pays for.
+/// The one engine that holds analysis state between calls: load a Program,
+/// apply deltas, and answer GMOD / RMOD / MOD(s) queries for individual
+/// procedures or call sites by solving only the region of the call/binding
+/// graphs the query depends on.  Every answer is bit-for-bit identical to a
+/// fresh batch SideEffectAnalyzer over the current program — GMOD and RMOD
+/// are least fixed points, so any evaluation that re-solves exactly the
+/// affected region reaches the same unique solution.  Callers that want
+/// every procedure final after each edit (the tenant server's default,
+/// `ipse-cli session`, save/load) call ensureSolvedAll(); callers that
+/// want only what they ask for just ask.
 ///
 /// The dependency structure of the Cooper–Kennedy pipeline is what makes
 /// the region well-defined.  GMOD(p) (equation 4) reads the GMOD of p's
@@ -27,29 +32,36 @@
 /// The walk cuts at procedures whose results are already memoized
 /// ("Solved"): their final GMOD sets and RMOD bits are *frontier
 /// summaries* — exact constants folded into the region's equations, the
-/// same way the batch sweep folds finished components into later ones.
-/// Because the region is dependency-closed and the cut values are final
-/// least-fixed-point values, the region-restricted solve reproduces the
-/// global least fixed point on the region bit-for-bit (see DESIGN.md
-/// "Demand-driven queries" for the argument); answers are byte-identical
-/// to a fresh batch solve, which the differential suites assert.
+/// same way the batch sweep folds finished components into later ones
+/// (DESIGN.md "Demand-driven queries").
+///
+/// The batch ceiling: when a region reaches BatchRegionNum/BatchRegionDen
+/// of the program's procedures, the region solve is replaced by the batch
+/// pass pipeline (analysis::solvePasses, the dispatch SideEffectAnalyzer
+/// uses) over the whole program, whose planes install as Solved.  No
+/// solve therefore costs more than one batch solve: cold opens, universe
+/// resets and huge invalidations all pay batch price at most.
 ///
 /// Memoization is a per-procedure, per-kind Solved bit with the invariant
 /// that a Solved procedure's dependency successors are all Solved.  Edits
-/// invalidate through the same delta taxonomy as the incremental session:
+/// are lazy (they record dirt; the next query or export applies it) and
+/// invalidate through three paths:
 ///
-///   1. Effect-set deltas recompute IMOD along the lexical chain; if a
-///      still-Solved procedure's formal bits are unchanged and its new
-///      IMOD+ is absorbed by its memoized GMOD (the session's
-///      monotone-growth prune), it *stays* Solved — otherwise the
-///      reverse-dependency closure above it is un-solved.
+///   1. Effect-set deltas recompute IMOD along the lexical chain.  If a
+///      formal's bit flips, RMOD can move, and the reverse-dependency
+///      closure above the procedure is un-solved.  Otherwise only IMOD+(p)
+///      moved: if it only grew inside the memoized GMOD(p) (the
+///      monotone-growth prune) nothing changes; else GMOD is re-solved in
+///      place over the resident condensation, callees first, climbing
+///      callers only while a recomputed GMOD differs from the memoized one.
 ///   2. Call-site deltas rebuild β and the dependency adjacency (linear
-///      integer work) and un-solve the reverse closure of the touched
-///      caller and its lexical ancestors (whose formals the new/removed
-///      binding edges may originate from).
-///   3. Universe deltas reset all memoized state — which, unlike a batch
-///      engine's rebuild, costs no fixed-point work at all: the next query
-///      re-solves only its own region.
+///      integer work) and drop the condensation.  A delta whose actuals include no formal leaves β —
+///      hence RMOD — unchanged and takes the same GMOD-only re-solve from
+///      the caller; one that touches β un-solves the reverse closure of the
+///      caller's lexical chain (whose formals the binding edges originate
+///      from).
+///   3. Universe deltas reset all memoized state; the next solve covers
+///      its own region, or the whole program at batch cost.
 ///
 /// Per-procedure planes (IMOD, IMOD+, GMOD, LOCAL masks) are allocated
 /// lazily, so resident memory is proportional to the solved region — a
@@ -64,7 +76,8 @@
 #include "analysis/EffectKind.h"
 #include "analysis/GMod.h"
 #include "graph/BindingGraph.h"
-#include "incremental/AnalysisSession.h"
+#include "graph/Condensation.h"
+#include "graph/Digraph.h"
 #include "incremental/Edit.h"
 #include "ir/AliasInfo.h"
 #include "ir/Printer.h"
@@ -80,23 +93,36 @@
 namespace ipse {
 namespace demand {
 
+/// A region covering at least BatchRegionNum/BatchRegionDen of the
+/// program's procedures is solved by the batch pipeline instead (see the
+/// file comment; DESIGN.md "Demand-driven queries" has the measurement
+/// behind the constant).
+inline constexpr std::size_t BatchRegionNum = 1;
+inline constexpr std::size_t BatchRegionDen = 2;
+
 /// Session configuration.
 struct DemandOptions {
   /// Maintain the USE pipeline alongside MOD.
   bool TrackUse = true;
 };
 
-/// Counters describing how queries were serviced — the demand story made
-/// observable (tests assert regions stay small and memo hits actually hit).
+/// Counters describing how queries and edits were serviced (tests assert
+/// regions stay small, memo hits hit and the prunes fire).
 struct DemandStats {
   std::uint64_t EditsApplied = 0;
-  /// ensureSolved() entries (every query funnels through one).
+  /// ensureSolved() entries, one per kind (every query funnels through
+  /// one).  Whole-program sweeps (ensureSolvedAll) are not queries.
   std::uint64_t Queries = 0;
   /// Queries that had to solve a non-empty region.
   std::uint64_t RegionSolves = 0;
-  /// Total procedures solved across all region solves.
+  /// Total procedures in those regions — the dependency region, also when
+  /// the batch pipeline solved the whole program instead.
   std::uint64_t RegionProcs = 0;
-  /// Queried procedures already covered by memoized planes.
+  /// Region solves the batch pipeline served (the region crossed the
+  /// BatchRegionNum/BatchRegionDen ceiling).
+  std::uint64_t BatchSolves = 0;
+  /// Queried procedures already covered by memoized planes (counted by
+  /// queries only).
   std::uint64_t MemoHits = 0;
   /// Region-DFS edges not descended because the callee was already
   /// Solved — the memo frontier actually cutting the region short.
@@ -104,13 +130,39 @@ struct DemandStats {
   /// Memoized procedures un-solved by edit invalidation.
   std::uint64_t Invalidations = 0;
   /// Effect deltas absorbed by the monotone-growth prune (proc kept
-  /// Solved).
+  /// Solved, nothing re-solved).
   std::uint64_t AbsorbedEdits = 0;
-  /// Universe resets (structure rebuilt, all memo dropped — no solve).
+  /// Condensation components whose GMOD was re-evaluated in place by a
+  /// GMOD-only re-solve.
+  std::uint64_t ComponentsRecomputed = 0;
+  /// Universe resets (structure rebuilt, all memo dropped).
   std::uint64_t FullResets = 0;
 };
 
-/// A long-lived demand-driven analysis over one evolving program.
+/// The solver planes of a fully solved session, detached from it — what a
+/// snapshot file stores and a warm restart installs.  Everything else the
+/// session keeps resident (the binding graph, the dependency adjacency, the
+/// condensation) is derivable from the program in linear integer time, far
+/// below the fixed-point solves these planes make skippable.
+struct SessionPlanes {
+  /// The generation the planes were exported at; a session restored from
+  /// them resumes counting there, so generation numbers survive restarts.
+  std::uint64_t Generation = 0;
+
+  struct KindPlanes {
+    analysis::EffectKind Kind = analysis::EffectKind::Mod;
+    /// Per-proc IMOD from the procedure's own body / nesting-extended.
+    std::vector<EffectSet> Own, Ext;
+    /// Per-var bit planes: β inputs and Figure-1 RMOD outputs.
+    EffectSet FormalBits, RModBits;
+    /// Per-proc IMOD+ (equation 5) and GMOD/GUSE (equation 4).
+    std::vector<EffectSet> IModPlus, GMod;
+  };
+  /// MOD first; USE present iff the exporting session tracked it.
+  std::vector<KindPlanes> Kinds;
+};
+
+/// A long-lived analysis over one evolving program.
 ///
 /// Query methods first apply pending invalidation, then solve exactly the
 /// uncovered region the query depends on.  Returned references stay valid
@@ -121,21 +173,26 @@ public:
                          DemandOptions Options = DemandOptions());
 
   /// Warm-restart constructor: installs previously exported planes (from
-  /// this class or incremental::AnalysisSession::exportPlanes() over an
-  /// identical program) as fully-memoized state; every procedure starts
-  /// Solved and the first query after any replayed edits re-solves only
-  /// the invalidated region.
+  /// exportPlanes() over an identical program with the same TrackUse
+  /// setting) as fully-memoized state; every procedure starts Solved and
+  /// the first query after any replayed edits re-solves only the
+  /// invalidated region.  Dimensions are asserted; semantic validity is
+  /// the caller's contract (the persist layer checksums files and
+  /// cross-checks the derived graphs).
   DemandSession(ir::Program Initial, DemandOptions Options,
-                incremental::SessionPlanes Planes);
+                SessionPlanes Planes);
 
+  /// The current program.  Ids obtained from it are valid until the next
+  /// removal edit (see ir::ProgramEditor's id-stability rules).
   const ir::Program &program() const { return P; }
+  /// Monotone edit counter.
   std::uint64_t generation() const { return Generation; }
   const DemandStats &stats() const { return Stats; }
   const DemandOptions &options() const { return Opts; }
 
-  /// \name Deltas (mirror incremental::AnalysisSession)
+  /// \name Deltas
   /// Each applies the program edit, records invalidation dirt, and returns
-  /// immediately; un-solving runs at the next query.
+  /// immediately; invalidation and re-solving run at the next query.
   /// @{
   void addMod(ir::StmtId S, ir::VarId V);
   bool removeMod(ir::StmtId S, ir::VarId V);
@@ -145,12 +202,15 @@ public:
   ir::StmtId addStmt(ir::ProcId Parent);
   ir::CallSiteId addCall(ir::StmtId S, ir::ProcId Callee,
                          std::vector<ir::Actual> Actuals);
+  /// Removes \p C; the last call site's id moves into C's slot (returned,
+  /// invalid if C was last).
   ir::CallSiteId removeCall(ir::CallSiteId C);
 
   ir::ProcId addProc(std::string_view Name, ir::ProcId Parent);
   ir::VarId addGlobal(std::string_view Name);
   ir::VarId addLocal(ir::ProcId Owner, std::string_view Name);
   ir::VarId addFormal(ir::ProcId Owner, std::string_view Name);
+  /// Removes a leaf, uncalled procedure; compacts every id space.
   void removeProc(ir::ProcId Target);
   /// @}
 
@@ -159,9 +219,9 @@ public:
   void ensureSolved(std::span<const ir::ProcId> Procs,
                     analysis::EffectKind Kind);
 
-  /// Covers every procedure for every tracked kind — what exportPlanes()
-  /// and whole-program consumers (gmodResult) call.  Equivalent to one
-  /// batch solve the first time; a no-op when already covered.
+  /// Covers every procedure for every tracked kind — one batch solve the
+  /// first time, the invalidated region after edits, O(1) when already
+  /// covered.  A sweep, not a query: it counts no Queries or MemoHits.
   void ensureSolvedAll();
 
   /// True iff \p Proc's results are memoized (pending edits considered).
@@ -170,7 +230,7 @@ public:
   /// Number of covered procedures for \p Kind (pending edits considered).
   std::size_t coveredCount(analysis::EffectKind Kind);
 
-  /// \name Queries (mirror AnalysisSession; solve their region on demand)
+  /// \name Queries (solve their region on demand)
   /// @{
   const EffectSet &gmod(ir::ProcId Proc);
   const EffectSet &guse(ir::ProcId Proc);
@@ -194,13 +254,12 @@ public:
   }
 
   /// \name Whole-program export hooks
-  /// These cover everything first (ensureSolvedAll), so they cost a full
-  /// solve on first use — they exist for differential testing and for the
-  /// persistence layer, not for the demand fast path.
+  /// These cover everything first (ensureSolvedAll) — the full-snapshot,
+  /// persistence and report paths.
   /// @{
   const analysis::GModResult &gmodResult(analysis::EffectKind Kind);
   const EffectSet &rmodBits(analysis::EffectKind Kind);
-  incremental::SessionPlanes exportPlanes();
+  SessionPlanes exportPlanes();
   /// @}
 
   /// \name Partial-plane peeks
@@ -233,6 +292,8 @@ private:
     std::vector<char> Ready;
     /// All planes of p final; implies every dependency successor Solved.
     std::vector<char> Solved;
+    /// Number of set Solved flags.
+    std::size_t NumSolved = 0;
   };
 
   KindState &state(analysis::EffectKind Kind);
@@ -240,7 +301,7 @@ private:
   // Edit bookkeeping.
   void bump();
   void markEffectDirty(analysis::EffectKind Kind, ir::ProcId Proc);
-  void markCallDirty(ir::ProcId Caller);
+  void markCallDelta(const ir::CallSite &Site);
   void markUniverseDirty();
 
   // Structure (linear integer work, no fixed points).
@@ -254,14 +315,42 @@ private:
   void flushDirt();
   void unsolveClosure(KindState &K, std::uint32_t Root);
   void makeEffectReady(KindState &K, std::uint32_t Proc);
-  void applyEffectDelta(KindState &K, const std::vector<std::uint32_t> &Dirty);
+  /// Applies \p K's effect deltas; procedures whose IMOD+ moved without
+  /// moving RMOD join \p Seeds for the GMOD-only re-solve.
+  void applyEffectDelta(KindState &K, const std::vector<std::uint32_t> &Dirty,
+                        std::vector<std::uint32_t> &Seeds);
+  /// Re-solves GMOD in place from \p Seeds (Solved procedures whose IMOD+
+  /// or call edges changed), callees first over the resident condensation,
+  /// climbing callers only while a recomputed value differs.
+  void resolveGMod(KindState &K, const std::vector<std::uint32_t> &Seeds);
+  /// Equation (4) over one call-graph component: leaves GMOD(Members[J])
+  /// in Vals[J], reading every callee outside the component from K's
+  /// GMOD plane as final.
+  void solveComponentGMod(KindState &K,
+                          std::span<const std::uint32_t> Members,
+                          std::vector<EffectSet> &Vals);
 
   // Region solving.
-  void solveRegion(KindState &K, std::span<const ir::ProcId> Procs);
+  /// Counts one query and its memo hits; returns how many of \p Procs
+  /// are uncovered.
+  std::size_t noteQuery(KindState &K, std::span<const ir::ProcId> Procs);
+  /// Counts one region solve of \p Size procedures.
+  void noteRegion(std::size_t Size);
+  /// Collects the uncovered region \p Procs depend on (epoch-stamped;
+  /// solveRegion must follow before the next epoch).
+  void collectRegion(KindState &K, std::span<const ir::ProcId> Procs,
+                     std::vector<std::uint32_t> &Region);
+  bool batchWorthy(std::size_t RegionSize) const {
+    return RegionSize * BatchRegionDen >= P.numProcs() * BatchRegionNum;
+  }
+  void solveRegion(KindState &K, const std::vector<std::uint32_t> &Region);
   void solveRegionRMod(KindState &K,
                        const std::vector<std::uint32_t> &Region);
   void solveRegionGMod(KindState &K,
                        const std::vector<std::uint32_t> &Region);
+  /// The batch ceiling: runs the batch pass pipeline over the whole
+  /// program for each of \p Kinds and installs every plane as Solved.
+  void solveBatch(std::span<KindState *const> Kinds);
   EffectSet projectSite(KindState &K, ir::CallSiteId Site);
   EffectSet effectOfStmt(analysis::EffectKind Kind, ir::StmtId S,
                          const ir::AliasInfo *Aliases);
@@ -276,14 +365,18 @@ private:
   std::unique_ptr<graph::BindingGraph> BG;
   /// Below[L]: variables declared at levels < L (the §4 edge filter).
   std::vector<EffectSet> Below;
-  EffectSet EmptyVars;
   /// LOCAL(p) masks, built lazily per procedure.
   std::vector<EffectSet> LocalMasks;
   std::vector<char> LocalMaskReady;
-  /// Forward/reverse dependency adjacency: call edges plus β-owner edges
-  /// (parallel entries kept; closures walk with a visited set).
-  std::vector<std::vector<std::uint32_t>> FwdDep;
-  std::vector<std::vector<std::uint32_t>> RevDep;
+  /// The dependency graph over procedures and its reverse: call edges
+  /// first (edge id = call-site id, so an id below numCallSites() marks a
+  /// call edge), then β-owner edges.  Parallel edges are kept; closures
+  /// walk with a visited set.
+  graph::Digraph Deps, RevDeps;
+  /// The call graph's condensation (component ids reverse-topological),
+  /// built by the first GMOD-only re-solve after a call delta.
+  graph::Condensation Cond;
+  bool CondValid = false;
   std::vector<KindState> States;
 
   // Dirty state, consumed by flushDirt().
@@ -291,22 +384,29 @@ private:
   bool CallStructureDirty = false;
   std::vector<std::uint32_t> DirtyEffectProcs[2]; ///< Indexed by kind.
   std::vector<char> DirtyEffectFlag[2];
-  std::vector<std::uint32_t> CallDirtyProcs;
-  std::vector<char> CallDirtyFlag;
+  /// Callers whose call deltas left β alone (GMOD-only) / touched it.
+  std::vector<std::uint32_t> CallDirtyProcs, BetaDirtyProcs;
+  std::vector<char> CallDirtyFlag, BetaDirtyFlag;
 
   // Epoch-stamped scratch so per-query work is O(region), not O(program).
   std::uint32_t Epoch = 0;
   std::vector<std::uint32_t> ProcStamp, ProcSlot;
   std::vector<std::uint32_t> NodeStamp, NodeSlot;
   void nextEpoch();
-  bool stamped(const std::vector<std::uint32_t> &S, std::uint32_t I) const {
-    return I < S.size() && S[I] == Epoch;
-  }
+  // Scratch reused by solveComponentGMod: per-proc slot of the component
+  // being solved (NoSlot elsewhere) and its intra-component edges.
+  std::vector<std::uint32_t> MemberSlot;
+  struct IntraEdge {
+    std::uint32_t FromSlot;
+    std::uint32_t ToSlot;
+    unsigned CalleeLevel;
+  };
+  std::vector<IntraEdge> Intra;
+  std::vector<EffectSet> MemberVals;
 };
 
-/// Applies \p E to \p Session — the same dispatch incremental::applyEdit
-/// performs for AnalysisSession, so Edit streams (WAL replay, EditGen)
-/// drive either engine.
+/// Applies \p E to \p Session — the one dispatch Edit streams (WAL replay,
+/// EditGen, resolved script commands) drive the engine through.
 void applyEdit(DemandSession &Session, const incremental::Edit &E);
 
 } // namespace demand

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// A long-lived SCC condensation of a graph that changes over time — the
-/// structure the incremental analysis engine keeps resident between edits.
+/// structure the demand engine keeps resident for its GMOD-only re-solves.
 ///
 /// Component ids inherit the reverse-topological numbering of
 /// computeSccs(): for any cross-component edge (u, v), compOf(v) <
@@ -16,18 +16,9 @@
 /// that only ever marks *predecessor* components dirty can drain an
 /// ascending worklist in a single pass.
 ///
-/// Maintenance contract under edge deltas (the incremental engine's delta
-/// taxonomy):
-///
-///  - adding or removing an edge whose endpoints share a component leaves
-///    the membership partition valid (an intra-SCC add changes nothing; an
-///    intra-SCC removal can only *split* the component, so membership must
-///    be rebuilt — see below);
-///  - adding a cross-component edge can merge components; removing one
-///    never changes membership;
-///  - rebuild() re-runs Tarjan from scratch, the "targeted re-condensation"
-///    fallback.  It is O(N + E) integer work, far below the bit-vector
-///    cost of re-propagating analysis values.
+/// Any edge delta may merge or split components; the owner drops the
+/// partition and rebuild() re-runs Tarjan (O(N + E) integer work, far
+/// below the bit-vector cost of re-propagating analysis values).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,13 +52,6 @@ public:
   const std::vector<NodeId> &members(std::uint32_t Comp) const {
     assert(Comp < Sccs.numSccs() && "component out of range");
     return Sccs.Members[Comp];
-  }
-
-  /// True if \p A and \p B sit in the same strongly connected component —
-  /// the test that classifies an edge delta as intra-SCC (membership
-  /// preserved) or structural (re-condensation required).
-  bool sameComponent(NodeId A, NodeId B) const {
-    return compOf(A) == compOf(B);
   }
 
   /// The underlying decomposition (for clients of the batch interface).

@@ -7,54 +7,12 @@
 
 #include "incremental/Edit.h"
 
-#include "incremental/AnalysisSession.h"
 #include "ir/Printer.h"
 
 #include <sstream>
 
 using namespace ipse;
 using namespace ipse::incremental;
-
-void incremental::applyEdit(AnalysisSession &Session, const Edit &E) {
-  switch (E.Kind) {
-  case EditKind::AddMod:
-    Session.addMod(E.Stmt, E.Var);
-    break;
-  case EditKind::RemoveMod:
-    Session.removeMod(E.Stmt, E.Var);
-    break;
-  case EditKind::AddUse:
-    Session.addUse(E.Stmt, E.Var);
-    break;
-  case EditKind::RemoveUse:
-    Session.removeUse(E.Stmt, E.Var);
-    break;
-  case EditKind::AddCall:
-    Session.addCall(E.Stmt, E.Callee, E.Actuals);
-    break;
-  case EditKind::RemoveCall:
-    Session.removeCall(E.Call);
-    break;
-  case EditKind::AddStmt:
-    Session.addStmt(E.Proc);
-    break;
-  case EditKind::AddProc:
-    Session.addProc(E.Name, E.Proc);
-    break;
-  case EditKind::AddGlobal:
-    Session.addGlobal(E.Name);
-    break;
-  case EditKind::AddLocal:
-    Session.addLocal(E.Proc, E.Name);
-    break;
-  case EditKind::AddFormal:
-    Session.addFormal(E.Proc, E.Name);
-    break;
-  case EditKind::RemoveProc:
-    Session.removeProc(E.Proc);
-    break;
-  }
-}
 
 void Edit::encode(ByteWriter &W) const {
   W.u8(static_cast<std::uint8_t>(Kind));

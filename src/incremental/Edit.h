@@ -26,7 +26,7 @@
 namespace ipse {
 namespace incremental {
 
-/// The delta vocabulary of AnalysisSession.
+/// The delta vocabulary of demand::DemandSession (demand::applyEdit).
 enum class EditKind : std::uint8_t {
   AddMod,     ///< Stmt, Var: add Var to LMOD(Stmt).
   RemoveMod,  ///< Stmt, Var: drop one occurrence of Var from LMOD(Stmt).
@@ -70,12 +70,6 @@ struct Edit {
 
   friend bool operator==(const Edit &, const Edit &) = default;
 };
-
-class AnalysisSession;
-
-/// Applies \p E to \p Session (one editor call plus dirty-set
-/// bookkeeping).  Defined in Edit.cpp.
-void applyEdit(AnalysisSession &Session, const Edit &E);
 
 /// Renders \p E against \p P for logs and failure messages.
 std::string toString(const ir::Program &P, const Edit &E);

@@ -406,10 +406,10 @@ bool decodeBvArray(ByteReader &R, std::vector<EffectSet> &Out) {
   return true;
 }
 
-void encodePlanes(ByteWriter &W, const incremental::SessionPlanes &Planes) {
+void encodePlanes(ByteWriter &W, const demand::SessionPlanes &Planes) {
   W.u64(Planes.Generation);
   W.u8(static_cast<std::uint8_t>(Planes.Kinds.size()));
-  for (const incremental::SessionPlanes::KindPlanes &K : Planes.Kinds) {
+  for (const demand::SessionPlanes::KindPlanes &K : Planes.Kinds) {
     W.u8(K.Kind == analysis::EffectKind::Mod ? 0 : 1);
     encodeBvArray(W, K.Own);
     encodeBvArray(W, K.Ext);
@@ -420,7 +420,7 @@ void encodePlanes(ByteWriter &W, const incremental::SessionPlanes &Planes) {
   }
 }
 
-bool decodePlanes(ByteReader &R, incremental::SessionPlanes &Out,
+bool decodePlanes(ByteReader &R, demand::SessionPlanes &Out,
                   std::string &Err) {
   std::uint8_t NumKinds = 0;
   if (!R.u64(Out.Generation) || !R.u8(NumKinds) || NumKinds == 0 ||
@@ -430,7 +430,7 @@ bool decodePlanes(ByteReader &R, incremental::SessionPlanes &Out,
   }
   Out.Kinds.clear();
   for (std::uint8_t I = 0; I != NumKinds; ++I) {
-    incremental::SessionPlanes::KindPlanes K;
+    demand::SessionPlanes::KindPlanes K;
     std::uint8_t KindIdx = 0;
     if (!R.u8(KindIdx) || KindIdx != I) {
       Err = "corrupt planes section: bad kind ordering";
@@ -510,15 +510,13 @@ bool SnapshotWriter::write(const std::string &Path, const SnapshotData &Data,
   return writeFileAtomic(Path, File.data(), File.size(), Err);
 }
 
-bool SnapshotWriter::capture(const std::string &Path,
-                             incremental::AnalysisSession &Session,
-                             std::string &Err) {
+SnapshotData SnapshotData::of(demand::DemandSession &Session) {
   SnapshotData Data;
-  Data.Planes = Session.exportPlanes(); // flushes
+  Data.Planes = Session.exportPlanes(); // solves what is uncovered
   Data.Generation = Data.Planes.Generation;
   Data.TrackUse = Session.options().TrackUse;
   Data.Program = Session.program();
-  return write(Path, Data, Err);
+  return Data;
 }
 
 namespace {
@@ -714,7 +712,7 @@ bool SnapshotReader::read(const std::string &Path, SnapshotData &Out,
     Err = "planes kind count disagrees with TrackUse flag";
     return false;
   }
-  for (const incremental::SessionPlanes::KindPlanes &K : Out.Planes.Kinds) {
+  for (const demand::SessionPlanes::KindPlanes &K : Out.Planes.Kinds) {
     if (K.Own.size() != Out.Program.numProcs() ||
         K.Ext.size() != Out.Program.numProcs() ||
         K.IModPlus.size() != Out.Program.numProcs() ||

@@ -8,9 +8,9 @@
 /// \file
 /// The snapshot file format: one self-describing binary file holding an
 /// ir::Program, the derived-graph fingerprint (condensation partition and
-/// binding-graph nodes), and every solver plane of a flushed
-/// incremental::AnalysisSession — enough to warm-restart the analysis
-/// service without re-running a single fixed-point iteration.
+/// binding-graph nodes), and every solver plane of a fully solved
+/// demand::DemandSession — enough to warm-restart the analysis service
+/// without re-running a single fixed-point iteration.
 ///
 /// Layout (all scalars little-endian):
 ///
@@ -37,7 +37,7 @@
 #ifndef IPSE_PERSIST_SNAPSHOT_H
 #define IPSE_PERSIST_SNAPSHOT_H
 
-#include "incremental/AnalysisSession.h"
+#include "demand/DemandSession.h"
 #include "ir/Program.h"
 #include "support/Binary.h"
 
@@ -74,7 +74,11 @@ struct SnapshotData {
   std::uint64_t Generation = 0;
   bool TrackUse = false;
   ir::Program Program;
-  incremental::SessionPlanes Planes;
+  demand::SessionPlanes Planes;
+
+  /// Solves whatever \p Session has not covered yet and copies out its
+  /// program and full, final planes.
+  static SnapshotData of(demand::DemandSession &Session);
 };
 
 /// Header/section metadata without payload decoding (inspect-snapshot).
@@ -100,10 +104,6 @@ public:
   static bool write(const std::string &Path, const SnapshotData &Data,
                     std::string &Err);
 
-  /// Convenience: flushes \p Session, exports its planes, and writes.
-  static bool capture(const std::string &Path,
-                      incremental::AnalysisSession &Session,
-                      std::string &Err);
 };
 
 /// Reads and validates snapshot files.

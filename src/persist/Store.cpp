@@ -96,32 +96,6 @@ void Store::sweepOrphans() {
 }
 
 bool Store::init(const std::string &Dir, const StoreOptions &Options,
-                 incremental::AnalysisSession &Session, Store &Out,
-                 std::string &Err) {
-  Out.Dir = Dir;
-  Out.Opts = Options;
-
-  // A fresh --data-dir need not pre-exist; create the whole path.
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC);
-  if (EC) {
-    Err = "cannot create data dir '" + Dir + "': " + EC.message();
-    return false;
-  }
-
-  const std::uint64_t Gen = Session.generation();
-  std::string Snap = snapName(Gen), Wal = walName(Gen);
-  if (!SnapshotWriter::capture(Dir + "/" + Snap, Session, Err))
-    return false;
-  if (!Wal::create(Dir + "/" + Wal, Gen, Out.Log, Err))
-    return false;
-  if (!Out.writeManifest(Gen, Snap, Wal, Err))
-    return false;
-  observe::MetricsRegistry::global().counter("persist.snapshots_written").add();
-  return true;
-}
-
-bool Store::init(const std::string &Dir, const StoreOptions &Options,
                  const SnapshotData &Data, Store &Out, std::string &Err) {
   Out.Dir = Dir;
   Out.Opts = Options;
@@ -220,36 +194,6 @@ bool Store::appendEdits(const std::vector<incremental::Edit> &Batch,
 bool Store::shouldCompact() const {
   return Log.recordCount() >= Opts.CompactWalRecords ||
          Log.sizeBytes() >= Opts.CompactWalBytes;
-}
-
-bool Store::compact(incremental::AnalysisSession &Session, std::string &Err) {
-  observe::TraceSpan Span("persist.compact");
-
-  const std::uint64_t Gen = Session.generation();
-  std::string OldSnap = SnapFile, OldWal = WalFile;
-  std::string NewSnap = snapName(Gen), NewWal = walName(Gen);
-
-  // Order matters: new snapshot, new WAL, manifest swing, then cleanup.
-  // A crash before the swing leaves the old pair current (new files are
-  // swept as orphans); after it, the new pair is complete and current.
-  if (!SnapshotWriter::capture(Dir + "/" + NewSnap, Session, Err))
-    return false;
-  Wal NewLog;
-  if (!Wal::create(Dir + "/" + NewWal, Gen, NewLog, Err))
-    return false;
-  if (!writeManifest(Gen, NewSnap, NewWal, Err))
-    return false;
-  Log = std::move(NewLog);
-
-  if (OldSnap != NewSnap && ::unlink((Dir + "/" + OldSnap).c_str()) == 0)
-    syncParentDir(Dir + "/" + OldSnap, Err);
-  if (OldWal != NewWal && ::unlink((Dir + "/" + OldWal).c_str()) == 0)
-    syncParentDir(Dir + "/" + OldWal, Err);
-
-  observe::MetricsRegistry &Reg = observe::MetricsRegistry::global();
-  Reg.counter("persist.snapshots_written").add();
-  Reg.counter("persist.compactions").add();
-  return true;
 }
 
 bool Store::compact(const SnapshotData &Data, std::string &Err) {

@@ -69,16 +69,11 @@ public:
   /// rather than being a fresh directory to initialize).
   static bool exists(const std::string &Dir);
 
-  /// Initializes a fresh store: snapshot of \p Session at its current
-  /// generation, empty WAL, manifest.  The directory must exist.
-  static bool init(const std::string &Dir, const StoreOptions &Options,
-                   incremental::AnalysisSession &Session, Store &Out,
-                   std::string &Err);
-
-  /// Same, from already-exported state — the demand-driven tenant path,
-  /// where the caller controls when (and whether) planes are solved.
-  /// \p Data.Planes must be full, final planes (SnapshotReader validates
-  /// dimensions, and warm restores treat every procedure as solved).
+  /// Initializes a fresh store: a snapshot of \p Data at its generation,
+  /// an empty WAL, and the manifest (the directory is created if needed).
+  /// \p Data.Planes must be full, final planes (SnapshotData::of;
+  /// SnapshotReader validates dimensions, and warm restores treat every
+  /// procedure as solved).
   static bool init(const std::string &Dir, const StoreOptions &Options,
                    const SnapshotData &Data, Store &Out, std::string &Err);
 
@@ -98,13 +93,10 @@ public:
   /// True when the WAL has outgrown the compaction thresholds.
   bool shouldCompact() const;
 
-  /// Writes a fresh snapshot of \p Session, rotates to an empty WAL, and
-  /// swings the manifest; old files are deleted afterwards.  On failure
-  /// the previous pair remains current and the store stays usable.
-  bool compact(incremental::AnalysisSession &Session, std::string &Err);
-
-  /// Same, from already-exported state (see the SnapshotData init
-  /// overload for the planes contract).
+  /// Writes a fresh snapshot of \p Data (full planes, as for init),
+  /// rotates to an empty WAL, and swings the manifest; old files are
+  /// deleted afterwards.  On failure the previous pair remains current and
+  /// the store stays usable.
   bool compact(const SnapshotData &Data, std::string &Err);
 
   bool isOpen() const { return Log.isOpen(); }

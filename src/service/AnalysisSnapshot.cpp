@@ -9,23 +9,23 @@
 
 #include "analysis/DMod.h"
 #include "demand/DemandSession.h"
-#include "incremental/AnalysisSession.h"
 
 using namespace ipse;
 using namespace ipse::service;
 using analysis::EffectKind;
 
 std::shared_ptr<const AnalysisSnapshot>
-AnalysisSnapshot::capture(incremental::AnalysisSession &Session,
+AnalysisSnapshot::capture(demand::DemandSession &Session,
                           std::uint64_t Generation) {
   // No make_shared: the constructor is private and capture is the only
   // producer.
   std::shared_ptr<AnalysisSnapshot> S(new AnalysisSnapshot());
   S->Gen = Generation;
-  // The accessors below flush first, so every copy reflects the same clean
-  // generation.  Copy order does not matter after that: the session is not
-  // edited concurrently (capture runs on the service's single writer
-  // thread).
+  // One sweep covers both kinds (they share the batch pass set-up when the
+  // uncovered region is large); the accessors below find every procedure
+  // covered, which costs O(1), and copy.  The session is not edited
+  // concurrently (capture runs on its tenant's writer shard).
+  Session.ensureSolvedAll();
   S->P = Session.program();
   S->Masks = std::make_unique<analysis::VarMasks>(S->P);
   S->ModResult = Session.gmodResult(EffectKind::Mod);
@@ -116,7 +116,10 @@ EffectSet AnalysisSnapshot::dmodSite(ir::CallSiteId C) const {
 }
 
 bool AnalysisSnapshot::covers(const ScriptCommand &Cmd) const {
-  if (!Partial)
+  // Without a USE pipeline a USE command fails the same everywhere; let
+  // evaluation render the error.
+  if (!Partial || (!HasUse && (Cmd.Kind == ScriptCommand::Op::GUse ||
+                               Cmd.Kind == ScriptCommand::Op::Use)))
     return true;
   const std::vector<std::string> &A = Cmd.Args;
   using Op = ScriptCommand::Op;

@@ -9,7 +9,7 @@
 /// One immutable, self-contained copy of a full analysis solution: the
 /// program as of some session generation, the shared variable masks, and
 /// the per-effect-kind GMOD / RMOD results.  The service publishes a new
-/// snapshot after each committed edit batch (via atomic shared_ptr swap)
+/// snapshot after each committed edit batch (a shared_ptr swap)
 /// and readers answer every query from whichever snapshot they pinned —
 /// MVCC in miniature: readers never block writers, writers never tear
 /// readers, and a pinned snapshot stays valid for as long as the pin is
@@ -35,19 +35,16 @@
 #include <memory>
 
 namespace ipse {
-namespace incremental {
-class AnalysisSession;
-}
-
 namespace service {
 
 class AnalysisSnapshot final : public QueryTarget {
 public:
-  /// Flushes \p Session and copies its resident solution.  \p Generation
-  /// is the session generation the copy reflects (the service passes
-  /// Session.generation() after draining an edit batch).
+  /// Solves whatever \p Session has not covered (ensureSolvedAll) and
+  /// copies the full solution.  \p Generation is the session generation
+  /// the copy reflects (the service passes Session.generation() after
+  /// draining an edit batch).
   static std::shared_ptr<const AnalysisSnapshot>
-  capture(incremental::AnalysisSession &Session, std::uint64_t Generation);
+  capture(demand::DemandSession &Session, std::uint64_t Generation);
 
   /// Copies a demand session's planes as they stand — solved procedures
   /// only, no fixed-point work.  Readers must gate every query through
@@ -69,7 +66,7 @@ public:
     return ModResult.of(Proc);
   }
   const EffectSet &guse(ir::ProcId Proc) const override {
-    assert(HasUse && "snapshot captured without a USE pipeline");
+    assert(HasUse && "guse on a snapshot without a USE pipeline");
     assert(covered(Proc, analysis::EffectKind::Use) && "uncovered GUSE read");
     return UseResult.of(Proc);
   }
@@ -82,7 +79,7 @@ public:
   EffectSet useNoAlias(ir::StmtId S) const override;
   EffectSet dmodSite(ir::CallSiteId C) const override;
 
-  bool tracksUse() const { return HasUse; }
+  bool tracksUse() const override { return HasUse; }
 
   /// True when this snapshot holds only a solved region (capturePartial).
   bool partial() const { return Partial; }

@@ -9,7 +9,6 @@
 
 #include "analysis/SideEffectAnalyzer.h"
 #include "demand/DemandSession.h"
-#include "incremental/AnalysisSession.h"
 #include "ir/AliasInfo.h"
 #include "synth/ProgramGen.h"
 
@@ -329,10 +328,10 @@ incremental::Edit service::resolveEditCommand(const Program &P,
   }
 }
 
-incremental::Edit service::applyEditCommand(incremental::AnalysisSession &Session,
+incremental::Edit service::applyEditCommand(demand::DemandSession &Session,
                                             const ScriptCommand &Cmd) {
   incremental::Edit E = resolveEditCommand(Session.program(), Cmd);
-  incremental::applyEdit(Session, E);
+  demand::applyEdit(Session, E);
   return E;
 }
 
@@ -340,31 +339,11 @@ incremental::Edit service::applyEditCommand(incremental::AnalysisSession &Sessio
 // Query evaluation over a QueryTarget.
 //===----------------------------------------------------------------------===//
 
-const Program &SessionQueryTarget::program() const { return S.program(); }
-const EffectSet &SessionQueryTarget::gmod(ProcId Proc) const {
-  return S.gmod(Proc);
-}
-const EffectSet &SessionQueryTarget::guse(ProcId Proc) const {
-  return S.guse(Proc);
-}
-bool SessionQueryTarget::rmodContains(VarId Formal,
-                                      analysis::EffectKind Kind) const {
-  return S.rmodContains(Formal, Kind);
-}
-EffectSet SessionQueryTarget::modNoAlias(StmtId St) const {
-  ir::AliasInfo NoAliases(S.program());
-  return S.mod(St, NoAliases);
-}
-EffectSet SessionQueryTarget::useNoAlias(StmtId St) const {
-  ir::AliasInfo NoAliases(S.program());
-  return S.use(St, NoAliases);
-}
-EffectSet SessionQueryTarget::dmodSite(ir::CallSiteId C) const {
-  return S.dmod(C);
-}
-
 const Program &DemandSessionQueryTarget::program() const {
   return S.program();
+}
+bool DemandSessionQueryTarget::tracksUse() const {
+  return S.options().TrackUse;
 }
 const EffectSet &DemandSessionQueryTarget::gmod(ProcId Proc) const {
   return S.gmod(Proc);
@@ -401,24 +380,29 @@ bool DemandSessionQueryTarget::demandCounters(
 namespace {
 
 /// `check`: the target's answers must equal a fresh batch analysis of its
-/// program — the end-to-end consistency probe every driver exposes.
+/// program — the end-to-end consistency probe every driver exposes.  A
+/// target without a USE pipeline is checked on MOD alone.
 QueryResult evalCheck(const QueryTarget &Target) {
   const Program &P = Target.program();
+  const bool WithUse = Target.tracksUse();
   analysis::SideEffectAnalyzer Mod(P);
-  analysis::AnalyzerOptions UseOpts;
-  UseOpts.Kind = analysis::EffectKind::Use;
-  analysis::SideEffectAnalyzer Use(P, UseOpts);
+  std::optional<analysis::SideEffectAnalyzer> Use;
+  if (WithUse) {
+    analysis::AnalyzerOptions UseOpts;
+    UseOpts.Kind = analysis::EffectKind::Use;
+    Use.emplace(P, UseOpts);
+  }
   bool Ok = true;
   for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
     ProcId Proc(I);
     if (Target.gmod(Proc) != Mod.gmod(Proc) ||
-        Target.guse(Proc) != Use.gmod(Proc))
+        (WithUse && Target.guse(Proc) != Use->gmod(Proc)))
       Ok = false;
     for (VarId F : P.proc(Proc).Formals)
       if (Target.rmodContains(F, analysis::EffectKind::Mod) !=
               Mod.rmodContains(F) ||
-          Target.rmodContains(F, analysis::EffectKind::Use) !=
-              Use.rmodContains(F))
+          (WithUse && Target.rmodContains(F, analysis::EffectKind::Use) !=
+                          Use->rmodContains(F)))
         Ok = false;
   }
   char Buf[96];
@@ -435,6 +419,10 @@ QueryResult service::evalQueryCommand(const QueryTarget &Target,
                                       const ScriptCommand &Cmd) {
   const std::vector<std::string> &A = Cmd.Args;
   const unsigned LineNo = Cmd.LineNo;
+  if ((Cmd.Kind == ScriptCommand::Op::GUse ||
+       Cmd.Kind == ScriptCommand::Op::Use) &&
+      !Target.tracksUse())
+    die(LineNo, "no USE pipeline (started with --no-use)");
   std::ostringstream OS;
   switch (Cmd.Kind) {
   case ScriptCommand::Op::GMod:

@@ -56,8 +56,9 @@
 /// and queries against the pinned snapshot's program copy.
 ///
 /// Query evaluation is generic over a QueryTarget so the same code answers
-/// from a live AnalysisSession (CLI) or an immutable AnalysisSnapshot
-/// (service read path), and renders byte-identical text either way.
+/// from a live demand::DemandSession (CLI, tenant writer) or an immutable
+/// AnalysisSnapshot (service read path), and renders byte-identical text
+/// either way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,9 +77,6 @@
 #include <vector>
 
 namespace ipse {
-namespace incremental {
-class AnalysisSession;
-}
 namespace demand {
 class DemandSession;
 }
@@ -182,21 +180,25 @@ incremental::Edit resolveEditCommand(const ir::Program &P,
                                      const ScriptCommand &Cmd);
 
 /// Resolves and applies one edit command against \p Session's current
-/// program (resolveEditCommand + incremental::applyEdit).  \p Cmd must
-/// satisfy isEditCommand.  Returns the resolved edit so callers that
-/// persist deltas can log exactly what was applied.
-incremental::Edit applyEditCommand(incremental::AnalysisSession &Session,
+/// program (resolveEditCommand + demand::applyEdit).  \p Cmd must satisfy
+/// isEditCommand.  Returns the resolved edit so callers that persist
+/// deltas can log exactly what was applied.
+incremental::Edit applyEditCommand(demand::DemandSession &Session,
                                    const ScriptCommand &Cmd);
 
 /// What a query evaluates against: a live session (CLI) or an immutable
 /// snapshot (service).  Methods are const so a pinned
 /// shared_ptr<const AnalysisSnapshot> can answer directly; the session
-/// adapter's constness is shallow (the referenced session still flushes
+/// adapter's constness is shallow (the referenced session still solves
 /// lazily on query).
 class QueryTarget {
 public:
   virtual ~QueryTarget() = default;
   virtual const ir::Program &program() const = 0;
+  /// False when the target keeps no USE pipeline (`--no-use`): guse /
+  /// useNoAlias / USE RMOD bits must not be called, and the evaluator
+  /// answers USE commands with an error instead.
+  virtual bool tracksUse() const = 0;
   virtual const EffectSet &gmod(ir::ProcId Proc) const = 0;
   virtual const EffectSet &guse(ir::ProcId Proc) const = 0;
   virtual bool rmodContains(ir::VarId Formal,
@@ -220,23 +222,6 @@ public:
   }
 };
 
-/// Adapts a live AnalysisSession to QueryTarget for the CLI path.
-class SessionQueryTarget : public QueryTarget {
-public:
-  explicit SessionQueryTarget(incremental::AnalysisSession &S) : S(S) {}
-  const ir::Program &program() const override;
-  const EffectSet &gmod(ir::ProcId Proc) const override;
-  const EffectSet &guse(ir::ProcId Proc) const override;
-  bool rmodContains(ir::VarId Formal,
-                    analysis::EffectKind Kind) const override;
-  EffectSet modNoAlias(ir::StmtId S) const override;
-  EffectSet useNoAlias(ir::StmtId S) const override;
-  EffectSet dmodSite(ir::CallSiteId C) const override;
-
-private:
-  incremental::AnalysisSession &S;
-};
-
 /// Adapts a live demand::DemandSession to QueryTarget.  Queries solve only
 /// the region they depend on, so a script that touches one procedure never
 /// pays for the whole program.
@@ -244,6 +229,7 @@ class DemandSessionQueryTarget : public QueryTarget {
 public:
   explicit DemandSessionQueryTarget(demand::DemandSession &S) : S(S) {}
   const ir::Program &program() const override;
+  bool tracksUse() const override;
   const EffectSet &gmod(ir::ProcId Proc) const override;
   const EffectSet &guse(ir::ProcId Proc) const override;
   bool rmodContains(ir::VarId Formal,
@@ -272,7 +258,9 @@ struct QueryResult {
 };
 
 /// Evaluates a query command (isQueryCommand) against \p Target.  `check`
-/// re-runs the batch analyzers over Target's program and compares.
+/// re-runs the batch analyzers over Target's program and compares (MOD
+/// only when the target tracks no USE); `guse` / `use` against such a
+/// target throw ScriptError.
 QueryResult evalQueryCommand(const QueryTarget &Target,
                              const ScriptCommand &Cmd);
 

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Generates random, always-valid program deltas against a live program —
-/// the workload driver for the incremental engine's randomized equivalence
+/// the workload driver for the stateful engine's randomized equivalence
 /// harness and benchmarks.  Each call to next() inspects the program as it
 /// is *now* (ids shift under removals, so an edit is only valid against the
 /// state it was generated from), picks an edit kind by weight, and
@@ -35,18 +35,18 @@ namespace synth {
 struct EditGenConfig {
   std::uint64_t Seed = 1;
 
-  // Tier-1 effect-set deltas (the incremental fast path).
+  // Effect-set deltas (absorbed or GMOD-only re-solves).
   unsigned WeightAddMod = 30;
   unsigned WeightRemoveMod = 10;
   unsigned WeightAddUse = 15;
   unsigned WeightRemoveUse = 5;
 
-  // Tier-2 call-structure deltas.
+  // Call-structure deltas.
   unsigned WeightAddCall = 12;
   unsigned WeightRemoveCall = 6;
   unsigned WeightAddStmt = 4;
 
-  // Tier-3 universe deltas.
+  // Universe deltas.
   unsigned WeightAddProc = 3;
   unsigned WeightAddGlobal = 3;
   unsigned WeightAddLocal = 2;

@@ -8,7 +8,6 @@
 #include "tenant/TenantService.h"
 
 #include "demand/DemandSession.h"
-#include "incremental/AnalysisSession.h"
 #include "observe/FlightRecorder.h"
 #include "observe/Metrics.h"
 #include "observe/Prometheus.h"
@@ -44,20 +43,6 @@ const char *defaultReprName() {
     break;
   }
   return "auto";
-}
-
-/// Full, final planes for a demand tenant — what the store's snapshot
-/// format requires.  Forces the whole program solved (ensureSolvedAll via
-/// exportPlanes), so durable opens, compactions, and evictions of a demand
-/// tenant pay a batch-sized solve; the payoff is that the *fault-in* after
-/// them replays state with no solving at all.
-persist::SnapshotData demandSnapshotData(demand::DemandSession &S) {
-  persist::SnapshotData D;
-  D.TrackUse = S.options().TrackUse;
-  D.Program = S.program();
-  D.Planes = S.exportPlanes();
-  D.Generation = S.generation();
-  return D;
 }
 
 /// Slow-op plumbing shared by the tenant query and flush paths: the
@@ -173,44 +158,32 @@ void TenantService::seedImplicitTenant(std::optional<ir::Program> Initial) {
                                "': " + Err);
     return;
   }
-  Err = installSession(*T, std::move(*Initial));
+  Err = installEngine(*T, std::move(*Initial));
   if (!Err.empty())
     throw std::runtime_error("tenant: " + Err);
-  publish(*T,
-          T->DemandS ? T->DemandS->generation() : T->Session->generation());
+  publish(*T);
   Resident.fetch_add(1, std::memory_order_relaxed);
   touch(*T);
 }
 
-std::string TenantService::installSession(Tenant &T, ir::Program Prog) {
+std::string TenantService::installEngine(Tenant &T, ir::Program Prog) {
   T.TrackUse = Opts.TrackUse;
-  if (Opts.DemandFaultIn) {
-    // Demand tenant: nothing is solved at open.  A memory-only open is
-    // O(structure); the first query pays only for its own region.
-    demand::DemandOptions DO;
-    DO.TrackUse = Opts.TrackUse;
-    T.DemandS = std::make_unique<demand::DemandSession>(std::move(Prog), DO);
-  } else {
-    incremental::SessionOptions SO;
-    SO.TrackUse = Opts.TrackUse;
-    T.Session =
-        std::make_unique<incremental::AnalysisSession>(std::move(Prog), SO);
-  }
+  // Nothing is solved here: an eager tenant's first publish (or a durable
+  // open's snapshot) covers the whole program at batch cost, a partial
+  // one's first query only its own region.
+  demand::DemandOptions DO;
+  DO.TrackUse = Opts.TrackUse;
+  T.Engine = std::make_unique<demand::DemandSession>(std::move(Prog), DO);
   if (Opts.DataDir.empty())
     return {};
   const std::string Dir = tenantDir(T.Name);
   T.Store = std::make_unique<persist::Store>();
   std::string Err;
-  // The store needs full planes, so a *durable* demand open pays the one
-  // batch-sized solve here; every later fault-in is solve-free.
-  if (T.DemandS ? persist::Store::init(Dir, storeOptions(),
-                                       demandSnapshotData(*T.DemandS),
-                                       *T.Store, Err)
-                : persist::Store::init(Dir, storeOptions(), *T.Session,
-                                       *T.Store, Err))
+  if (persist::Store::init(Dir, storeOptions(),
+                           persist::SnapshotData::of(*T.Engine), *T.Store,
+                           Err))
     return {};
-  T.Session.reset();
-  T.DemandS.reset();
+  T.Engine.reset();
   T.Store.reset();
   return "cannot initialize tenant store '" + Dir + "': " + Err;
 }
@@ -337,8 +310,7 @@ bool TenantService::saveManifest(std::string &Err) {
 //===----------------------------------------------------------------------===//
 
 bool TenantService::tryInlineQuery(const std::shared_ptr<Tenant> &T, Job &J) {
-  std::shared_ptr<const service::AnalysisSnapshot> Snap =
-      T->Snap.load(std::memory_order_acquire);
+  std::shared_ptr<const service::AnalysisSnapshot> Snap = T->Snap.pin();
   if (!Snap)
     return false;
   if (!Snap->covers(J.Cmd))
@@ -517,7 +489,7 @@ bool TenantService::submit(std::string TenantName, Job J, bool Blocking) {
     J.K = Job::Kind::Query;
     J.T = T;
     // Resident fast path: pin the snapshot and answer on this thread —
-    // no queue, no shard, no lock.
+    // no queue, no shard.
     if (tryInlineQuery(T, J))
       return true;
     // Evicted (or still opening): the shard faults the session in.
@@ -655,29 +627,24 @@ void TenantService::shardLoop(unsigned Idx) {
         Mine.push_back(T);
   }
   for (const std::shared_ptr<Tenant> &T : Mine) {
-    if ((!T->Session && !T->DemandS) || !T->Store ||
-        T->Store->walRecords() == 0)
+    if (!T->Engine || !T->Store || T->Store->walRecords() == 0)
       continue;
     std::string Err;
-    if (!(T->DemandS ? T->Store->compact(demandSnapshotData(*T->DemandS), Err)
-                     : T->Store->compact(*T->Session, Err)))
+    if (!T->Store->compact(persist::SnapshotData::of(*T->Engine), Err))
       std::fprintf(stderr, "ipse: tenant '%s' final compaction failed: %s\n",
                    T->Name.c_str(), Err.c_str());
   }
 }
 
-void TenantService::publish(Tenant &T, std::uint64_t Generation) {
-  if (T.DemandS) {
-    // Partial snapshot: exactly the procedures queries have solved so
-    // far.  Readers of uncovered procedures miss covers() on the inline
-    // path and queue to the shard, which extends the region.
-    T.Snap.store(
-        service::AnalysisSnapshot::capturePartial(*T.DemandS, Generation),
-        std::memory_order_release);
-    return;
-  }
-  T.Snap.store(service::AnalysisSnapshot::capture(*T.Session, Generation),
-               std::memory_order_release);
+void TenantService::publish(Tenant &T) {
+  const std::uint64_t Gen = T.Engine->generation();
+  // A partial snapshot holds exactly the procedures queries have solved so
+  // far: readers of uncovered procedures miss covers() on the inline path
+  // and queue to the shard, which extends the region.
+  T.Snap.publish(
+      Opts.DemandFaultIn
+          ? service::AnalysisSnapshot::capturePartial(*T.Engine, Gen)
+          : service::AnalysisSnapshot::capture(*T.Engine, Gen));
 }
 
 void TenantService::runOpen(Job &J) {
@@ -710,14 +677,13 @@ void TenantService::runOpen(Job &J) {
       Fail = "cannot initialize tenant store '" + Dir + "': " + Ec.message();
   }
   if (Fail.empty())
-    Fail = installSession(T, std::move(Prog));
+    Fail = installEngine(T, std::move(Prog));
   std::string MErr;
   // Manifest before the open acks: a crash after the ack must recover the
   // tenant.
   if (Fail.empty() && !saveManifest(MErr)) {
     Fail = "cannot write tenant manifest: " + MErr;
-    T.Session.reset();
-    T.DemandS.reset();
+    T.Engine.reset();
     T.Store.reset();
   }
 
@@ -740,20 +706,16 @@ void TenantService::runOpen(Job &J) {
     return;
   }
 
-  const std::uint64_t Gen =
-      T.DemandS ? T.DemandS->generation() : T.Session->generation();
-  publish(T, Gen);
+  publish(T);
   Resident.fetch_add(1, std::memory_order_relaxed);
   CntOpens.fetch_add(1, std::memory_order_relaxed);
   Reg.counter("tenant.opens").add();
   refreshGauges();
   touch(T);
   enforceResidentCap(T.ShardIdx, &T);
-  R.Generation = Gen;
-  const ir::Program &Prog2 =
-      T.DemandS ? T.DemandS->program() : T.Session->program();
+  R.Generation = T.Engine->generation();
   R.Result = "opened '" + T.Name + "' (" +
-             std::to_string(Prog2.numProcs()) + " procs)";
+             std::to_string(T.Engine->program().numProcs()) + " procs)";
   J.Done(std::move(R));
 }
 
@@ -769,11 +731,10 @@ void TenantService::runClose(Job &J) {
     J.Done(std::move(R));
     return;
   }
-  if (T.Session || T.DemandS) {
-    T.Session.reset();
-    T.DemandS.reset();
+  if (T.Engine) {
+    T.Engine.reset();
     T.Store.reset();
-    T.Snap.store(nullptr, std::memory_order_release);
+    T.Snap.publish(nullptr);
     Resident.fetch_sub(1, std::memory_order_relaxed);
   }
   T.Closed.store(true, std::memory_order_release);
@@ -817,11 +778,11 @@ void TenantService::runQuery(Job &J) {
   } else if (!ensureResident(T, Err)) {
     R.Ok = false;
     R.Error = std::move(Err);
-  } else if (T.DemandS) {
-    // Demand tenant: answer from the live session — the query solves (at
-    // most) its own region — then republish the enlarged partial
-    // snapshot so repeat queries take the inline lock-free path.
-    const std::uint64_t Gen = T.DemandS->generation();
+  } else if (Opts.DemandFaultIn) {
+    // Partial snapshots: answer from the live engine — the query solves
+    // (at most) its own region — then republish the enlarged partial
+    // snapshot so repeat queries take the inline path.
+    const std::uint64_t Gen = T.Engine->generation();
     R.Generation = Gen;
     const std::uint64_t T0 = observe::nowNanos();
     service::QueryResult QR;
@@ -832,7 +793,7 @@ void TenantService::runQuery(Job &J) {
                       observe::ScopeTags{J.TraceId, Gen, T.Name});
       observe::TraceSpan Span("tenant.query");
       try {
-        service::DemandSessionQueryTarget QT(*T.DemandS);
+        service::DemandSessionQueryTarget QT(*T.Engine);
         QR = service::evalQueryCommand(QT, J.Cmd);
         R.Result = std::move(QR.Text);
         R.CheckOk = QR.CheckOk;
@@ -852,11 +813,10 @@ void TenantService::runQuery(Job &J) {
     const std::uint64_t EvalUs = (observe::nowNanos() - T0) / 1000;
     if (Opts.SlowQueryUs && EvalUs > Opts.SlowQueryUs)
       noteSlowOp(Opts, T.Name, "tenant.query", EvalUs, J.TraceId, Gen, &QR);
-    publish(T, Gen);
+    publish(T);
     touch(T);
   } else {
-    std::shared_ptr<const service::AnalysisSnapshot> Snap =
-        T.Snap.load(std::memory_order_acquire);
+    std::shared_ptr<const service::AnalysisSnapshot> Snap = T.Snap.pin();
     R.Generation = Snap->generation();
     const std::uint64_t T0 = observe::nowNanos();
     {
@@ -921,17 +881,15 @@ void TenantService::runEditGroup(std::vector<Job> &Batch, std::size_t Begin,
     return;
   }
 
-  // Apply the whole group before flushing: the session defers solve work
-  // until queried, so N edits cost one re-propagation.
+  // Apply the whole group before publishing: the engine defers its
+  // invalidation and solve work until then, so N edits cost one.
   std::vector<std::string> Failures(N);
   std::vector<incremental::Edit> Applied;
   bool AnyApplied = false;
   for (std::size_t I = 0; I != N; ++I) {
     const ScriptCommand &Cmd = Batch[Begin + I].Cmd;
-    const ir::Program &Prog =
-        T.DemandS ? T.DemandS->program() : T.Session->program();
     if (Opts.MaxProcs && Cmd.Kind == ScriptCommand::Op::AddProc &&
-        Prog.numProcs() >= Opts.MaxProcs) {
+        T.Engine->program().numProcs() >= Opts.MaxProcs) {
       Failures[I] = "tenant quota: max procedures (" +
                     std::to_string(Opts.MaxProcs) + ") reached";
       CntRejected.fetch_add(1, std::memory_order_relaxed);
@@ -939,13 +897,7 @@ void TenantService::runEditGroup(std::vector<Job> &Batch, std::size_t Begin,
       continue;
     }
     try {
-      if (T.DemandS) {
-        incremental::Edit E = service::resolveEditCommand(Prog, Cmd);
-        demand::applyEdit(*T.DemandS, E);
-        Applied.push_back(std::move(E));
-      } else {
-        Applied.push_back(service::applyEditCommand(*T.Session, Cmd));
-      }
+      Applied.push_back(service::applyEditCommand(*T.Engine, Cmd));
       AnyApplied = true;
     } catch (const ScriptError &E) {
       Failures[I] = E.Message;
@@ -976,8 +928,7 @@ void TenantService::runEditGroup(std::vector<Job> &Batch, std::size_t Begin,
     }
   }
 
-  const std::uint64_t Gen =
-      T.DemandS ? T.DemandS->generation() : T.Session->generation();
+  const std::uint64_t Gen = T.Engine->generation();
   if (AnyApplied) {
     const std::uint64_t T0 = observe::nowNanos();
     {
@@ -986,10 +937,10 @@ void TenantService::runEditGroup(std::vector<Job> &Batch, std::size_t Begin,
         Scope.emplace(nullptr, Opts.Sink,
                       observe::ScopeTags{Batch[Begin].TraceId, Gen, T.Name});
       observe::TraceSpan Span("tenant.flush");
-      // capture() flushes; this is the group's one solve.  (For a demand
-      // tenant capturePartial() only flushes invalidation — the next
+      // capture() solves what the group invalidated; this is its one
+      // solve.  (capturePartial() only applies the invalidation — the next
       // query re-solves whatever the group dirtied.)
-      publish(T, Gen);
+      publish(T);
     }
     const std::uint64_t FlushUs = (observe::nowNanos() - T0) / 1000;
     Reg.histogram("tenant.flush_us").record(FlushUs);
@@ -1001,8 +952,7 @@ void TenantService::runEditGroup(std::vector<Job> &Batch, std::size_t Begin,
 
   if (T.Store && T.Store->shouldCompact()) {
     std::string CErr;
-    if (!(T.DemandS ? T.Store->compact(demandSnapshotData(*T.DemandS), CErr)
-                    : T.Store->compact(*T.Session, CErr)))
+    if (!T.Store->compact(persist::SnapshotData::of(*T.Engine), CErr))
       std::fprintf(stderr,
                    "ipse: tenant '%s' compaction failed (will retry): %s\n",
                    T.Name.c_str(), CErr.c_str());
@@ -1035,7 +985,7 @@ void TenantService::runEditGroup(std::vector<Job> &Batch, std::size_t Begin,
 //===----------------------------------------------------------------------===//
 
 bool TenantService::ensureResident(Tenant &T, std::string &Err) {
-  if (T.Session || T.DemandS)
+  if (T.Engine)
     return true;
   if (Opts.DataDir.empty()) {
     // Unreachable in memory-only mode (nothing ever evicts), but a
@@ -1052,30 +1002,19 @@ bool TenantService::ensureResident(Tenant &T, std::string &Err) {
     Err = "cannot fault in tenant '" + T.Name + "': " + OpenErr;
     return false;
   }
-  // Warm restore: planes install directly, the WAL tail replays as
-  // deltas, and no fixed point is re-solved.
+  // Warm restore: the snapshot's planes install fully memoized and the WAL
+  // tail replays as deltas.  An eager publish then re-solves only what the
+  // tail invalidated; a partial one solves nothing — the first query after
+  // fault-in pays for its own region.
   T.TrackUse = RS.Snapshot.TrackUse;
-  if (Opts.DemandFaultIn) {
-    // Demand fault-in: the snapshot's planes install fully memoized, the
-    // tail replay only *invalidates* regions, and nothing solves here —
-    // the first query after fault-in pays for its own region instead of
-    // the whole program.
-    demand::DemandOptions DO;
-    DO.TrackUse = RS.Snapshot.TrackUse;
-    T.DemandS = std::make_unique<demand::DemandSession>(
-        std::move(RS.Snapshot.Program), DO, std::move(RS.Snapshot.Planes));
-    for (const incremental::Edit &E : RS.Tail)
-      demand::applyEdit(*T.DemandS, E);
-  } else {
-    incremental::SessionOptions SO;
-    SO.TrackUse = RS.Snapshot.TrackUse;
-    T.Session = std::make_unique<incremental::AnalysisSession>(
-        std::move(RS.Snapshot.Program), SO, std::move(RS.Snapshot.Planes));
-    for (const incremental::Edit &E : RS.Tail)
-      incremental::applyEdit(*T.Session, E);
-  }
+  demand::DemandOptions DO;
+  DO.TrackUse = RS.Snapshot.TrackUse;
+  T.Engine = std::make_unique<demand::DemandSession>(
+      std::move(RS.Snapshot.Program), DO, std::move(RS.Snapshot.Planes));
+  for (const incremental::Edit &E : RS.Tail)
+    demand::applyEdit(*T.Engine, E);
   T.Store = std::move(Store);
-  publish(T, T.DemandS ? T.DemandS->generation() : T.Session->generation());
+  publish(T);
   Resident.fetch_add(1, std::memory_order_relaxed);
   CntFaultIns.fetch_add(1, std::memory_order_relaxed);
   observe::MetricsRegistry &Reg = observe::MetricsRegistry::global();
@@ -1089,34 +1028,31 @@ bool TenantService::ensureResident(Tenant &T, std::string &Err) {
 
 void TenantService::evictIfIdle(Tenant &T) {
   T.EvictQueued.store(false, std::memory_order_relaxed);
-  if (T.Closed.load(std::memory_order_acquire) || (!T.Session && !T.DemandS))
+  if (T.Closed.load(std::memory_order_acquire) || !T.Engine)
     return;
   if (T.QueuedJobs.load(std::memory_order_acquire) != 0)
     return; // Became busy since it was picked; evicting now would thrash.
   if (!T.Store)
     return; // WAL failure made it memory-only; evicting would lose data.
   // Fold the WAL first so fault-in is a snapshot load plus zero replay.
-  // (A demand tenant's compaction exports full planes, forcing the whole
-  // program solved — eviction is where a demand tenant pays its batch
-  // solve, not open or fault-in.)
+  // (Compaction exports full planes, forcing the whole program solved —
+  // eviction is where a partial-snapshot tenant pays its solve, not open
+  // or fault-in.)
   std::string Err;
   if (T.Store->walRecords() > 0 &&
-      !(T.DemandS ? T.Store->compact(demandSnapshotData(*T.DemandS), Err)
-                  : T.Store->compact(*T.Session, Err))) {
+      !T.Store->compact(persist::SnapshotData::of(*T.Engine), Err)) {
     std::fprintf(stderr,
                  "ipse: tenant '%s' eviction compaction failed, staying "
                  "resident: %s\n",
                  T.Name.c_str(), Err.c_str());
     return;
   }
-  const std::uint64_t Gen =
-      T.DemandS ? T.DemandS->generation() : T.Session->generation();
-  T.Session.reset();
-  T.DemandS.reset();
+  const std::uint64_t Gen = T.Engine->generation();
+  T.Engine.reset();
   T.Store.reset();
   // In-flight readers that pinned the snapshot keep it alive; the next
   // query sees null and faults the tenant back in.
-  T.Snap.store(nullptr, std::memory_order_release);
+  T.Snap.publish(nullptr);
   Resident.fetch_sub(1, std::memory_order_relaxed);
   CntEvictions.fetch_add(1, std::memory_order_relaxed);
   observe::flight::record(observe::flight::EventKind::Eviction, "tenant.evict",
@@ -1143,7 +1079,7 @@ void TenantService::enforceResidentCap(unsigned SelfIdx, const Tenant *Keep) {
       for (const auto &[Name, T] : Registry) {
         if (T.get() == Keep || T->Closed.load(std::memory_order_relaxed))
           continue;
-        if (!T->Snap.load(std::memory_order_acquire))
+        if (!T->Snap.resident())
           continue; // Not resident.
         if (T->QueuedJobs.load(std::memory_order_relaxed) != 0)
           continue; // Busy; skip rather than thrash.
@@ -1160,7 +1096,7 @@ void TenantService::enforceResidentCap(unsigned SelfIdx, const Tenant *Keep) {
       return; // Everything resident is busy; best effort, try next batch.
     if (Victim->ShardIdx == SelfIdx) {
       evictIfIdle(*Victim);
-      if (Victim->Snap.load(std::memory_order_acquire))
+      if (Victim->Snap.resident())
         return; // Could not evict it (raced busy); give up this pass.
     } else {
       Victim->EvictQueued.store(true, std::memory_order_relaxed);
@@ -1197,8 +1133,7 @@ std::uint64_t TenantService::generation(const std::string &Name) const {
   std::shared_ptr<Tenant> T = lookup(Name);
   if (!T)
     return 0;
-  std::shared_ptr<const service::AnalysisSnapshot> Snap =
-      T->Snap.load(std::memory_order_acquire);
+  std::shared_ptr<const service::AnalysisSnapshot> Snap = T->Snap.pin();
   return Snap ? Snap->generation() : 0;
 }
 
@@ -1224,7 +1159,7 @@ void TenantService::refreshGauges() const {
   // closed tenant's last refresh leaves them at the values runClose set.
   std::lock_guard<std::mutex> Lock(RegistryMutex);
   for (const auto &[Name, T] : Registry) {
-    T->GResident->set(T->Snap.load(std::memory_order_acquire) ? 1 : 0);
+    T->GResident->set(T->Snap.resident() ? 1 : 0);
     T->GEditBacklog->set(static_cast<std::int64_t>(
         T->QueuedEdits.load(std::memory_order_relaxed)));
   }

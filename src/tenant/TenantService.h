@@ -7,8 +7,8 @@
 ///
 /// \file
 /// One server, thousands of programs: a registry of named tenants, each
-/// owning an independent incremental::AnalysisSession with its own MVCC
-/// snapshot chain and (in durable mode) its own persist::Store subtree.
+/// owning an independent demand::DemandSession with its own MVCC snapshot
+/// chain and (in durable mode) its own persist::Store subtree.
 /// This is the only serving engine: `ipse-cli serve --program/--gen`
 /// hosts its program as the *implicit tenant*, named "" (a name
 /// isValidTenantName rejects, so no `open` can collide with it).  A
@@ -24,8 +24,8 @@
 /// tenant's WAL with one fsync, and captures/publishes one snapshot.
 ///
 /// Queries against a *resident* tenant never enter a queue: the caller
-/// pins the tenant's published snapshot (one atomic shared_ptr load) and
-/// evaluates on its own thread, so reads scale with client threads rather
+/// pins the tenant's published snapshot (one shared_ptr copy under the
+/// tenant's snapshot mutex) and evaluates on its own thread, so reads scale with client threads rather
 /// than with a worker-pool knob.  Queries against an evicted tenant queue
 /// to the shard, which faults the session back in first.
 ///
@@ -90,9 +90,6 @@ namespace ipse {
 namespace demand {
 class DemandSession;
 }
-namespace incremental {
-class AnalysisSession;
-}
 namespace observe {
 class Counter;
 class Gauge;
@@ -113,7 +110,8 @@ struct TenantOptions {
   std::size_t QueueCapacity = 256;
   /// Max jobs drained per shard wakeup — the group-commit window.
   std::size_t MaxBatch = 32;
-  /// Maintain the USE pipeline in every tenant session.
+  /// Maintain the USE pipeline in every tenant session.  Without it,
+  /// USE queries answer an error.
   bool TrackUse = true;
   /// Resident-session cap (0 = unlimited).  Requires DataDir: without a
   /// store to evict to, the cap is ignored.
@@ -123,13 +121,15 @@ struct TenantOptions {
   /// Per-tenant queued-edit quota (0 = unlimited): trySubmit refuses
   /// edits for a tenant already carrying this many unanswered ones.
   std::size_t MaxQueuedEdits = 0;
-  /// Demand-driven tenant sessions: queries solve only their
-  /// backward-reachable region and the published snapshot covers exactly
-  /// the solved procedures (service::AnalysisSnapshot::capturePartial).
-  /// An evicted tenant's fault-in becomes warm-restore + WAL replay with
-  /// NO re-solving at all — the first query after fault-in pays only for
-  /// its own region.  Trade-off: durable open / eviction / shutdown must
-  /// write full planes, so they force the whole program solved.
+  /// Partial snapshots (`--engine=demand`).  Every tenant runs a
+  /// demand::DemandSession; by default ("eager") each publish solves
+  /// whatever the last edits invalidated and copies a full snapshot.  With
+  /// this set, queries solve only their backward-reachable region and the
+  /// published snapshot covers exactly the solved procedures
+  /// (service::AnalysisSnapshot::capturePartial), and an evicted tenant's
+  /// fault-in is warm-restore + WAL replay with no solving at all.
+  /// Trade-off: durable open / eviction / shutdown must write full planes,
+  /// so they force the whole program solved.
   bool DemandFaultIn = false;
   /// When non-empty, durable mode: tenants.json + one store subtree per
   /// named tenant, and the implicit tenant's store at the root (created
@@ -221,18 +221,40 @@ public:
   const TenantOptions &options() const { return Opts; }
 
 private:
-  /// One tenant.  Session / Store / TrackUse are confined to the owning
+  /// A tenant's published snapshot: a shared_ptr swapped under a mutex.
+  /// std::atomic<std::shared_ptr> does the same work (libstdc++'s is a
+  /// lock bit in the control-block pointer), but GCC 12 releases that
+  /// bit with a relaxed store ThreadSanitizer cannot order, so every
+  /// publish racing a pin reads as a data race.  The critical sections
+  /// are one refcount bump or one pointer swap; the displaced snapshot is
+  /// released outside the lock.
+  class SnapshotSlot {
+  public:
+    std::shared_ptr<const service::AnalysisSnapshot> pin() const {
+      std::lock_guard<std::mutex> Lock(M);
+      return S;
+    }
+    void publish(std::shared_ptr<const service::AnalysisSnapshot> New) {
+      std::lock_guard<std::mutex> Lock(M);
+      S.swap(New);
+    }
+    bool resident() const { return pin() != nullptr; }
+
+  private:
+    mutable std::mutex M;
+    std::shared_ptr<const service::AnalysisSnapshot> S;
+  };
+
+  /// One tenant.  Engine / Store / TrackUse are confined to the owning
   /// shard thread; Snap and the atomics are the cross-thread surface.
   struct Tenant {
     std::string Name;
     unsigned ShardIdx = 0;
     /// Published snapshot; null while opening or evicted.  Residency is
-    /// exactly "Snap != null" from any thread's point of view.
-    std::atomic<std::shared_ptr<const service::AnalysisSnapshot>> Snap;
-    std::unique_ptr<incremental::AnalysisSession> Session;
-    /// Demand-mode alternative to Session (TenantOptions::DemandFaultIn);
-    /// exactly one of the two is live while resident.
-    std::unique_ptr<demand::DemandSession> DemandS;
+    /// exactly "Snap holds a snapshot" from any thread's point of view.
+    SnapshotSlot Snap;
+    /// The live analysis; null while evicted.
+    std::unique_ptr<demand::DemandSession> Engine;
     std::unique_ptr<persist::Store> Store;
     bool TrackUse = true;
     /// observe::nowNanos() of the last request touching this tenant —
@@ -283,10 +305,10 @@ private:
   /// Registers the implicit tenant: recovered from DataDir's root store,
   /// or seeded from \p Initial (constructor only; throws on failure).
   void seedImplicitTenant(std::optional<ir::Program> Initial);
-  /// Installs a fresh session over \p Prog into \p T and, in durable
+  /// Installs a fresh engine over \p Prog into \p T and, in durable
   /// mode, initializes its store in tenantDir(T.Name), which must exist.
   /// Returns the failure text ("" on success, with T unpublished).
-  std::string installSession(Tenant &T, ir::Program Prog);
+  std::string installEngine(Tenant &T, ir::Program Prog);
   persist::StoreOptions storeOptions() const;
   void touch(Tenant &T) const;
 
@@ -311,7 +333,10 @@ private:
   /// MaxResident (best effort; busy tenants are skipped).  \p Keep is
   /// never chosen (the tenant just touched).
   void enforceResidentCap(unsigned SelfIdx, const Tenant *Keep);
-  void publish(Tenant &T, std::uint64_t Generation);
+  /// Publishes \p T's engine state at its current generation: a full
+  /// snapshot (solving what edits invalidated) or, under DemandFaultIn,
+  /// the partial one.
+  void publish(Tenant &T);
 
   /// Rewrites DataDir/tenants.json from the live registry (atomic write
   /// under ManifestMutex).

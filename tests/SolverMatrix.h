@@ -35,6 +35,7 @@
 #include "baselines/WorklistSolver.h"
 #include "graph/BindingGraph.h"
 #include "graph/CallGraph.h"
+#include "graph/Tarjan.h"
 #include "ir/Program.h"
 #include "support/ThreadPool.h"
 
@@ -152,19 +153,26 @@ inline const std::vector<SolverEngine> &allSolverEngines() {
                    Opts.Backend = ipse::AnalysisOptions::Engine::Sequential;
                    return viaFacade(Opts, P, K);
                  }});
-    E.push_back({"incremental", false, [viaFacade](const Program &P,
-                                                   EffectKind K) {
-                   ipse::AnalysisOptions Opts;
-                   Opts.Backend = ipse::AnalysisOptions::Engine::Session;
-                   return viaFacade(Opts, P, K);
-                 }});
-    // gmodResult() forces the demand engine to cover the whole program,
-    // so this exercises region solving driven to completion.
-    E.push_back({"demand", false, [viaFacade](const Program &P,
-                                              EffectKind K) {
+    // The stateful engine, eager: the whole program is one region, so
+    // this row is its batch ceiling (the pass pipeline over everything).
+    E.push_back({"eager-demand", false, [viaFacade](const Program &P,
+                                                    EffectKind K) {
                    ipse::AnalysisOptions Opts;
                    Opts.Backend = ipse::AnalysisOptions::Engine::Demand;
                    return viaFacade(Opts, P, K);
+                 }});
+    // The same engine driven by single-procedure queries, callees first
+    // (ascending call-graph SCC id), so every region is small and the
+    // frontier summaries of earlier queries do the folding; the final
+    // export then finds everything covered.
+    E.push_back({"demand", false, [](const Program &P, EffectKind K) {
+                   demand::DemandSession S(P);
+                   graph::CallGraph CG(P);
+                   graph::SccDecomposition Sccs = graph::computeSccs(CG.graph());
+                   for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C)
+                     for (graph::NodeId N : Sccs.Members[C])
+                       (void)S.gmod(ir::ProcId(N), K);
+                   return S.gmodResult(K);
                  }});
     E.push_back({"levels-inline", false, [](const Program &P, EffectKind K) {
                    return detail::solveByLevels(P, K, nullptr);

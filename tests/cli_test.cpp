@@ -148,8 +148,14 @@ TEST(Cli, SessionScriptOnStdin) {
   EXPECT_NE(Out.find("GMOD(process) = {"), std::string::npos) << Out;
   EXPECT_NE(Out.find("check: OK"), std::string::npos) << Out;
   EXPECT_EQ(Out.find("MISMATCH"), std::string::npos) << Out;
-  // One effect-only flush (add-mod) and one structural flush (rm-call).
-  EXPECT_NE(Out.find("effect-only 1"), std::string::npos) << Out;
+  // The stats line prints the engine's counters: two edits; the first
+  // query covered the program with one batch solve per kind, and neither
+  // edit (an absorbed-or-GMOD-only add-mod, a formal-free rm-call) had to
+  // un-solve anything.
+  EXPECT_NE(Out.find("edits 2 "), std::string::npos) << Out;
+  EXPECT_NE(Out.find("batch-solves 2 "), std::string::npos) << Out;
+  EXPECT_NE(Out.find("invalidations 0 "), std::string::npos) << Out;
+  EXPECT_NE(Out.find("full-resets 0"), std::string::npos) << Out;
 }
 
 TEST(Cli, SessionOnGeneratedProgram) {
@@ -193,22 +199,22 @@ TEST(Cli, SessionRefusesIllegalRmProcWithACleanError) {
 }
 
 TEST(Cli, ReportEnginesAreByteIdentical) {
-  std::string Seq, Par, Sess;
+  std::string Seq, Par, Dem;
   ASSERT_EQ(run(cli() + " report --rmod " + corpus("tower.mp"), Seq), 0);
   ASSERT_EQ(run(cli() + " report --rmod --parallel=2 " + corpus("tower.mp"),
                 Par),
             0);
-  ASSERT_EQ(run(cli() + " report --rmod --engine=session " +
+  ASSERT_EQ(run(cli() + " report --rmod --engine=demand " +
                     corpus("tower.mp"),
-                Sess),
+                Dem),
             0);
   EXPECT_EQ(Seq, Par);
-  EXPECT_EQ(Seq, Sess);
+  EXPECT_EQ(Seq, Dem);
 }
 
 TEST(Cli, ReportProfileAppendsPhaseTable) {
   for (const char *Flags : {"--profile", "--profile --parallel=2",
-                            "--profile --engine=session"}) {
+                            "--profile --engine=demand"}) {
     std::string Out;
     ASSERT_EQ(run(cli() + " report " + Flags + " " + corpus("tower.mp"), Out),
               0)
@@ -311,6 +317,20 @@ TEST(Cli, ReportUnknownEngineFails) {
   EXPECT_EQ(run(cli() + " report --engine=quantum " + corpus("tower.mp"),
                 Out),
             2);
+  // The removed session engine is an unknown engine like any other: a
+  // clean usage error, on every verb that takes --engine.
+  EXPECT_EQ(run("(" + cli() + " report --engine=session " +
+                    corpus("tower.mp") + " 2>&1)",
+                Out),
+            2);
+  EXPECT_NE(Out.find("unknown engine 'session'"), std::string::npos) << Out;
+  EXPECT_EQ(run("printf 'gen procs=4\n' | " + cli() +
+                    " session --engine=session -",
+                Out),
+            2);
+  EXPECT_EQ(run(cli() + " serve --gen procs=4 --engine=session < /dev/null",
+                Out),
+            2);
 }
 
 TEST(Cli, SessionMetricsVerb) {
@@ -333,7 +353,8 @@ TEST(Cli, SessionProfile) {
       << Out;
   EXPECT_NE(Out.find("profile:"), std::string::npos) << Out;
   if (ipse::observe::enabled()) {
-    EXPECT_NE(Out.find("flush.full-rebuild"), std::string::npos) << Out;
+    // The first query covers the whole program: the batch ceiling.
+    EXPECT_NE(Out.find("demand.batch"), std::string::npos) << Out;
   }
 }
 
@@ -352,6 +373,30 @@ TEST(Cli, ServeOverStdio) {
   EXPECT_NE(Out.find("\"result\":\"GMOD(main) = {"), std::string::npos) << Out;
   EXPECT_NE(Out.find("check: OK"), std::string::npos) << Out;
   EXPECT_EQ(Out.find("\"ok\":false"), std::string::npos) << Out;
+}
+
+TEST(Cli, ServeWithoutUseAnswersUseQueriesWithAnError) {
+  // A server started with --no-use keeps no USE pipeline: guse / use are a
+  // clean per-request error, and the server keeps answering (both the
+  // default full snapshots and --engine=demand's partial ones).
+  std::string Requests = R"({"id":1,"cmd":"guse p1"}\n)"
+                         R"({"id":2,"cmd":"use p1 0"}\n)"
+                         R"({"id":3,"cmd":"gmod p1"}\n)"
+                         R"({"id":4,"cmd":"check"}\n)";
+  for (const char *Engine : {"", " --engine=demand"}) {
+    std::string Out;
+    ASSERT_EQ(run("printf '" + Requests + "' | " + cli() +
+                      " serve --gen procs=10,seed=3 --no-use" + Engine,
+                  Out),
+              0)
+        << Engine << Out;
+    EXPECT_NE(Out.find("\"id\":1,\"ok\":false"), std::string::npos) << Out;
+    EXPECT_NE(Out.find("\"id\":2,\"ok\":false"), std::string::npos) << Out;
+    EXPECT_NE(Out.find("no USE pipeline"), std::string::npos) << Out;
+    EXPECT_NE(Out.find("\"result\":\"GMOD(p1) = {"), std::string::npos)
+        << Out;
+    EXPECT_NE(Out.find("check: OK"), std::string::npos) << Out;
+  }
 }
 
 TEST(Cli, ServeReportsScriptErrorsPerRequest) {
@@ -463,7 +508,7 @@ TEST(Cli, SaveInspectLoadRoundTrip) {
 
   ASSERT_EQ(run(cli() + " load " + Snap, Out), 0) << Out;
   EXPECT_NE(Out.find("generation 0"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("full rebuilds since load: 0"), std::string::npos)
+  EXPECT_NE(Out.find("region solves since load: 0"), std::string::npos)
       << Out;
 
   // The loaded planes must answer identically to a cold solve: the

@@ -16,7 +16,6 @@
 
 #include "analysis/SideEffectAnalyzer.h"
 #include "demand/DemandSession.h"
-#include "incremental/AnalysisSession.h"
 #include "incremental/Edit.h"
 #include "ir/ProgramBuilder.h"
 #include "synth/EditGen.h"
@@ -242,23 +241,32 @@ TEST(DemandSession, AbsorbedEffectDeltaKeepsMemo) {
   EXPECT_EQ(S.stats().RegionSolves, Solves); // No region re-solved.
   expectEquivalent(S, "after absorbed addMod");
 
-  // Removing the bit shrinks IMOD+(r): no prune applies, the cone above r
-  // is un-solved, and the re-solve restores the (unchanged) answer.
+  // Removing the bit shrinks IMOD+(r): no prune applies, but no formal
+  // bit moved either, so GMOD is re-solved in place from r — r stays
+  // covered, nothing is un-solved, and the (unchanged) answer holds.
+  std::uint64_t Invalidated = S.stats().Invalidations;
   EXPECT_TRUE(S.removeMod(RS, G));
-  EXPECT_FALSE(S.covered(RP, EffectKind::Mod));
+  EXPECT_TRUE(S.covered(RP, EffectKind::Mod));
+  EXPECT_EQ(S.stats().Invalidations, Invalidated);
   EXPECT_TRUE(S.gmod(RP).test(G.index()));
   expectEquivalent(S, "after removing the absorbed bit");
 }
 
-TEST(DemandSession, CallDeltaUnsolvesCallerChain) {
+TEST(DemandSession, CallDeltaReSolvesCallerChain) {
   SimpleProgram SP;
   DemandSession S(std::move(SP.P));
   (void)S.gmod(SP.Main);
+  std::uint64_t Invalidated = S.stats().Invalidations;
 
+  // The new call binds a global, not a formal: β and RMOD are unchanged,
+  // so the caller chain's GMOD is re-solved in place and stays covered.
+  // (A formal-binding call delta un-solves the chain instead; see
+  // incremental_test's CallDeltaBindingAFormalUnsolvesCallerChain.)
   S.addCall(SP.QS, SP.PP, {ir::Actual::variable(SP.G)});
-  EXPECT_FALSE(S.covered(SP.QP, EffectKind::Mod));
-  EXPECT_FALSE(S.covered(SP.Main, EffectKind::Mod));
+  EXPECT_TRUE(S.covered(SP.QP, EffectKind::Mod));
+  EXPECT_TRUE(S.covered(SP.Main, EffectKind::Mod));
   EXPECT_TRUE(S.covered(SP.PP, EffectKind::Mod)); // Callee unaffected.
+  EXPECT_EQ(S.stats().Invalidations, Invalidated);
   EXPECT_TRUE(S.gmod(SP.QP).test(SP.G.index()));
   expectEquivalent(S, "after addCall");
 
@@ -286,7 +294,7 @@ TEST(DemandSession, WarmRestoreStartsFullyCovered) {
   Program Copy = SP.P;
   DemandSession Cold(std::move(SP.P));
   Cold.ensureSolvedAll();
-  incremental::SessionPlanes Planes = Cold.exportPlanes();
+  SessionPlanes Planes = Cold.exportPlanes();
 
   DemandSession Warm(std::move(Copy), DemandOptions(), std::move(Planes));
   EXPECT_EQ(Warm.coveredCount(EffectKind::Mod), Warm.program().numProcs());
@@ -300,20 +308,6 @@ TEST(DemandSession, WarmRestoreStartsFullyCovered) {
   EXPECT_FALSE(Warm.rmodContains(SP.A));
   EXPECT_GE(Warm.stats().RegionSolves, 1u);
   expectEquivalent(Warm, "warm restore + edit");
-}
-
-TEST(DemandSession, AcceptsIncrementalSessionPlanes) {
-  // The incremental session's exported planes install as demand memo —
-  // the tenant fault-in path (snapshot written by either engine).
-  SimpleProgram SP;
-  Program Copy = SP.P;
-  incremental::AnalysisSession Batch(std::move(SP.P));
-  (void)Batch.gmod(SP.Main);
-  DemandSession S(std::move(Copy), DemandOptions(), Batch.exportPlanes());
-  EXPECT_EQ(S.coveredCount(EffectKind::Mod), S.program().numProcs());
-  (void)S.gmod(SP.QP);
-  EXPECT_EQ(S.stats().RegionSolves, 0u);
-  expectEquivalent(S, "planes from AnalysisSession");
 }
 
 TEST(DemandSession, ModOnlySessionSkipsUse) {
@@ -451,7 +445,7 @@ TEST(DemandEquivalence, WarmRestoreThenEditsMatchesBatch) {
     Program Copy = P;
     DemandSession Cold(std::move(P));
     Cold.ensureSolvedAll();
-    incremental::SessionPlanes Planes = Cold.exportPlanes();
+    SessionPlanes Planes = Cold.exportPlanes();
 
     DemandSession S(std::move(Copy), DemandOptions(), std::move(Planes));
     synth::EditGenConfig Cfg;

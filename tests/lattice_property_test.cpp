@@ -14,8 +14,8 @@
 //   2. Idempotent re-solve — an engine run twice on the same program
 //      returns byte-identical planes (no hidden state, no order effects).
 //   3. Monotone growth — additive edits (no removals) can only grow GMOD,
-//      checked after every EditGen step on the incremental and demand
-//      engines in lockstep.
+//      checked after every EditGen step on an eager and a lazy demand
+//      engine in lockstep.
 //   4. Demand ≡ batch on arbitrary query subsets — for random subsets of
 //      procedures, a fresh DemandSession's answers are bit-for-bit the
 //      batch oracle's, over 100+ random programs; the solved region stays
@@ -35,7 +35,6 @@
 #include "demand/DemandSession.h"
 #include "graph/BindingGraph.h"
 #include "graph/Reachability.h"
-#include "incremental/AnalysisSession.h"
 #include "incremental/Edit.h"
 #include "synth/EditGen.h"
 #include "synth/ProgramGen.h"
@@ -194,7 +193,9 @@ TEST(LatticeProperty, AdditiveEditsGrowGModMonotonically) {
   for (const Shape &S : Shapes)
     for (std::uint64_t Seed = Base; Seed != Base + 4; ++Seed) {
       Program P0 = makeProgram(S, Seed);
-      incremental::AnalysisSession Inc(P0);
+      // Inc is driven eagerly (every procedure re-solved after each edit),
+      // Dem lazily (only what the checks query).
+      demand::DemandSession Inc(P0);
       demand::DemandSession Dem(P0);
 
       synth::EditGenConfig Cfg;
@@ -214,7 +215,8 @@ TEST(LatticeProperty, AdditiveEditsGrowGModMonotonically) {
       for (unsigned Step = 0; Step != 12; ++Step) {
         std::optional<incremental::Edit> E = Gen.next(Inc.program());
         ASSERT_TRUE(E.has_value());
-        incremental::applyEdit(Inc, *E);
+        demand::applyEdit(Inc, *E);
+        Inc.ensureSolvedAll();
         demand::applyEdit(Dem, *E);
         std::string Ctx = std::string(S.Name) + " seed " +
                           std::to_string(Seed) + " step " +
@@ -294,7 +296,7 @@ TEST(LatticeProperty, DemandMatchesBatchOnRandomQuerySubsets) {
 
 //===----------------------------------------------------------------------===//
 // 4b. The subset property survives arbitrary (including destructive)
-// edits: incremental and demand engines walk the same edit stream, then
+// edits: an eager and a lazy demand engine walk the same edit stream, then
 // random subsets must agree bit-for-bit.
 //===----------------------------------------------------------------------===//
 
@@ -303,7 +305,9 @@ TEST(LatticeProperty, DemandSubsetQueriesStayExactUnderEdits) {
   for (const Shape &S : Shapes)
     for (std::uint64_t Seed = Base; Seed != Base + 3; ++Seed) {
       Program P0 = makeProgram(S, Seed);
-      incremental::AnalysisSession Inc(P0);
+      // Inc is driven eagerly (every procedure re-solved after each edit),
+      // Dem lazily (only what the checks query).
+      demand::DemandSession Inc(P0);
       demand::DemandSession Dem(P0);
       synth::EditGenConfig Cfg;
       Cfg.Seed = Seed * 613 + 7;
@@ -313,7 +317,8 @@ TEST(LatticeProperty, DemandSubsetQueriesStayExactUnderEdits) {
       for (unsigned Step = 0; Step != 10; ++Step) {
         std::optional<incremental::Edit> E = Gen.next(Inc.program());
         ASSERT_TRUE(E.has_value());
-        incremental::applyEdit(Inc, *E);
+        demand::applyEdit(Inc, *E);
+        Inc.ensureSolvedAll();
         demand::applyEdit(Dem, *E);
         std::uniform_int_distribution<std::uint32_t> PickProc(
             0, Inc.program().numProcs() - 1);

@@ -455,7 +455,7 @@ TEST(Facade, ReportsByteIdenticalAcrossEnginesAndProfiling) {
   const std::string Baseline = analysis::makeReport(P, RO);
 
   using Engine = ipse::AnalysisOptions::Engine;
-  for (Engine E : {Engine::Sequential, Engine::Session}) {
+  for (Engine E : {Engine::Sequential, Engine::Demand}) {
     for (bool Profile : {false, true}) {
       ipse::AnalysisOptions O;
       O.Backend = E;
@@ -489,7 +489,7 @@ TEST(Facade, AnalyzeAnswersTheSameQueriesOnEveryEngine) {
   ipse::Analysis Seq = ipse::Analyzer(SeqO).analyze(P);
 
   using Engine = ipse::AnalysisOptions::Engine;
-  for (Engine E : {Engine::Sequential, Engine::Session}) {
+  for (Engine E : {Engine::Sequential, Engine::Demand}) {
     ipse::AnalysisOptions O;
     O.Backend = E;
     O.Threads = 2;

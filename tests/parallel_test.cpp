@@ -10,7 +10,7 @@
 // randomized programs across shapes × {MOD, USE}, the kernels — inline and
 // fanned out on pools of 2, 4 and 8 lanes with the fan-out bar at 0 — must
 // be bit-for-bit equal to the reference solvers and the iterative oracle,
-// and to the incremental session after replayed edits.  Plus the kernel
+// and to the eagerly driven demand engine after replayed edits.  Plus the kernel
 // choice (made from the program alone), determinism (byte-identical
 // reports at every lane count), exact op accounting under threads, and
 // the ThreadPool/LevelSchedule invariants everything above rests on.
@@ -27,7 +27,7 @@
 #include "analysis/SideEffectAnalyzer.h"
 #include "graph/LevelSchedule.h"
 #include "graph/Reachability.h"
-#include "incremental/AnalysisSession.h"
+#include "demand/DemandSession.h"
 #include "ir/ProgramBuilder.h"
 #include "support/ThreadPool.h"
 #include "synth/EditGen.h"
@@ -495,7 +495,7 @@ TEST(ThreadPool, ChunkedClaimingCoversAllIndices) {
 }
 
 //===----------------------------------------------------------------------===//
-// Against the incremental session, after replayed edits.
+// Against the eagerly driven demand engine, after replayed edits.
 //===----------------------------------------------------------------------===//
 
 Program makeSessionShape(unsigned Shape, std::uint64_t Seed) {
@@ -524,15 +524,16 @@ Program makeSessionShape(unsigned Shape, std::uint64_t Seed) {
   }
 }
 
-TEST(ParallelDifferential, MatchesIncrementalSessionAfterReplayedEdits) {
-  // 5 shapes × 6 seeds, 10 random edits each (all tiers enabled): the
-  // session's delta-maintained results and a fresh solve of the edited
-  // program by the condensation kernels — inline and on a 4-lane pool
-  // with the bar at 0 — must coincide bit-for-bit.
+TEST(ParallelDifferential, MatchesEagerDemandAfterReplayedEdits) {
+  // 5 shapes × 6 seeds, 10 random edits each (all delta kinds enabled):
+  // the stateful engine's delta-maintained results and a fresh solve of
+  // the edited program by the condensation kernels — inline and on a
+  // 4-lane pool with the bar at 0 — must coincide bit-for-bit.
   const std::uint64_t Base = testseed::baseSeed(1);
   for (unsigned Shape = 0; Shape != 5; ++Shape)
     for (std::uint64_t Seed = Base; Seed != Base + 6; ++Seed) {
-      incremental::AnalysisSession S(makeSessionShape(Shape, Seed));
+      demand::DemandSession S(makeSessionShape(Shape, Seed));
+      S.ensureSolvedAll();
       synth::EditGenConfig Cfg;
       Cfg.Seed = Seed * 977 + Shape;
       synth::EditGen Gen(Cfg);
@@ -540,9 +541,9 @@ TEST(ParallelDifferential, MatchesIncrementalSessionAfterReplayedEdits) {
         std::optional<incremental::Edit> E = Gen.next(S.program());
         if (!E)
           break;
-        incremental::applyEdit(S, *E);
+        demand::applyEdit(S, *E);
+        S.ensureSolvedAll();
       }
-      S.flush();
 
       std::string Context = "session shape " + std::to_string(Shape) +
                             " seed " + std::to_string(Seed);
@@ -560,38 +561,33 @@ TEST(ParallelDifferential, MatchesIncrementalSessionAfterReplayedEdits) {
     }
 }
 
-/// The session's lane count (SessionOptions::Threads) must be invisible in
-/// results — construction and tier-3 rebuilds run the batch analyzer's
-/// dispatch, everything else is shared code.  The program is wide, so the
-/// rebuilds take the condensation kernel.
-TEST(ParallelDifferential, SessionThreadsOptionIsResultInvisible) {
-  Program P = makeWideProgram();
-  incremental::SessionOptions Par;
-  Par.Threads = 4;
-  incremental::AnalysisSession S4(P, Par);
-  incremental::AnalysisSession S1(P);
-
-  auto expectSessionsEqual = [&](const char *When) {
-    ASSERT_EQ(S4.program().numProcs(), S1.program().numProcs());
-    for (std::uint32_t I = 0; I != S1.program().numProcs(); ++I) {
-      EXPECT_EQ(S4.gmod(ProcId(I)), S1.gmod(ProcId(I))) << When << " " << I;
-      EXPECT_EQ(S4.guse(ProcId(I)), S1.guse(ProcId(I))) << When << " " << I;
+/// The stateful engine's batch ceiling runs the batch analyzer's dispatch
+/// (analysis::solvePasses) inline; on a wide program that is the
+/// condensation kernel, and its planes must equal the 4-lane analyzer's —
+/// on a cold open and again after a universe edit resets the memo.
+TEST(ParallelDifferential, DemandBatchPathMatchesLaneAnalyzers) {
+  demand::DemandSession S(makeWideProgram());
+  auto expectMatchesK4 = [&](const char *When) {
+    S.ensureSolvedAll();
+    const Program &P = S.program();
+    for (EffectKind Kind : {EffectKind::Mod, EffectKind::Use}) {
+      analysis::AnalyzerOptions Opts;
+      Opts.Kind = Kind;
+      analysis::SideEffectAnalyzer K4(P, Opts, /*Lanes=*/4);
+      for (std::uint32_t I = 0; I != P.numProcs(); ++I)
+        EXPECT_EQ(S.gmod(ProcId(I), Kind), K4.gmod(ProcId(I)))
+            << When << " " << I;
     }
   };
-  expectSessionsEqual("initial");
+  expectMatchesK4("initial");
+  EXPECT_EQ(S.stats().BatchSolves, 2u);
 
-  // A universe edit forces the tier-3 rebuild.
-  VarId G4 = S4.addGlobal("fresh_g");
-  VarId G1 = S1.addGlobal("fresh_g");
-  ASSERT_EQ(G4, G1);
-  ProcId Main = S1.program().main();
-  StmtId T4 = S4.addStmt(Main);
-  StmtId T1 = S1.addStmt(Main);
-  ASSERT_EQ(T4, T1);
-  S4.addMod(T4, G4);
-  S1.addMod(T1, G1);
-  expectSessionsEqual("after universe edit");
-  EXPECT_GE(S4.stats().FullRebuilds, 1u);
+  // A universe edit drops the memo; re-covering takes the batch path.
+  VarId G = S.addGlobal("fresh_g");
+  StmtId T = S.addStmt(S.program().main());
+  S.addMod(T, G);
+  expectMatchesK4("after universe edit");
+  EXPECT_EQ(S.stats().BatchSolves, 4u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,7 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "incremental/AnalysisSession.h"
+#include "demand/DemandSession.h"
 #include "incremental/Edit.h"
 #include "persist/Snapshot.h"
 #include "persist/Store.h"
@@ -39,10 +39,10 @@
 #include <vector>
 
 using namespace ipse;
-using incremental::AnalysisSession;
+using demand::DemandSession;
 using incremental::Edit;
 using incremental::EditKind;
-using incremental::SessionPlanes;
+using demand::SessionPlanes;
 using ir::Program;
 
 namespace {
@@ -80,7 +80,7 @@ Program genProgram(unsigned Procs, unsigned Depth, std::uint64_t Seed) {
 
 /// Two sessions' exported planes, compared field by field — the
 /// "byte-identical" assertion the warm-restart contract promises.
-void expectPlanesIdentical(AnalysisSession &A, AnalysisSession &B,
+void expectPlanesIdentical(DemandSession &A, DemandSession &B,
                            const std::string &Context) {
   SessionPlanes PA = A.exportPlanes();
   SessionPlanes PB = B.exportPlanes();
@@ -225,8 +225,8 @@ TEST(EditCodec, RejectsBadKindAndTruncation) {
 
 TEST(EditCodec, RandomStreamRoundTrips) {
   Program P = genProgram(20, 2, 99);
-  incremental::SessionOptions SO;
-  AnalysisSession S(std::move(P), SO);
+  demand::DemandOptions SO;
+  DemandSession S(std::move(P), SO);
   synth::EditGenConfig Cfg;
   Cfg.Seed = 5;
   synth::EditGen Gen(Cfg);
@@ -240,7 +240,7 @@ TEST(EditCodec, RandomStreamRoundTrips) {
     Edit Out;
     ASSERT_TRUE(Edit::decode(R, Out)) << "edit " << I;
     EXPECT_EQ(*E, Out) << "edit " << I;
-    incremental::applyEdit(S, *E);
+    demand::applyEdit(S, *E);
   }
 }
 
@@ -295,23 +295,23 @@ TEST(Snapshot, RoundTripRestoresWarmSession) {
   std::string Dir = freshDir("snap_roundtrip");
   std::string Path = Dir + "/s.ipsesnap";
 
-  incremental::SessionOptions SO;
-  AnalysisSession Live(genProgram(25, 2, 41), SO);
+  demand::DemandOptions SO;
+  DemandSession Live(genProgram(25, 2, 41), SO);
   // Advance past generation 0 so the generation is meaningful.
   ir::VarId G = Live.addGlobal("snap_g");
   Live.addMod(ir::StmtId(0), G);
-  Live.flush();
+  Live.ensureSolvedAll();
   const std::uint64_t Gen = Live.generation();
 
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::capture(Path, Live, Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
 
   persist::SnapshotData Data;
   ASSERT_TRUE(persist::SnapshotReader::read(Path, Data, Err)) << Err;
   EXPECT_EQ(Data.Generation, Gen);
   EXPECT_TRUE(Data.TrackUse);
 
-  AnalysisSession Restored(std::move(Data.Program), SO,
+  DemandSession Restored(std::move(Data.Program), SO,
                            std::move(Data.Planes));
   EXPECT_EQ(Restored.generation(), Gen);
   expectPlanesIdentical(Live, Restored, "snapshot round trip");
@@ -319,16 +319,16 @@ TEST(Snapshot, RoundTripRestoresWarmSession) {
   // not recomputed, and the first queries come straight from them.
   for (std::uint32_t I = 0; I != Restored.program().numProcs(); ++I)
     Restored.gmod(ir::ProcId(I));
-  EXPECT_EQ(Restored.stats().FullRebuilds, 0u);
+  EXPECT_EQ(Restored.stats().RegionSolves, 0u);
 }
 
 TEST(Snapshot, EveryFlippedByteIsRejected) {
   std::string Dir = freshDir("snap_flip");
   std::string Path = Dir + "/s.ipsesnap";
-  incremental::SessionOptions SO;
-  AnalysisSession Live(genProgram(8, 1, 7), SO);
+  demand::DemandOptions SO;
+  DemandSession Live(genProgram(8, 1, 7), SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::capture(Path, Live, Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
 
   std::vector<std::uint8_t> Good = slurpBytes(Path);
   std::string Tmp = Dir + "/flipped.ipsesnap";
@@ -348,10 +348,10 @@ TEST(Snapshot, EveryFlippedByteIsRejected) {
 TEST(Snapshot, EveryTruncationIsRejected) {
   std::string Dir = freshDir("snap_trunc");
   std::string Path = Dir + "/s.ipsesnap";
-  incremental::SessionOptions SO;
-  AnalysisSession Live(genProgram(8, 1, 9), SO);
+  demand::DemandOptions SO;
+  DemandSession Live(genProgram(8, 1, 9), SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::capture(Path, Live, Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
 
   std::vector<std::uint8_t> Good = slurpBytes(Path);
   std::string Tmp = Dir + "/short.ipsesnap";
@@ -368,10 +368,10 @@ TEST(Snapshot, EveryTruncationIsRejected) {
 TEST(Snapshot, InspectReportsSectionsWithoutDecoding) {
   std::string Dir = freshDir("snap_inspect");
   std::string Path = Dir + "/s.ipsesnap";
-  incremental::SessionOptions SO;
-  AnalysisSession Live(genProgram(10, 1, 13), SO);
+  demand::DemandOptions SO;
+  DemandSession Live(genProgram(10, 1, 13), SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::capture(Path, Live, Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
 
   persist::SnapshotInfo Info;
   ASSERT_TRUE(persist::SnapshotReader::inspect(Path, Info, Err)) << Err;
@@ -403,10 +403,10 @@ TEST(Snapshot, SplicedGraphFingerprintIsRejected) {
   // program: the re-derivation cross-check must refuse it.
   std::string Dir = freshDir("snap_splice");
   std::string Path = Dir + "/s.ipsesnap";
-  incremental::SessionOptions SO;
-  AnalysisSession Live(genProgram(15, 2, 21), SO);
+  demand::DemandOptions SO;
+  DemandSession Live(genProgram(15, 2, 21), SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::capture(Path, Live, Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
 
   std::vector<std::uint8_t> Bytes = slurpBytes(Path);
   // Walk: 32-byte header, then tag u32 | len u64 | crc u32 | payload.
@@ -448,10 +448,10 @@ TEST(Snapshot, ProcMissingFromParentNestedIsRejected) {
   // refuse it before anything consumes the tables.
   std::string Dir = freshDir("snap_nested");
   std::string Path = Dir + "/s.ipsesnap";
-  incremental::SessionOptions SO;
-  AnalysisSession Live(genProgram(15, 2, 23), SO);
+  demand::DemandOptions SO;
+  DemandSession Live(genProgram(15, 2, 23), SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::capture(Path, Live, Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
 
   std::vector<std::uint8_t> Bytes = slurpBytes(Path);
   // Walk: 32-byte header, then tag u32 | len u64 | crc u32 | payload.
@@ -499,7 +499,7 @@ TEST(Snapshot, ProcMissingFromParentNestedIsRejected) {
 //===----------------------------------------------------------------------===//
 
 /// N distinct valid edits generated against (and applied to) \p S.
-std::vector<Edit> editStream(AnalysisSession &S, unsigned N,
+std::vector<Edit> editStream(DemandSession &S, unsigned N,
                              std::uint64_t Seed) {
   synth::EditGenConfig Cfg;
   Cfg.Seed = Seed;
@@ -509,7 +509,7 @@ std::vector<Edit> editStream(AnalysisSession &S, unsigned N,
     std::optional<Edit> E = Gen.next(S.program());
     if (!E)
       break;
-    incremental::applyEdit(S, *E);
+    demand::applyEdit(S, *E);
     Edits.push_back(std::move(*E));
   }
   return Edits;
@@ -519,8 +519,8 @@ TEST(Wal, AppendRecoverRoundTrip) {
   std::string Dir = freshDir("wal_roundtrip");
   std::string Path = Dir + "/w.ipselog";
 
-  incremental::SessionOptions SO;
-  AnalysisSession S(genProgram(15, 1, 31), SO);
+  demand::DemandOptions SO;
+  DemandSession S(genProgram(15, 1, 31), SO);
 
   persist::Wal Log;
   std::string Err;
@@ -547,8 +547,8 @@ TEST(Wal, TornTailIsTruncatedAtEveryCut) {
   std::string Dir = freshDir("wal_torn");
   std::string Path = Dir + "/w.ipselog";
 
-  incremental::SessionOptions SO;
-  AnalysisSession S(genProgram(12, 1, 33), SO);
+  demand::DemandOptions SO;
+  DemandSession S(genProgram(12, 1, 33), SO);
   persist::Wal Log;
   std::string Err;
   ASSERT_TRUE(persist::Wal::create(Path, 0, Log, Err)) << Err;
@@ -586,8 +586,8 @@ TEST(Wal, AppendsResumeAfterTornTailRecovery) {
   std::string Dir = freshDir("wal_resume");
   std::string Path = Dir + "/w.ipselog";
 
-  incremental::SessionOptions SO;
-  AnalysisSession S(genProgram(12, 1, 35), SO);
+  demand::DemandOptions SO;
+  DemandSession S(genProgram(12, 1, 35), SO);
   persist::Wal Log;
   std::string Err;
   ASSERT_TRUE(persist::Wal::create(Path, 0, Log, Err)) << Err;
@@ -647,12 +647,12 @@ TEST(CrashRecovery, RecoveredPlanesMatchUninterruptedRunAtEveryCut) {
   std::string WalPath = Dir + "/w.ipselog";
 
   Program Base = genProgram(30, 2, 77);
-  incremental::SessionOptions SO;
+  demand::DemandOptions SO;
 
   // The "server": snapshot at generation 0, then WAL + apply each edit.
-  AnalysisSession Writer(Base, SO);
+  DemandSession Writer(Base, SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::capture(SnapPath, Writer, Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(SnapPath, persist::SnapshotData::of(Writer), Err)) << Err;
   persist::Wal Log;
   ASSERT_TRUE(persist::Wal::create(WalPath, Writer.generation(), Log, Err))
       << Err;
@@ -681,15 +681,15 @@ TEST(CrashRecovery, RecoveredPlanesMatchUninterruptedRunAtEveryCut) {
     // Restore from the snapshot and replay the recovered tail.
     persist::SnapshotData Data;
     ASSERT_TRUE(persist::SnapshotReader::read(SnapPath, Data, Err)) << Err;
-    AnalysisSession Recovered(std::move(Data.Program), SO,
+    DemandSession Recovered(std::move(Data.Program), SO,
                               std::move(Data.Planes));
     for (const Edit &E : WR.Edits)
-      incremental::applyEdit(Recovered, E);
+      demand::applyEdit(Recovered, E);
 
     // The uninterrupted run of the same prefix.
-    AnalysisSession Reference(Base, SO);
+    DemandSession Reference(Base, SO);
     for (std::size_t I = 0; I != WR.Edits.size(); ++I)
-      incremental::applyEdit(Reference, Edits[I]);
+      demand::applyEdit(Reference, Edits[I]);
 
     expectPlanesIdentical(Reference, Recovered, "prefix of " +
                           std::to_string(WR.Edits.size()) + " edits");
@@ -702,15 +702,15 @@ TEST(CrashRecovery, RecoveredPlanesMatchUninterruptedRunAtEveryCut) {
 
 TEST(Store, InitAppendCrashOpenReplays) {
   std::string Dir = freshDir("store_lifecycle");
-  incremental::SessionOptions SO;
-  AnalysisSession Live(genProgram(18, 2, 55), SO);
+  demand::DemandOptions SO;
+  DemandSession Live(genProgram(18, 2, 55), SO);
 
   persist::StoreOptions PO; // Thresholds high: no auto-compaction here.
   std::string Err;
   EXPECT_FALSE(persist::Store::exists(Dir));
   {
     persist::Store S;
-    ASSERT_TRUE(persist::Store::init(Dir, PO, Live, S, Err)) << Err;
+    ASSERT_TRUE(persist::Store::init(Dir, PO, persist::SnapshotData::of(Live), S, Err)) << Err;
     EXPECT_TRUE(persist::Store::exists(Dir));
     std::vector<Edit> Edits = editStream(Live, 15, 3);
     for (const Edit &E : Edits)
@@ -727,23 +727,23 @@ TEST(Store, InitAppendCrashOpenReplays) {
   EXPECT_EQ(RS.TruncatedBytes, 0u);
   EXPECT_EQ(RS.Tail.size(), 15u);
 
-  AnalysisSession Recovered(std::move(RS.Snapshot.Program), SO,
+  DemandSession Recovered(std::move(RS.Snapshot.Program), SO,
                             std::move(RS.Snapshot.Planes));
   for (const Edit &E : RS.Tail)
-    incremental::applyEdit(Recovered, E);
+    demand::applyEdit(Recovered, E);
   expectPlanesIdentical(Live, Recovered, "store reopen");
 }
 
 TEST(Store, CompactRotatesFilesAndSweepsOrphans) {
   std::string Dir = freshDir("store_compact");
-  incremental::SessionOptions SO;
-  AnalysisSession Live(genProgram(10, 1, 61), SO);
+  demand::DemandOptions SO;
+  DemandSession Live(genProgram(10, 1, 61), SO);
 
   persist::StoreOptions PO;
   PO.CompactWalRecords = 4;
   std::string Err;
   persist::Store S;
-  ASSERT_TRUE(persist::Store::init(Dir, PO, Live, S, Err)) << Err;
+  ASSERT_TRUE(persist::Store::init(Dir, PO, persist::SnapshotData::of(Live), S, Err)) << Err;
   EXPECT_FALSE(S.shouldCompact());
 
   std::vector<Edit> Edits = editStream(Live, 6, 19);
@@ -752,7 +752,7 @@ TEST(Store, CompactRotatesFilesAndSweepsOrphans) {
     ASSERT_TRUE(S.appendEdits({E}, Err)) << Err;
   EXPECT_TRUE(S.shouldCompact());
 
-  ASSERT_TRUE(S.compact(Live, Err)) << Err;
+  ASSERT_TRUE(S.compact(persist::SnapshotData::of(Live), Err)) << Err;
   EXPECT_EQ(S.walRecords(), 0u);
   EXPECT_EQ(S.snapshotGeneration(), Live.generation());
   // The old generation-0 pair is gone; the new pair is on disk.

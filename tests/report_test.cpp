@@ -154,7 +154,7 @@ TEST(ReportOrder, MatchesNaiveRendererOnEveryEngine) {
     analysis::ReportOptions O;
     O.IncludeRMod = K % 2 == 1;
     const std::string Expected = naiveReport(P, O);
-    for (Engine E : {Engine::Sequential, Engine::Session, Engine::Demand})
+    for (Engine E : {Engine::Sequential, Engine::Demand})
       for (Repr Rep : {Repr::Dense, Repr::Sparse})
         for (unsigned Threads : {1u, 4u}) {
           AnalysisOptions Opts;

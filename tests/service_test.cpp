@@ -17,8 +17,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/SideEffectAnalyzer.h"
-#include "incremental/AnalysisSession.h"
+#include "demand/DemandSession.h"
 #include "incremental/Edit.h"
+#include "observe/Metrics.h"
 #include "observe/Trace.h"
 #include "ir/Printer.h"
 #include "ir/ProgramBuilder.h"
@@ -134,8 +135,8 @@ TEST(ScriptDriver, ParsesAndClassifiesCommands) {
 }
 
 TEST(ScriptDriver, SessionQueriesMatchDirectSessionCalls) {
-  incremental::AnalysisSession S(makeProgram());
-  SessionQueryTarget Target(S);
+  demand::DemandSession S(makeProgram());
+  DemandSessionQueryTarget Target(S);
   const ir::Program &P = S.program();
   for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
     std::string Name = P.name(ir::ProcId(I));
@@ -153,8 +154,8 @@ TEST(ScriptDriver, EditScriptLinesReplayAgainstASecondSession) {
   // toScriptLine and replayed by name onto another.  Both must agree —
   // this is the contract that lets the stress/bench drivers feed the
   // service synthetic edits over the wire protocol.
-  incremental::AnalysisSession Direct(makeProgram(10, 5, 3));
-  incremental::AnalysisSession Replayed(makeProgram(10, 5, 3));
+  demand::DemandSession Direct(makeProgram(10, 5, 3));
+  demand::DemandSession Replayed(makeProgram(10, 5, 3));
   synth::EditGenConfig Cfg;
   Cfg.Seed = 99;
   synth::EditGen Gen(Cfg);
@@ -163,7 +164,7 @@ TEST(ScriptDriver, EditScriptLinesReplayAgainstASecondSession) {
     if (!E)
       break;
     std::string Line = incremental::toScriptLine(Direct.program(), *E);
-    incremental::applyEdit(Direct, *E);
+    demand::applyEdit(Direct, *E);
     std::optional<ScriptCommand> Cmd = parseScriptLine(Line, I + 1);
     ASSERT_TRUE(Cmd.has_value()) << Line;
     ASSERT_NO_THROW(applyEditCommand(Replayed, *Cmd)) << Line;
@@ -180,14 +181,14 @@ TEST(ScriptDriver, EditScriptLinesReplayAgainstASecondSession) {
 }
 
 TEST(ScriptDriver, ResolutionErrorsNameTheProblem) {
-  incremental::AnalysisSession S(makeProgram());
+  demand::DemandSession S(makeProgram());
   try {
     applyEditCommand(S, *parseScriptLine("add-local nope x", 5));
     FAIL() << "expected ScriptError";
   } catch (const ScriptError &E) {
     EXPECT_EQ(E.Message, "unknown procedure 'nope'");
   }
-  SessionQueryTarget Target(S);
+  DemandSessionQueryTarget Target(S);
   EXPECT_THROW(evalQueryCommand(Target, *parseScriptLine("gmod nope", 1)),
                ScriptError);
 }
@@ -197,7 +198,7 @@ TEST(ScriptDriver, ResolutionErrorsNameTheProblem) {
 //===----------------------------------------------------------------------===//
 
 TEST(AnalysisSnapshot, MatchesBatchAnalyzersAndLiveSession) {
-  incremental::AnalysisSession S(makeProgram());
+  demand::DemandSession S(makeProgram());
   auto Snap = AnalysisSnapshot::capture(S, S.generation());
   const ir::Program &P = Snap->program();
 
@@ -220,7 +221,7 @@ TEST(AnalysisSnapshot, MatchesBatchAnalyzersAndLiveSession) {
 }
 
 TEST(AnalysisSnapshot, IsImmuneToLaterSessionEdits) {
-  incremental::AnalysisSession S(makeProgram());
+  demand::DemandSession S(makeProgram());
   auto Snap = AnalysisSnapshot::capture(S, S.generation());
   std::string Before =
       setToString(Snap->program(), Snap->gmod(S.program().main()));
@@ -231,11 +232,38 @@ TEST(AnalysisSnapshot, IsImmuneToLaterSessionEdits) {
   ir::ProcId NewProc = S.addProc("snap_p", S.program().main());
   ir::StmtId St = S.addStmt(NewProc);
   S.addMod(St, G);
-  S.flush();
+  S.ensureSolvedAll();
 
   EXPECT_EQ(Snap->program().numProcs(), ProcsBefore);
   EXPECT_EQ(setToString(Snap->program(), Snap->gmod(Snap->program().main())),
             Before);
+}
+
+TEST(AnalysisSnapshot, FullPublishCountsNoQueries) {
+  // A full-snapshot publish is a whole-program sweep, not N queries: it
+  // must not inflate the session's query counters or the exported
+  // demand.memo_hits metric, before or after an edit.
+  demand::DemandSession S(makeProgram());
+  observe::Counter &Hits =
+      observe::MetricsRegistry::global().counter("demand.memo_hits");
+  const std::uint64_t HitsBefore = Hits.value();
+  AnalysisSnapshot::capture(S, S.generation());
+
+  ir::VarId G;
+  for (std::uint32_t I = 0; I != S.program().numVars(); ++I)
+    if (S.program().var(ir::VarId(I)).Kind == ir::VarKind::Global) {
+      G = ir::VarId(I);
+      break;
+    }
+  ASSERT_TRUE(G.isValid());
+  S.addMod(S.addStmt(S.program().main()), G);
+  auto Snap = AnalysisSnapshot::capture(S, S.generation());
+  AnalysisSnapshot::capture(S, S.generation());
+
+  EXPECT_EQ(S.stats().Queries, 0u);
+  EXPECT_EQ(S.stats().MemoHits, 0u);
+  EXPECT_EQ(Hits.value(), HitsBefore);
+  EXPECT_TRUE(Snap->gmod(Snap->program().main()).test(G.index()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -248,10 +276,40 @@ std::unique_ptr<TenantService> serveProgram(ir::Program P,
   return std::make_unique<TenantService>(Opts, std::move(P));
 }
 
+TEST(ImplicitTenant, UseQueriesWithoutAUsePipelineAnswerAnError) {
+  // `serve --no-use`: a USE query is a clean error reply — against the
+  // full snapshot on the inline path and the live engine on the shard
+  // path alike — and the server keeps answering everything else.
+  const ir::Program Ref = makeProgram();
+  const std::string Main = Ref.name(Ref.main());
+  const std::string Leaf = Ref.name(ir::ProcId(Ref.numProcs() - 1));
+  for (bool Partial : {false, true}) {
+    tenant::TenantOptions Opts;
+    Opts.TrackUse = false;
+    Opts.DemandFaultIn = Partial;
+    auto Svc = serveProgram(makeProgram(), Opts);
+    for (const std::string &Line :
+         {"guse " + Main, "use " + Main + " 0", "guse " + Leaf}) {
+      Response R = Svc->call("", Line);
+      EXPECT_FALSE(R.Ok) << Line;
+      EXPECT_EQ(R.Error, "no USE pipeline (started with --no-use)") << Line;
+    }
+    Response G = Svc->call("", "gmod " + Main);
+    ASSERT_TRUE(G.Ok) << G.Error;
+    EXPECT_EQ(G.Result.rfind("GMOD(" + Main + ") = {", 0), 0u) << G.Result;
+    Response C = Svc->call("", "check");
+    ASSERT_TRUE(C.Ok) << C.Error;
+    EXPECT_TRUE(C.CheckOk) << C.Result;
+    Response E = Svc->call("", "add-global nouse_g");
+    EXPECT_TRUE(E.Ok) << E.Error;
+    EXPECT_TRUE(Svc->call("", "check").CheckOk);
+  }
+}
+
 TEST(ImplicitTenant, AnswersQueriesAndAppliesEdits) {
   auto Svc = serveProgram(makeProgram());
 
-  incremental::AnalysisSession Ref(makeProgram());
+  demand::DemandSession Ref(makeProgram());
   std::string MainName = Ref.program().name(Ref.program().main());
 
   Response R = Svc->call("", "gmod " + MainName);
@@ -674,7 +732,7 @@ TEST(ServiceStress, EveryResponseMatchesItsSnapshotGeneration) {
   // Edits are serial, so generation G is the state after G edits: a
   // mirror session that applies the same edits yields the expected
   // snapshot of every generation the server can publish.
-  incremental::AnalysisSession Mirror(makeProgram(24, 8, 11));
+  demand::DemandSession Mirror(makeProgram(24, 8, 11));
   std::map<std::uint64_t, std::shared_ptr<const AnalysisSnapshot>> History;
   History[Mirror.generation()] =
       AnalysisSnapshot::capture(Mirror, Mirror.generation());
@@ -725,7 +783,7 @@ TEST(ServiceStress, EveryResponseMatchesItsSnapshotGeneration) {
     if (!E)
       break;
     std::string Line = incremental::toScriptLine(Mirror.program(), *E);
-    incremental::applyEdit(Mirror, *E);
+    demand::applyEdit(Mirror, *E);
     Response R = Svc->call("", Line);
     ASSERT_TRUE(R.Ok) << R.Error << " for " << Line;
     ASSERT_EQ(R.Generation, Mirror.generation()) << Line;

@@ -18,7 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "incremental/AnalysisSession.h"
+#include "demand/DemandSession.h"
 #include "persist/Snapshot.h"
 #include "support/Json.h"
 #include "synth/ProgramGen.h"
@@ -74,18 +74,19 @@ std::vector<std::string> tenantQueryScript(unsigned Rounds) {
   return Lines;
 }
 
-/// The oracle: one private AnalysisSession fed the same script a tenant
-/// received, answering through the same evaluator the service uses.
+/// The oracle: one private, eagerly solved DemandSession fed the same
+/// script a tenant received, answering through the same evaluator the
+/// service uses.
 class Oracle {
 public:
   Oracle(const std::string &GenSpec, bool TrackUse = true) {
     service::ScriptCommand Gen =
         *service::parseScriptLine("gen " + GenSpec, 1);
     synth::ProgramGenConfig Cfg = service::parseGenSpec(Gen.Args, 1);
-    incremental::SessionOptions SO;
-    SO.TrackUse = TrackUse;
-    Session = std::make_unique<incremental::AnalysisSession>(
-        synth::generateProgram(Cfg), SO);
+    demand::DemandOptions DO;
+    DO.TrackUse = TrackUse;
+    Session = std::make_unique<demand::DemandSession>(
+        synth::generateProgram(Cfg), DO);
   }
 
   void apply(const std::string &Line) {
@@ -93,14 +94,14 @@ public:
   }
 
   std::string query(const std::string &Line) {
-    Session->flush();
-    service::SessionQueryTarget Target(*Session);
+    Session->ensureSolvedAll();
+    service::DemandSessionQueryTarget Target(*Session);
     return service::evalQueryCommand(Target, *service::parseScriptLine(Line, 1))
         .Text;
   }
 
 private:
-  std::unique_ptr<incremental::AnalysisSession> Session;
+  std::unique_ptr<demand::DemandSession> Session;
 };
 
 //===----------------------------------------------------------------------===//

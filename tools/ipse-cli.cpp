@@ -14,9 +14,9 @@
 //   ipse-cli generate [--seed N] [--procs N] [--globals N] [--depth N]
 //                                                   emit random MiniProc
 //   ipse-cli roundtrip <file.mp>                    compile -> emit -> diff
-//   ipse-cli session <script>                       drive an incremental
-//                                                   AnalysisSession from an
-//                                                   edit/query script
+//   ipse-cli session <script>                       drive a DemandSession
+//                                                   from an edit/query
+//                                                   script
 //   ipse-cli serve ...                              concurrent analysis
 //                                                   service over stdio or TCP
 //                                                   (newline-delimited JSON)
@@ -84,8 +84,8 @@ namespace {
       "         [--repr=R] [--profile] [--trace-out=FILE]\n"
       "         [--trace-format=F] <file>\n"
       "                                      MOD/USE summary report\n"
-      "                                      (--engine: sequential, session\n"
-      "                                      or demand; --parallel[=K]: K\n"
+      "                                      (--engine: sequential or\n"
+      "                                      demand; --parallel[=K]: K\n"
       "                                      lanes for wide condensation\n"
       "                                      levels, default 4; the report\n"
       "                                      is byte-identical on every\n"
@@ -108,13 +108,21 @@ namespace {
       "  roundtrip <file>                    compile -> emit -> recompile\n"
       "  session [--engine=E] [--profile] [--trace-out=FILE]\n"
       "          [--trace-format=F] <script>\n"
-      "                                      drive an incremental analysis\n"
+      "                                      drive a demand-driven analysis\n"
       "                                      session ('-' reads stdin; see\n"
-      "                                      'session' section of README;\n"
-      "                                      --engine=demand runs the script\n"
-      "                                      against a demand-driven session\n"
-      "                                      that solves only queried\n"
-      "                                      regions)\n"
+      "                                      'session' section of README).\n"
+      "                                      Queries see the whole program\n"
+      "                                      solved (a region solve, or the\n"
+      "                                      batch pipeline once a region\n"
+      "                                      reaches half the program);\n"
+      "                                      --engine=demand solves only\n"
+      "                                      the queried regions.  'stats'\n"
+      "                                      prints the engine's counters:\n"
+      "                                      edits, queries, region-solves,\n"
+      "                                      region-procs, batch-solves,\n"
+      "                                      memo-hits, invalidations,\n"
+      "                                      absorbed, components (GMOD-only\n"
+      "                                      re-solves), full-resets\n"
       "  query (--program <file> | --gen k=v[,k=v...]) [--engine=E]\n"
       "        [--stats] <proc|proc#k> ...\n"
       "                                      demand-driven one-shot query:\n"
@@ -255,8 +263,6 @@ struct CommonFlags {
       std::string Name = A.substr(EnginePrefix.size());
       if (Name == "sequential")
         Opts.Backend = Engine::Sequential;
-      else if (Name == "session")
-        Opts.Backend = Engine::Session;
       else if (Name == "demand")
         Opts.Backend = Engine::Demand;
       else {
@@ -510,7 +516,7 @@ int cmdRoundtrip(const std::vector<std::string> &Args) {
 }
 
 //===----------------------------------------------------------------------===//
-// session: a line-oriented driver over incremental::AnalysisSession.
+// session: a line-oriented driver over demand::DemandSession.
 //
 // The script grammar lives in service/ScriptDriver.h and the execution
 // loop in ipse::Analyzer::runSessionScript (shared with library users);
@@ -561,8 +567,8 @@ int cmdQuery(const std::vector<std::string> &Args) {
   std::string ProgramPath, GenSpec;
   bool PrintStats = false;
   CommonFlags F;
-  // Demand is the point of this command; --engine can still force another
-  // engine to cross-check answers.
+  // Demand is the point of this command; --engine=sequential answers
+  // from the whole program solved first, to cross-check.
   F.Opts.Backend = ipse::AnalysisOptions::Engine::Demand;
   std::vector<std::string> Operands;
   for (std::size_t I = 0; I != Args.size(); ++I) {
@@ -594,37 +600,29 @@ int cmdQuery(const std::vector<std::string> &Args) {
 
   ipse::Analyzer An(F.Opts);
   try {
-    if (F.Opts.Backend == ipse::AnalysisOptions::Engine::Demand) {
-      std::unique_ptr<demand::DemandSession> D = An.open_demand(std::move(P));
-      service::DemandSessionQueryTarget Target(*D);
-      service::QueryResult R = service::evalQueryCommand(Target, Cmd);
-      std::printf("%s\n", R.Text.c_str());
-      if (PrintStats) {
-        if (R.HasStats)
-          // This run's attribution (the same three counters the serving
-          // protocol returns in the query response's "stats" object).
-          std::printf("query: region-procs %llu  memo-hits %llu  "
-                      "frontier-cuts %llu\n",
-                      (unsigned long long)R.RegionProcs,
-                      (unsigned long long)R.MemoHits,
-                      (unsigned long long)R.FrontierCuts);
-        const demand::DemandStats &St = D->stats();
-        std::printf("region-solves %llu  region-procs %llu  memo-hits %llu"
-                    "  covered %zu/%zu\n",
-                    (unsigned long long)St.RegionSolves,
-                    (unsigned long long)St.RegionProcs,
-                    (unsigned long long)St.MemoHits,
-                    D->coveredCount(analysis::EffectKind::Mod),
-                    D->program().numProcs());
-      }
-    } else {
-      // Cross-check path: any batch/session engine through the same
-      // rendering, so outputs diff cleanly against demand.
-      std::unique_ptr<incremental::AnalysisSession> S =
-          An.open_session(std::move(P));
-      service::SessionQueryTarget Target(*S);
-      service::QueryResult R = service::evalQueryCommand(Target, Cmd);
-      std::printf("%s\n", R.Text.c_str());
+    std::unique_ptr<demand::DemandSession> D = An.open_demand(std::move(P));
+    if (F.Opts.Backend != ipse::AnalysisOptions::Engine::Demand)
+      D->ensureSolvedAll();
+    service::DemandSessionQueryTarget Target(*D);
+    service::QueryResult R = service::evalQueryCommand(Target, Cmd);
+    std::printf("%s\n", R.Text.c_str());
+    if (PrintStats) {
+      if (R.HasStats)
+        // This run's attribution (the same three counters the serving
+        // protocol returns in the query response's "stats" object).
+        std::printf("query: region-procs %llu  memo-hits %llu  "
+                    "frontier-cuts %llu\n",
+                    (unsigned long long)R.RegionProcs,
+                    (unsigned long long)R.MemoHits,
+                    (unsigned long long)R.FrontierCuts);
+      const demand::DemandStats &St = D->stats();
+      std::printf("region-solves %llu  region-procs %llu  memo-hits %llu"
+                  "  covered %zu/%zu\n",
+                  (unsigned long long)St.RegionSolves,
+                  (unsigned long long)St.RegionProcs,
+                  (unsigned long long)St.MemoHits,
+                  D->coveredCount(analysis::EffectKind::Mod),
+                  D->program().numProcs());
     }
   } catch (const service::ScriptError &E) {
     std::fprintf(stderr, "error: %s\n", E.Message.c_str());
@@ -951,11 +949,12 @@ int cmdSave(const std::vector<std::string> &Args) {
     usage();
 
   Program P = buildInitialProgram(ProgramPath, GenSpec);
-  incremental::SessionOptions SO;
-  SO.TrackUse = TrackUse;
-  incremental::AnalysisSession S(std::move(P), SO);
+  demand::DemandOptions DO;
+  DO.TrackUse = TrackUse;
+  demand::DemandSession S(std::move(P), DO);
   std::string Err;
-  if (!persist::SnapshotWriter::capture(OutPath, S, Err)) {
+  if (!persist::SnapshotWriter::write(OutPath, persist::SnapshotData::of(S),
+                                      Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
@@ -971,7 +970,7 @@ int cmdSave(const std::vector<std::string> &Args) {
 /// surface, so `load --report` renders through analysis::renderReport.
 class LoadedKindView {
 public:
-  LoadedKindView(incremental::AnalysisSession &S, analysis::EffectKind Kind)
+  LoadedKindView(demand::DemandSession &S, analysis::EffectKind Kind)
       : S(S), Kind(Kind) {}
   const EffectSet &gmod(ProcId Proc) const { return S.gmod(Proc, Kind); }
   bool rmodContains(VarId F) const { return S.rmodContains(F, Kind); }
@@ -981,7 +980,7 @@ public:
   }
 
 private:
-  incremental::AnalysisSession &S;
+  demand::DemandSession &S;
   analysis::EffectKind Kind;
 };
 
@@ -1005,10 +1004,10 @@ int cmdLoad(const std::vector<std::string> &Args) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  incremental::SessionOptions SO;
-  SO.TrackUse = Data.TrackUse;
-  incremental::AnalysisSession S(std::move(Data.Program), SO,
-                                 std::move(Data.Planes));
+  demand::DemandOptions DO;
+  DO.TrackUse = Data.TrackUse;
+  demand::DemandSession S(std::move(Data.Program), DO,
+                          std::move(Data.Planes));
   const Program &P = S.program();
   std::printf("%s: generation %llu\n", Path.c_str(),
               (unsigned long long)S.generation());
@@ -1027,8 +1026,8 @@ int cmdLoad(const std::vector<std::string> &Args) {
                stdout);
   }
   // 0 proves the warm path: every query above came from restored planes.
-  std::printf("  full rebuilds since load: %llu\n",
-              (unsigned long long)S.stats().FullRebuilds);
+  std::printf("  region solves since load: %llu\n",
+              (unsigned long long)S.stats().RegionSolves);
   return 0;
 }
 
