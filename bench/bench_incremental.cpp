@@ -119,7 +119,8 @@ std::vector<PlannedEdit> planEdits(const ir::Program &P,
   for (std::uint32_t I = 0; I != P.numStmts(); ++I)
     if (P.stmt(StmtId(I)).Parent != P.main())
       Stmts.push_back(StmtId(I));
-  std::vector<VarId> Globals = P.proc(P.main()).Locals;
+  std::span<const VarId> Locals = P.proc(P.main()).Locals;
+  std::vector<VarId> Globals(Locals.begin(), Locals.end());
 
   std::vector<PlannedEdit> Plan;
   Plan.reserve(Count);

@@ -105,7 +105,7 @@ void runShape(const Shape &Sh, const std::string &Dir) {
   // Save bandwidth.
   std::string Snap = Dir + "/bench.ipsesnap", Err;
   T0 = Clock::now();
-  if (!persist::SnapshotWriter::write(Snap, persist::SnapshotData::of(Cold),
+  if (!persist::SnapshotWriter::write(Snap, persist::SnapshotSource::of(Cold),
                                      Err))
     die(Err);
   double SaveMs = millisSince(T0);
@@ -121,7 +121,7 @@ void runShape(const Shape &Sh, const std::string &Dir) {
   // WAL appends, one record per append: every append pays its own fsync.
   persist::StoreOptions StoreOpts;
   persist::Store Store;
-  if (!persist::Store::init(Dir, StoreOpts, persist::SnapshotData::of(Cold),
+  if (!persist::Store::init(Dir, StoreOpts, persist::SnapshotSource::of(Cold),
                             Store, Err))
     die(Err);
   synth::EditGenConfig ECfg;

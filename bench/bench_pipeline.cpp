@@ -75,7 +75,7 @@ void BM_AliasFactoring(benchmark::State &State) {
 
   // Artificial alias sets of the requested size (pairs over globals).
   ir::AliasInfo Aliases(P);
-  const std::vector<ir::VarId> &Globals = P.proc(P.main()).Locals;
+  std::span<const ir::VarId> Globals = P.proc(P.main()).Locals;
   unsigned PairsPerProc = static_cast<unsigned>(State.range(0));
   for (std::uint32_t I = 0; I != P.numProcs(); ++I)
     for (unsigned K = 0; K != PairsPerProc; ++K)

@@ -180,7 +180,7 @@ void BM_GlobalSections(benchmark::State &State) {
   graph::CallGraph CG(P);
   GlobalSectionProblem Problem(P, CG);
   // Four global arrays; every tenth procedure writes a row.
-  const std::vector<ir::VarId> &Globals = P.proc(P.main()).Locals;
+  std::span<const ir::VarId> Globals = P.proc(P.main()).Locals;
   for (unsigned K = 0; K != 4; ++K)
     Problem.setGlobalArray(Globals[K], 2);
   for (std::uint32_t I = 1; I < P.numProcs(); I += 10)

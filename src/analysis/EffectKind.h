@@ -28,8 +28,8 @@ enum class EffectKind {
 };
 
 /// The local effect list of a statement for the chosen problem.
-inline const std::vector<ir::VarId> &localList(const ir::Statement &S,
-                                               EffectKind Kind) {
+inline std::span<const ir::VarId> localList(const ir::Statement &S,
+                                            EffectKind Kind) {
   return Kind == EffectKind::Mod ? S.LMod : S.LUse;
 }
 

@@ -109,7 +109,8 @@ private:
     Scope S(&Parent);
     // Formals were created in the declaration phase; bind their names now
     // (copy the list: the builder's storage moves as variables are added).
-    std::vector<ir::VarId> Formals = B.peek().proc(Id).Formals;
+    std::span<const ir::VarId> Staged = B.peek().proc(Id).Formals;
+    std::vector<ir::VarId> Formals(Staged.begin(), Staged.end());
     for (std::size_t I = 0; I != Decl.Params.size(); ++I)
       if (!S.declare(Decl.Params[I], Binding::variable(Formals[I])))
         Diags.report(Decl.Loc, "duplicate parameter '" + Decl.Params[I] +

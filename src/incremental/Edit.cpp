@@ -60,7 +60,7 @@ namespace {
 
 /// Position of \p S in its procedure's body (the script grammar's stmtIdx).
 std::size_t stmtIndexInProc(const ir::Program &P, ir::StmtId S) {
-  const std::vector<ir::StmtId> &Stmts = P.proc(P.stmt(S).Parent).Stmts;
+  std::span<const ir::StmtId> Stmts = P.proc(P.stmt(S).Parent).Stmts;
   for (std::size_t I = 0; I != Stmts.size(); ++I)
     if (Stmts[I] == S)
       return I;
@@ -70,7 +70,7 @@ std::size_t stmtIndexInProc(const ir::Program &P, ir::StmtId S) {
 
 /// Position of \p C in its caller's call-site list (the grammar's k).
 std::size_t callIndexInProc(const ir::Program &P, ir::CallSiteId C) {
-  const std::vector<ir::CallSiteId> &Sites =
+  std::span<const ir::CallSiteId> Sites =
       P.proc(P.callSite(C).Caller).CallSites;
   for (std::size_t I = 0; I != Sites.size(); ++I)
     if (Sites[I] == C)

@@ -33,7 +33,7 @@ std::string ir::setToString(const Program &P, const EffectSet &Set) {
 }
 
 static void printVarList(std::ostringstream &OS, const Program &P,
-                         const std::vector<VarId> &Vars) {
+                         std::span<const VarId> Vars) {
   bool First = true;
   for (VarId V : Vars) {
     if (!First)

@@ -15,9 +15,11 @@ bool Program::isVisibleIn(VarId V, ProcId P) const {
 }
 
 bool Program::isAncestorOrSelf(ProcId Ancestor, ProcId P) const {
-  for (ProcId Cur = P; Cur.isValid(); Cur = proc(Cur).Parent)
+  for (ProcId Cur = P; Cur.isValid(); Cur = Procs[Cur.index()].Parent) {
+    assert(Cur.index() < Procs.size() && "invalid ProcId");
     if (Cur == Ancestor)
       return true;
+  }
   return false;
 }
 
@@ -42,10 +44,11 @@ bool Program::verify(std::string &ErrorOut) const {
   // CallSites does.
   std::vector<bool> InParentNested(Procs.size()), InCallerList(Calls.size());
   for (std::uint32_t I = 0; I != Procs.size(); ++I) {
-    for (ProcId N : Procs[I].Nested)
+    const Procedure Pr = proc(ProcId(I));
+    for (ProcId N : Pr.Nested)
       if (N.index() < Procs.size() && Procs[N.index()].Parent == ProcId(I))
         InParentNested[N.index()] = true;
-    for (CallSiteId C : Procs[I].CallSites)
+    for (CallSiteId C : Pr.CallSites)
       if (C.index() < Calls.size() && Calls[C.index()].Caller == ProcId(I))
         InCallerList[C.index()] = true;
   }
@@ -53,7 +56,7 @@ bool Program::verify(std::string &ErrorOut) const {
   // Procedure tree: parent links, Nested lists, and levels must agree.
   for (std::uint32_t I = 0; I != Procs.size(); ++I) {
     ProcId Id(I);
-    const Procedure &Pr = Procs[I];
+    const Procedure Pr = proc(Id);
     if (I != 0) {
       if (!Pr.Parent.isValid() || Pr.Parent.index() >= Procs.size())
         return Fail("procedure " + Names.text(Pr.Name) + " has a bad parent");
@@ -84,7 +87,7 @@ bool Program::verify(std::string &ErrorOut) const {
 
   // Statements: ownership and visibility of referenced variables.
   for (std::uint32_t I = 0; I != Stmts.size(); ++I) {
-    const Statement &S = Stmts[I];
+    const Statement S = stmt(StmtId(I));
     if (!S.Parent.isValid() || S.Parent.index() >= Procs.size())
       return Fail("statement with bad parent");
     for (VarId V : S.LMod)
@@ -102,7 +105,7 @@ bool Program::verify(std::string &ErrorOut) const {
 
   // Call sites: callee visibility, actual/formal arity, actual visibility.
   for (std::uint32_t I = 0; I != Calls.size(); ++I) {
-    const CallSite &C = Calls[I];
+    const CallSite C = callSite(CallSiteId(I));
     if (!C.Caller.isValid() || C.Caller.index() >= Procs.size() ||
         !C.Callee.isValid() || C.Callee.index() >= Procs.size())
       return Fail("call site with bad endpoints");

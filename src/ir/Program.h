@@ -24,7 +24,9 @@
 #include "ir/Ids.h"
 #include "support/StringInterner.h"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,11 +69,15 @@ struct Actual {
 
 /// A call site e = (p, q): an invocation of Callee from a statement in
 /// Caller's body, with an ordered list of actual arguments.
+///
+/// Like Statement and Procedure, this is a view returned by value: its
+/// list members are spans into the program's pooled arrays, valid until
+/// the next edit of the program (see Program).
 struct CallSite {
   ProcId Caller;
   ProcId Callee;
   StmtId Stmt; ///< The statement containing the call.
-  std::vector<Actual> Actuals;
+  std::span<const Actual> Actuals;
 };
 
 /// A statement, reduced to its analysis-relevant content: the variables it
@@ -79,9 +85,9 @@ struct CallSite {
 /// the call sites it contains.
 struct Statement {
   ProcId Parent;
-  std::vector<VarId> LMod;
-  std::vector<VarId> LUse;
-  std::vector<CallSiteId> Calls;
+  std::span<const VarId> LMod;
+  std::span<const VarId> LUse;
+  std::span<const CallSiteId> Calls;
 };
 
 /// A procedure p: formals, locals, body statements, own call sites, and its
@@ -93,12 +99,98 @@ struct Procedure {
   /// Nesting level: main is 0, a procedure declared at level k is k+1.
   unsigned Level = 0;
   /// Nest(p): procedures declared directly inside p.
-  std::vector<ProcId> Nested;
-  std::vector<VarId> Formals;
-  std::vector<VarId> Locals;
-  std::vector<StmtId> Stmts;
+  std::span<const ProcId> Nested;
+  std::span<const VarId> Formals;
+  std::span<const VarId> Locals;
+  std::span<const StmtId> Stmts;
   /// Call sites appearing in p's own body (not in nested procedures).
-  std::vector<CallSiteId> CallSites;
+  std::span<const CallSiteId> CallSites;
+};
+
+/// Where one list lives in its pool: Size elements starting at Begin.
+struct Slice {
+  std::uint32_t Begin = 0;
+  std::uint32_t Size = 0;
+};
+
+/// One pooled array holding every list of one field (say, every
+/// statement's LMOD), each list a Slice of it.  Slots no live list covers
+/// are dead; they are reclaimed by relayout().
+template <typename T> struct Pool {
+  std::vector<T> Items;
+  std::size_t Dead = 0;
+
+  std::span<const T> view(Slice S) const {
+    return {Items.data() + S.Begin, S.Size};
+  }
+
+  /// Appends \p V to list \p S.  A list that does not end the pool is
+  /// first moved to the pool's end, so an append costs O(|S|) at worst and
+  /// O(1) while S stays last.
+  void append(Slice &S, T V) {
+    if (S.Begin + S.Size != Items.size())
+      relocate(S);
+    Items.push_back(V);
+    ++S.Size;
+  }
+
+  /// Appends \p V under the builder's staging rule: a staged list owns the
+  /// power-of-two slot count at or above its size, so it moves (doubling)
+  /// only when full and every append is amortized O(1), however appends to
+  /// different lists interleave.  Only for lists that were always staged.
+  void stage(Slice &S, T V) {
+    if ((S.Size & (S.Size - 1)) == 0) { // Full: 0 or a power of two.
+      if (S.Size == 0 || S.Begin + S.Size != Items.size())
+        relocate(S);
+      Items.resize(S.Begin + (S.Size ? 2 * S.Size : 1));
+    }
+    Items[S.Begin + S.Size++] = V;
+  }
+
+  /// Removes the element at position \p I of list \p S, keeping the order
+  /// of the rest.
+  void erase(Slice &S, std::size_t I) {
+    auto First = Items.begin() + S.Begin;
+    std::copy(First + I + 1, First + S.Size, First + I);
+    ++Dead;
+    --S.Size;
+  }
+
+  /// Copies list \p S to the pool's end; its old slots turn dead.
+  void relocate(Slice &S) {
+    const std::size_t NewBegin = Items.size();
+    Items.resize(NewBegin + S.Size);
+    std::copy_n(Items.begin() + S.Begin, S.Size, Items.begin() + NewBegin);
+    Dead += S.Size;
+    S.Begin = static_cast<std::uint32_t>(NewBegin);
+  }
+
+  /// True once dead slots outnumber live ones.
+  bool sparse() const { return Dead > Items.size() - Dead; }
+
+  /// Lays out the list \p Field of every row of \p Rows again, in row
+  /// order with no dead slots, passing each element through \p Map.
+  template <typename Row, typename MapFn>
+  void relayout(std::vector<Row> &Rows, Slice Row::*Field, MapFn Map) {
+    std::size_t Live = 0;
+    for (const Row &R : Rows)
+      Live += (R.*Field).Size;
+    std::vector<T> Out;
+    Out.reserve(Live);
+    for (Row &R : Rows) {
+      Slice &S = R.*Field;
+      const std::uint32_t Begin = static_cast<std::uint32_t>(Out.size());
+      for (std::uint32_t K = 0; K != S.Size; ++K)
+        Out.push_back(Map(Items[S.Begin + K]));
+      S.Begin = Begin;
+    }
+    Items = std::move(Out);
+    Dead = 0;
+  }
+  template <typename Row>
+  void relayout(std::vector<Row> &Rows, Slice Row::*Field) {
+    relayout(Rows, Field, [](T V) { return V; });
+  }
 };
 
 /// An immutable whole program.  Build one with ProgramBuilder.
@@ -106,6 +198,13 @@ struct Procedure {
 /// Dense ids: procedures, variables, statements, and call sites are stored
 /// in flat tables indexed by their ids, so analyses can allocate dense side
 /// arrays.  Iteration in id order is deterministic.
+///
+/// Representation: one row array per entity kind, and every list field
+/// (Nested, Formals, ..., Actuals) is a Slice into one pooled array for
+/// that field.  A copy is therefore a fixed number of flat array copies,
+/// and the name table is shared between copies (see StringInterner).
+/// proc(), stmt() and callSite() return views by value; the spans inside
+/// a view stay valid until the program is next edited or destroyed.
 class Program {
 public:
   /// The main program; always procedure 0.
@@ -116,32 +215,46 @@ public:
   std::size_t numStmts() const { return Stmts.size(); }
   std::size_t numCallSites() const { return Calls.size(); }
 
-  const Procedure &proc(ProcId Id) const {
+  Procedure proc(ProcId Id) const {
     assert(Id.index() < Procs.size() && "invalid ProcId");
-    return Procs[Id.index()];
+    const ProcRow &R = Procs[Id.index()];
+    return {R.Name,
+            R.Parent,
+            R.Level,
+            NestedPool.view(R.Nested),
+            FormalPool.view(R.Formals),
+            LocalPool.view(R.Locals),
+            StmtPool.view(R.Stmts),
+            CallSitePool.view(R.CallSites)};
   }
   const Variable &var(VarId Id) const {
     assert(Id.index() < Vars.size() && "invalid VarId");
     return Vars[Id.index()];
   }
-  const Statement &stmt(StmtId Id) const {
+  Statement stmt(StmtId Id) const {
     assert(Id.index() < Stmts.size() && "invalid StmtId");
-    return Stmts[Id.index()];
+    const StmtRow &R = Stmts[Id.index()];
+    return {R.Parent, LModPool.view(R.LMod), LUsePool.view(R.LUse),
+            CallPool.view(R.Calls)};
   }
-  const CallSite &callSite(CallSiteId Id) const {
+  CallSite callSite(CallSiteId Id) const {
     assert(Id.index() < Calls.size() && "invalid CallSiteId");
-    return Calls[Id.index()];
+    const CallRow &R = Calls[Id.index()];
+    return {R.Caller, R.Callee, R.Stmt, ActualPool.view(R.Actuals)};
   }
 
   /// Returns the name of a procedure / variable.
   const std::string &name(ProcId Id) const {
-    return Names.text(proc(Id).Name);
+    assert(Id.index() < Procs.size() && "invalid ProcId");
+    return Names.text(Procs[Id.index()].Name);
   }
   const std::string &name(VarId Id) const { return Names.text(var(Id).Name); }
 
   /// Returns the nesting level of a variable: 0 for globals, otherwise the
   /// level of the declaring procedure.
-  unsigned varLevel(VarId Id) const { return proc(var(Id).Owner).Level; }
+  unsigned varLevel(VarId Id) const {
+    return Procs[var(Id).Owner.index()].Level;
+  }
 
   /// The maximum procedure nesting level dP (1 for a two-level program).
   unsigned maxProcLevel() const { return MaxLevel; }
@@ -179,10 +292,47 @@ private:
   /// verify() before anything consumes it.
   friend class persist::ProgramCodec;
 
-  std::vector<Procedure> Procs;
+  struct ProcRow {
+    SymbolId Name = InvalidSymbol;
+    ProcId Parent;
+    unsigned Level = 0;
+    Slice Nested, Formals, Locals, Stmts, CallSites;
+  };
+  struct StmtRow {
+    ProcId Parent;
+    Slice LMod, LUse, Calls;
+  };
+  struct CallRow {
+    ProcId Caller;
+    ProcId Callee;
+    StmtId Stmt;
+    Slice Actuals;
+  };
+
+  /// Calls \p F(Pool, Rows, Field) once per list field.
+  template <typename Self, typename Fn> static void forEachList(Self &P, Fn F) {
+    F(P.NestedPool, P.Procs, &ProcRow::Nested);
+    F(P.FormalPool, P.Procs, &ProcRow::Formals);
+    F(P.LocalPool, P.Procs, &ProcRow::Locals);
+    F(P.StmtPool, P.Procs, &ProcRow::Stmts);
+    F(P.CallSitePool, P.Procs, &ProcRow::CallSites);
+    F(P.LModPool, P.Stmts, &StmtRow::LMod);
+    F(P.LUsePool, P.Stmts, &StmtRow::LUse);
+    F(P.CallPool, P.Stmts, &StmtRow::Calls);
+    F(P.ActualPool, P.Calls, &CallRow::Actuals);
+  }
+
+  std::vector<ProcRow> Procs;
   std::vector<Variable> Vars;
-  std::vector<Statement> Stmts;
-  std::vector<CallSite> Calls;
+  std::vector<StmtRow> Stmts;
+  std::vector<CallRow> Calls;
+  Pool<ProcId> NestedPool;
+  Pool<VarId> FormalPool, LocalPool;
+  Pool<StmtId> StmtPool;
+  Pool<CallSiteId> CallSitePool;
+  Pool<VarId> LModPool, LUsePool;
+  Pool<CallSiteId> CallPool;
+  Pool<Actual> ActualPool;
   StringInterner Names;
   unsigned MaxLevel = 0;
 };

@@ -18,10 +18,10 @@ using namespace ipse::ir;
 ProcId ProgramBuilder::createMain(std::string_view Name) {
   assert(!MainCreated && "main already created");
   MainCreated = true;
-  Procedure Main;
+  Program::ProcRow Main;
   Main.Name = P.Names.intern(Name);
   Main.Level = 0;
-  P.Procs.push_back(std::move(Main));
+  P.Procs.push_back(Main);
   return ProcId(0);
 }
 
@@ -29,74 +29,68 @@ ProcId ProgramBuilder::createProc(std::string_view Name, ProcId Parent) {
   assert(MainCreated && "create main first");
   assert(Parent.index() < P.Procs.size() && "bad parent");
   ProcId Id(static_cast<std::uint32_t>(P.Procs.size()));
-  Procedure Pr;
+  Program::ProcRow Pr;
   Pr.Name = P.Names.intern(Name);
   Pr.Parent = Parent;
   Pr.Level = P.Procs[Parent.index()].Level + 1;
-  P.Procs.push_back(std::move(Pr));
-  P.Procs[Parent.index()].Nested.push_back(Id);
-  P.MaxLevel = std::max(P.MaxLevel, P.Procs[Id.index()].Level);
+  P.Procs.push_back(Pr);
+  P.NestedPool.stage(P.Procs[Parent.index()].Nested, Id);
+  P.MaxLevel = std::max(P.MaxLevel, Pr.Level);
+  return Id;
+}
+
+VarId ProgramBuilder::addVar(ProcId Owner, std::string_view Name,
+                             VarKind Kind) {
+  assert(MainCreated && "create main first");
+  assert(Owner.index() < P.Procs.size() && "bad owner");
+  VarId Id(static_cast<std::uint32_t>(P.Vars.size()));
+  Program::ProcRow &Pr = P.Procs[Owner.index()];
+  Variable V;
+  V.Name = P.Names.intern(Name);
+  V.Kind = Kind;
+  V.Owner = Owner;
+  if (Kind == VarKind::Formal) {
+    V.FormalPos = Pr.Formals.Size;
+    P.FormalPool.stage(Pr.Formals, Id);
+  } else {
+    P.LocalPool.stage(Pr.Locals, Id);
+  }
+  P.Vars.push_back(V);
   return Id;
 }
 
 VarId ProgramBuilder::addGlobal(std::string_view Name) {
-  assert(MainCreated && "create main first");
-  VarId Id(static_cast<std::uint32_t>(P.Vars.size()));
-  Variable V;
-  V.Name = P.Names.intern(Name);
-  V.Kind = VarKind::Global;
-  V.Owner = ProcId(0);
-  P.Vars.push_back(V);
-  P.Procs[0].Locals.push_back(Id);
-  return Id;
+  return addVar(ProcId(0), Name, VarKind::Global);
 }
 
 VarId ProgramBuilder::addLocal(ProcId Owner, std::string_view Name) {
-  assert(Owner.index() < P.Procs.size() && "bad owner");
-  if (Owner == ProcId(0))
-    return addGlobal(Name);
-  VarId Id(static_cast<std::uint32_t>(P.Vars.size()));
-  Variable V;
-  V.Name = P.Names.intern(Name);
-  V.Kind = VarKind::Local;
-  V.Owner = Owner;
-  P.Vars.push_back(V);
-  P.Procs[Owner.index()].Locals.push_back(Id);
-  return Id;
+  return addVar(Owner, Name,
+                Owner == ProcId(0) ? VarKind::Global : VarKind::Local);
 }
 
 VarId ProgramBuilder::addFormal(ProcId Owner, std::string_view Name) {
-  assert(Owner.index() < P.Procs.size() && "bad owner");
   assert(Owner != ProcId(0) && "main has no formals");
-  VarId Id(static_cast<std::uint32_t>(P.Vars.size()));
-  Variable V;
-  V.Name = P.Names.intern(Name);
-  V.Kind = VarKind::Formal;
-  V.Owner = Owner;
-  V.FormalPos = static_cast<unsigned>(P.Procs[Owner.index()].Formals.size());
-  P.Vars.push_back(V);
-  P.Procs[Owner.index()].Formals.push_back(Id);
-  return Id;
+  return addVar(Owner, Name, VarKind::Formal);
 }
 
 StmtId ProgramBuilder::addStmt(ProcId Parent) {
   assert(Parent.index() < P.Procs.size() && "bad parent");
   StmtId Id(static_cast<std::uint32_t>(P.Stmts.size()));
-  Statement S;
+  Program::StmtRow S;
   S.Parent = Parent;
-  P.Stmts.push_back(std::move(S));
-  P.Procs[Parent.index()].Stmts.push_back(Id);
+  P.Stmts.push_back(S);
+  P.StmtPool.stage(P.Procs[Parent.index()].Stmts, Id);
   return Id;
 }
 
 void ProgramBuilder::addMod(StmtId S, VarId V) {
   assert(S.index() < P.Stmts.size() && "bad statement");
-  P.Stmts[S.index()].LMod.push_back(V);
+  P.LModPool.stage(P.Stmts[S.index()].LMod, V);
 }
 
 void ProgramBuilder::addUse(StmtId S, VarId V) {
   assert(S.index() < P.Stmts.size() && "bad statement");
-  P.Stmts[S.index()].LUse.push_back(V);
+  P.LUsePool.stage(P.Stmts[S.index()].LUse, V);
 }
 
 CallSiteId ProgramBuilder::addCall(StmtId S, ProcId Callee,
@@ -104,14 +98,15 @@ CallSiteId ProgramBuilder::addCall(StmtId S, ProcId Callee,
   assert(S.index() < P.Stmts.size() && "bad statement");
   assert(Callee.index() < P.Procs.size() && "bad callee");
   CallSiteId Id(static_cast<std::uint32_t>(P.Calls.size()));
-  CallSite C;
+  Program::CallRow C;
   C.Caller = P.Stmts[S.index()].Parent;
   C.Callee = Callee;
   C.Stmt = S;
-  C.Actuals = std::move(Actuals);
-  P.Calls.push_back(std::move(C));
-  P.Stmts[S.index()].Calls.push_back(Id);
-  P.Procs[P.Calls.back().Caller.index()].CallSites.push_back(Id);
+  for (const Actual &A : Actuals)
+    P.ActualPool.stage(C.Actuals, A);
+  P.Calls.push_back(C);
+  P.CallPool.stage(P.Stmts[S.index()].Calls, Id);
+  P.CallSitePool.stage(P.Procs[C.Caller.index()].CallSites, Id);
   return Id;
 }
 
@@ -131,6 +126,10 @@ CallSiteId ProgramBuilder::addCallStmt(ProcId Caller, ProcId Callee,
 
 Program ProgramBuilder::finish() {
   assert(MainCreated && "program without main");
+  // Drop the staging slack: every pool is laid out once, in row order.
+  Program::forEachList(P, [](auto &Pool, auto &Rows, auto Field) {
+    Pool.relayout(Rows, Field);
+  });
   std::string Error;
   if (!P.verify(Error)) {
     // A builder-produced program that fails verification is a programming

@@ -66,14 +66,19 @@ public:
   CallSiteId addCallStmt(ProcId Caller, ProcId Callee,
                          const std::vector<VarId> &Vars);
 
-  /// Read access to the program under construction (ids remain stable).
+  /// Read access to the program under construction (ids remain stable;
+  /// the spans of a view last only until the next builder call).
   const Program &peek() const { return P; }
 
-  /// Finalizes: computes nesting levels and verifies invariants.
+  /// Finalizes: lays out the pools and verifies invariants.
   /// The builder must not be used afterwards.
   Program finish();
 
 private:
+  VarId addVar(ProcId Owner, std::string_view Name, VarKind Kind);
+
+  /// Lists are staged in P's pools with doubling slack (Pool::stage);
+  /// finish() lays each pool out once, tightly, in row order.
   Program P;
   bool MainCreated = false;
 };

@@ -12,45 +12,76 @@
 using namespace ipse;
 using namespace ipse::ir;
 
+namespace {
+
+/// Appends \p V to one list and compacts the list's pool once its dead
+/// slots outnumber the live ones, so every append is amortized O(|list|).
+template <typename T, typename Row>
+void appendTo(Pool<T> &Pl, std::vector<Row> &Rows, std::uint32_t RowIdx,
+              Slice Row::*Field, T V) {
+  Pl.append(Rows[RowIdx].*Field, V);
+  if (Pl.sparse())
+    Pl.relayout(Rows, Field);
+}
+
+/// Removes the first occurrence of \p V from one list; false if absent.
+template <typename T, typename Row>
+bool removeFrom(Pool<T> &Pl, std::vector<Row> &Rows, std::uint32_t RowIdx,
+                Slice Row::*Field, T V) {
+  Slice &S = Rows[RowIdx].*Field;
+  std::span<const T> List = Pl.view(S);
+  auto It = std::find(List.begin(), List.end(), V);
+  if (It == List.end())
+    return false;
+  Pl.erase(S, static_cast<std::size_t>(It - List.begin()));
+  if (Pl.sparse())
+    Pl.relayout(Rows, Field);
+  return true;
+}
+
+/// Overwrites the first occurrence of \p From in a list with \p To.
+template <typename T> void replaceIn(Pool<T> &Pl, Slice S, T From, T To) {
+  auto First = Pl.Items.begin() + S.Begin, Last = First + S.Size;
+  auto It = std::find(First, Last, From);
+  assert(It != Last && "call site missing from owner list");
+  *It = To;
+}
+
+} // namespace
+
 void ProgramEditor::addMod(StmtId S, VarId V) {
   assert(S.index() < P.Stmts.size() && "bad statement");
   assert(P.isVisibleIn(V, P.Stmts[S.index()].Parent) &&
          "LMOD variable not visible in its statement's procedure");
-  P.Stmts[S.index()].LMod.push_back(V);
-}
-
-bool ProgramEditor::removeFromList(std::vector<VarId> &List, VarId V) {
-  auto It = std::find(List.begin(), List.end(), V);
-  if (It == List.end())
-    return false;
-  List.erase(It);
-  return true;
+  appendTo(P.LModPool, P.Stmts, S.index(), &Program::StmtRow::LMod, V);
 }
 
 bool ProgramEditor::removeMod(StmtId S, VarId V) {
   assert(S.index() < P.Stmts.size() && "bad statement");
-  return removeFromList(P.Stmts[S.index()].LMod, V);
+  return removeFrom(P.LModPool, P.Stmts, S.index(), &Program::StmtRow::LMod,
+                    V);
 }
 
 void ProgramEditor::addUse(StmtId S, VarId V) {
   assert(S.index() < P.Stmts.size() && "bad statement");
   assert(P.isVisibleIn(V, P.Stmts[S.index()].Parent) &&
          "LUSE variable not visible in its statement's procedure");
-  P.Stmts[S.index()].LUse.push_back(V);
+  appendTo(P.LUsePool, P.Stmts, S.index(), &Program::StmtRow::LUse, V);
 }
 
 bool ProgramEditor::removeUse(StmtId S, VarId V) {
   assert(S.index() < P.Stmts.size() && "bad statement");
-  return removeFromList(P.Stmts[S.index()].LUse, V);
+  return removeFrom(P.LUsePool, P.Stmts, S.index(), &Program::StmtRow::LUse,
+                    V);
 }
 
 StmtId ProgramEditor::addStmt(ProcId Parent) {
   assert(Parent.index() < P.Procs.size() && "bad parent");
   StmtId Id(static_cast<std::uint32_t>(P.Stmts.size()));
-  Statement S;
+  Program::StmtRow S;
   S.Parent = Parent;
-  P.Stmts.push_back(std::move(S));
-  P.Procs[Parent.index()].Stmts.push_back(Id);
+  P.Stmts.push_back(S);
+  appendTo(P.StmtPool, P.Procs, Parent.index(), &Program::ProcRow::Stmts, Id);
   return Id;
 }
 
@@ -60,9 +91,9 @@ CallSiteId ProgramEditor::addCall(StmtId S, ProcId Callee,
   assert(Callee.index() < P.Procs.size() && "bad callee");
   assert(Callee != P.main() && "main may not be called");
   ProcId Caller = P.Stmts[S.index()].Parent;
-  assert(P.isAncestorOrSelf(P.proc(Callee).Parent, Caller) &&
+  assert(P.isAncestorOrSelf(P.Procs[Callee.index()].Parent, Caller) &&
          "call violates lexical scoping");
-  assert(Actuals.size() == P.proc(Callee).Formals.size() &&
+  assert(Actuals.size() == P.Procs[Callee.index()].Formals.Size &&
          "arity mismatch at new call site");
 #ifndef NDEBUG
   for (const Actual &A : Actuals)
@@ -70,123 +101,136 @@ CallSiteId ProgramEditor::addCall(StmtId S, ProcId Callee,
            "actual argument not visible at call site");
 #endif
   CallSiteId Id(static_cast<std::uint32_t>(P.Calls.size()));
-  CallSite C;
+  Program::CallRow C;
   C.Caller = Caller;
   C.Callee = Callee;
   C.Stmt = S;
-  C.Actuals = std::move(Actuals);
-  P.Calls.push_back(std::move(C));
-  P.Stmts[S.index()].Calls.push_back(Id);
-  P.Procs[Caller.index()].CallSites.push_back(Id);
+  P.Calls.push_back(C);
+  for (const Actual &A : Actuals)
+    appendTo(P.ActualPool, P.Calls, Id.index(), &Program::CallRow::Actuals,
+             A);
+  appendTo(P.CallPool, P.Stmts, S.index(), &Program::StmtRow::Calls, Id);
+  appendTo(P.CallSitePool, P.Procs, Caller.index(),
+           &Program::ProcRow::CallSites, Id);
   return Id;
 }
 
 CallSiteId ProgramEditor::removeCall(CallSiteId C) {
   assert(C.index() < P.Calls.size() && "bad call site");
 
-  auto eraseId = [](std::vector<CallSiteId> &List, CallSiteId Id) {
-    auto It = std::find(List.begin(), List.end(), Id);
-    assert(It != List.end() && "call site missing from owner list");
-    List.erase(It);
-  };
-  auto replaceId = [](std::vector<CallSiteId> &List, CallSiteId From,
-                      CallSiteId To) {
-    auto It = std::find(List.begin(), List.end(), From);
-    assert(It != List.end() && "call site missing from owner list");
-    *It = To;
-  };
-
   // Unlink C from its statement and caller.
-  const CallSite &Doomed = P.Calls[C.index()];
-  eraseId(P.Stmts[Doomed.Stmt.index()].Calls, C);
-  eraseId(P.Procs[Doomed.Caller.index()].CallSites, C);
+  const Program::CallRow Doomed = P.Calls[C.index()];
+  [[maybe_unused]] bool Found =
+      removeFrom(P.CallPool, P.Stmts, Doomed.Stmt.index(),
+                 &Program::StmtRow::Calls, C);
+  assert(Found && "call site missing from its statement's list");
+  Found = removeFrom(P.CallSitePool, P.Procs, Doomed.Caller.index(),
+                     &Program::ProcRow::CallSites, C);
+  assert(Found && "call site missing from its caller's list");
+  P.ActualPool.Dead += Doomed.Actuals.Size;
 
   CallSiteId Last(static_cast<std::uint32_t>(P.Calls.size() - 1));
-  if (C == Last) {
-    P.Calls.pop_back();
-    return CallSiteId();
+  CallSiteId Moved;
+  if (C != Last) {
+    // Move the last call site into the hole and patch the two lists that
+    // refer to it by id.
+    const Program::CallRow &M = P.Calls[C.index()] = P.Calls.back();
+    replaceIn(P.CallPool, P.Stmts[M.Stmt.index()].Calls, Last, C);
+    replaceIn(P.CallSitePool, P.Procs[M.Caller.index()].CallSites, Last, C);
+    Moved = Last;
   }
-
-  // Move the last call site into the hole and patch the two lists that
-  // refer to it by id.
-  P.Calls[C.index()] = std::move(P.Calls.back());
   P.Calls.pop_back();
-  const CallSite &Moved = P.Calls[C.index()];
-  replaceId(P.Stmts[Moved.Stmt.index()].Calls, Last, C);
-  replaceId(P.Procs[Moved.Caller.index()].CallSites, Last, C);
-  return Last;
+  if (P.ActualPool.sparse())
+    P.ActualPool.relayout(P.Calls, &Program::CallRow::Actuals);
+  return Moved;
 }
 
 ProcId ProgramEditor::addProc(std::string_view Name, ProcId Parent) {
   assert(Parent.index() < P.Procs.size() && "bad parent");
   ProcId Id(static_cast<std::uint32_t>(P.Procs.size()));
-  Procedure Pr;
+  Program::ProcRow Pr;
   Pr.Name = P.Names.intern(Name);
   Pr.Parent = Parent;
   Pr.Level = P.Procs[Parent.index()].Level + 1;
-  P.Procs.push_back(std::move(Pr));
-  P.Procs[Parent.index()].Nested.push_back(Id);
-  P.MaxLevel = std::max(P.MaxLevel, P.Procs[Id.index()].Level);
+  P.Procs.push_back(Pr);
+  appendTo(P.NestedPool, P.Procs, Parent.index(), &Program::ProcRow::Nested,
+           Id);
+  P.MaxLevel = std::max(P.MaxLevel, Pr.Level);
+  return Id;
+}
+
+VarId ProgramEditor::addVar(ProcId Owner, std::string_view Name,
+                            VarKind Kind) {
+  VarId Id(static_cast<std::uint32_t>(P.Vars.size()));
+  Variable V;
+  V.Name = P.Names.intern(Name);
+  V.Kind = Kind;
+  V.Owner = Owner;
+  if (Kind == VarKind::Formal) {
+    V.FormalPos = P.Procs[Owner.index()].Formals.Size;
+    appendTo(P.FormalPool, P.Procs, Owner.index(),
+             &Program::ProcRow::Formals, Id);
+  } else {
+    appendTo(P.LocalPool, P.Procs, Owner.index(), &Program::ProcRow::Locals,
+             Id);
+  }
+  P.Vars.push_back(V);
   return Id;
 }
 
 VarId ProgramEditor::addGlobal(std::string_view Name) {
-  VarId Id(static_cast<std::uint32_t>(P.Vars.size()));
-  Variable V;
-  V.Name = P.Names.intern(Name);
-  V.Kind = VarKind::Global;
-  V.Owner = ProcId(0);
-  P.Vars.push_back(V);
-  P.Procs[0].Locals.push_back(Id);
-  return Id;
+  return addVar(P.main(), Name, VarKind::Global);
 }
 
 VarId ProgramEditor::addLocal(ProcId Owner, std::string_view Name) {
   assert(Owner.index() < P.Procs.size() && "bad owner");
-  if (Owner == P.main())
-    return addGlobal(Name);
-  VarId Id(static_cast<std::uint32_t>(P.Vars.size()));
-  Variable V;
-  V.Name = P.Names.intern(Name);
-  V.Kind = VarKind::Local;
-  V.Owner = Owner;
-  P.Vars.push_back(V);
-  P.Procs[Owner.index()].Locals.push_back(Id);
-  return Id;
+  return addVar(Owner, Name,
+                Owner == P.main() ? VarKind::Global : VarKind::Local);
 }
 
 VarId ProgramEditor::addFormal(ProcId Owner, std::string_view Name) {
   assert(Owner.index() < P.Procs.size() && "bad owner");
   assert(Owner != P.main() && "main has no formals");
 #ifndef NDEBUG
-  for (const CallSite &C : P.Calls)
+  for (const Program::CallRow &C : P.Calls)
     assert(C.Callee != Owner &&
            "cannot add a formal to a procedure that is already called");
 #endif
-  VarId Id(static_cast<std::uint32_t>(P.Vars.size()));
-  Variable V;
-  V.Name = P.Names.intern(Name);
-  V.Kind = VarKind::Formal;
-  V.Owner = Owner;
-  V.FormalPos = static_cast<unsigned>(P.Procs[Owner.index()].Formals.size());
-  P.Vars.push_back(V);
-  P.Procs[Owner.index()].Formals.push_back(Id);
-  return Id;
+  return addVar(Owner, Name, VarKind::Formal);
 }
+
+namespace {
+
+/// Old-id -> new-id maps for removeProc; the invalid sentinel marks
+/// removed entities.  One call operator per pooled element type.
+struct Remap {
+  std::vector<std::uint32_t> Proc, Var, Stmt, Call;
+
+  ProcId operator()(ProcId Id) const { return ProcId(Proc[Id.index()]); }
+  VarId operator()(VarId Id) const { return VarId(Var[Id.index()]); }
+  StmtId operator()(StmtId Id) const { return StmtId(Stmt[Id.index()]); }
+  CallSiteId operator()(CallSiteId Id) const {
+    return CallSiteId(Call[Id.index()]);
+  }
+  Actual operator()(Actual A) const {
+    return A.isVariable() ? Actual::variable((*this)(A.Var)) : A;
+  }
+};
+
+} // namespace
 
 void ProgramEditor::removeProc(ProcId Target) {
   assert(Target.index() < P.Procs.size() && "bad procedure");
   assert(Target != P.main() && "cannot remove main");
-  assert(P.Procs[Target.index()].Nested.empty() &&
+  assert(P.Procs[Target.index()].Nested.Size == 0 &&
          "cannot remove a procedure with nested procedures");
 #ifndef NDEBUG
-  for (const CallSite &C : P.Calls)
+  for (const Program::CallRow &C : P.Calls)
     assert(C.Callee != Target && "cannot remove a procedure that is called");
 #endif
 
   const std::uint32_t DeadProc = Target.index();
 
-  // Old-id -> new-id maps; the invalid sentinel marks removed entities.
   // Shifting (rather than swapping) preserves relative order, and with it
   // the parent-id < child-id invariant that LocalEffects depends on.
   auto buildShift = [](std::size_t Count, auto IsDead) {
@@ -196,81 +240,59 @@ void ProgramEditor::removeProc(ProcId Target) {
       Map[I] = IsDead(I) ? ~std::uint32_t(0) : Next++;
     return Map;
   };
+  Remap M;
+  M.Proc = buildShift(P.Procs.size(),
+                      [&](std::uint32_t I) { return I == DeadProc; });
+  M.Var = buildShift(P.Vars.size(), [&](std::uint32_t I) {
+    return P.Vars[I].Owner.index() == DeadProc;
+  });
+  M.Stmt = buildShift(P.Stmts.size(), [&](std::uint32_t I) {
+    return P.Stmts[I].Parent.index() == DeadProc;
+  });
+  M.Call = buildShift(P.Calls.size(), [&](std::uint32_t I) {
+    return P.Calls[I].Caller.index() == DeadProc;
+  });
 
-  std::vector<std::uint32_t> ProcMap = buildShift(
-      P.Procs.size(), [&](std::uint32_t I) { return I == DeadProc; });
-  std::vector<std::uint32_t> VarMap = buildShift(
-      P.Vars.size(),
-      [&](std::uint32_t I) { return P.Vars[I].Owner.index() == DeadProc; });
-  std::vector<std::uint32_t> StmtMap = buildShift(
-      P.Stmts.size(),
-      [&](std::uint32_t I) { return P.Stmts[I].Parent.index() == DeadProc; });
-  std::vector<std::uint32_t> CallMap = buildShift(
-      P.Calls.size(),
-      [&](std::uint32_t I) { return P.Calls[I].Caller.index() == DeadProc; });
-
-  auto mapProc = [&](ProcId Id) { return ProcId(ProcMap[Id.index()]); };
-  auto mapVar = [&](VarId Id) { return VarId(VarMap[Id.index()]); };
-  auto mapStmt = [&](StmtId Id) { return StmtId(StmtMap[Id.index()]); };
-  auto mapCall = [&](CallSiteId Id) { return CallSiteId(CallMap[Id.index()]); };
   auto compact = [](auto &Table, const std::vector<std::uint32_t> &Map) {
     std::uint32_t Next = 0;
     for (std::uint32_t I = 0; I != Table.size(); ++I)
-      if (Map[I] != ~std::uint32_t(0)) {
-        if (Next != I) // Guard against self-move-assignment.
-          Table[Next] = std::move(Table[I]);
-        ++Next;
-      }
+      if (Map[I] != ~std::uint32_t(0))
+        Table[Next++] = Table[I];
     Table.resize(Next);
   };
 
   // Unlink from the parent's Nested list before remapping.
-  std::vector<ProcId> &Sibs = P.Procs[P.Procs[DeadProc].Parent.index()].Nested;
-  Sibs.erase(std::find(Sibs.begin(), Sibs.end(), Target));
+  [[maybe_unused]] bool Found =
+      removeFrom(P.NestedPool, P.Procs, P.Procs[DeadProc].Parent.index(),
+                 &Program::ProcRow::Nested, Target);
+  assert(Found && "procedure missing from its parent's Nested list");
 
-  compact(P.Procs, ProcMap);
-  compact(P.Vars, VarMap);
-  compact(P.Stmts, StmtMap);
-  compact(P.Calls, CallMap);
+  compact(P.Procs, M.Proc);
+  compact(P.Vars, M.Var);
+  compact(P.Stmts, M.Stmt);
+  compact(P.Calls, M.Call);
 
-  for (Procedure &Pr : P.Procs) {
+  for (Program::ProcRow &Pr : P.Procs)
     if (Pr.Parent.isValid())
-      Pr.Parent = mapProc(Pr.Parent);
-    for (ProcId &N : Pr.Nested)
-      N = mapProc(N);
-    for (VarId &V : Pr.Formals)
-      V = mapVar(V);
-    for (VarId &V : Pr.Locals)
-      V = mapVar(V);
-    for (StmtId &S : Pr.Stmts)
-      S = mapStmt(S);
-    for (CallSiteId &C : Pr.CallSites)
-      C = mapCall(C);
-  }
+      Pr.Parent = M(Pr.Parent);
   for (Variable &V : P.Vars)
-    V.Owner = mapProc(V.Owner);
-  for (Statement &S : P.Stmts) {
-    S.Parent = mapProc(S.Parent);
-    // Visibility confines every variable a statement touches to surviving
-    // owners: only the dead procedure's own statements could reference its
-    // variables, and those statements are gone.
-    for (VarId &V : S.LMod)
-      V = mapVar(V);
-    for (VarId &V : S.LUse)
-      V = mapVar(V);
-    for (CallSiteId &C : S.Calls)
-      C = mapCall(C);
+    V.Owner = M(V.Owner);
+  for (Program::StmtRow &S : P.Stmts)
+    S.Parent = M(S.Parent);
+  for (Program::CallRow &C : P.Calls) {
+    C.Caller = M(C.Caller);
+    C.Callee = M(C.Callee);
+    C.Stmt = M(C.Stmt);
   }
-  for (CallSite &C : P.Calls) {
-    C.Caller = mapProc(C.Caller);
-    C.Callee = mapProc(C.Callee);
-    C.Stmt = mapStmt(C.Stmt);
-    for (Actual &A : C.Actuals)
-      if (A.isVariable())
-        A.Var = mapVar(A.Var);
-  }
+  // Every list is re-laid out tightly through the id maps.  Visibility
+  // confines every variable a surviving statement touches to surviving
+  // owners: only the dead procedure's own statements could reference its
+  // variables, and those rows are gone.
+  Program::forEachList(P, [&](auto &Pool, auto &Rows, auto Field) {
+    Pool.relayout(Rows, Field, M);
+  });
 
   P.MaxLevel = 0;
-  for (const Procedure &Pr : P.Procs)
+  for (const Program::ProcRow &Pr : P.Procs)
     P.MaxLevel = std::max(P.MaxLevel, Pr.Level);
 }

@@ -12,6 +12,13 @@
 /// editor applies deltas to a live program while keeping every structural
 /// invariant of Program::verify() intact after each operation.
 ///
+/// Lists live in the program's pools (see Program): an append moves a list
+/// that does not already end its pool to the pool's end, and a pool is
+/// compacted once its dead slots outnumber its live ones, so each edit
+/// costs amortized O(length of the lists it touches), never an O(program)
+/// shift.  Every list keeps its element order.  Spans from earlier views
+/// are invalidated by any edit.
+///
 /// Id stability rules, which the incremental engine depends on:
 ///
 ///  - Additions are append-only: new procedures, variables, statements, and
@@ -102,7 +109,7 @@ public:
   /// @}
 
 private:
-  bool removeFromList(std::vector<VarId> &List, VarId V);
+  VarId addVar(ProcId Owner, std::string_view Name, VarKind Kind);
 
   Program &P;
 };

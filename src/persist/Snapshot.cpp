@@ -138,25 +138,30 @@ void encodeIdVec32(ByteWriter &W, const std::vector<std::uint32_t> &V) {
     W.u32(X);
 }
 
+/// One pooled list on the wire: a u32 count, then its elements as u32s.
 template <typename IdT>
-void encodeIds(ByteWriter &W, const std::vector<IdT> &V) {
-  W.u32(static_cast<std::uint32_t>(V.size()));
-  for (IdT X : V)
-    W.u32(X.index());
-}
-
-template <typename IdT>
-bool decodeIds(ByteReader &R, std::vector<IdT> &Out) {
-  // Ids are strong wrappers over one u32, so a table decodes as one bulk
-  // copy straight into the vector's storage.
+void encodeList(ByteWriter &W, const ir::Pool<IdT> &Pool, ir::Slice S) {
   static_assert(sizeof(IdT) == sizeof(std::uint32_t) &&
                 std::is_trivially_copyable_v<IdT>);
+  W.u32(S.Size);
+  W.u32Array(reinterpret_cast<const std::uint32_t *>(Pool.view(S).data()),
+             S.Size);
+}
+
+/// Decodes one list onto the end of its pool, as one bulk copy straight
+/// into the pool's storage (ids are strong wrappers over one u32).
+template <typename IdT>
+bool decodeList(ByteReader &R, ir::Pool<IdT> &Pool, ir::Slice &S) {
   std::uint32_t N = 0;
   if (!R.u32(N) || N > R.remaining() / 4)
     return false;
-  Out.resize(N);
+  S.Begin = static_cast<std::uint32_t>(Pool.Items.size());
+  S.Size = N;
+  Pool.Items.resize(Pool.Items.size() + N);
   return N == 0 ||
-         R.u32Array(reinterpret_cast<std::uint32_t *>(Out.data()), N);
+         R.u32Array(reinterpret_cast<std::uint32_t *>(Pool.Items.data() +
+                                                      S.Begin),
+                    N);
 }
 
 } // namespace
@@ -179,33 +184,31 @@ void ProgramCodec::encode(const ir::Program &P, ByteWriter &W) {
   }
 
   W.u32(static_cast<std::uint32_t>(P.Procs.size()));
-  for (const ir::Procedure &Proc : P.Procs) {
+  for (const ir::Program::ProcRow &Proc : P.Procs) {
     W.u32(Proc.Name);
     W.u32(Proc.Parent.index());
     W.u32(Proc.Level);
-    encodeIds(W, Proc.Nested);
-    encodeIds(W, Proc.Formals);
-    encodeIds(W, Proc.Locals);
-    encodeIds(W, Proc.Stmts);
-    encodeIds(W, Proc.CallSites);
+    encodeList(W, P.NestedPool, Proc.Nested);
+    encodeList(W, P.FormalPool, Proc.Formals);
+    encodeList(W, P.LocalPool, Proc.Locals);
+    encodeList(W, P.StmtPool, Proc.Stmts);
+    encodeList(W, P.CallSitePool, Proc.CallSites);
   }
 
   W.u32(static_cast<std::uint32_t>(P.Stmts.size()));
-  for (const ir::Statement &S : P.Stmts) {
+  for (const ir::Program::StmtRow &S : P.Stmts) {
     W.u32(S.Parent.index());
-    encodeIds(W, S.LMod);
-    encodeIds(W, S.LUse);
-    encodeIds(W, S.Calls);
+    encodeList(W, P.LModPool, S.LMod);
+    encodeList(W, P.LUsePool, S.LUse);
+    encodeList(W, P.CallPool, S.Calls);
   }
 
   W.u32(static_cast<std::uint32_t>(P.Calls.size()));
-  for (const ir::CallSite &C : P.Calls) {
+  for (const ir::Program::CallRow &C : P.Calls) {
     W.u32(C.Caller.index());
     W.u32(C.Callee.index());
     W.u32(C.Stmt.index());
-    W.u32(static_cast<std::uint32_t>(C.Actuals.size()));
-    for (const ir::Actual &A : C.Actuals)
-      W.u32(A.Var.index());
+    encodeList(W, P.ActualPool, C.Actuals);
   }
 }
 
@@ -263,17 +266,19 @@ bool ProgramCodec::decode(ByteReader &R, ir::Program &Out, std::string &Err) {
   }
   P.Procs.reserve(NumProcs);
   for (std::uint32_t I = 0; I != NumProcs; ++I) {
-    ir::Procedure Proc;
+    ir::Program::ProcRow Proc;
     std::uint32_t Parent = 0;
     if (!R.u32(Proc.Name) || !R.u32(Parent) || !R.u32(Proc.Level) ||
-        !decodeIds(R, Proc.Nested) || !decodeIds(R, Proc.Formals) ||
-        !decodeIds(R, Proc.Locals) || !decodeIds(R, Proc.Stmts) ||
-        !decodeIds(R, Proc.CallSites)) {
+        !decodeList(R, P.NestedPool, Proc.Nested) ||
+        !decodeList(R, P.FormalPool, Proc.Formals) ||
+        !decodeList(R, P.LocalPool, Proc.Locals) ||
+        !decodeList(R, P.StmtPool, Proc.Stmts) ||
+        !decodeList(R, P.CallSitePool, Proc.CallSites)) {
       Err = "corrupt procedure table";
       return false;
     }
     Proc.Parent = ir::ProcId(Parent);
-    P.Procs.push_back(std::move(Proc));
+    P.Procs.push_back(Proc);
   }
 
   std::uint32_t NumStmts = 0;
@@ -283,15 +288,16 @@ bool ProgramCodec::decode(ByteReader &R, ir::Program &Out, std::string &Err) {
   }
   P.Stmts.reserve(NumStmts);
   for (std::uint32_t I = 0; I != NumStmts; ++I) {
-    ir::Statement S;
+    ir::Program::StmtRow S;
     std::uint32_t Parent = 0;
-    if (!R.u32(Parent) || !decodeIds(R, S.LMod) || !decodeIds(R, S.LUse) ||
-        !decodeIds(R, S.Calls)) {
+    if (!R.u32(Parent) || !decodeList(R, P.LModPool, S.LMod) ||
+        !decodeList(R, P.LUsePool, S.LUse) ||
+        !decodeList(R, P.CallPool, S.Calls)) {
       Err = "corrupt statement table";
       return false;
     }
     S.Parent = ir::ProcId(Parent);
-    P.Stmts.push_back(std::move(S));
+    P.Stmts.push_back(S);
   }
 
   std::uint32_t NumCalls = 0;
@@ -301,26 +307,17 @@ bool ProgramCodec::decode(ByteReader &R, ir::Program &Out, std::string &Err) {
   }
   P.Calls.reserve(NumCalls);
   for (std::uint32_t I = 0; I != NumCalls; ++I) {
-    ir::CallSite C;
-    std::uint32_t Caller = 0, Callee = 0, Stmt = 0, NumActuals = 0;
+    ir::Program::CallRow C;
+    std::uint32_t Caller = 0, Callee = 0, Stmt = 0;
     if (!R.u32(Caller) || !R.u32(Callee) || !R.u32(Stmt) ||
-        !R.u32(NumActuals) || NumActuals > R.remaining() / 4) {
+        !decodeList(R, P.ActualPool, C.Actuals)) {
       Err = "corrupt call-site table";
       return false;
     }
     C.Caller = ir::ProcId(Caller);
     C.Callee = ir::ProcId(Callee);
     C.Stmt = ir::StmtId(Stmt);
-    C.Actuals.reserve(NumActuals);
-    for (std::uint32_t K = 0; K != NumActuals; ++K) {
-      std::uint32_t Raw;
-      if (!R.u32(Raw)) {
-        Err = "corrupt call-site actuals";
-        return false;
-      }
-      C.Actuals.push_back(ir::Actual{ir::VarId(Raw)});
-    }
-    P.Calls.push_back(std::move(C));
+    P.Calls.push_back(C);
   }
 
   if (!R.atEnd()) {
@@ -486,13 +483,13 @@ void appendSection(ByteWriter &File, std::uint32_t Tag, ByteWriter &Payload) {
 
 } // namespace
 
-bool SnapshotWriter::write(const std::string &Path, const SnapshotData &Data,
+bool SnapshotWriter::write(const std::string &Path, const SnapshotSource &Data,
                            std::string &Err) {
   observe::TraceSpan Span("persist.snapshot-write");
 
   ByteWriter Prog, Graphs, Planes;
-  ProgramCodec::encode(Data.Program, Prog);
-  encodeGraphs(Graphs, Data.Program);
+  ProgramCodec::encode(*Data.Program, Prog);
+  encodeGraphs(Graphs, *Data.Program);
   encodePlanes(Planes, Data.Planes);
 
   ByteWriter File;
@@ -510,12 +507,12 @@ bool SnapshotWriter::write(const std::string &Path, const SnapshotData &Data,
   return writeFileAtomic(Path, File.data(), File.size(), Err);
 }
 
-SnapshotData SnapshotData::of(demand::DemandSession &Session) {
-  SnapshotData Data;
+SnapshotSource SnapshotSource::of(demand::DemandSession &Session) {
+  SnapshotSource Data;
   Data.Planes = Session.exportPlanes(); // solves what is uncovered
   Data.Generation = Data.Planes.Generation;
   Data.TrackUse = Session.options().TrackUse;
-  Data.Program = Session.program();
+  Data.Program = &Session.program();
   return Data;
 }
 

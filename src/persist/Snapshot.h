@@ -75,10 +75,20 @@ struct SnapshotData {
   bool TrackUse = false;
   ir::Program Program;
   demand::SessionPlanes Planes;
+};
 
-  /// Solves whatever \p Session has not covered yet and copies out its
-  /// program and full, final planes.
-  static SnapshotData of(demand::DemandSession &Session);
+/// What a snapshot writer encodes: a session's full, final planes and the
+/// program they were solved over.  The program is borrowed, not copied;
+/// it must outlive the source and stay unedited while the source is used.
+struct SnapshotSource {
+  std::uint64_t Generation = 0;
+  bool TrackUse = false;
+  const ir::Program *Program = nullptr;
+  demand::SessionPlanes Planes;
+
+  /// Solves whatever \p Session has not covered yet, exports its full,
+  /// final planes, and borrows its program.
+  static SnapshotSource of(demand::DemandSession &Session);
 };
 
 /// Header/section metadata without payload decoding (inspect-snapshot).
@@ -101,7 +111,7 @@ class SnapshotWriter {
 public:
   /// Serializes \p Data to \p Path atomically (tmp + fsync + rename +
   /// directory fsync).  Returns false with a diagnostic in \p Err.
-  static bool write(const std::string &Path, const SnapshotData &Data,
+  static bool write(const std::string &Path, const SnapshotSource &Data,
                     std::string &Err);
 
 };

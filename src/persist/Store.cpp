@@ -96,7 +96,7 @@ void Store::sweepOrphans() {
 }
 
 bool Store::init(const std::string &Dir, const StoreOptions &Options,
-                 const SnapshotData &Data, Store &Out, std::string &Err) {
+                 const SnapshotSource &Data, Store &Out, std::string &Err) {
   Out.Dir = Dir;
   Out.Opts = Options;
 
@@ -196,7 +196,7 @@ bool Store::shouldCompact() const {
          Log.sizeBytes() >= Opts.CompactWalBytes;
 }
 
-bool Store::compact(const SnapshotData &Data, std::string &Err) {
+bool Store::compact(const SnapshotSource &Data, std::string &Err) {
   observe::TraceSpan Span("persist.compact");
 
   const std::uint64_t Gen = Data.Generation;

@@ -71,11 +71,11 @@ public:
 
   /// Initializes a fresh store: a snapshot of \p Data at its generation,
   /// an empty WAL, and the manifest (the directory is created if needed).
-  /// \p Data.Planes must be full, final planes (SnapshotData::of;
+  /// \p Data.Planes must be full, final planes (SnapshotSource::of;
   /// SnapshotReader validates dimensions, and warm restores treat every
   /// procedure as solved).
   static bool init(const std::string &Dir, const StoreOptions &Options,
-                   const SnapshotData &Data, Store &Out, std::string &Err);
+                   const SnapshotSource &Data, Store &Out, std::string &Err);
 
   /// Opens an existing store: loads the manifest's snapshot (CRC +
   /// structure verified), recovers the WAL (truncating a torn tail), and
@@ -97,7 +97,7 @@ public:
   /// rotates to an empty WAL, and swings the manifest; old files are
   /// deleted afterwards.  On failure the previous pair remains current and
   /// the store stays usable.
-  bool compact(const SnapshotData &Data, std::string &Err);
+  bool compact(const SnapshotSource &Data, std::string &Err);
 
   bool isOpen() const { return Log.isOpen(); }
   const std::string &dir() const { return Dir; }

@@ -168,7 +168,7 @@ bool AnalysisSnapshot::covers(const ScriptCommand &Cmd) const {
             return true;
           K = K * 10 + unsigned(Ch - '0');
         }
-        const std::vector<ir::CallSiteId> &Sites = P.proc(Proc).CallSites;
+        std::span<const ir::CallSiteId> Sites = P.proc(Proc).CallSites;
         if (K >= Sites.size())
           return true;
         if (!covered(P.callSite(Sites[K]).Callee, EffectKind::Mod))

@@ -229,7 +229,7 @@ VarId service::findVisibleVar(const Program &P, ProcId Scope,
 
 StmtId service::stmtAt(const Program &P, ProcId Proc, unsigned Idx,
                        unsigned LineNo) {
-  const std::vector<StmtId> &Stmts = P.proc(Proc).Stmts;
+  std::span<const StmtId> Stmts = P.proc(Proc).Stmts;
   if (Idx >= Stmts.size())
     die(LineNo, "procedure '" + P.name(Proc) + "' has only " +
                     std::to_string(Stmts.size()) + " statements");
@@ -481,7 +481,7 @@ QueryResult service::evalQueryCommand(const QueryTarget &Target,
       std::string Name = A[I].substr(0, Hash);
       ProcId Proc = findProc(P, Name, LineNo);
       unsigned K = parseIndex(A[I].substr(Hash + 1));
-      const std::vector<ir::CallSiteId> &Sites = P.proc(Proc).CallSites;
+      std::span<const ir::CallSiteId> Sites = P.proc(Proc).CallSites;
       if (K >= Sites.size())
         die(LineNo, "procedure '" + Name + "' has only " +
                         std::to_string(Sites.size()) + " call sites");

@@ -57,6 +57,15 @@ public:
     const std::uint8_t *P = static_cast<const std::uint8_t *>(Data);
     Bytes.insert(Bytes.end(), P, P + Size);
   }
+  /// Bulk form of u32: one copy on little-endian hosts.
+  void u32Array(const std::uint32_t *Words, std::size_t Count) {
+    if constexpr (std::endian::native == std::endian::little) {
+      raw(Words, Count * 4);
+      return;
+    }
+    for (std::size_t K = 0; K != Count; ++K)
+      u32(Words[K]);
+  }
   /// Overwrites 4 bytes at \p Offset (for back-patched lengths/checksums).
   void patchU32(std::size_t Offset, std::uint32_t V) {
     for (unsigned I = 0; I != 4; ++I)

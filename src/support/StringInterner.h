@@ -14,11 +14,11 @@
 #ifndef IPSE_SUPPORT_STRINGINTERNER_H
 #define IPSE_SUPPORT_STRINGINTERNER_H
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace ipse {
@@ -32,9 +32,21 @@ inline constexpr SymbolId InvalidSymbol = ~SymbolId(0);
 /// Bidirectional map between strings and dense SymbolIds.
 ///
 /// Ids are assigned in first-intern order, so iteration by id is
-/// deterministic for a deterministic intern sequence.
+/// deterministic for a deterministic intern sequence.  The texts live in
+/// one id-ordered vector; lookup is an open-addressing (linear probing)
+/// table of ids over it, so the table holds no second copy of any text.
+///
+/// Copies share the table: copying an interner is O(1), and both copies
+/// see the table as immutable from then on.  An intern() into a shared
+/// table clones it first, so a copy never observes the other's names.
 class StringInterner {
 public:
+  StringInterner() = default;
+  StringInterner(const StringInterner &Other);
+  StringInterner &operator=(const StringInterner &Other);
+  StringInterner(StringInterner &&) noexcept = default;
+  StringInterner &operator=(StringInterner &&) noexcept = default;
+
   /// Returns the id for \p Text, interning it if new.
   SymbolId intern(std::string_view Text);
 
@@ -45,20 +57,27 @@ public:
   const std::string &text(SymbolId Id) const;
 
   /// Returns the number of interned strings.
-  std::size_t size() const { return Texts.size(); }
+  std::size_t size() const { return T ? T->Texts.size() : 0; }
 
 private:
-  /// Hashes std::string and std::string_view alike, so lookups by view
-  /// need no temporary string.
-  struct Hash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view Text) const {
-      return std::hash<std::string_view>()(Text);
-    }
+  struct Slot {
+    SymbolId Id = InvalidSymbol;
+    std::uint32_t Hash = 0; ///< Low bits of Text's hash; filters probes.
+  };
+  struct Table {
+    std::vector<std::string> Texts;
+    std::vector<Slot> Slots; ///< Power-of-two sized; at most half full.
+    /// Set once a copy shares this table; a shared table is never written.
+    std::atomic<bool> Shared{false};
   };
 
-  std::unordered_map<std::string, SymbolId, Hash, std::equal_to<>> Ids;
-  std::vector<std::string> Texts;
+  /// Returns the slot holding \p Text, or the empty slot ending its probe.
+  std::size_t find(std::string_view Text, std::uint32_t Hash) const;
+  /// Makes T exclusively owned and non-null, cloning a shared table.
+  void own();
+  void rehash(std::size_t NumSlots);
+
+  std::shared_ptr<Table> T;
 };
 
 } // namespace ipse

@@ -97,7 +97,7 @@ std::optional<Edit> EditGen::next(const ir::Program &P) {
       for (std::size_t Off = 0; Off != P.numStmts(); ++Off) {
         ir::StmtId S(
             static_cast<std::uint32_t>((Start + Off) % P.numStmts()));
-        const std::vector<ir::VarId> &List =
+        std::span<const ir::VarId> List =
             WantMod ? P.stmt(S).LMod : P.stmt(S).LUse;
         if (List.empty())
           continue;

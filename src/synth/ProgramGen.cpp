@@ -236,8 +236,10 @@ Program synth::makeLayeredProgram(unsigned Layers, unsigned Width,
       Formals.push_back(std::move(Fs));
     }
 
-  auto formalsOf = [&](ProcId P) -> const std::vector<VarId> & {
-    return B.peek().proc(P).Formals;
+  // A copy: the builder's spans last only until its next call.
+  auto formalsOf = [&](ProcId P) {
+    std::span<const VarId> Fs = B.peek().proc(P).Formals;
+    return std::vector<VarId>(Fs.begin(), Fs.end());
   };
 
   // Main seeds every layer-0 procedure with globals (or expressions when

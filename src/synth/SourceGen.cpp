@@ -91,7 +91,7 @@ private:
       emitCall(C, Pad);
   }
 
-  std::string buildUseExpr(const std::vector<VarId> &Uses) {
+  std::string buildUseExpr(std::span<const VarId> Uses) {
     if (Uses.empty())
       return "";
     std::ostringstream E;

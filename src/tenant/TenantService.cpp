@@ -180,7 +180,7 @@ std::string TenantService::installEngine(Tenant &T, ir::Program Prog) {
   T.Store = std::make_unique<persist::Store>();
   std::string Err;
   if (persist::Store::init(Dir, storeOptions(),
-                           persist::SnapshotData::of(*T.Engine), *T.Store,
+                           persist::SnapshotSource::of(*T.Engine), *T.Store,
                            Err))
     return {};
   T.Engine.reset();
@@ -630,7 +630,7 @@ void TenantService::shardLoop(unsigned Idx) {
     if (!T->Engine || !T->Store || T->Store->walRecords() == 0)
       continue;
     std::string Err;
-    if (!T->Store->compact(persist::SnapshotData::of(*T->Engine), Err))
+    if (!T->Store->compact(persist::SnapshotSource::of(*T->Engine), Err))
       std::fprintf(stderr, "ipse: tenant '%s' final compaction failed: %s\n",
                    T->Name.c_str(), Err.c_str());
   }
@@ -952,7 +952,7 @@ void TenantService::runEditGroup(std::vector<Job> &Batch, std::size_t Begin,
 
   if (T.Store && T.Store->shouldCompact()) {
     std::string CErr;
-    if (!T.Store->compact(persist::SnapshotData::of(*T.Engine), CErr))
+    if (!T.Store->compact(persist::SnapshotSource::of(*T.Engine), CErr))
       std::fprintf(stderr,
                    "ipse: tenant '%s' compaction failed (will retry): %s\n",
                    T.Name.c_str(), CErr.c_str());
@@ -1040,7 +1040,7 @@ void TenantService::evictIfIdle(Tenant &T) {
   // or fault-in.)
   std::string Err;
   if (T.Store->walRecords() > 0 &&
-      !T.Store->compact(persist::SnapshotData::of(*T.Engine), Err)) {
+      !T.Store->compact(persist::SnapshotSource::of(*T.Engine), Err)) {
     std::fprintf(stderr,
                  "ipse: tenant '%s' eviction compaction failed, staying "
                  "resident: %s\n",

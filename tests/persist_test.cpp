@@ -26,6 +26,7 @@
 #include "synth/ProgramGen.h"
 #include "synth/SourceGen.h"
 #include "tenant/TenantService.h"
+#include "ProgramEdits.h"
 #include "ProgramTables.h"
 
 #include <gtest/gtest.h>
@@ -287,6 +288,24 @@ TEST(ProgramCodec, RejectsTruncatedTables) {
   }
 }
 
+TEST(ProgramCodec, EncodingMatchesRecordedGolden) {
+  // CRC-32s of the encodings of two fixed programs, recorded with the
+  // vector-of-vectors IR that preceded the pooled tables.  A mismatch
+  // means the snapshot format moved (which needs a version bump) or the
+  // pools changed some list's contents or order.
+  auto crcOf = [](const Program &P) {
+    std::vector<std::uint8_t> Bytes = programtables::encode(P);
+    return crc32(Bytes.data(), Bytes.size());
+  };
+  EXPECT_EQ(crcOf(synth::makeNestedProgram(4, 12, 21)), 0x159fa7cdu);
+
+  std::size_t Counts[programedits::NumEditKinds] = {};
+  Program Edited = programedits::editedProgram(29, 400, Counts);
+  ASSERT_GT(Counts[static_cast<std::size_t>(EditKind::RemoveCall)], 0u);
+  ASSERT_GT(Counts[static_cast<std::size_t>(EditKind::RemoveProc)], 0u);
+  EXPECT_EQ(crcOf(Edited), 0x1e17c3f2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Snapshot files.
 //===----------------------------------------------------------------------===//
@@ -304,7 +323,7 @@ TEST(Snapshot, RoundTripRestoresWarmSession) {
   const std::uint64_t Gen = Live.generation();
 
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotSource::of(Live), Err)) << Err;
 
   persist::SnapshotData Data;
   ASSERT_TRUE(persist::SnapshotReader::read(Path, Data, Err)) << Err;
@@ -328,7 +347,7 @@ TEST(Snapshot, EveryFlippedByteIsRejected) {
   demand::DemandOptions SO;
   DemandSession Live(genProgram(8, 1, 7), SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotSource::of(Live), Err)) << Err;
 
   std::vector<std::uint8_t> Good = slurpBytes(Path);
   std::string Tmp = Dir + "/flipped.ipsesnap";
@@ -351,7 +370,7 @@ TEST(Snapshot, EveryTruncationIsRejected) {
   demand::DemandOptions SO;
   DemandSession Live(genProgram(8, 1, 9), SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotSource::of(Live), Err)) << Err;
 
   std::vector<std::uint8_t> Good = slurpBytes(Path);
   std::string Tmp = Dir + "/short.ipsesnap";
@@ -371,7 +390,7 @@ TEST(Snapshot, InspectReportsSectionsWithoutDecoding) {
   demand::DemandOptions SO;
   DemandSession Live(genProgram(10, 1, 13), SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotSource::of(Live), Err)) << Err;
 
   persist::SnapshotInfo Info;
   ASSERT_TRUE(persist::SnapshotReader::inspect(Path, Info, Err)) << Err;
@@ -406,7 +425,7 @@ TEST(Snapshot, SplicedGraphFingerprintIsRejected) {
   demand::DemandOptions SO;
   DemandSession Live(genProgram(15, 2, 21), SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotSource::of(Live), Err)) << Err;
 
   std::vector<std::uint8_t> Bytes = slurpBytes(Path);
   // Walk: 32-byte header, then tag u32 | len u64 | crc u32 | payload.
@@ -451,7 +470,7 @@ TEST(Snapshot, ProcMissingFromParentNestedIsRejected) {
   demand::DemandOptions SO;
   DemandSession Live(genProgram(15, 2, 23), SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotData::of(Live), Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(Path, persist::SnapshotSource::of(Live), Err)) << Err;
 
   std::vector<std::uint8_t> Bytes = slurpBytes(Path);
   // Walk: 32-byte header, then tag u32 | len u64 | crc u32 | payload.
@@ -652,7 +671,7 @@ TEST(CrashRecovery, RecoveredPlanesMatchUninterruptedRunAtEveryCut) {
   // The "server": snapshot at generation 0, then WAL + apply each edit.
   DemandSession Writer(Base, SO);
   std::string Err;
-  ASSERT_TRUE(persist::SnapshotWriter::write(SnapPath, persist::SnapshotData::of(Writer), Err)) << Err;
+  ASSERT_TRUE(persist::SnapshotWriter::write(SnapPath, persist::SnapshotSource::of(Writer), Err)) << Err;
   persist::Wal Log;
   ASSERT_TRUE(persist::Wal::create(WalPath, Writer.generation(), Log, Err))
       << Err;
@@ -710,7 +729,7 @@ TEST(Store, InitAppendCrashOpenReplays) {
   EXPECT_FALSE(persist::Store::exists(Dir));
   {
     persist::Store S;
-    ASSERT_TRUE(persist::Store::init(Dir, PO, persist::SnapshotData::of(Live), S, Err)) << Err;
+    ASSERT_TRUE(persist::Store::init(Dir, PO, persist::SnapshotSource::of(Live), S, Err)) << Err;
     EXPECT_TRUE(persist::Store::exists(Dir));
     std::vector<Edit> Edits = editStream(Live, 15, 3);
     for (const Edit &E : Edits)
@@ -743,7 +762,7 @@ TEST(Store, CompactRotatesFilesAndSweepsOrphans) {
   PO.CompactWalRecords = 4;
   std::string Err;
   persist::Store S;
-  ASSERT_TRUE(persist::Store::init(Dir, PO, persist::SnapshotData::of(Live), S, Err)) << Err;
+  ASSERT_TRUE(persist::Store::init(Dir, PO, persist::SnapshotSource::of(Live), S, Err)) << Err;
   EXPECT_FALSE(S.shouldCompact());
 
   std::vector<Edit> Edits = editStream(Live, 6, 19);
@@ -752,7 +771,7 @@ TEST(Store, CompactRotatesFilesAndSweepsOrphans) {
     ASSERT_TRUE(S.appendEdits({E}, Err)) << Err;
   EXPECT_TRUE(S.shouldCompact());
 
-  ASSERT_TRUE(S.compact(persist::SnapshotData::of(Live), Err)) << Err;
+  ASSERT_TRUE(S.compact(persist::SnapshotSource::of(Live), Err)) << Err;
   EXPECT_EQ(S.walRecords(), 0u);
   EXPECT_EQ(S.snapshotGeneration(), Live.generation());
   // The old generation-0 pair is gone; the new pair is on disk.

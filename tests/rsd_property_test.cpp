@@ -101,7 +101,7 @@ struct RandomSectionProblem {
     const Procedure &Pr = P.proc(Proc);
     if (!Pr.Formals.empty() && R.nextChance(60, 100))
       return Subscript::symbol(Pr.Formals[R.nextBelow(Pr.Formals.size())]);
-    const std::vector<VarId> &Globals = P.proc(P.main()).Locals;
+    std::span<const VarId> Globals = P.proc(P.main()).Locals;
     return Subscript::symbol(Globals[R.nextBelow(Globals.size())]);
   }
 

@@ -953,7 +953,7 @@ int cmdSave(const std::vector<std::string> &Args) {
   DO.TrackUse = TrackUse;
   demand::DemandSession S(std::move(P), DO);
   std::string Err;
-  if (!persist::SnapshotWriter::write(OutPath, persist::SnapshotData::of(S),
+  if (!persist::SnapshotWriter::write(OutPath, persist::SnapshotSource::of(S),
                                       Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
