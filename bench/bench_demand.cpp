@@ -11,15 +11,20 @@
 //
 //   {"shape":"chain-100k","procs":100001,"vars":256,"query":"sub99950",
 //    "batch_us":48211.0,"open_us":9123.0,"cold_query_us":35.2,
-//    "warm_query_us":0.1,"region_procs":51,"batch_over_cold":1369.4}
+//    "warm_query_us":0.1,"region_procs":51,"resident_procs":51,
+//    "batch_over_cold":1369.4}
 //
 //   batch_us        full SideEffectAnalyzer solve + GMOD(main)
-//   open_us         DemandSession construction (structure only, no solve)
+//   open_us         DemandSession construction (no whole-program graph or
+//                   plane: flags, slots and the level filters)
 //   cold_query_us   first gmod(q) on a fresh session (region solve, or the
 //                   batch pipeline once the region reaches half the
 //                   program — never more than batch_us plus the walk)
 //   warm_query_us   repeat gmod(q) (memoized plane read)
 //   region_procs    procedures the cold query actually solved
+//   resident_procs  procedures holding plane rows after the cold query
+//                   (the region and its lexical descendants, or every
+//                   procedure once the batch pipeline answered)
 //
 // Shapes:
 //   fortran-4000   the random-call-graph shape shared with the other
@@ -30,8 +35,9 @@
 //   chain-100k     near the tail reaches a few dozen procedures, so the
 //                  cold query is orders of magnitude below batch.
 //
-// region_procs is deterministic (same program, same query, same closure)
-// and gates tight in ipse-bench-diff; the wall-clock columns gate loose.
+// region_procs and resident_procs are deterministic (same program, same
+// query, same closure) and gate tight in ipse-bench-diff; the wall-clock
+// columns gate loose.
 //
 //===----------------------------------------------------------------------===//
 
@@ -115,6 +121,7 @@ void runCell(const Shape &Sh) {
   (void)S.gmod(Sh.Query);
   double ColdUs = microsSince(Start);
   std::uint64_t RegionProcs = S.stats().RegionProcs;
+  std::uint64_t ResidentProcs = S.stats().ResidentProcs;
 
   unsigned WarmReps = 1000;
   Start = Clock::now();
@@ -125,11 +132,13 @@ void runCell(const Shape &Sh) {
   std::printf("{\"shape\":\"%s\",\"procs\":%u,\"vars\":%u,"
               "\"query\":\"%s\",\"batch_us\":%.1f,\"open_us\":%.1f,"
               "\"cold_query_us\":%.2f,\"warm_query_us\":%.3f,"
-              "\"region_procs\":%llu,\"batch_over_cold\":%.1f}\n",
+              "\"region_procs\":%llu,\"resident_procs\":%llu,"
+              "\"batch_over_cold\":%.1f}\n",
               Sh.Name, static_cast<unsigned>(P.numProcs()),
               static_cast<unsigned>(P.numVars()),
               P.name(Sh.Query).c_str(), BatchUs, OpenUs, ColdUs,
               WarmUs, (unsigned long long)RegionProcs,
+              (unsigned long long)ResidentProcs,
               ColdUs > 0 ? BatchUs / ColdUs : 0.0);
   std::fflush(stdout);
 }

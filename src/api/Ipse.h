@@ -189,6 +189,9 @@ public:
   AnalysisOptions::Engine engine() const;
 
   /// \name Queries (the SideEffectAnalyzer surface)
+  /// Under the Demand engine a returned reference is valid until the next
+  /// query, which may solve a region and move the session's planes
+  /// (demand::DemandSession); copy a set that must outlive it.
   /// @{
   const EffectSet &gmod(ir::ProcId Proc) const;
   const EffectSet &guse(ir::ProcId Proc) const; ///< Requires TrackUse.

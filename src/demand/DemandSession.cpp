@@ -12,6 +12,8 @@
 #include "analysis/RMod.h"
 #include "analysis/SideEffectAnalyzer.h"
 #include "analysis/VarMasks.h"
+#include "demand/Dependencies.h"
+#include "graph/BindingGraph.h"
 #include "graph/CallGraph.h"
 #include "graph/Tarjan.h"
 #include "ir/Printer.h"
@@ -20,7 +22,9 @@
 #include "observe/Trace.h"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
+#include <type_traits>
 
 using namespace ipse;
 using namespace ipse::demand;
@@ -43,6 +47,20 @@ void addUnique(std::vector<std::uint32_t> &List, std::vector<char> &Flag,
     return;
   Flag[Value] = 1;
   List.push_back(Value);
+}
+
+/// Grows a row table to cover row \p Row (and every row allocated so far).
+template <typename T>
+void fitRows(std::vector<T> &Rows, std::uint32_t Row, std::uint32_t NumRows) {
+  if (Rows.size() <= Row)
+    Rows.resize(NumRows);
+}
+
+/// Empties a list addUnique built, clearing only the flags it set.
+void clearUnique(std::vector<std::uint32_t> &List, std::vector<char> &Flag) {
+  for (std::uint32_t Value : List)
+    Flag[Value] = 0;
+  List.clear();
 }
 
 /// The monotone-growth prune: IMOD+(p) moving from \p Old to \p New leaves
@@ -82,7 +100,6 @@ DemandSession::DemandSession(ir::Program Initial, DemandOptions Options)
     : P(std::move(Initial)), Opts(Options) {
   initKindStates();
   rebuildVarStructure();
-  rebuildBindingStructure();
 }
 
 DemandSession::DemandSession(ir::Program Initial, DemandOptions Options,
@@ -93,7 +110,11 @@ DemandSession::DemandSession(ir::Program Initial, DemandOptions Options,
   assert(Planes.Kinds.size() == States.size() &&
          "restored planes must match the TrackUse configuration");
   rebuildVarStructure();
-  rebuildBindingStructure();
+  // The planes arrive in procedure order: row p is procedure p.
+  const std::uint32_t N = P.numProcs();
+  std::iota(RowOf.begin(), RowOf.end(), 0u);
+  NumRows = N;
+  Stats.ResidentProcs = N;
   for (SessionPlanes::KindPlanes &KP : Planes.Kinds) {
     KindState &K = state(KP.Kind);
     assert(KP.Own.size() == P.numProcs() && KP.Ext.size() == P.numProcs() &&
@@ -108,9 +129,9 @@ DemandSession::DemandSession(ir::Program Initial, DemandOptions Options,
     K.RModBits = std::move(KP.RModBits);
     K.IModPlus = std::move(KP.IModPlus);
     K.GMod.GMod = std::move(KP.GMod);
-    K.Ready.assign(P.numProcs(), 1);
-    K.Solved.assign(P.numProcs(), 1);
-    K.NumSolved = P.numProcs();
+    K.Ready.assign(N, 1);
+    K.Solved.assign(N, 1);
+    K.NumSolved = N;
   }
   Generation = CleanGeneration = Planes.Generation;
 }
@@ -125,15 +146,17 @@ void DemandSession::initKindStates() {
   const std::size_t N = P.numProcs();
   const std::size_t V = P.numVars();
   for (KindState &K : States) {
-    K.Own.assign(N, EffectSet());
-    K.Ext.assign(N, EffectSet());
     K.FormalBits = EffectSet(V);
     K.RModBits = EffectSet(V);
-    K.IModPlus.assign(N, EffectSet());
-    K.GMod.GMod.assign(N, EffectSet());
     K.Ready.assign(N, 0);
     K.Solved.assign(N, 0);
   }
+  // No procedure holds a row yet.
+  RowOf.assign(N, NoRow);
+  NumRows = 0;
+  LocalMasks.clear();
+  LocalMaskReady.clear();
+  Stats.ResidentProcs = 0;
 }
 
 DemandSession::KindState &DemandSession::state(EffectKind Kind) {
@@ -153,65 +176,111 @@ void DemandSession::rebuildVarStructure() {
   const unsigned DP = P.maxProcLevel();
 
   // The level filters are read by every GMOD step; dense words keep those
-  // steps on the SIMD kernels whatever the representation policy.
+  // steps on the SIMD kernels whatever the representation policy.  No
+  // filter holds a deepest-level variable, so only the declarations of
+  // shallower procedures are visited.
   const EffectSet Empty(V, EffectSet::Representation::Dense);
   std::vector<EffectSet> Levels(DP + 1, Empty);
-  for (std::uint32_t I = 0; I != V; ++I) {
-    unsigned L = P.varLevel(ir::VarId(I));
-    assert(L <= DP && "variable deeper than the deepest procedure");
-    Levels[L].set(I);
+  for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
+    const ir::Procedure PR = P.proc(ir::ProcId(I));
+    if (PR.Level == DP)
+      continue;
+    for (ir::VarId F : PR.Formals)
+      Levels[PR.Level].set(F.index());
+    for (ir::VarId L : PR.Locals)
+      Levels[PR.Level].set(L.index());
   }
   Below.assign(DP + 1, Empty);
   for (unsigned L = 1; L <= DP; ++L) {
     Below[L] = Below[L - 1];
     Below[L].orWith(Levels[L - 1]);
   }
-
-  LocalMasks.assign(P.numProcs(), EffectSet());
-  LocalMaskReady.assign(P.numProcs(), 0);
 }
 
-void DemandSession::rebuildBindingStructure() {
-  BG = std::make_unique<graph::BindingGraph>(P);
-
-  Deps = graph::Digraph(P.numProcs());
+const graph::Digraph &DemandSession::revDeps() {
+  if (RevDeps)
+    return *RevDeps;
+  // The reverse of forEachDependency over every procedure, found from the
+  // call sites' side in one linear pass: call edges first (edge id =
+  // call-site id), then one β-owner edge per binding event.
+  RevDeps.emplace(P.numProcs());
   for (std::uint32_t I = 0; I != P.numCallSites(); ++I) {
-    const ir::CallSite &C = P.callSite(ir::CallSiteId(I));
-    Deps.addEdge(C.Caller.index(), C.Callee.index());
+    const ir::CallSite C = P.callSite(ir::CallSiteId(I));
+    RevDeps->addEdge(C.Callee.index(), C.Caller.index());
   }
-  // β-owner edges: RMOD of a formal of a reads the RMOD of its β
-  // successors, whose owners need not be callees of a (the binding event
-  // can sit in a procedure nested inside a, §3.3).  Folding them into the
-  // same graph makes one closure walk dependency-complete.
-  const graph::Digraph &G = BG->graph();
-  for (graph::NodeId Node = 0; Node != BG->numNodes(); ++Node) {
-    std::uint32_t A = P.var(BG->formal(Node)).Owner.index();
-    for (const graph::Adjacency &Adj : G.succs(Node))
-      Deps.addEdge(A, P.var(BG->formal(Adj.Dst)).Owner.index());
+  for (std::uint32_t I = 0; I != P.numCallSites(); ++I) {
+    const ir::CallSite C = P.callSite(ir::CallSiteId(I));
+    for (const ir::Actual &A : C.Actuals)
+      if (A.isVariable() && P.var(A.Var).Kind == ir::VarKind::Formal)
+        RevDeps->addEdge(C.Callee.index(), P.var(A.Var).Owner.index());
   }
-  Deps.finalize();
-  RevDeps = Deps.reversed();
+  RevDeps->finalize();
+  return *RevDeps;
 }
 
 const EffectSet &DemandSession::localMask(ir::ProcId Proc) {
-  std::uint32_t I = Proc.index();
-  if (!LocalMaskReady[I]) {
+  const std::uint32_t R = row(Proc.index());
+  fitRows(LocalMasks, R, NumRows);
+  fitRows(LocalMaskReady, R, NumRows);
+  if (!LocalMaskReady[R]) {
     EffectSet M(P.numVars());
-    const ir::Procedure &PR = P.proc(Proc);
+    const ir::Procedure PR = P.proc(Proc);
     for (ir::VarId F : PR.Formals)
       M.set(F.index());
     for (ir::VarId L : PR.Locals)
       M.set(L.index());
-    LocalMasks[I] = std::move(M);
-    LocalMaskReady[I] = 1;
+    LocalMasks[R] = std::move(M);
+    LocalMaskReady[R] = 1;
   }
-  return LocalMasks[I];
+  return LocalMasks[R];
+}
+
+std::uint32_t DemandSession::rowOf(std::uint32_t Proc) {
+  std::uint32_t &R = RowOf[Proc];
+  if (R != NoRow)
+    return R;
+  R = NumRows++;
+  Stats.ResidentProcs = NumRows;
+  return R;
+}
+
+void DemandSession::placeRowsInProcOrder() {
+  const std::uint32_t N = P.numProcs();
+  bool InOrder = true;
+  for (std::uint32_t I = 0; I != N; ++I) {
+    if (RowOf[I] == NoRow)
+      RowOf[I] = NumRows++;
+    InOrder &= RowOf[I] == I;
+  }
+  Stats.ResidentProcs = NumRows;
+  if (InOrder)
+    return;
+  // A table holds rows up to the last one its kind used; one that is
+  // empty holds none.
+  auto Place = [&](auto &Rows) {
+    if (Rows.empty())
+      return;
+    Rows.resize(N);
+    std::remove_reference_t<decltype(Rows)> Out(N);
+    for (std::uint32_t I = 0; I != N; ++I)
+      Out[I] = std::move(Rows[RowOf[I]]);
+    Rows = std::move(Out);
+  };
+  for (KindState &K : States) {
+    Place(K.Own);
+    Place(K.Ext);
+    Place(K.IModPlus);
+    Place(K.GMod.GMod);
+  }
+  Place(LocalMasks);
+  Place(LocalMaskReady);
+  std::iota(RowOf.begin(), RowOf.end(), 0u);
 }
 
 void DemandSession::fullReset() {
   ++Stats.FullResets;
   rebuildVarStructure();
-  rebuildBindingStructure();
+  RevDeps.reset();
   CondValid = false;
   States.clear();
   initKindStates();
@@ -220,13 +289,11 @@ void DemandSession::fullReset() {
 void DemandSession::nextEpoch() {
   if (++Epoch == 0) {
     std::fill(ProcStamp.begin(), ProcStamp.end(), 0);
-    std::fill(NodeStamp.begin(), NodeStamp.end(), 0);
+    std::fill(CompStamp.begin(), CompStamp.end(), 0);
     Epoch = 1;
   }
   ProcStamp.resize(P.numProcs(), 0);
   ProcSlot.resize(P.numProcs(), 0);
-  NodeStamp.resize(BG->numNodes(), 0);
-  NodeSlot.resize(BG->numNodes(), 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -395,7 +462,8 @@ void DemandSession::flushDirt() {
     fullReset();
   } else {
     if (CallStructureDirty) {
-      rebuildBindingStructure();
+      // The reverse index and the condensation describe the old calls.
+      RevDeps.reset();
       CondValid = false;
     }
     // A call delta that touches β may add or remove binding edges
@@ -416,15 +484,16 @@ void DemandSession::flushDirt() {
       for (std::uint32_t C : CallDirtyProcs) {
         if (!K.Solved[C])
           continue;
-        const std::span<const graph::Adjacency> Succs = Deps.succs(C);
-        if (!std::all_of(Succs.begin(), Succs.end(),
-                         [&](const graph::Adjacency &A) {
-                           return K.Solved[A.Dst] != 0;
-                         })) {
+        bool SuccsSolved = true;
+        forEachDependency(P, ir::ProcId(C), [&](ir::ProcId Succ) {
+          SuccsSolved &= K.Solved[Succ.index()] != 0;
+        });
+        if (!SuccsSolved) {
           unsolveClosure(K, C);
           continue;
         }
-        K.IModPlus[C] = analysis::computeIModPlusFor(P, K.Ext[C], K.RModBits,
+        const std::uint32_t R = row(C);
+        K.IModPlus[R] = analysis::computeIModPlusFor(P, K.Ext[R], K.RModBits,
                                                      ir::ProcId(C));
         Seeds.push_back(C);
       }
@@ -434,14 +503,10 @@ void DemandSession::flushDirt() {
   }
 
   UniverseDirty = CallStructureDirty = false;
-  for (std::size_t I = 0; I != 2; ++I) {
-    DirtyEffectProcs[I].clear();
-    DirtyEffectFlag[I].assign(P.numProcs(), 0);
-  }
-  CallDirtyProcs.clear();
-  CallDirtyFlag.assign(P.numProcs(), 0);
-  BetaDirtyProcs.clear();
-  BetaDirtyFlag.assign(P.numProcs(), 0);
+  for (std::size_t I = 0; I != 2; ++I)
+    clearUnique(DirtyEffectProcs[I], DirtyEffectFlag[I]);
+  clearUnique(CallDirtyProcs, CallDirtyFlag);
+  clearUnique(BetaDirtyProcs, BetaDirtyFlag);
   CleanGeneration = Generation;
 }
 
@@ -450,6 +515,7 @@ void DemandSession::unsolveClosure(KindState &K, std::uint32_t Root) {
   // Solved procedure's dependency successors are all Solved).
   if (Root >= K.Solved.size() || !K.Solved[Root])
     return;
+  const graph::Digraph &Rev = revDeps();
   std::vector<std::uint32_t> Stack{Root};
   K.Solved[Root] = 0;
   --K.NumSolved;
@@ -457,7 +523,7 @@ void DemandSession::unsolveClosure(KindState &K, std::uint32_t Root) {
   while (!Stack.empty()) {
     std::uint32_t Proc = Stack.back();
     Stack.pop_back();
-    for (const graph::Adjacency &A : RevDeps.succs(Proc)) {
+    for (const graph::Adjacency &A : Rev.succs(Proc)) {
       if (!K.Solved[A.Dst])
         continue;
       K.Solved[A.Dst] = 0;
@@ -471,18 +537,23 @@ void DemandSession::unsolveClosure(KindState &K, std::uint32_t Root) {
 void DemandSession::makeEffectReady(KindState &K, std::uint32_t Proc) {
   if (K.Ready[Proc])
     return;
-  const ir::Procedure &PR = P.proc(ir::ProcId(Proc));
+  const ir::Procedure PR = P.proc(ir::ProcId(Proc));
   for (ir::ProcId Child : PR.Nested)
     makeEffectReady(K, Child.index());
 
-  K.Own[Proc] = analysis::LocalEffects::computeOwn(P, P.numVars(), K.Kind,
-                                                   ir::ProcId(Proc));
-  EffectSet Ext = K.Own[Proc];
+  EffectSet Ext = analysis::LocalEffects::computeOwn(P, P.numVars(), K.Kind,
+                                                     ir::ProcId(Proc));
+  const std::uint32_t R = rowOf(Proc);
+  fitRows(K.Own, R, NumRows);
+  fitRows(K.Ext, R, NumRows);
+  fitRows(K.IModPlus, R, NumRows);
+  fitRows(K.GMod.GMod, R, NumRows);
+  K.Own[R] = Ext;
   for (ir::ProcId Child : PR.Nested)
-    Ext.orWithAndNot(K.Ext[Child.index()], localMask(Child));
-  K.Ext[Proc] = std::move(Ext);
+    Ext.orWithAndNot(K.Ext[row(Child.index())], localMask(Child));
+  K.Ext[R] = std::move(Ext);
   for (ir::VarId F : PR.Formals) {
-    if (K.Ext[Proc].test(F.index()))
+    if (K.Ext[R].test(F.index()))
       K.FormalBits.set(F.index());
     else
       K.FormalBits.reset(F.index());
@@ -504,8 +575,9 @@ void DemandSession::applyEffectDelta(KindState &K,
       continue;
     EffectSet New = analysis::LocalEffects::computeOwn(P, P.numVars(), K.Kind,
                                                        ir::ProcId(Proc));
-    if (New != K.Own[Proc]) {
-      K.Own[Proc] = std::move(New);
+    EffectSet &Own = K.Own[row(Proc)];
+    if (New != Own) {
+      Own = std::move(New);
       OwnChanged.push_back(Proc);
     }
   }
@@ -518,31 +590,34 @@ void DemandSession::applyEffectDelta(KindState &K,
   // larger ids than parents, so decreasing id order finishes children
   // first.
   std::vector<std::uint32_t> Chain;
-  std::vector<char> InChain;
+  nextEpoch(); // ProcStamp marks the collected chain.
   for (std::uint32_t Proc : OwnChanged)
     for (ir::ProcId Cur(Proc); Cur.isValid() && K.Ready[Cur.index()];
          Cur = P.proc(Cur).Parent) {
-      if (InChain.size() > Cur.index() && InChain[Cur.index()])
+      if (ProcStamp[Cur.index()] == Epoch)
         break; // The rest of this chain is already collected.
-      addUnique(Chain, InChain, Cur.index());
+      ProcStamp[Cur.index()] = Epoch;
+      Chain.push_back(Cur.index());
     }
   std::sort(Chain.begin(), Chain.end(), std::greater<std::uint32_t>());
 
   std::vector<std::uint32_t> ExtChanged;
   for (std::uint32_t Proc : Chain) {
-    EffectSet New = K.Own[Proc];
+    const std::uint32_t R = row(Proc);
+    EffectSet New = K.Own[R];
     for (ir::ProcId Child : P.proc(ir::ProcId(Proc)).Nested)
-      New.orWithAndNot(K.Ext[Child.index()], localMask(Child));
-    if (New != K.Ext[Proc]) {
-      K.Ext[Proc] = std::move(New);
+      New.orWithAndNot(K.Ext[row(Child.index())], localMask(Child));
+    if (New != K.Ext[R]) {
+      K.Ext[R] = std::move(New);
       ExtChanged.push_back(Proc);
     }
   }
 
   for (std::uint32_t Proc : ExtChanged) {
+    const std::uint32_t R = row(Proc);
     bool FormalChanged = false;
     for (ir::VarId F : P.proc(ir::ProcId(Proc)).Formals) {
-      bool Bit = K.Ext[Proc].test(F.index());
+      bool Bit = K.Ext[R].test(F.index());
       if (Bit != K.FormalBits.test(F.index())) {
         if (Bit)
           K.FormalBits.set(F.index());
@@ -562,13 +637,12 @@ void DemandSession::applyEffectDelta(KindState &K,
     // The procedure's formals kept their bits, so RMOD (hence every other
     // procedure's IMOD+) is unaffected; only IMOD+(p) moved, and with it
     // at most the GMOD of p and of its transitive callers.
-    EffectSet New = analysis::computeIModPlusFor(P, K.Ext[Proc], K.RModBits,
+    EffectSet New = analysis::computeIModPlusFor(P, K.Ext[R], K.RModBits,
                                                  ir::ProcId(Proc));
-    if (New == K.IModPlus[Proc])
+    if (New == K.IModPlus[R])
       continue;
-    const bool Absorbed =
-        absorbed(K.IModPlus[Proc], New, K.GMod.GMod[Proc]);
-    K.IModPlus[Proc] = std::move(New);
+    const bool Absorbed = absorbed(K.IModPlus[R], New, K.GMod.GMod[R]);
+    K.IModPlus[R] = std::move(New);
     if (Absorbed) {
       ++Stats.AbsorbedEdits;
       continue;
@@ -594,12 +668,13 @@ void DemandSession::resolveGMod(KindState &K,
   std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
                       std::greater<std::uint32_t>>
       Queue;
-  std::vector<char> Pending(Cond.numComponents(), 0);
+  nextEpoch(); // CompStamp marks the components already queued.
+  CompStamp.resize(Cond.numComponents(), 0);
   auto Enqueue = [&](std::uint32_t Proc) {
     std::uint32_t C = Cond.compOf(Proc);
-    if (!K.Solved[Proc] || Pending[C])
+    if (!K.Solved[Proc] || CompStamp[C] == Epoch)
       return;
-    Pending[C] = 1;
+    CompStamp[C] = Epoch;
     Queue.push(C);
   };
   for (std::uint32_t Proc : Seeds)
@@ -615,10 +690,11 @@ void DemandSession::resolveGMod(KindState &K,
     // their callers (the call edges among their reverse dependencies).
     for (std::uint32_t J = 0; J != Members.size(); ++J) {
       std::uint32_t M = Members[J];
-      if (MemberVals[J] == K.GMod.GMod[M])
+      EffectSet &Memo = K.GMod.GMod[row(M)];
+      if (MemberVals[J] == Memo)
         continue;
-      std::swap(K.GMod.GMod[M], MemberVals[J]);
-      for (const graph::Adjacency &A : RevDeps.succs(M))
+      std::swap(Memo, MemberVals[J]);
+      for (const graph::Adjacency &A : revDeps().succs(M))
         if (A.Edge < P.numCallSites())
           Enqueue(A.Dst);
     }
@@ -633,7 +709,7 @@ void DemandSession::solveComponentGMod(KindState &K,
   Vals.resize(Members.size());
   for (std::uint32_t J = 0; J != Members.size(); ++J) {
     MemberSlot[Members[J]] = J;
-    Vals[J] = K.IModPlus[Members[J]];
+    Vals[J] = K.IModPlus[row(Members[J])];
   }
 
   // Equation (4) with the §4 multi-level filter: across an edge whose
@@ -650,7 +726,7 @@ void DemandSession::solveComponentGMod(KindState &K,
       if (MemberSlot[Q] != NoSlot)
         Intra.push_back({J, MemberSlot[Q], Level});
       else
-        Vals[J].orWithIntersect(K.GMod.GMod[Q], Below[Level]);
+        Vals[J].orWithIntersect(K.GMod.GMod[row(Q)], Below[Level]);
     }
   }
 
@@ -761,18 +837,19 @@ void DemandSession::collectRegion(KindState &K,
     Stack.pop_back();
     ProcSlot[Proc] = static_cast<std::uint32_t>(Region.size());
     Region.push_back(Proc);
-    for (const graph::Adjacency &A : Deps.succs(Proc)) {
-      if (K.Solved[A.Dst]) {
+    forEachDependency(P, ir::ProcId(Proc), [&](ir::ProcId Succ) {
+      const std::uint32_t D = Succ.index();
+      if (K.Solved[D]) {
         // The memo frontier cut this edge: the callee's plane is final
         // and folds in as a constant instead of growing the region.
         ++Stats.FrontierCuts;
-        continue;
+        return;
       }
-      if (ProcStamp[A.Dst] != Epoch) {
-        ProcStamp[A.Dst] = Epoch;
-        Stack.push_back(A.Dst);
+      if (ProcStamp[D] != Epoch) {
+        ProcStamp[D] = Epoch;
+        Stack.push_back(D);
       }
-    }
+    });
   }
 }
 
@@ -783,27 +860,33 @@ void DemandSession::solveRegion(KindState &K,
     makeEffectReady(K, Proc);
 
   solveRegionRMod(K, Region);
-  for (std::uint32_t Proc : Region)
-    K.IModPlus[Proc] = analysis::computeIModPlusFor(P, K.Ext[Proc], K.RModBits,
-                                                    ir::ProcId(Proc));
+  for (std::uint32_t Proc : Region) {
+    const std::uint32_t R = row(Proc);
+    K.IModPlus[R] = analysis::computeIModPlusFor(P, K.Ext[R], K.RModBits,
+                                                 ir::ProcId(Proc));
+  }
   solveRegionGMod(K, Region);
 
   for (std::uint32_t Proc : Region)
     K.Solved[Proc] = 1;
   K.NumSolved += Region.size();
+  settleRows();
 }
 
 void DemandSession::solveBatch(std::span<KindState *const> Kinds) {
   observe::TraceSpan Span("demand.batch");
   const std::uint32_t N = P.numProcs();
+  // The batch planes come in procedure order; so must the rows.
+  placeRowsInProcOrder();
   graph::CallGraph CG(P);
+  graph::BindingGraph BG(P);
   analysis::VarMasks Masks(P);
   const analysis::PassKernel Kernel = analysis::chooseKernel(P, CG);
   for (KindState *K : Kinds) {
     analysis::LocalEffects Local(P, Masks, K->Kind);
     K->FormalBits = analysis::formalBits(P, Local);
     analysis::PassResults R = analysis::solvePasses(
-        P, CG, *BG, Masks, Local, K->FormalBits, Kernel, /*Lanes=*/1);
+        P, CG, BG, Masks, Local, K->FormalBits, Kernel, /*Lanes=*/1);
     K->Own = Local.takeOwn();
     K->Ext = Local.takeExtended();
     K->RModBits = std::move(R.RMod.ModifiedFormals);
@@ -818,35 +901,35 @@ void DemandSession::solveBatch(std::span<KindState *const> Kinds) {
 
 void DemandSession::solveRegionRMod(KindState &K,
                                     const std::vector<std::uint32_t> &Region) {
-  // Sub-β over the region's formal nodes.  Successors outside the region
-  // belong to Solved procedures (the region is β-owner closed), so their
-  // final RMOD bits fold in as constants — exactly how the global Figure-1
-  // sweep folds earlier components into later ones.
-  std::vector<graph::NodeId> Nodes;
-  for (std::uint32_t Proc : Region)
-    for (ir::VarId F : P.proc(ir::ProcId(Proc)).Formals) {
-      graph::NodeId N = BG->nodeOf(F);
-      if (N != graph::BindingGraph::NoNode) {
-        NodeStamp[N] = Epoch;
-        NodeSlot[N] = static_cast<std::uint32_t>(Nodes.size());
-        Nodes.push_back(N);
-      }
-    }
+  // Sub-β over the region's formals, node Base[slot] + FormalPos, its
+  // edges enumerated from the binding events of each region procedure.
+  // Successors outside the region belong to Solved procedures (the region
+  // is β-owner closed), so their final RMOD bits fold in as constants —
+  // exactly how the global Figure-1 sweep folds earlier components into
+  // later ones.  A formal with no binding edge keeps its IMOD bit.
+  std::vector<std::uint32_t> Base(Region.size());
+  std::vector<ir::VarId> Nodes;
+  for (std::uint32_t I = 0; I != Region.size(); ++I) {
+    Base[I] = static_cast<std::uint32_t>(Nodes.size());
+    for (ir::VarId F : P.proc(ir::ProcId(Region[I])).Formals)
+      Nodes.push_back(F);
+  }
 
   graph::Digraph Sub(Nodes.size());
   std::vector<char> Init(Nodes.size(), 0);
-  const graph::Digraph &G = BG->graph();
-  for (std::uint32_t I = 0; I != Nodes.size(); ++I) {
-    graph::NodeId N = Nodes[I];
-    if (K.FormalBits.test(BG->formal(N).index()))
-      Init[I] = 1;
-    for (const graph::Adjacency &Adj : G.succs(N)) {
-      if (NodeStamp[Adj.Dst] == Epoch)
-        Sub.addEdge(I, NodeSlot[Adj.Dst]);
-      else
-        Init[I] |= K.RModBits.test(BG->formal(Adj.Dst).index()) ? 1 : 0;
-    }
-  }
+  for (std::uint32_t I = 0; I != Nodes.size(); ++I)
+    Init[I] = K.FormalBits.test(Nodes[I].index()) ? 1 : 0;
+  for (std::uint32_t I = 0; I != Region.size(); ++I)
+    forEachBindingEvent(
+        P, ir::ProcId(Region[I]), [&](const ir::CallSite &C, unsigned Pos) {
+          const std::uint32_t From =
+              Base[I] + P.var(C.Actuals[Pos].Var).FormalPos;
+          const std::uint32_t Q = C.Callee.index();
+          if (ProcStamp[Q] == Epoch)
+            Sub.addEdge(From, Base[ProcSlot[Q]] + Pos);
+          else if (K.RModBits.test(P.proc(C.Callee).Formals[Pos].index()))
+            Init[From] = 1;
+        });
   Sub.finalize();
 
   graph::SccDecomposition Sccs = graph::computeSccs(Sub);
@@ -863,23 +946,12 @@ void DemandSession::solveRegionRMod(KindState &K,
     SccVal[C] = Value;
   }
 
-  // Install region bits: a formal with a β node takes its component's
-  // value; one without takes its IMOD bit (no binding events).
   for (std::uint32_t I = 0; I != Nodes.size(); ++I) {
-    ir::VarId F = BG->formal(Nodes[I]);
     if (SccVal[Sccs.SccOf[I]])
-      K.RModBits.set(F.index());
+      K.RModBits.set(Nodes[I].index());
     else
-      K.RModBits.reset(F.index());
+      K.RModBits.reset(Nodes[I].index());
   }
-  for (std::uint32_t Proc : Region)
-    for (ir::VarId F : P.proc(ir::ProcId(Proc)).Formals)
-      if (BG->nodeOf(F) == graph::BindingGraph::NoNode) {
-        if (K.FormalBits.test(F.index()))
-          K.RModBits.set(F.index());
-        else
-          K.RModBits.reset(F.index());
-      }
 }
 
 void DemandSession::solveRegionGMod(KindState &K,
@@ -906,7 +978,7 @@ void DemandSession::solveRegionGMod(KindState &K,
       Procs.push_back(Region[Slot]);
     solveComponentGMod(K, Procs, MemberVals);
     for (std::uint32_t J = 0; J != Procs.size(); ++J)
-      K.GMod.GMod[Procs[J]] = std::move(MemberVals[J]);
+      K.GMod.GMod[row(Procs[J])] = std::move(MemberVals[J]);
   }
 }
 
@@ -924,19 +996,20 @@ const EffectSet &DemandSession::guse(ir::ProcId Proc) {
 
 const EffectSet &DemandSession::gmod(ir::ProcId Proc, EffectKind Kind) {
   ensureSolved({{Proc}}, Kind);
-  return state(Kind).GMod.GMod[Proc.index()];
+  return state(Kind).GMod.GMod[row(Proc.index())];
 }
 
 const EffectSet &DemandSession::imodPlus(ir::ProcId Proc, EffectKind Kind) {
   ensureSolved({{Proc}}, Kind);
-  return state(Kind).IModPlus[Proc.index()];
+  return state(Kind).IModPlus[row(Proc.index())];
 }
 
 const EffectSet &DemandSession::imod(ir::ProcId Proc, EffectKind Kind) {
   flushDirt();
   KindState &K = state(Kind);
   makeEffectReady(K, Proc.index());
-  return K.Ext[Proc.index()];
+  settleRows();
+  return K.Ext[row(Proc.index())];
 }
 
 bool DemandSession::rmodContains(ir::VarId Formal) {
@@ -952,7 +1025,7 @@ bool DemandSession::rmodContains(ir::VarId Formal, EffectKind Kind) {
 EffectSet DemandSession::projectSite(KindState &K, ir::CallSiteId Site) {
   const ir::CallSite &C = P.callSite(Site);
   const ir::Procedure &Callee = P.proc(C.Callee);
-  const EffectSet &G = K.GMod.GMod[C.Callee.index()];
+  const EffectSet &G = K.GMod.GMod[row(C.Callee.index())];
 
   EffectSet Out(P.numVars());
   Out.orWithAndNot(G, localMask(C.Callee));
@@ -1027,7 +1100,7 @@ EffectSet DemandSession::use(ir::StmtId S, const ir::AliasInfo &Aliases) {
 //===----------------------------------------------------------------------===//
 
 const analysis::GModResult &DemandSession::gmodResult(EffectKind Kind) {
-  ensureSolvedAll();
+  ensureSolvedAll(); // Every procedure holds a row, in procedure order.
   return state(Kind).GMod;
 }
 
@@ -1036,9 +1109,17 @@ const EffectSet &DemandSession::rmodBits(EffectKind Kind) {
   return state(Kind).RModBits;
 }
 
-const analysis::GModResult &DemandSession::peekGModResult(EffectKind Kind) {
+analysis::GModResult DemandSession::peekGModResult(EffectKind Kind) {
   flushDirt();
-  return state(Kind).GMod;
+  const KindState &K = state(Kind);
+  if (K.GMod.GMod.size() == P.numProcs())
+    return K.GMod; // Every row, in procedure order.
+  analysis::GModResult Out;
+  Out.GMod.resize(P.numProcs());
+  for (std::uint32_t I = 0; I != P.numProcs(); ++I)
+    if (K.Solved[I])
+      Out.GMod[I] = K.GMod.GMod[row(I)];
+  return Out;
 }
 
 const EffectSet &DemandSession::peekRModBits(EffectKind Kind) {
@@ -1052,7 +1133,8 @@ std::vector<char> DemandSession::coveredFlags(EffectKind Kind) {
 }
 
 SessionPlanes DemandSession::exportPlanes() {
-  ensureSolvedAll();
+  ensureSolvedAll(); // Every procedure holds a row, in procedure order.
+  assert(NumRows == P.numProcs() && "a covered session holds every row");
   SessionPlanes Out;
   Out.Generation = Generation;
   for (const KindState &K : States) {

@@ -29,6 +29,14 @@
 ///   - call edges:  p → q for every call site in p invoking q, and
 ///   - β-owner edges:  p → owner(g) for every β edge fp_i^p → g.
 ///
+/// Neither relation is stored: forEachDependency (demand/Dependencies.h)
+/// reads a procedure's successors off its call sites and those of its
+/// lexical subtree, so opening a session builds no call graph, binding
+/// graph or dependency adjacency — a region costs the program parts it
+/// touches.  Only invalidation walks the reverse relation; that index is
+/// built by the first invalidation that needs it and dropped by the next
+/// call-structure delta.
+///
 /// The walk cuts at procedures whose results are already memoized
 /// ("Solved"): their final GMOD sets and RMOD bits are *frontier
 /// summaries* — exact constants folded into the region's equations, the
@@ -44,29 +52,35 @@
 ///
 /// Memoization is a per-procedure, per-kind Solved bit with the invariant
 /// that a Solved procedure's dependency successors are all Solved.  Edits
-/// are lazy (they record dirt; the next query or export applies it) and
-/// invalidate through three paths:
+/// are lazy (they record dirt; the next query or export applies it, in
+/// time proportional to the dirt) and invalidate through three paths:
 ///
 ///   1. Effect-set deltas recompute IMOD along the lexical chain.  If a
 ///      formal's bit flips, RMOD can move, and the reverse-dependency
 ///      closure above the procedure is un-solved.  Otherwise only IMOD+(p)
 ///      moved: if it only grew inside the memoized GMOD(p) (the
 ///      monotone-growth prune) nothing changes; else GMOD is re-solved in
-///      place over the resident condensation, callees first, climbing
+///      place over the call graph's condensation, callees first, climbing
 ///      callers only while a recomputed GMOD differs from the memoized one.
-///   2. Call-site deltas rebuild β and the dependency adjacency (linear
-///      integer work) and drop the condensation.  A delta whose actuals include no formal leaves β —
-///      hence RMOD — unchanged and takes the same GMOD-only re-solve from
-///      the caller; one that touches β un-solves the reverse closure of the
-///      caller's lexical chain (whose formals the binding edges originate
-///      from).
+///   2. Call-site deltas drop the reverse index and the condensation.  A
+///      delta whose actuals include no formal leaves β — hence RMOD —
+///      unchanged and takes the same GMOD-only re-solve from the caller;
+///      one that touches β un-solves the reverse closure of the caller's
+///      lexical chain (whose formals the binding edges originate from).
 ///   3. Universe deltas reset all memoized state; the next solve covers
 ///      its own region, or the whole program at batch cost.
 ///
-/// Per-procedure planes (IMOD, IMOD+, GMOD, LOCAL masks) are allocated
-/// lazily, so resident memory is proportional to the solved region — a
-/// 100k-procedure program costs a few shared V-bit vectors until someone
-/// asks about it.
+/// Resident plane memory is proportional to the touched region.  The
+/// per-procedure planes (IMOD, extended IMOD, IMOD+, GMOD and the LOCAL
+/// mask) live in *rows*, allocated when a procedure is first made Ready
+/// and reached through one 4-byte slot per procedure; everything else
+/// per-procedure is a 1- or 4-byte flag, stamp or slot.  So a freshly
+/// opened 100k-procedure program costs those flags and a few shared V-bit
+/// vectors (the β input and RMOD planes, the level filters) until someone
+/// asks about it (DemandStats::ResidentProcs counts the rows).  Once every
+/// procedure holds a row — as soon as any kind is fully covered — the
+/// rows are in procedure order, so the whole-program exports hand out the
+/// planes as they are.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,7 +89,6 @@
 
 #include "analysis/EffectKind.h"
 #include "analysis/GMod.h"
-#include "graph/BindingGraph.h"
 #include "graph/Condensation.h"
 #include "graph/Digraph.h"
 #include "incremental/Edit.h"
@@ -84,7 +97,7 @@
 #include "ir/Program.h"
 #include "support/EffectSet.h"
 
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -135,14 +148,18 @@ struct DemandStats {
   /// Condensation components whose GMOD was re-evaluated in place by a
   /// GMOD-only re-solve.
   std::uint64_t ComponentsRecomputed = 0;
-  /// Universe resets (structure rebuilt, all memo dropped).
+  /// Universe resets (all memo and every plane row dropped).
   std::uint64_t FullResets = 0;
+  /// Procedures currently holding plane rows (a gauge, not a counter):
+  /// 0 after open, the touched region and its lexical descendants after
+  /// region solves, every procedure once any kind is fully covered.
+  std::uint64_t ResidentProcs = 0;
 };
 
 /// The solver planes of a fully solved session, detached from it — what a
 /// snapshot file stores and a warm restart installs.  Everything else the
-/// session keeps resident (the binding graph, the dependency adjacency, the
-/// condensation) is derivable from the program in linear integer time, far
+/// session may build (the reverse dependency index, the condensation, the
+/// LOCAL masks) is derivable from the program in linear integer time, far
 /// below the fixed-point solves these planes make skippable.
 struct SessionPlanes {
   /// The generation the planes were exported at; a session restored from
@@ -165,8 +182,10 @@ struct SessionPlanes {
 /// A long-lived analysis over one evolving program.
 ///
 /// Query methods first apply pending invalidation, then solve exactly the
-/// uncovered region the query depends on.  Returned references stay valid
-/// until the next edit.
+/// uncovered region the query depends on.  A returned reference stays
+/// valid until the next non-const call on the session: any query may
+/// allocate plane rows or install a batch solve, either of which moves
+/// the planes.  Copy a result that must outlive the next call.
 class DemandSession {
 public:
   explicit DemandSession(ir::Program Initial,
@@ -266,31 +285,33 @@ public:
   /// Flush pending invalidation but solve nothing: the planes as they are,
   /// with un-Solved entries holding stale/empty bits.  Callers must gate
   /// every read through the coverage flags (service::AnalysisSnapshot::
-  /// capturePartial does).
+  /// capturePartial does).  peekGModResult copies the planes into
+  /// procedure order; un-Solved entries may be empty.
   /// @{
-  const analysis::GModResult &peekGModResult(analysis::EffectKind Kind);
+  analysis::GModResult peekGModResult(analysis::EffectKind Kind);
   const EffectSet &peekRModBits(analysis::EffectKind Kind);
   std::vector<char> coveredFlags(analysis::EffectKind Kind);
   /// @}
 
 private:
-  /// Resident per-effect-kind pipeline state.  Per-procedure vectors hold
-  /// empty EffectSets until the procedure is touched (Ready) or solved.
+  /// Resident per-effect-kind pipeline state.  The plane vectors are
+  /// indexed by row (see RowOf), not by procedure.
   struct KindState {
     analysis::EffectKind Kind = analysis::EffectKind::Mod;
-    /// Own/Ext IMOD; valid iff Ready[p].
+    /// Own/Ext IMOD rows; valid iff Ready[p].
     std::vector<EffectSet> Own, Ext;
     /// Per-var β-input bits; bit of formal f valid iff Ready[owner(f)].
     EffectSet FormalBits;
     /// Per-var Figure-1 RMOD outputs; bit of f valid iff Solved[owner(f)].
     EffectSet RModBits;
-    /// IMOD+ / GMOD planes; entries valid iff Solved[p].
+    /// IMOD+ / GMOD rows; valid iff Solved[p].
     std::vector<EffectSet> IModPlus;
     analysis::GModResult GMod;
     /// Local effects computed and FormalBits synced for p (and, by
-    /// construction, for p's lexical descendants).
+    /// construction, for p's lexical descendants).  Indexed by procedure.
     std::vector<char> Ready;
     /// All planes of p final; implies every dependency successor Solved.
+    /// Indexed by procedure.
     std::vector<char> Solved;
     /// Number of set Solved flags.
     std::size_t NumSolved = 0;
@@ -306,10 +327,31 @@ private:
 
   // Structure (linear integer work, no fixed points).
   void rebuildVarStructure();
-  void rebuildBindingStructure();
   const EffectSet &localMask(ir::ProcId Proc);
   void initKindStates();
   void fullReset();
+  /// The reverse dependency relation, built on first use after open or a
+  /// call-structure delta.  Call edges come first, so an edge id below
+  /// numCallSites() is the call site the edge reverses.
+  const graph::Digraph &revDeps();
+
+  // Plane rows.
+  /// \p Proc's row, allocated on first use.  A row table grows to cover
+  /// the row when its kind (or the LOCAL masks) first write it.
+  std::uint32_t rowOf(std::uint32_t Proc);
+  /// \p Proc's row, which must exist.
+  std::uint32_t row(std::uint32_t Proc) const {
+    assert(RowOf[Proc] != NoRow && "procedure holds no plane row");
+    return RowOf[Proc];
+  }
+  /// Gives every procedure a row and lays the rows out in procedure order.
+  void placeRowsInProcOrder();
+  /// Restores the layout invariant after rows were allocated: once every
+  /// procedure holds a row, row p belongs to procedure p.
+  void settleRows() {
+    if (NumRows == P.numProcs())
+      placeRowsInProcOrder();
+  }
 
   // Invalidation.
   void flushDirt();
@@ -320,8 +362,8 @@ private:
   void applyEffectDelta(KindState &K, const std::vector<std::uint32_t> &Dirty,
                         std::vector<std::uint32_t> &Seeds);
   /// Re-solves GMOD in place from \p Seeds (Solved procedures whose IMOD+
-  /// or call edges changed), callees first over the resident condensation,
-  /// climbing callers only while a recomputed value differs.
+  /// or call edges changed), callees first over the call graph's
+  /// condensation, climbing callers only while a recomputed value differs.
   void resolveGMod(KindState &K, const std::vector<std::uint32_t> &Seeds);
   /// Equation (4) over one call-graph component: leaves GMOD(Members[J])
   /// in Vals[J], reading every callee outside the component from K's
@@ -355,6 +397,8 @@ private:
   EffectSet effectOfStmt(analysis::EffectKind Kind, ir::StmtId S,
                          const ir::AliasInfo *Aliases);
 
+  static constexpr std::uint32_t NoRow = ~std::uint32_t(0);
+
   ir::Program P;
   DemandOptions Opts;
   DemandStats Stats;
@@ -362,17 +406,17 @@ private:
   std::uint64_t CleanGeneration = 0;
 
   // Resident shared structure.
-  std::unique_ptr<graph::BindingGraph> BG;
   /// Below[L]: variables declared at levels < L (the §4 edge filter).
   std::vector<EffectSet> Below;
-  /// LOCAL(p) masks, built lazily per procedure.
+  /// RowOf[p]: p's plane row, NoRow until p is first made Ready.  Rows
+  /// are in procedure order whenever NumRows == numProcs().
+  std::vector<std::uint32_t> RowOf;
+  std::uint32_t NumRows = 0;
+  /// LOCAL(p) masks by row, built lazily per procedure.  Like every row
+  /// table, it may end before the last row.
   std::vector<EffectSet> LocalMasks;
   std::vector<char> LocalMaskReady;
-  /// The dependency graph over procedures and its reverse: call edges
-  /// first (edge id = call-site id, so an id below numCallSites() marks a
-  /// call edge), then β-owner edges.  Parallel edges are kept; closures
-  /// walk with a visited set.
-  graph::Digraph Deps, RevDeps;
+  std::optional<graph::Digraph> RevDeps;
   /// The call graph's condensation (component ids reverse-topological),
   /// built by the first GMOD-only re-solve after a call delta.
   graph::Condensation Cond;
@@ -388,10 +432,12 @@ private:
   std::vector<std::uint32_t> CallDirtyProcs, BetaDirtyProcs;
   std::vector<char> CallDirtyFlag, BetaDirtyFlag;
 
-  // Epoch-stamped scratch so per-query work is O(region), not O(program).
+  // Epoch-stamped scratch so per-query and per-edit work is O(region) or
+  // O(dirt), not O(program).
   std::uint32_t Epoch = 0;
   std::vector<std::uint32_t> ProcStamp, ProcSlot;
-  std::vector<std::uint32_t> NodeStamp, NodeSlot;
+  /// Condensation components queued by resolveGMod.
+  std::vector<std::uint32_t> CompStamp;
   void nextEpoch();
   // Scratch reused by solveComponentGMod: per-proc slot of the component
   // being solved (NoSlot elsewhere) and its intra-component edges.

@@ -10,12 +10,16 @@
 // procedures each query actually solved, whether memo hits hit, whether
 // invalidation un-solved the right cone), plus a randomized harness that
 // interleaves EditGen edit sequences with random partial query subsets and
-// checks every answer bit-for-bit against a fresh batch analyzer.
+// checks every answer bit-for-bit against a fresh batch analyzer.  The
+// dependency enumeration the engine walks instead of a stored graph is
+// checked against graph::BindingGraph on its own.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/SideEffectAnalyzer.h"
 #include "demand/DemandSession.h"
+#include "demand/Dependencies.h"
+#include "graph/BindingGraph.h"
 #include "incremental/Edit.h"
 #include "ir/ProgramBuilder.h"
 #include "synth/EditGen.h"
@@ -24,7 +28,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <set>
 
 using namespace ipse;
 using namespace ipse::demand;
@@ -177,10 +183,13 @@ TEST(DemandSession, BindingRegionFollowsNestedCallSites) {
   // RMOD(f) depends on RMOD(x) through the β edge f -> x, so p's region
   // must include s via the β-owner edge.  If the region walk only
   // followed call edges, RMOD(f) would read a stale zero and GMOD would
-  // diverge from batch.
+  // diverge from batch.  Uncalled islands keep the region {p, n, s} below
+  // the batch ceiling, so the region solve itself must find the edge.
   ProgramBuilder B;
   ProcId Main = B.createMain("main");
   VarId G = B.addGlobal("g");
+  for (unsigned I = 0; I != 4; ++I)
+    B.addStmt(B.createProc("island" + std::to_string(I), Main));
   ProcId PP = B.createProc("p", Main);
   VarId F = B.addFormal(PP, "f");
   ProcId NP = B.createProc("n", PP); // Nested inside p.
@@ -198,6 +207,7 @@ TEST(DemandSession, BindingRegionFollowsNestedCallSites) {
   EXPECT_TRUE(S.rmodContains(F));
   EXPECT_TRUE(S.covered(SProc, EffectKind::Mod))
       << "region must reach s through the β-owner edge";
+  EXPECT_EQ(S.stats().BatchSolves, 0u);
   EXPECT_EQ(S.gmod(Main), Batch.gmod(Main));
 }
 
@@ -334,6 +344,204 @@ TEST(DemandSession, DModQueriesSolveCalleesOnly) {
   EXPECT_EQ(S.dmod(SP.QS), Batch.dmod(SP.QS));
   EXPECT_TRUE(S.covered(SP.PP, EffectKind::Mod));
   EXPECT_FALSE(S.covered(SP.Main, EffectKind::Mod));
+}
+
+TEST(DemandSession, CallDeltaRebuildsReverseIndex) {
+  // main calls q and r; q calls p(h); p(a){ mod a }.  An invalidation
+  // builds the reverse dependency index; a later call r -> p must show in
+  // it, or un-solving p's dependents would miss r.
+  ProgramBuilder B;
+  ProcId Main = B.createMain("main");
+  VarId G = B.addGlobal("g");
+  VarId H = B.addGlobal("h");
+  ProcId PP = B.createProc("p", Main);
+  VarId A = B.addFormal(PP, "a");
+  StmtId PS = B.addStmt(PP);
+  B.addMod(PS, A);
+  ProcId QP = B.createProc("q", Main);
+  B.addCall(B.addStmt(QP), PP, std::vector<VarId>{H});
+  ProcId RP = B.createProc("r", Main);
+  StmtId RS = B.addStmt(RP);
+  B.addCallStmt(Main, QP, {});
+  B.addCallStmt(Main, RP, {});
+  DemandSession S(B.finish());
+  S.ensureSolvedAll();
+
+  // RMOD(a) flips off: p's dependents are un-solved through the index.
+  EXPECT_TRUE(S.removeMod(PS, A));
+  EXPECT_FALSE(S.covered(QP, EffectKind::Mod));
+  S.ensureSolvedAll();
+
+  // r -> p binds a global, so β is untouched and r stays covered.
+  S.addCall(RS, PP, {ir::Actual::variable(G)});
+  EXPECT_TRUE(S.covered(RP, EffectKind::Mod));
+
+  // RMOD(a) flips back on; r now depends on p and must be un-solved.
+  S.addMod(PS, A);
+  EXPECT_FALSE(S.covered(RP, EffectKind::Mod));
+  EXPECT_TRUE(S.gmod(RP).test(G.index()));
+  expectEquivalent(S, "after the call delta");
+}
+
+TEST(DemandSession, RowsFollowProcedureOrderOnceCovered) {
+  // main calls leaves l0..l5, each modifying its own global.  Querying the
+  // leaves last-first, then main, covers the program through one-procedure
+  // regions, so rows are allocated out of procedure order; the
+  // whole-program exports must still come out in procedure order.
+  ProgramBuilder B;
+  ProcId Main = B.createMain("main");
+  std::vector<ProcId> Leaves;
+  for (unsigned I = 0; I != 6; ++I) {
+    VarId G = B.addGlobal("g" + std::to_string(I));
+    ProcId L = B.createProc("l" + std::to_string(I), Main);
+    B.addMod(B.addStmt(L), G);
+    B.addCallStmt(Main, L, {});
+    Leaves.push_back(L);
+  }
+  Program P = B.finish();
+  Program Copy = P;
+  DemandOptions Opts;
+  Opts.TrackUse = false;
+  DemandSession S(std::move(P), Opts);
+  for (auto It = Leaves.rbegin(); It != Leaves.rend(); ++It)
+    (void)S.gmod(*It);
+  (void)S.gmod(Main);
+  EXPECT_EQ(S.stats().BatchSolves, 0u);
+  EXPECT_EQ(S.stats().RegionProcs, 7u);
+  EXPECT_EQ(S.stats().ResidentProcs, 7u);
+
+  SideEffectAnalyzer Batch(S.program());
+  const analysis::GModResult &All = S.gmodResult(EffectKind::Mod);
+  ASSERT_EQ(All.GMod.size(), S.program().numProcs());
+  for (std::uint32_t I = 0; I != S.program().numProcs(); ++I)
+    EXPECT_EQ(All.of(ProcId(I)), Batch.gmod(ProcId(I)))
+        << "GMOD(" << S.program().name(ProcId(I)) << ")";
+
+  // The exported planes match a batch-solved session's, entry by entry.
+  DemandSession Fresh(std::move(Copy), Opts);
+  Fresh.ensureSolvedAll();
+  EXPECT_EQ(Fresh.stats().BatchSolves, 1u);
+  SessionPlanes Got = S.exportPlanes();
+  SessionPlanes Want = Fresh.exportPlanes();
+  ASSERT_EQ(Got.Kinds.size(), 1u);
+  ASSERT_EQ(Want.Kinds.size(), 1u);
+  EXPECT_EQ(Got.Kinds[0].Own, Want.Kinds[0].Own);
+  EXPECT_EQ(Got.Kinds[0].Ext, Want.Kinds[0].Ext);
+  EXPECT_EQ(Got.Kinds[0].IModPlus, Want.Kinds[0].IModPlus);
+  EXPECT_EQ(Got.Kinds[0].GMod, Want.Kinds[0].GMod);
+  EXPECT_EQ(Got.Kinds[0].RModBits, Want.Kinds[0].RModBits);
+}
+
+TEST(DemandSession, ResidentRowsFollowTheRegion) {
+  // Opening builds no per-procedure plane; a cold tail query allocates
+  // rows for its region (plus any lexical descendants made Ready with
+  // it); a full sweep gives every procedure a row.
+  Program P = synth::makeChainProgram(20000, 4);
+  const ProcId Tail(static_cast<std::uint32_t>(P.numProcs() - 20));
+  DemandSession S(std::move(P));
+  EXPECT_EQ(S.stats().ResidentProcs, 0u);
+
+  (void)S.gmod(Tail);
+  const Program &Prog = S.program();
+  std::uint64_t Descendants = 0;
+  std::vector<ProcId> Stack;
+  for (std::uint32_t I = 0; I != Prog.numProcs(); ++I)
+    if (S.covered(ProcId(I), EffectKind::Mod))
+      for (ProcId Child : Prog.proc(ProcId(I)).Nested)
+        Stack.push_back(Child);
+  while (!Stack.empty()) {
+    ProcId Cur = Stack.back();
+    Stack.pop_back();
+    ++Descendants;
+    for (ProcId Child : Prog.proc(Cur).Nested)
+      Stack.push_back(Child);
+  }
+  EXPECT_EQ(S.stats().RegionProcs, 20u);
+  EXPECT_GE(S.stats().ResidentProcs, S.stats().RegionProcs);
+  EXPECT_LE(S.stats().ResidentProcs, S.stats().RegionProcs + Descendants);
+
+  S.ensureSolvedAll();
+  EXPECT_EQ(S.stats().ResidentProcs, Prog.numProcs());
+}
+
+//===----------------------------------------------------------------------===//
+// The dependency enumeration.
+//===----------------------------------------------------------------------===//
+
+using DepList = std::vector<std::uint32_t>;
+
+/// The dependency multisets the enumeration must produce, built the way
+/// the batch pipeline sees the program: one call edge per call site, and
+/// the β-owner image of every graph::BindingGraph edge.
+std::vector<DepList> referenceDeps(const Program &P) {
+  std::vector<DepList> Out(P.numProcs());
+  for (std::uint32_t I = 0; I != P.numCallSites(); ++I) {
+    const ir::CallSite C = P.callSite(ir::CallSiteId(I));
+    Out[C.Caller.index()].push_back(C.Callee.index());
+  }
+  graph::BindingGraph BG(P);
+  for (graph::NodeId N = 0; N != BG.numNodes(); ++N) {
+    const std::uint32_t Owner = P.var(BG.formal(N)).Owner.index();
+    for (const graph::Adjacency &Adj : BG.graph().succs(N))
+      Out[Owner].push_back(P.var(BG.formal(Adj.Dst)).Owner.index());
+  }
+  for (DepList &L : Out)
+    std::sort(L.begin(), L.end());
+  return Out;
+}
+
+void expectDepsMatch(const Program &P, const std::string &Context) {
+  const std::vector<DepList> Want = referenceDeps(P);
+  for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
+    DepList Got;
+    forEachDependency(P, ProcId(I),
+                      [&](ProcId Succ) { Got.push_back(Succ.index()); });
+    std::sort(Got.begin(), Got.end());
+    EXPECT_EQ(Got, Want[I])
+        << Context << ": successors of " << P.name(ProcId(I));
+  }
+}
+
+TEST(DemandDependencies, EnumerationMatchesBindingGraphUnderEdits) {
+  // Random programs nested at least three deep, whose call sites pass
+  // formals of the caller and of its lexical ancestors, before and after
+  // edit sequences that exercise every edit kind.
+  std::uint64_t Seed = testseed::baseSeed(1);
+  std::set<incremental::EditKind> Seen;
+  unsigned Programs = 0;
+  for (unsigned Tries = 0; Programs != 10 && Tries != 200; ++Tries, ++Seed) {
+    synth::ProgramGenConfig Cfg;
+    Cfg.Seed = Seed;
+    Cfg.NumProcs = 16;
+    Cfg.NumGlobals = 4;
+    Cfg.MaxNestDepth = 4;
+    Cfg.FormalActualBiasPct = 70;
+    Program P = synth::generateProgram(Cfg);
+    if (P.maxProcLevel() < 3)
+      continue;
+    ++Programs;
+    DemandSession S(std::move(P));
+    const std::string Base = "seed " + std::to_string(Seed);
+    expectDepsMatch(S.program(), Base + " initial");
+    synth::EditGenConfig ECfg;
+    ECfg.Seed = Seed * 131 + 7;
+    ECfg.MaxNestDepth = 4;
+    synth::EditGen Gen(ECfg);
+    for (unsigned I = 0; I != 40; ++I) {
+      std::optional<Edit> E = Gen.next(S.program());
+      if (!E)
+        break;
+      const std::string Context = Base + " edit " + std::to_string(I) +
+                                  " (" + toString(S.program(), *E) + ")";
+      applyEdit(S, *E);
+      Seen.insert(E->Kind);
+      expectDepsMatch(S.program(), Context);
+      if (::testing::Test::HasFailure())
+        return;
+    }
+  }
+  EXPECT_EQ(Programs, 10u) << "too few seeds nest three deep";
+  EXPECT_EQ(Seen.size(), 12u) << "some edit kind never ran";
 }
 
 //===----------------------------------------------------------------------===//

@@ -162,14 +162,16 @@ const RowSpec Specs[] = {
       {"recorder_overhead_pct", false, 0.75, 3.0}}},
     {"service", identService, {{"qps", true, 0.50, 4000.0}}},
     // cold_query_us is the demand engine's promise (O(region) first
-    // answers); region_procs is a deterministic closure size, so it gates
-    // tight like the bit-vector op counts — growth means the region
-    // computation itself changed.
+    // answers); region_procs is a deterministic closure size and
+    // resident_procs the deterministic count of procedures holding plane
+    // rows, so both gate tight like the bit-vector op counts — growth
+    // means the region computation or the row allocation changed.
     {"demand", identDemand,
      {{"cold_query_us", false, 0.75, 25.0},
       {"warm_query_us", false, 0.75, 1.0},
       {"batch_us", false, 0.75, 500.0},
-      {"region_procs", false, 0.02, 8.0}}},
+      {"region_procs", false, 0.02, 8.0},
+      {"resident_procs", false, 0.02, 8.0}}},
     // recovery_ms is the warm-restart promise; snapshot_mbps the decode
     // bandwidth.  Both are I/O-bound on shared runners, so they gate as
     // loosely as the other wall-clock metrics.
