@@ -20,7 +20,6 @@
 #include "analysis/AliasEstimator.h"
 #include "analysis/SideEffectAnalyzer.h"
 #include "frontend/Interpreter.h"
-#include "frontend/Lexer.h"
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
 #include "ir/Printer.h"
@@ -60,9 +59,8 @@ unsigned checkOneSeed(std::uint64_t Seed, std::uint64_t &CallsChecked) {
   std::string Source = synth::emitMiniProc(synth::generateProgram(Cfg));
 
   frontend::DiagnosticEngine Diags;
-  std::vector<frontend::Token> Tokens = frontend::lex(Source, Diags);
-  std::unique_ptr<frontend::ast::ProgramAst> Ast =
-      frontend::parse(Tokens, Diags);
+  std::optional<frontend::ast::ProgramAst> Ast =
+      frontend::parse(Source, Diags);
   if (!Ast) {
     std::fprintf(stderr, "seed %llu: generated source failed to parse\n%s",
                  static_cast<unsigned long long>(Seed),

@@ -13,6 +13,15 @@
 /// whom with which actuals, and which variables each statement touches
 /// matter.
 ///
+/// Representation: index-addressed tables.  Expressions, statements and
+/// procedures are rows of three arrays and refer to each other by index;
+/// every list (a body, a call's arguments, a block's procedures) is a
+/// Range of one uint32_t pool, and every declared-name list a Range of one
+/// name pool.  Nothing is allocated per node and nothing is freed per node.
+///
+/// Lifetime: every name is a std::string_view into the parsed source, so
+/// the source must outlive the AST.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPSE_FRONTEND_AST_H
@@ -20,76 +29,95 @@
 
 #include "frontend/Diagnostics.h"
 
-#include <memory>
-#include <string>
+#include <cstdint>
+#include <span>
+#include <string_view>
 #include <vector>
 
 namespace ipse {
 namespace frontend {
 namespace ast {
 
+/// A list: the pool entries [Begin, End).
+struct Range {
+  std::uint32_t Begin = 0;
+  std::uint32_t End = 0;
+
+  std::uint32_t size() const { return End - Begin; }
+};
+
 /// An expression.
 struct Expr {
-  enum class Kind { Number, VarRef, Binary, Unary };
+  enum class Kind : std::uint8_t { Number, VarRef, Binary, Unary };
 
-  Kind K;
-  SourceLoc Loc;
-
-  // Number
-  long Value = 0;
-  // VarRef
-  std::string Name;
-  // Binary / Unary: Op is one of + - * /; Unary uses Lhs only.
+  Kind K = Kind::Number;
+  /// Binary / Unary: one of + - * /; Unary uses Lhs only.
   char Op = 0;
-  std::unique_ptr<Expr> Lhs;
-  std::unique_ptr<Expr> Rhs;
+  SourceLoc Loc;
+  /// Binary / Unary operands, as expression indices.
+  std::uint32_t Lhs = 0;
+  std::uint32_t Rhs = 0;
+  /// Number.
+  long Value = 0;
+  /// VarRef.
+  std::string_view Name;
 
   /// True if this is a bare variable reference (eligible to be passed by
   /// reference as an actual parameter).
   bool isVarRef() const { return K == Kind::VarRef; }
 };
 
-using ExprPtr = std::unique_ptr<Expr>;
-
-struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
-
 /// A statement.
 struct Stmt {
-  enum class Kind { Assign, Call, If, While, Read, Write };
+  enum class Kind : std::uint8_t { Assign, Call, If, While, Read, Write };
 
-  Kind K;
+  Kind K = Kind::Assign;
   SourceLoc Loc;
-
-  // Assign / Read: target name; Assign / Write: Value expression.
-  std::string Target;
-  ExprPtr Value;
-
-  // Call: callee name and actual arguments.
-  std::string Callee;
-  std::vector<ExprPtr> Args;
-
-  // If / While: condition in Value, bodies below.
-  std::vector<StmtPtr> Then;
-  std::vector<StmtPtr> Else; // also the While body
+  /// Assign / Read: the target; Call: the callee.
+  std::string_view Name;
+  /// Assign / Write: the value; If / While: the condition (an expression
+  /// index).
+  std::uint32_t Value = 0;
+  /// Call: the actual arguments (expression indices).
+  Range Args;
+  /// If: the then-branch; While: the body (statement indices).
+  Range Then;
+  /// If: the else-branch (statement indices).
+  Range Else;
 };
 
-/// A procedure declaration, possibly with nested declarations.
-struct ProcDecl {
-  std::string Name;
+/// A procedure declaration, or the main program (procedure 0: no
+/// parameters, its variables are the globals).
+struct Proc {
+  std::string_view Name;
   SourceLoc Loc;
-  std::vector<std::string> Params;
-  std::vector<std::string> Vars;
-  std::vector<std::unique_ptr<ProcDecl>> Procs;
-  std::vector<StmtPtr> Body;
+  /// Names.
+  Range Params;
+  Range Vars;
+  /// Procedure indices of the nested declarations.
+  Range Procs;
+  /// Statement indices of the body.
+  Range Body;
 };
 
-/// A whole parsed program: main's declarations and body.
+/// A whole parsed program.
 struct ProgramAst {
-  std::string Name;
-  std::vector<std::string> Vars;
-  std::vector<std::unique_ptr<ProcDecl>> Procs;
-  std::vector<StmtPtr> Body;
+  std::vector<Expr> Exprs;
+  std::vector<Stmt> Stmts;
+  /// Procs[0] is the main program; the rest follow in source order.
+  std::vector<Proc> Procs;
+  /// The pool every statement, argument and procedure list lives in.
+  std::vector<std::uint32_t> Lists;
+  /// The pool every parameter and variable list lives in.
+  std::vector<std::string_view> Names;
+
+  const Proc &main() const { return Procs[0]; }
+  std::span<const std::uint32_t> list(Range R) const {
+    return {Lists.data() + R.Begin, R.size()};
+  }
+  std::span<const std::string_view> names(Range R) const {
+    return {Names.data() + R.Begin, R.size()};
+  }
 };
 
 } // namespace ast

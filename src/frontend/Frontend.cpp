@@ -7,7 +7,6 @@
 
 #include "frontend/Frontend.h"
 
-#include "frontend/Lexer.h"
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
 
@@ -16,12 +15,8 @@ using namespace ipse::frontend;
 
 CompileResult frontend::compileMiniProc(std::string_view Source) {
   CompileResult Result;
-  std::vector<Token> Tokens = lex(Source, Result.Diags);
-  if (Result.Diags.hasErrors())
-    return Result;
-  std::unique_ptr<ast::ProgramAst> Ast = parse(Tokens, Result.Diags);
-  if (!Ast)
-    return Result;
-  Result.Program = lowerToIr(*Ast, Result.Diags);
+  std::optional<ast::ProgramAst> Ast = parse(Source, Result.Diags);
+  if (Ast)
+    Result.Program = lowerToIr(*Ast, Result.Diags);
   return Result;
 }

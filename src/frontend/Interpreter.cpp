@@ -12,7 +12,7 @@
 #include <cassert>
 #include <map>
 #include <set>
-#include <unordered_map>
+#include <string_view>
 
 using namespace ipse;
 using namespace ipse::frontend;
@@ -22,13 +22,13 @@ namespace {
 
 using CellId = std::uint32_t;
 
-/// An activation record: the owning declaration (null for main), the
+/// An activation record: the owning procedure's index (0 for main), the
 /// static link to the lexically enclosing activation, and the name
 /// bindings this frame introduces.
 struct Frame {
-  const ProcDecl *Proc;          // Null for the main program.
-  const Frame *StaticLink;
-  std::map<std::string, CellId> Vars;
+  std::uint32_t Proc = 0;
+  const Frame *StaticLink = nullptr;
+  std::map<std::string_view, CellId> Vars;
 };
 
 /// Per-call effect tracking during the call's dynamic extent.
@@ -40,23 +40,23 @@ struct Record {
 class Machine {
 public:
   Machine(const ProgramAst &Ast, const InterpreterOptions &Options)
-      : Ast(Ast), Options(Options) {
-    indexCalls(Ast.Body, CallIndex[nullptr]);
-    indexAllProcs(Ast.Procs);
+      : Ast(Ast), Options(Options), CallIndex(Ast.Stmts.size()) {
+    for (const Proc &Decl : Ast.Procs) {
+      unsigned Next = 0;
+      indexCalls(Decl.Body, Next);
+    }
   }
 
   ExecutionResult run() {
     Frame Main;
-    Main.Proc = nullptr;
-    Main.StaticLink = nullptr;
-    for (const std::string &G : Ast.Vars)
+    for (std::string_view G : Ast.names(Ast.main().Vars))
       Main.Vars[G] = newCell();
 
-    execStmts(Ast.Body, Main);
+    execStmts(Ast.main().Body, Main);
     Result.Finished = !Aborted;
     Result.Steps = Steps;
     for (const auto &[Name, Cell] : Main.Vars)
-      Result.Globals[Name] = Cells[Cell];
+      Result.Globals[std::string(Name)] = Cells[Cell];
     return std::move(Result);
   }
 
@@ -65,30 +65,23 @@ private:
   // Static structure: textual call indices per procedure.
   //===--------------------------------------------------------------------===//
 
-  /// Counts call statements in the same order Sema lowers them, so the
-  /// index matches the caller's CallSites list in the ir::Program.
-  void indexCalls(const std::vector<StmtPtr> &Stmts,
-                  std::unordered_map<const Stmt *, unsigned> &Out) {
-    for (const StmtPtr &S : Stmts) {
-      switch (S->K) {
+  /// Numbers a procedure's call statements in the order Sema lowers them,
+  /// so the number matches the caller's CallSites list in the ir::Program.
+  void indexCalls(Range Stmts, unsigned &Next) {
+    for (std::uint32_t S : Ast.list(Stmts)) {
+      const Stmt &Node = Ast.Stmts[S];
+      switch (Node.K) {
       case Stmt::Kind::Call:
-        Out.emplace(S.get(), static_cast<unsigned>(Out.size()));
+        CallIndex[S] = Next++;
         break;
       case Stmt::Kind::If:
       case Stmt::Kind::While:
-        indexCalls(S->Then, Out);
-        indexCalls(S->Else, Out);
+        indexCalls(Node.Then, Next);
+        indexCalls(Node.Else, Next);
         break;
       default:
         break;
       }
-    }
-  }
-
-  void indexAllProcs(const std::vector<std::unique_ptr<ProcDecl>> &Procs) {
-    for (const auto &Decl : Procs) {
-      indexCalls(Decl->Body, CallIndex[Decl.get()]);
-      indexAllProcs(Decl->Procs);
     }
   }
 
@@ -117,7 +110,7 @@ private:
   // Name resolution along the static chain.
   //===--------------------------------------------------------------------===//
 
-  CellId lookupVar(const Frame &F, const std::string &Name) const {
+  CellId lookupVar(const Frame &F, std::string_view Name) const {
     for (const Frame *Cur = &F; Cur; Cur = Cur->StaticLink) {
       auto It = Cur->Vars.find(Name);
       if (It != Cur->Vars.end())
@@ -129,15 +122,12 @@ private:
   /// Finds the innermost visible procedure declaration named \p Name and
   /// the frame that will serve as its static link (the activation of the
   /// scope declaring it).
-  std::pair<const ProcDecl *, const Frame *>
-  lookupProc(const Frame &F, const std::string &Name) const {
-    for (const Frame *Cur = &F; Cur; Cur = Cur->StaticLink) {
-      const std::vector<std::unique_ptr<ProcDecl>> &Decls =
-          Cur->Proc ? Cur->Proc->Procs : Ast.Procs;
-      for (const auto &Decl : Decls)
-        if (Decl->Name == Name)
-          return {Decl.get(), Cur};
-    }
+  std::pair<std::uint32_t, const Frame *>
+  lookupProc(const Frame &F, std::string_view Name) const {
+    for (const Frame *Cur = &F; Cur; Cur = Cur->StaticLink)
+      for (std::uint32_t Decl : Ast.list(Ast.Procs[Cur->Proc].Procs))
+        if (Ast.Procs[Decl].Name == Name)
+          return {Decl, Cur};
     unreachable("interpreter: unresolved procedure (run Sema first)");
   }
 
@@ -145,13 +135,14 @@ private:
   /// declarations shadowing outer ones.
   std::map<std::string, CellId> visibleVars(const Frame &F) const {
     std::map<std::string, CellId> Out;          // qualified -> cell
-    std::set<std::string> SeenUnqualified;      // shadowing filter
+    std::set<std::string_view> SeenUnqualified; // shadowing filter
     for (const Frame *Cur = &F; Cur; Cur = Cur->StaticLink) {
       for (const auto &[Name, Cell] : Cur->Vars) {
         if (!SeenUnqualified.insert(Name).second)
           continue;
-        std::string Qualified =
-            Cur->Proc ? Cur->Proc->Name + "." + Name : Name;
+        std::string Qualified(Name);
+        if (Cur->Proc != 0)
+          Qualified = std::string(Ast.Procs[Cur->Proc].Name) + "." + Qualified;
         Out.emplace(std::move(Qualified), Cell);
       }
     }
@@ -171,9 +162,10 @@ private:
     return true;
   }
 
-  std::int64_t evalExpr(const Expr &E, const Frame &F) {
+  std::int64_t evalExpr(std::uint32_t Index, const Frame &F) {
     if (Aborted)
       return 0;
+    const Expr &E = Ast.Exprs[Index];
     switch (E.K) {
     case Expr::Kind::Number:
       return E.Value;
@@ -181,10 +173,10 @@ private:
       return readCell(lookupVar(F, E.Name));
     case Expr::Kind::Unary:
       return static_cast<std::int64_t>(
-          -static_cast<std::uint64_t>(evalExpr(*E.Lhs, F)));
+          -static_cast<std::uint64_t>(evalExpr(E.Lhs, F)));
     case Expr::Kind::Binary: {
-      std::int64_t L = evalExpr(*E.Lhs, F);
-      std::int64_t R = evalExpr(*E.Rhs, F);
+      std::int64_t L = evalExpr(E.Lhs, F);
+      std::int64_t R = evalExpr(E.Rhs, F);
       switch (E.Op) {
       case '+':
         return static_cast<std::int64_t>(static_cast<std::uint64_t>(L) +
@@ -208,94 +200,97 @@ private:
     unreachable("interpreter: unknown expression kind");
   }
 
-  void execStmts(const std::vector<StmtPtr> &Stmts, Frame &F) {
-    for (const StmtPtr &S : Stmts) {
+  void execStmts(Range Stmts, Frame &F) {
+    for (std::uint32_t S : Ast.list(Stmts)) {
       if (Aborted)
         return;
-      execStmt(*S, F);
+      execStmt(S, F);
     }
   }
 
-  void execStmt(const Stmt &S, Frame &F) {
+  void execStmt(std::uint32_t Index, Frame &F) {
     if (!budget())
       return;
+    const Stmt &S = Ast.Stmts[Index];
     switch (S.K) {
     case Stmt::Kind::Assign: {
-      std::int64_t V = evalExpr(*S.Value, F);
-      writeCell(lookupVar(F, S.Target), V);
+      std::int64_t V = evalExpr(S.Value, F);
+      writeCell(lookupVar(F, S.Name), V);
       return;
     }
     case Stmt::Kind::Read: {
       std::int64_t V =
           NextInput < Options.Input.size() ? Options.Input[NextInput++] : 0;
-      writeCell(lookupVar(F, S.Target), V);
+      writeCell(lookupVar(F, S.Name), V);
       return;
     }
     case Stmt::Kind::Write:
-      Result.Output.push_back(evalExpr(*S.Value, F));
+      Result.Output.push_back(evalExpr(S.Value, F));
       return;
     case Stmt::Kind::If:
-      if (evalExpr(*S.Value, F) != 0)
+      if (evalExpr(S.Value, F) != 0)
         execStmts(S.Then, F);
       else
         execStmts(S.Else, F);
       return;
     case Stmt::Kind::While:
-      while (!Aborted && evalExpr(*S.Value, F) != 0) {
+      while (!Aborted && evalExpr(S.Value, F) != 0) {
         if (!budget())
           return;
-        execStmts(S.Else, F);
+        execStmts(S.Then, F);
       }
       return;
     case Stmt::Kind::Call:
-      execCall(S, F);
+      execCall(Index, F);
       return;
     }
   }
 
-  void execCall(const Stmt &S, Frame &F) {
+  void execCall(std::uint32_t Index, Frame &F) {
     if (ActiveRecords.size() >= Options.MaxDepth) {
       Aborted = true;
       return;
     }
-    auto [Decl, DeclFrame] = lookupProc(F, S.Callee);
-    assert(Decl->Params.size() == S.Args.size() &&
+    const Stmt &S = Ast.Stmts[Index];
+    auto [DeclIndex, DeclFrame] = lookupProc(F, S.Name);
+    const Proc &Decl = Ast.Procs[DeclIndex];
+    assert(Decl.Params.size() == S.Args.size() &&
            "interpreter: arity mismatch (run Sema first)");
 
     // Start the observable event.
     std::size_t EventIdx = Result.Calls.size();
     {
       CallEvent Event;
-      Event.CallerProc = F.Proc ? F.Proc->Name : Ast.Name;
-      Event.CallIndexInCaller =
-          CallIndex.at(F.Proc ? static_cast<const ProcDecl *>(F.Proc)
-                              : nullptr)
-              .at(&S);
-      Event.Callee = S.Callee;
+      Event.CallerProc = Ast.Procs[F.Proc].Name;
+      Event.CallIndexInCaller = CallIndex[Index];
+      Event.Callee = S.Name;
       Result.Calls.push_back(std::move(Event));
     }
     std::map<std::string, CellId> Snapshot = visibleVars(F);
 
     // Bind actuals: bare variables by reference, expressions by value.
     Frame Callee;
-    Callee.Proc = Decl;
+    Callee.Proc = DeclIndex;
     Callee.StaticLink = DeclFrame;
-    for (std::size_t I = 0; I != S.Args.size(); ++I) {
+    std::span<const std::string_view> Params = Ast.names(Decl.Params);
+    std::span<const std::uint32_t> Args = Ast.list(S.Args);
+    for (std::size_t I = 0; I != Args.size(); ++I) {
+      const Expr &Arg = Ast.Exprs[Args[I]];
       CellId Cell;
-      if (S.Args[I]->isVarRef()) {
-        Cell = lookupVar(F, S.Args[I]->Name);
+      if (Arg.isVarRef()) {
+        Cell = lookupVar(F, Arg.Name);
       } else {
         Cell = newCell();
-        Cells[Cell] = evalExpr(*S.Args[I], F);
+        Cells[Cell] = evalExpr(Args[I], F);
       }
-      Callee.Vars[Decl->Params[I]] = Cell;
+      Callee.Vars[Params[I]] = Cell;
     }
-    for (const std::string &Local : Decl->Vars)
+    for (std::string_view Local : Ast.names(Decl.Vars))
       Callee.Vars[Local] = newCell();
 
     Record R;
     ActiveRecords.push_back(&R);
-    execStmts(Decl->Body, Callee);
+    execStmts(Decl.Body, Callee);
     ActiveRecords.pop_back();
 
     // Report the caller-visible effects.
@@ -315,9 +310,9 @@ private:
 
   std::vector<std::int64_t> Cells;
   std::vector<Record *> ActiveRecords;
-  std::unordered_map<const ProcDecl *,
-                     std::unordered_map<const Stmt *, unsigned>>
-      CallIndex;
+  /// A call statement's position among its procedure's call statements,
+  /// by statement index.
+  std::vector<unsigned> CallIndex;
 
   std::uint64_t Steps = 0;
   std::size_t NextInput = 0;

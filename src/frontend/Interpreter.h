@@ -81,7 +81,8 @@ struct InterpreterOptions {
 
 /// Runs \p Ast.  The AST must be semantically valid (i.e. lowerToIr on it
 /// succeeds); the interpreter asserts on violations rather than
-/// diagnosing them again.
+/// diagnosing them again.  The source \p Ast was parsed from must be
+/// alive: the AST's names view it.
 ExecutionResult interpret(const ast::ProgramAst &Ast,
                           const InterpreterOptions &Options);
 

@@ -127,133 +127,95 @@ TokenKind classifyWord(std::string_view Word) {
   return TokenKind::Identifier;
 }
 
-class LexerImpl {
-public:
-  LexerImpl(std::string_view Source, DiagnosticEngine &Diags)
-      : Source(Source), Diags(Diags) {}
-
-  std::vector<Token> run() {
-    // Sized once: real sources run three or more bytes per token, and
-    // pages of the reservation that are never written are never touched.
-    std::vector<Token> Tokens;
-    Tokens.reserve(Source.size() / 2 + 1);
-    while (true) {
-      Tokens.push_back(next());
-      if (Tokens.back().is(TokenKind::Eof))
-        break;
-    }
-    return Tokens;
-  }
-
-private:
-  bool atEnd() const { return Pos >= Source.size(); }
-  char peek() const { return atEnd() ? '\0' : Source[Pos]; }
-
-  char advance() {
-    char C = Source[Pos++];
-    if (C == '\n') {
-      ++Line;
-      Col = 1;
-    } else {
-      ++Col;
-    }
-    return C;
-  }
-
-  void skipTrivia() {
-    while (!atEnd()) {
-      char C = peek();
-      if (isSpace(C)) {
-        advance();
-        continue;
-      }
-      if (C == '/' && Pos + 1 < Source.size() && Source[Pos + 1] == '/') {
-        while (!atEnd() && peek() != '\n')
-          advance();
-        continue;
-      }
-      if (C == '{') {
-        SourceLoc Start{Line, Col};
-        advance();
-        while (!atEnd() && peek() != '}')
-          advance();
-        if (atEnd())
-          Diags.report(Start, "unterminated '{' comment");
-        else
-          advance();
-        continue;
-      }
-      break;
-    }
-  }
-
-  /// The token of \p Kind spanning the source from \p Start to here.
-  Token make(TokenKind Kind, SourceLoc Loc, std::size_t Start) const {
-    return Token{Kind, Source.substr(Start, Pos - Start), Loc};
-  }
-
-  Token next() {
-    skipTrivia();
-    SourceLoc Loc{Line, Col};
-    const std::size_t Start = Pos;
-    if (atEnd())
-      return make(TokenKind::Eof, Loc, Start);
-
-    char C = advance();
-    if (isIdentStart(C)) {
-      while (!atEnd() && isIdentChar(peek()))
-        advance();
-      return make(classifyWord(Source.substr(Start, Pos - Start)), Loc, Start);
-    }
-
-    if (isDigit(C)) {
-      while (!atEnd() && isDigit(peek()))
-        advance();
-      return make(TokenKind::Number, Loc, Start);
-    }
-
-    switch (C) {
-    case ':':
-      if (peek() == '=') {
-        advance();
-        return make(TokenKind::Assign, Loc, Start);
-      }
-      Diags.report(Loc, "expected '=' after ':'");
-      return make(TokenKind::Error, Loc, Start);
-    case ';':
-      return make(TokenKind::Semicolon, Loc, Start);
-    case ',':
-      return make(TokenKind::Comma, Loc, Start);
-    case '(':
-      return make(TokenKind::LParen, Loc, Start);
-    case ')':
-      return make(TokenKind::RParen, Loc, Start);
-    case '+':
-      return make(TokenKind::Plus, Loc, Start);
-    case '-':
-      return make(TokenKind::Minus, Loc, Start);
-    case '*':
-      return make(TokenKind::Star, Loc, Start);
-    case '/':
-      return make(TokenKind::Slash, Loc, Start);
-    case '.':
-      return make(TokenKind::Dot, Loc, Start);
-    default:
-      Diags.report(Loc, std::string("unexpected character '") + C + "'");
-      return make(TokenKind::Error, Loc, Start);
-    }
-  }
-
-  std::string_view Source;
-  DiagnosticEngine &Diags;
-  std::size_t Pos = 0;
-  unsigned Line = 1;
-  unsigned Col = 1;
-};
-
 } // namespace
+
+void Lexer::skipTrivia() {
+  const std::size_t End = Source.size();
+  while (Pos < End) {
+    const char C = Source[Pos];
+    if (C == '\n') {
+      ++Pos;
+      ++Line;
+      LineStart = Pos;
+    } else if (isSpace(C)) {
+      ++Pos;
+    } else if (C == '/' && Pos + 1 < End && Source[Pos + 1] == '/') {
+      while (Pos < End && Source[Pos] != '\n')
+        ++Pos;
+    } else if (C == '{') {
+      const SourceLoc Start = here();
+      for (++Pos; Pos < End && Source[Pos] != '}'; ++Pos)
+        if (Source[Pos] == '\n') {
+          ++Line;
+          LineStart = Pos + 1;
+        }
+      if (Pos == End)
+        Diags.report(Start, "unterminated '{' comment");
+      else
+        ++Pos;
+    } else {
+      return;
+    }
+  }
+}
+
+Token Lexer::next() {
+  skipTrivia();
+  const SourceLoc Loc = here();
+  const std::size_t Start = Pos;
+  if (Pos == Source.size())
+    return make(TokenKind::Eof, Loc, Start);
+
+  const char C = Source[Pos++];
+  if (isIdentStart(C)) {
+    while (Pos < Source.size() && isIdentChar(Source[Pos]))
+      ++Pos;
+    return make(classifyWord(Source.substr(Start, Pos - Start)), Loc, Start);
+  }
+
+  if (isDigit(C)) {
+    while (Pos < Source.size() && isDigit(Source[Pos]))
+      ++Pos;
+    return make(TokenKind::Number, Loc, Start);
+  }
+
+  switch (C) {
+  case ':':
+    if (Pos < Source.size() && Source[Pos] == '=') {
+      ++Pos;
+      return make(TokenKind::Assign, Loc, Start);
+    }
+    Diags.report(Loc, "expected '=' after ':'");
+    return make(TokenKind::Error, Loc, Start);
+  case ';':
+    return make(TokenKind::Semicolon, Loc, Start);
+  case ',':
+    return make(TokenKind::Comma, Loc, Start);
+  case '(':
+    return make(TokenKind::LParen, Loc, Start);
+  case ')':
+    return make(TokenKind::RParen, Loc, Start);
+  case '+':
+    return make(TokenKind::Plus, Loc, Start);
+  case '-':
+    return make(TokenKind::Minus, Loc, Start);
+  case '*':
+    return make(TokenKind::Star, Loc, Start);
+  case '/':
+    return make(TokenKind::Slash, Loc, Start);
+  case '.':
+    return make(TokenKind::Dot, Loc, Start);
+  default:
+    Diags.report(Loc, std::string("unexpected character '") + C + "'");
+    return make(TokenKind::Error, Loc, Start);
+  }
+}
 
 std::vector<Token> frontend::lex(std::string_view Source,
                                  DiagnosticEngine &Diags) {
-  return LexerImpl(Source, Diags).run();
+  Lexer L(Source, Diags);
+  std::vector<Token> Tokens(1, L.next());
+  while (!Tokens.back().is(TokenKind::Eof))
+    Tokens.push_back(L.next());
+  return Tokens;
 }

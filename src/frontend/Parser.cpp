@@ -7,9 +7,11 @@
 
 #include "frontend/Parser.h"
 
-#include <cassert>
+#include "frontend/Lexer.h"
+
 #include <charconv>
 #include <limits>
+#include <string>
 
 using namespace ipse;
 using namespace ipse::frontend;
@@ -17,40 +19,52 @@ using namespace ipse::frontend::ast;
 
 namespace {
 
+/// parseStmt's result for a statement that failed to parse.
+constexpr std::uint32_t NoStmt = std::numeric_limits<std::uint32_t>::max();
+
 class ParserImpl {
 public:
-  ParserImpl(const std::vector<Token> &Tokens, DiagnosticEngine &Diags)
-      : Tokens(Tokens), Diags(Diags) {}
+  ParserImpl(std::string_view Source, DiagnosticEngine &Diags)
+      : Lex(Source, Diags), Diags(Diags),
+        LexErrorsBefore(Diags.all().size()) {
+    Cur = Lex.next();
+    Next = Lex.next();
+  }
 
-  std::unique_ptr<ProgramAst> run() {
-    auto Prog = std::make_unique<ProgramAst>();
+  std::optional<ProgramAst> run() {
+    Ast.Procs.emplace_back(); // main
     expect(TokenKind::KwProgram);
-    Prog->Name = expectIdent();
+    Ast.Procs[0].Name = expectIdent();
     expect(TokenKind::Semicolon);
-    parseBlock(Prog->Vars, Prog->Procs, Prog->Body);
+    parseBlock(0);
     expect(TokenKind::Dot);
-    if (!cur().is(TokenKind::Eof))
+    if (!Cur.is(TokenKind::Eof))
       error("extra input after final '.'");
-    if (Diags.hasErrors())
-      return nullptr;
-    return Prog;
+
+    // Every lexical error of the source is reported, and then no parse
+    // error is: they would only echo the bad tokens.
+    while (!Next.is(TokenKind::Eof))
+      Next = Lex.next();
+    if (Diags.all().size() != LexErrorsBefore)
+      return std::nullopt;
+    if (ParseDiags.hasErrors()) {
+      for (const Diagnostic &D : ParseDiags.all())
+        Diags.report(D.Loc, D.Message);
+      return std::nullopt;
+    }
+    return std::move(Ast);
   }
 
 private:
-  const Token &cur() const { return Tokens[Pos]; }
-  const Token &peekNext() const {
-    return Tokens[Pos + 1 < Tokens.size() ? Pos + 1 : Pos];
-  }
-
   void advance() {
-    if (Pos + 1 < Tokens.size())
-      ++Pos;
+    Cur = Next;
+    Next = Lex.next();
   }
 
-  void error(const std::string &Msg) { Diags.report(cur().Loc, Msg); }
+  void error(const std::string &Msg) { ParseDiags.report(Cur.Loc, Msg); }
 
   bool accept(TokenKind Kind) {
-    if (!cur().is(Kind))
+    if (!Cur.is(Kind))
       return false;
     advance();
     return true;
@@ -60,67 +74,83 @@ private:
     if (accept(Kind))
       return;
     error(std::string("expected ") + tokenKindName(Kind) + " before " +
-          tokenKindName(cur().Kind));
+          tokenKindName(Cur.Kind));
   }
 
-  /// The identifier's name, copied: the AST outlives the token views.
-  std::string expectIdent() {
-    if (cur().is(TokenKind::Identifier)) {
-      std::string Name(cur().Text);
+  std::string_view expectIdent() {
+    if (Cur.is(TokenKind::Identifier)) {
+      std::string_view Name = Cur.Text;
       advance();
       return Name;
     }
     error(std::string("expected identifier before ") +
-          tokenKindName(cur().Kind));
+          tokenKindName(Cur.Kind));
     return "<error>";
   }
 
   /// Skips tokens until a statement boundary (';', 'end', '.', eof).
   void synchronize() {
-    while (!cur().is(TokenKind::Eof) && !cur().is(TokenKind::Semicolon) &&
-           !cur().is(TokenKind::KwEnd) && !cur().is(TokenKind::Dot))
+    while (!Cur.is(TokenKind::Eof) && !Cur.is(TokenKind::Semicolon) &&
+           !Cur.is(TokenKind::KwEnd) && !Cur.is(TokenKind::Dot))
       advance();
     accept(TokenKind::Semicolon);
   }
 
-  void parseNameList(std::vector<std::string> &Out) {
-    Out.push_back(expectIdent());
-    while (accept(TokenKind::Comma))
-      Out.push_back(expectIdent());
+  /// Lists nest (a body holds an `if` holding a body), so their elements
+  /// collect on the Pending stack and move to the pool, contiguous, once
+  /// the list is complete.
+  Range closeList(std::size_t Mark) {
+    const auto Begin = static_cast<std::uint32_t>(Ast.Lists.size());
+    Ast.Lists.insert(Ast.Lists.end(), Pending.begin() + Mark, Pending.end());
+    Pending.resize(Mark);
+    return {Begin, static_cast<std::uint32_t>(Ast.Lists.size())};
   }
 
-  void parseBlock(std::vector<std::string> &Vars,
-                  std::vector<std::unique_ptr<ProcDecl>> &Procs,
-                  std::vector<StmtPtr> &Body) {
+  /// Name lists never nest, so they go to the name pool directly.
+  Range parseNameList() {
+    const auto Begin = static_cast<std::uint32_t>(Ast.Names.size());
+    Ast.Names.push_back(expectIdent());
+    while (accept(TokenKind::Comma))
+      Ast.Names.push_back(expectIdent());
+    return {Begin, static_cast<std::uint32_t>(Ast.Names.size())};
+  }
+
+  void parseBlock(std::uint32_t P) {
     if (accept(TokenKind::KwVar)) {
-      parseNameList(Vars);
+      const Range Vars = parseNameList();
+      Ast.Procs[P].Vars = Vars;
       expect(TokenKind::Semicolon);
     }
-    while (cur().is(TokenKind::KwProc))
-      Procs.push_back(parseProcDecl());
+    const std::size_t Mark = Pending.size();
+    while (Cur.is(TokenKind::KwProc))
+      Pending.push_back(parseProcDecl());
+    const Range Procs = closeList(Mark);
+    Ast.Procs[P].Procs = Procs;
     expect(TokenKind::KwBegin);
-    parseStmtList(Body);
+    const Range Body = parseStmtList();
+    Ast.Procs[P].Body = Body;
     expect(TokenKind::KwEnd);
   }
 
-  std::unique_ptr<ProcDecl> parseProcDecl() {
-    auto Decl = std::make_unique<ProcDecl>();
-    Decl->Loc = cur().Loc;
+  std::uint32_t parseProcDecl() {
+    const auto P = static_cast<std::uint32_t>(Ast.Procs.size());
+    Ast.Procs.emplace_back();
+    Ast.Procs[P].Loc = Cur.Loc;
     expect(TokenKind::KwProc);
-    Decl->Name = expectIdent();
+    Ast.Procs[P].Name = expectIdent();
     if (accept(TokenKind::LParen)) {
-      if (!cur().is(TokenKind::RParen))
-        parseNameList(Decl->Params);
+      if (!Cur.is(TokenKind::RParen))
+        Ast.Procs[P].Params = parseNameList();
       expect(TokenKind::RParen);
     }
     expect(TokenKind::Semicolon);
-    parseBlock(Decl->Vars, Decl->Procs, Decl->Body);
+    parseBlock(P);
     expect(TokenKind::Semicolon);
-    return Decl;
+    return P;
   }
 
   bool startsStmt() const {
-    switch (cur().Kind) {
+    switch (Cur.Kind) {
     case TokenKind::Identifier:
     case TokenKind::KwCall:
     case TokenKind::KwIf:
@@ -133,180 +163,199 @@ private:
     }
   }
 
-  void parseStmtList(std::vector<StmtPtr> &Out) {
+  Range parseStmtList() {
+    const std::size_t Mark = Pending.size();
     while (startsStmt()) {
-      StmtPtr S = parseStmt();
-      if (S)
-        Out.push_back(std::move(S));
+      const std::uint32_t S = parseStmt();
+      if (S != NoStmt)
+        Pending.push_back(S);
       accept(TokenKind::Semicolon);
     }
+    return closeList(Mark);
   }
 
-  StmtPtr parseStmt() {
-    SourceLoc Loc = cur().Loc;
-    switch (cur().Kind) {
-    case TokenKind::KwCall: {
+  std::uint32_t newStmt(Stmt::Kind K, SourceLoc Loc) {
+    Ast.Stmts.push_back(Stmt{K, Loc, {}, 0, {}, {}, {}});
+    return static_cast<std::uint32_t>(Ast.Stmts.size() - 1);
+  }
+
+  std::uint32_t parseStmt() {
+    const SourceLoc Loc = Cur.Loc;
+    switch (Cur.Kind) {
+    case TokenKind::KwCall:
       advance();
       return parseCall(Loc);
-    }
     case TokenKind::Identifier: {
-      if (peekNext().is(TokenKind::LParen))
+      if (Next.is(TokenKind::LParen))
         return parseCall(Loc);
-      auto S = std::make_unique<Stmt>();
-      S->K = Stmt::Kind::Assign;
-      S->Loc = Loc;
-      S->Target = expectIdent();
+      const std::uint32_t S = newStmt(Stmt::Kind::Assign, Loc);
+      Ast.Stmts[S].Name = expectIdent();
       expect(TokenKind::Assign);
-      S->Value = parseExpr();
+      const std::uint32_t Value = parseExpr();
+      Ast.Stmts[S].Value = Value;
       return S;
     }
     case TokenKind::KwIf: {
       advance();
-      auto S = std::make_unique<Stmt>();
-      S->K = Stmt::Kind::If;
-      S->Loc = Loc;
-      S->Value = parseExpr();
+      const std::uint32_t S = newStmt(Stmt::Kind::If, Loc);
+      const std::uint32_t Cond = parseExpr();
+      Ast.Stmts[S].Value = Cond;
       expect(TokenKind::KwThen);
-      parseStmtList(S->Then);
-      if (accept(TokenKind::KwElse))
-        parseStmtList(S->Else);
+      const Range Then = parseStmtList();
+      Ast.Stmts[S].Then = Then;
+      if (accept(TokenKind::KwElse)) {
+        const Range Else = parseStmtList();
+        Ast.Stmts[S].Else = Else;
+      }
       expect(TokenKind::KwEnd);
       return S;
     }
     case TokenKind::KwWhile: {
       advance();
-      auto S = std::make_unique<Stmt>();
-      S->K = Stmt::Kind::While;
-      S->Loc = Loc;
-      S->Value = parseExpr();
+      const std::uint32_t S = newStmt(Stmt::Kind::While, Loc);
+      const std::uint32_t Cond = parseExpr();
+      Ast.Stmts[S].Value = Cond;
       expect(TokenKind::KwDo);
-      parseStmtList(S->Else);
+      const Range Body = parseStmtList();
+      Ast.Stmts[S].Then = Body;
       expect(TokenKind::KwEnd);
       return S;
     }
     case TokenKind::KwRead: {
       advance();
-      auto S = std::make_unique<Stmt>();
-      S->K = Stmt::Kind::Read;
-      S->Loc = Loc;
-      S->Target = expectIdent();
+      const std::uint32_t S = newStmt(Stmt::Kind::Read, Loc);
+      Ast.Stmts[S].Name = expectIdent();
       return S;
     }
     case TokenKind::KwWrite: {
       advance();
-      auto S = std::make_unique<Stmt>();
-      S->K = Stmt::Kind::Write;
-      S->Loc = Loc;
-      S->Value = parseExpr();
+      const std::uint32_t S = newStmt(Stmt::Kind::Write, Loc);
+      const std::uint32_t Value = parseExpr();
+      Ast.Stmts[S].Value = Value;
       return S;
     }
     default:
       error("expected a statement");
       synchronize();
-      return nullptr;
+      return NoStmt;
     }
   }
 
-  StmtPtr parseCall(SourceLoc Loc) {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::Call;
-    S->Loc = Loc;
-    S->Callee = expectIdent();
+  std::uint32_t parseCall(SourceLoc Loc) {
+    const std::uint32_t S = newStmt(Stmt::Kind::Call, Loc);
+    Ast.Stmts[S].Name = expectIdent();
     expect(TokenKind::LParen);
-    if (!cur().is(TokenKind::RParen)) {
-      S->Args.push_back(parseExpr());
+    const std::size_t Mark = Pending.size();
+    if (!Cur.is(TokenKind::RParen)) {
+      Pending.push_back(parseExpr());
       while (accept(TokenKind::Comma))
-        S->Args.push_back(parseExpr());
+        Pending.push_back(parseExpr());
     }
+    const Range Args = closeList(Mark);
+    Ast.Stmts[S].Args = Args;
     expect(TokenKind::RParen);
     return S;
   }
 
-  ExprPtr parseExpr() {
-    ExprPtr E = parseTerm();
-    while (cur().is(TokenKind::Plus) || cur().is(TokenKind::Minus)) {
-      char Op = cur().is(TokenKind::Plus) ? '+' : '-';
-      SourceLoc Loc = cur().Loc;
+  std::uint32_t newExpr(Expr::Kind K, SourceLoc Loc) {
+    Expr E;
+    E.K = K;
+    E.Loc = Loc;
+    Ast.Exprs.push_back(E);
+    return static_cast<std::uint32_t>(Ast.Exprs.size() - 1);
+  }
+
+  std::uint32_t newBinary(char Op, SourceLoc Loc, std::uint32_t Lhs,
+                          std::uint32_t Rhs) {
+    const std::uint32_t B = newExpr(Expr::Kind::Binary, Loc);
+    Ast.Exprs[B].Op = Op;
+    Ast.Exprs[B].Lhs = Lhs;
+    Ast.Exprs[B].Rhs = Rhs;
+    return B;
+  }
+
+  std::uint32_t parseExpr() {
+    std::uint32_t E = parseTerm();
+    while (Cur.is(TokenKind::Plus) || Cur.is(TokenKind::Minus)) {
+      const char Op = Cur.is(TokenKind::Plus) ? '+' : '-';
+      const SourceLoc Loc = Cur.Loc;
       advance();
-      auto B = std::make_unique<Expr>();
-      B->K = Expr::Kind::Binary;
-      B->Loc = Loc;
-      B->Op = Op;
-      B->Lhs = std::move(E);
-      B->Rhs = parseTerm();
-      E = std::move(B);
+      const std::uint32_t Rhs = parseTerm();
+      E = newBinary(Op, Loc, E, Rhs);
     }
     return E;
   }
 
-  ExprPtr parseTerm() {
-    ExprPtr E = parseFactor();
-    while (cur().is(TokenKind::Star) || cur().is(TokenKind::Slash)) {
-      char Op = cur().is(TokenKind::Star) ? '*' : '/';
-      SourceLoc Loc = cur().Loc;
+  std::uint32_t parseTerm() {
+    std::uint32_t E = parseFactor();
+    while (Cur.is(TokenKind::Star) || Cur.is(TokenKind::Slash)) {
+      const char Op = Cur.is(TokenKind::Star) ? '*' : '/';
+      const SourceLoc Loc = Cur.Loc;
       advance();
-      auto B = std::make_unique<Expr>();
-      B->K = Expr::Kind::Binary;
-      B->Loc = Loc;
-      B->Op = Op;
-      B->Lhs = std::move(E);
-      B->Rhs = parseFactor();
-      E = std::move(B);
+      const std::uint32_t Rhs = parseFactor();
+      E = newBinary(Op, Loc, E, Rhs);
     }
     return E;
   }
 
-  ExprPtr parseFactor() {
-    SourceLoc Loc = cur().Loc;
-    auto E = std::make_unique<Expr>();
-    E->Loc = Loc;
-    switch (cur().Kind) {
-    case TokenKind::Number:
-      E->K = Expr::Kind::Number;
+  std::uint32_t parseFactor() {
+    const SourceLoc Loc = Cur.Loc;
+    switch (Cur.Kind) {
+    case TokenKind::Number: {
+      const std::uint32_t E = newExpr(Expr::Kind::Number, Loc);
+      long &Value = Ast.Exprs[E].Value;
       // Out of range saturates at LONG_MAX, as strtol does.
-      if (std::from_chars(cur().Text.data(),
-                          cur().Text.data() + cur().Text.size(), E->Value)
+      if (std::from_chars(Cur.Text.data(), Cur.Text.data() + Cur.Text.size(),
+                          Value)
               .ec == std::errc::result_out_of_range)
-        E->Value = std::numeric_limits<long>::max();
+        Value = std::numeric_limits<long>::max();
       advance();
       return E;
-    case TokenKind::Identifier:
-      E->K = Expr::Kind::VarRef;
-      E->Name = cur().Text;
+    }
+    case TokenKind::Identifier: {
+      const std::uint32_t E = newExpr(Expr::Kind::VarRef, Loc);
+      Ast.Exprs[E].Name = Cur.Text;
       advance();
       return E;
+    }
     case TokenKind::LParen: {
       advance();
-      ExprPtr Inner = parseExpr();
+      const std::uint32_t Inner = parseExpr();
       expect(TokenKind::RParen);
       return Inner;
     }
-    case TokenKind::Minus:
+    case TokenKind::Minus: {
       advance();
-      E->K = Expr::Kind::Unary;
-      E->Op = '-';
-      E->Lhs = parseFactor();
+      const std::uint32_t Operand = parseFactor();
+      const std::uint32_t E = newExpr(Expr::Kind::Unary, Loc);
+      Ast.Exprs[E].Op = '-';
+      Ast.Exprs[E].Lhs = Operand;
       return E;
+    }
     default:
       error(std::string("expected an expression before ") +
-            tokenKindName(cur().Kind));
+            tokenKindName(Cur.Kind));
       advance();
-      E->K = Expr::Kind::Number;
-      E->Value = 0;
-      return E;
+      return newExpr(Expr::Kind::Number, Loc);
     }
   }
 
-  const std::vector<Token> &Tokens;
+  Lexer Lex;
+  /// Receives the lexer's errors.
   DiagnosticEngine &Diags;
-  std::size_t Pos = 0;
+  /// Diags' size before the first token was lexed.
+  const std::size_t LexErrorsBefore;
+  /// Receives the parser's errors until the lexer is known to have none.
+  DiagnosticEngine ParseDiags;
+  Token Cur;
+  Token Next;
+  ProgramAst Ast;
+  std::vector<std::uint32_t> Pending;
 };
 
 } // namespace
 
-std::unique_ptr<ProgramAst> frontend::parse(const std::vector<Token> &Tokens,
-                                            DiagnosticEngine &Diags) {
-  assert(!Tokens.empty() && Tokens.back().is(TokenKind::Eof) &&
-         "token stream must end with Eof");
-  return ParserImpl(Tokens, Diags).run();
+std::optional<ProgramAst> frontend::parse(std::string_view Source,
+                                          DiagnosticEngine &Diags) {
+  return ParserImpl(Source, Diags).run();
 }

@@ -20,9 +20,16 @@
 ///   expr     := term {("+"|"-") term};  term := factor {("*"|"/") factor}
 ///   factor   := NUMBER | IDENT | "(" expr ")" | "-" factor
 ///
-/// Errors are reported to the DiagnosticEngine; the parser recovers by
-/// synchronizing to statement boundaries, so several errors can be
-/// reported in one run.  Returns nullptr when any error occurred.
+/// One pass: the parser pulls tokens from a streaming Lexer, holding the
+/// current token and one of lookahead (for the `IDENT (` call check), and
+/// appends rows to the AST's tables as it goes.
+///
+/// Errors: the parser recovers by synchronizing to statement boundaries,
+/// so several errors can be reported in one run.  Lexical errors win: the
+/// parser reports into a side buffer, the lexer is drained to Eof after
+/// the parse, and the parser's errors are kept only if the lexer reported
+/// none.  The diagnostics are therefore every lexical error of the source
+/// or, when there is none, every parse error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,17 +37,18 @@
 #define IPSE_FRONTEND_PARSER_H
 
 #include "frontend/Ast.h"
-#include "frontend/Token.h"
+#include "frontend/Diagnostics.h"
 
-#include <memory>
-#include <vector>
+#include <optional>
+#include <string_view>
 
 namespace ipse {
 namespace frontend {
 
-/// Parses a lexed token stream.
-std::unique_ptr<ast::ProgramAst> parse(const std::vector<Token> &Tokens,
-                                       DiagnosticEngine &Diags);
+/// Parses \p Source.  Returns nullopt when any error was reported.  The
+/// AST's names view \p Source, which must outlive it.
+std::optional<ast::ProgramAst> parse(std::string_view Source,
+                                     DiagnosticEngine &Diags);
 
 } // namespace frontend
 } // namespace ipse

@@ -9,9 +9,11 @@
 
 #include "ir/ProgramBuilder.h"
 
+#include <cassert>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 using namespace ipse;
 using namespace ipse::frontend;
@@ -19,206 +21,236 @@ using namespace ipse::frontend::ast;
 
 namespace {
 
-/// What a name denotes in some scope.
+/// What a name denotes and which scope declared it.
 struct Binding {
-  enum class Kind { Variable, Procedure } K;
-  ir::VarId Var;
-  ir::ProcId Proc;
+  enum class Kind : std::uint8_t { Variable, Procedure };
 
-  static Binding variable(ir::VarId V) {
-    return Binding{Kind::Variable, V, ir::ProcId()};
-  }
-  static Binding procedure(ir::ProcId P) {
-    return Binding{Kind::Procedure, ir::VarId(), P};
-  }
+  Kind K = Kind::Variable;
+  /// A VarId or ProcId index, by K.
+  std::uint32_t Id = 0;
+  /// The declaring scope; 0 for "unbound" (scopes count from 1).
+  std::uint32_t Scope = 0;
 };
 
-/// A lexical scope: one map per procedure body, chained to the parent.
-/// Keys view the AST's names, which outlive every scope.
-class Scope {
-public:
-  explicit Scope(const Scope *Parent) : Parent(Parent) {}
-
-  /// Declares \p Name; returns false if it already exists in this scope.
-  bool declare(std::string_view Name, Binding B) {
-    return Bindings.emplace(Name, B).second;
-  }
-
-  /// Innermost binding for \p Name, or nullptr.
-  const Binding *lookup(std::string_view Name) const {
-    for (const Scope *S = this; S; S = S->Parent) {
-      auto It = S->Bindings.find(Name);
-      if (It != S->Bindings.end())
-        return &It->second;
-    }
-    return nullptr;
-  }
-
-private:
-  const Scope *Parent;
-  std::unordered_map<std::string_view, Binding> Bindings;
+/// A binding a declaration displaced, restored when its scope ends.
+struct Shadowed {
+  SymbolId Sym;
+  Binding Prev;
 };
 
+/// Names resolve through the builder's own interner: a declaration binds
+/// the SymbolId the builder just interned for it, and a use is one lookup
+/// in that interner plus an array read, never a second hash table.
+///
+/// Top[Sym] is the innermost binding of a symbol.  Each declaration pushes
+/// the binding it displaces onto Undo; a scope records Undo's height on
+/// entry and, on exit, pops back to it, restoring what each entry saved.
 class SemaImpl {
 public:
-  explicit SemaImpl(DiagnosticEngine &Diags) : Diags(Diags) {}
+  SemaImpl(const ProgramAst &Ast, DiagnosticEngine &Diags)
+      : Ast(Ast), Diags(Diags) {}
 
-  std::optional<ir::Program> run(const ProgramAst &Ast) {
-    ir::ProcId Main = B.createMain(Ast.Name);
-    Scope Globals(nullptr);
-    declareVars(Ast.Vars, Main, Globals, SourceLoc{1, 1});
-    declareAndProcessProcs(Ast.Procs, Main, Globals);
-    lowerStmts(Ast.Body, Main, Globals);
+  std::optional<ir::Program> run() {
+    // Every interned name is main's, a procedure's, or a variable's, so
+    // these bound the tables.
+    const std::size_t NumNames = Ast.Procs.size() + Ast.Names.size();
+    B.reserve(Ast.Procs.size(), Ast.Names.size(), Ast.Stmts.size(),
+              Ast.Stmts.size());
+    Top.assign(NumNames, Binding());
+
+    const Proc &Main = Ast.main();
+    ir::ProcId MainId = B.createMain(Main.Name);
+    enterScope();
+    declareVars(Main.Vars, MainId, SourceLoc{1, 1});
+    declareAndProcessProcs(Main.Procs, MainId);
+    lowerStmts(Main.Body, MainId);
     if (Diags.hasErrors())
       return std::nullopt;
     return B.finish();
   }
 
 private:
-  void declareVars(const std::vector<std::string> &Names, ir::ProcId Owner,
-                   Scope &S, SourceLoc Loc) {
-    for (const std::string &Name : Names) {
+  std::uint32_t enterScope() {
+    CurScope = ++NumScopes;
+    return static_cast<std::uint32_t>(Undo.size());
+  }
+
+  /// Undoes every declaration made since \p Mark, innermost first.
+  void exitScope(std::uint32_t Mark, std::uint32_t OuterScope) {
+    while (Undo.size() > Mark) {
+      Top[Undo.back().Sym] = Undo.back().Prev;
+      Undo.pop_back();
+    }
+    CurScope = OuterScope;
+  }
+
+  /// Binds \p Sym in the current scope; returns false (binding nothing)
+  /// if the scope already binds it.
+  bool declare(SymbolId Sym, Binding::Kind K, std::uint32_t Id) {
+    assert(Sym < Top.size() && "name outside the parsed tables");
+    if (Top[Sym].Scope == CurScope)
+      return false;
+    Undo.push_back(Shadowed{Sym, Top[Sym]});
+    Top[Sym] = Binding{K, Id, CurScope};
+    return true;
+  }
+
+  /// The innermost binding of \p Name, or nullptr.
+  const Binding *lookup(std::string_view Name) const {
+    const SymbolId Sym = B.peek().names().lookup(Name);
+    if (Sym == InvalidSymbol || Top[Sym].Scope == 0)
+      return nullptr;
+    return &Top[Sym];
+  }
+
+  void declareVars(Range Names, ir::ProcId Owner, SourceLoc Loc) {
+    for (std::string_view Name : Ast.names(Names)) {
       ir::VarId V = B.addLocal(Owner, Name);
-      if (!S.declare(Name, Binding::variable(V)))
-        Diags.report(Loc, "duplicate declaration of '" + Name + "'");
+      if (!declare(B.peek().var(V).Name, Binding::Kind::Variable, V.index()))
+        Diags.report(Loc, "duplicate declaration of '" + std::string(Name) +
+                              "'");
     }
   }
 
   /// Declares every procedure of a block — names *and* formal parameters,
   /// so arity is known before any body is lowered (siblings may be
   /// mutually recursive and call forward) — then processes the bodies.
-  void declareAndProcessProcs(
-      const std::vector<std::unique_ptr<ProcDecl>> &Procs, ir::ProcId Parent,
-      Scope &S) {
-    std::vector<ir::ProcId> Ids;
-    Ids.reserve(Procs.size());
-    for (const auto &Decl : Procs) {
-      ir::ProcId Id = B.createProc(Decl->Name, Parent);
+  void declareAndProcessProcs(Range Procs, ir::ProcId Parent) {
+    const std::size_t Mark = Ids.size();
+    for (std::uint32_t D : Ast.list(Procs)) {
+      const Proc &Decl = Ast.Procs[D];
+      ir::ProcId Id = B.createProc(Decl.Name, Parent);
       Ids.push_back(Id);
-      if (!S.declare(Decl->Name, Binding::procedure(Id)))
-        Diags.report(Decl->Loc,
-                     "duplicate declaration of '" + Decl->Name + "'");
-      for (const std::string &Param : Decl->Params)
+      if (!declare(B.peek().proc(Id).Name, Binding::Kind::Procedure,
+                   Id.index()))
+        Diags.report(Decl.Loc, "duplicate declaration of '" +
+                                   std::string(Decl.Name) + "'");
+      for (std::string_view Param : Ast.names(Decl.Params))
         B.addFormal(Id, Param);
     }
-    for (std::size_t I = 0; I != Procs.size(); ++I)
-      processProc(*Procs[I], Ids[I], S);
+    for (std::uint32_t I = 0; I != Procs.size(); ++I)
+      processProc(Ast.Procs[Ast.Lists[Procs.Begin + I]], Ids[Mark + I]);
+    Ids.resize(Mark);
   }
 
-  void processProc(const ProcDecl &Decl, ir::ProcId Id, const Scope &Parent) {
-    Scope S(&Parent);
-    // Formals were created in the declaration phase; bind their names now
-    // (copy the list: the builder's storage moves as variables are added).
-    std::span<const ir::VarId> Staged = B.peek().proc(Id).Formals;
-    std::vector<ir::VarId> Formals(Staged.begin(), Staged.end());
-    for (std::size_t I = 0; I != Decl.Params.size(); ++I)
-      if (!S.declare(Decl.Params[I], Binding::variable(Formals[I])))
-        Diags.report(Decl.Loc, "duplicate parameter '" + Decl.Params[I] +
-                                   "' in '" + Decl.Name + "'");
-    declareVars(Decl.Vars, Id, S, Decl.Loc);
-    declareAndProcessProcs(Decl.Procs, Id, S);
-    lowerStmts(Decl.Body, Id, S);
+  void processProc(const Proc &Decl, ir::ProcId Id) {
+    const std::uint32_t OuterScope = CurScope;
+    const std::uint32_t Mark = enterScope();
+    // The formals were created in the declaration phase; bind them now.
+    // (No builder call runs in this loop, so the span stays valid.)
+    std::span<const ir::VarId> Formals = B.peek().proc(Id).Formals;
+    std::span<const std::string_view> Params = Ast.names(Decl.Params);
+    for (std::size_t I = 0; I != Formals.size(); ++I)
+      if (!declare(B.peek().var(Formals[I]).Name, Binding::Kind::Variable,
+                   Formals[I].index()))
+        Diags.report(Decl.Loc, "duplicate parameter '" +
+                                   std::string(Params[I]) + "' in '" +
+                                   std::string(Decl.Name) + "'");
+    declareVars(Decl.Vars, Id, Decl.Loc);
+    declareAndProcessProcs(Decl.Procs, Id);
+    lowerStmts(Decl.Body, Id);
+    exitScope(Mark, OuterScope);
   }
 
   /// Resolves \p Name to a variable, reporting otherwise.
-  ir::VarId resolveVar(const std::string &Name, const Scope &S,
-                       SourceLoc Loc) {
-    const Binding *Bind = S.lookup(Name);
+  ir::VarId resolveVar(std::string_view Name, SourceLoc Loc) {
+    const Binding *Bind = lookup(Name);
     if (!Bind) {
-      Diags.report(Loc, "use of undeclared name '" + Name + "'");
+      Diags.report(Loc, "use of undeclared name '" + std::string(Name) + "'");
       return ir::VarId();
     }
     if (Bind->K != Binding::Kind::Variable) {
-      Diags.report(Loc, "'" + Name + "' is a procedure, not a variable");
+      Diags.report(Loc, "'" + std::string(Name) +
+                            "' is a procedure, not a variable");
       return ir::VarId();
     }
-    return Bind->Var;
+    return ir::VarId(Bind->Id);
   }
 
-  /// Adds every variable referenced by \p E to LUSE of \p Stmt.
-  void collectUses(const Expr &E, ir::StmtId Stmt, const Scope &S) {
-    switch (E.K) {
+  /// Adds every variable referenced by expression \p E to LUSE of \p Stmt.
+  void collectUses(std::uint32_t E, ir::StmtId Stmt) {
+    const Expr &X = Ast.Exprs[E];
+    switch (X.K) {
     case Expr::Kind::Number:
       return;
     case Expr::Kind::VarRef: {
-      ir::VarId V = resolveVar(E.Name, S, E.Loc);
+      ir::VarId V = resolveVar(X.Name, X.Loc);
       if (V.isValid())
         B.addUse(Stmt, V);
       return;
     }
     case Expr::Kind::Unary:
-      collectUses(*E.Lhs, Stmt, S);
+      collectUses(X.Lhs, Stmt);
       return;
     case Expr::Kind::Binary:
-      collectUses(*E.Lhs, Stmt, S);
-      collectUses(*E.Rhs, Stmt, S);
+      collectUses(X.Lhs, Stmt);
+      collectUses(X.Rhs, Stmt);
       return;
     }
   }
 
-  void lowerStmts(const std::vector<StmtPtr> &Stmts, ir::ProcId Proc,
-                  const Scope &S) {
-    for (const StmtPtr &Stmt : Stmts)
-      lowerStmt(*Stmt, Proc, S);
+  void lowerStmts(Range Stmts, ir::ProcId Proc) {
+    for (std::uint32_t S : Ast.list(Stmts))
+      lowerStmt(Ast.Stmts[S], Proc);
   }
 
-  void lowerStmt(const Stmt &Node, ir::ProcId Proc, const Scope &S) {
+  void lowerStmt(const Stmt &Node, ir::ProcId Proc) {
     switch (Node.K) {
     case Stmt::Kind::Assign: {
       ir::StmtId Id = B.addStmt(Proc);
-      ir::VarId Target = resolveVar(Node.Target, S, Node.Loc);
+      ir::VarId Target = resolveVar(Node.Name, Node.Loc);
       if (Target.isValid())
         B.addMod(Id, Target);
-      collectUses(*Node.Value, Id, S);
+      collectUses(Node.Value, Id);
       return;
     }
     case Stmt::Kind::Read: {
       ir::StmtId Id = B.addStmt(Proc);
-      ir::VarId Target = resolveVar(Node.Target, S, Node.Loc);
+      ir::VarId Target = resolveVar(Node.Name, Node.Loc);
       if (Target.isValid())
         B.addMod(Id, Target);
       return;
     }
     case Stmt::Kind::Write: {
       ir::StmtId Id = B.addStmt(Proc);
-      collectUses(*Node.Value, Id, S);
+      collectUses(Node.Value, Id);
       return;
     }
     case Stmt::Kind::Call:
-      lowerCall(Node, Proc, S);
+      lowerCall(Node, Proc);
       return;
     case Stmt::Kind::If: {
       ir::StmtId Cond = B.addStmt(Proc);
-      collectUses(*Node.Value, Cond, S);
-      lowerStmts(Node.Then, Proc, S);
-      lowerStmts(Node.Else, Proc, S);
+      collectUses(Node.Value, Cond);
+      lowerStmts(Node.Then, Proc);
+      lowerStmts(Node.Else, Proc);
       return;
     }
     case Stmt::Kind::While: {
       ir::StmtId Cond = B.addStmt(Proc);
-      collectUses(*Node.Value, Cond, S);
-      lowerStmts(Node.Else, Proc, S);
+      collectUses(Node.Value, Cond);
+      lowerStmts(Node.Then, Proc);
       return;
     }
     }
   }
 
-  void lowerCall(const Stmt &Node, ir::ProcId Proc, const Scope &S) {
-    const Binding *Bind = S.lookup(Node.Callee);
+  void lowerCall(const Stmt &Node, ir::ProcId Proc) {
+    const Binding *Bind = lookup(Node.Name);
     if (!Bind) {
-      Diags.report(Node.Loc,
-                   "call to undeclared procedure '" + Node.Callee + "'");
+      Diags.report(Node.Loc, "call to undeclared procedure '" +
+                                 std::string(Node.Name) + "'");
       return;
     }
     if (Bind->K != Binding::Kind::Procedure) {
-      Diags.report(Node.Loc,
-                   "'" + Node.Callee + "' is a variable, not a procedure");
+      Diags.report(Node.Loc, "'" + std::string(Node.Name) +
+                                 "' is a variable, not a procedure");
       return;
     }
-    ir::ProcId Callee = Bind->Proc;
+    ir::ProcId Callee(Bind->Id);
     std::size_t Arity = B.peek().proc(Callee).Formals.size();
     if (Node.Args.size() != Arity) {
-      Diags.report(Node.Loc, "'" + Node.Callee + "' expects " +
+      Diags.report(Node.Loc, "'" + std::string(Node.Name) + "' expects " +
                                  std::to_string(Arity) + " argument(s), got " +
                                  std::to_string(Node.Args.size()));
       return;
@@ -227,14 +259,15 @@ private:
     ir::StmtId Id = B.addStmt(Proc);
     std::vector<ir::Actual> Actuals;
     Actuals.reserve(Node.Args.size());
-    for (const ExprPtr &Arg : Node.Args) {
-      if (Arg->isVarRef()) {
-        ir::VarId V = resolveVar(Arg->Name, S, Arg->Loc);
+    for (std::uint32_t A : Ast.list(Node.Args)) {
+      const Expr &Arg = Ast.Exprs[A];
+      if (Arg.isVarRef()) {
+        ir::VarId V = resolveVar(Arg.Name, Arg.Loc);
         Actuals.push_back(V.isValid() ? ir::Actual::variable(V)
                                       : ir::Actual::expression());
       } else {
         // Passed by value: no binding, but its variables are used here.
-        collectUses(*Arg, Id, S);
+        collectUses(A, Id);
         Actuals.push_back(ir::Actual::expression());
       }
     }
@@ -242,13 +275,21 @@ private:
       B.addCall(Id, Callee, std::move(Actuals));
   }
 
+  const ProgramAst &Ast;
   DiagnosticEngine &Diags;
   ir::ProgramBuilder B;
+
+  std::vector<Binding> Top;
+  std::vector<Shadowed> Undo;
+  std::uint32_t CurScope = 0;
+  std::uint32_t NumScopes = 0;
+  /// The builder ids of the blocks being declared, innermost last.
+  std::vector<ir::ProcId> Ids;
 };
 
 } // namespace
 
 std::optional<ir::Program> frontend::lowerToIr(const ProgramAst &Ast,
                                                DiagnosticEngine &Diags) {
-  return SemaImpl(Diags).run(Ast);
+  return SemaImpl(Ast, Diags).run();
 }

@@ -15,6 +15,15 @@
 using namespace ipse;
 using namespace ipse::ir;
 
+void ProgramBuilder::reserve(std::size_t Procs, std::size_t Vars,
+                             std::size_t Stmts, std::size_t Calls) {
+  P.Procs.reserve(Procs);
+  P.Vars.reserve(Vars);
+  P.Stmts.reserve(Stmts);
+  P.Calls.reserve(Calls);
+  P.Names.reserve(Procs + Vars);
+}
+
 ProcId ProgramBuilder::createMain(std::string_view Name) {
   assert(!MainCreated && "main already created");
   MainCreated = true;

@@ -32,6 +32,12 @@ class ProgramBuilder {
 public:
   ProgramBuilder() = default;
 
+  /// Sizes the row tables for up to the given counts, and the name table
+  /// for Procs + Vars names, so building a program within them reallocates
+  /// neither.  Optional.
+  void reserve(std::size_t Procs, std::size_t Vars, std::size_t Stmts,
+               std::size_t Calls);
+
   /// Creates the main program procedure (level 0).  Must be called first.
   ProcId createMain(std::string_view Name);
 

@@ -266,6 +266,12 @@ incremental::Edit service::resolveEditCommand(const Program &P,
     E.Kind = incremental::EditKind::AddCall;
     E.Stmt = stmtAt(P, Proc, parseIndex(A[1]), LineNo);
     E.Callee = findProc(P, A[2], LineNo);
+    // ProgramEditor::addCall's preconditions, refused here as script
+    // errors instead of tripping its asserts.
+    if (E.Callee == P.main())
+      die(LineNo, "cannot call the main program '" + A[2] + "'");
+    if (!P.isAncestorOrSelf(P.proc(E.Callee).Parent, Proc))
+      die(LineNo, "'" + A[2] + "' is not visible in '" + A[0] + "'");
     for (std::size_t I = 3; I != A.size(); ++I)
       E.Actuals.push_back(A[I] == "_" ? ir::Actual::expression()
                                       : ir::Actual::variable(findVisibleVar(

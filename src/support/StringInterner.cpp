@@ -85,6 +85,16 @@ SymbolId StringInterner::intern(std::string_view Text) {
   return Id;
 }
 
+void StringInterner::reserve(std::size_t Count) {
+  own();
+  T->Texts.reserve(Count);
+  std::size_t NumSlots = 16;
+  while (NumSlots < 2 * Count)
+    NumSlots *= 2;
+  if (NumSlots > T->Slots.size())
+    rehash(NumSlots);
+}
+
 SymbolId StringInterner::lookup(std::string_view Text) const {
   if (!T || T->Slots.empty())
     return InvalidSymbol;

@@ -53,6 +53,10 @@ public:
   /// Returns the id for \p Text, or InvalidSymbol if it was never interned.
   SymbolId lookup(std::string_view Text) const;
 
+  /// Sizes the table for \p Count strings in all, so interning up to that
+  /// many rehashes nothing.
+  void reserve(std::size_t Count);
+
   /// Returns the text for \p Id.
   const std::string &text(SymbolId Id) const;
 

@@ -198,6 +198,31 @@ TEST(Cli, SessionRefusesIllegalRmProcWithACleanError) {
       << Out;
 }
 
+TEST(Cli, SessionRefusesIllegalAddCallWithACleanError) {
+  // q1 nests in process, so main's body cannot see it; and no one may call
+  // the main program.  Each must end the script with a script error
+  // (exit 1), never an assertion abort.
+  const std::string Load = "load " + corpus("accumulator.mp") +
+                           "\\nadd-proc q1 process\\nadd-stmt q1\\n";
+  for (const char *Call :
+       {"add-call accumulator 0 q1", "add-call add 0 accumulator"}) {
+    std::string Out;
+    EXPECT_EQ(run("printf '" + Load + Call + "\\n' | " + cli() +
+                      " session -",
+                  Out),
+              1)
+        << Call << "\n"
+        << Out;
+  }
+  // A call that meets every precondition still works.
+  std::string Out;
+  EXPECT_EQ(run("printf '" + Load + "add-call add 0 q1\\ncheck\\n' | " +
+                    cli() + " session -",
+                Out),
+            0)
+      << Out;
+}
+
 TEST(Cli, ReportEnginesAreByteIdentical) {
   std::string Seq, Par, Dem;
   ASSERT_EQ(run(cli() + " report --rmod " + corpus("tower.mp"), Seq), 0);

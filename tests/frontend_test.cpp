@@ -10,10 +10,17 @@
 #include "frontend/Lexer.h"
 #include "frontend/Parser.h"
 #include "ir/Printer.h"
+#include "persist/Snapshot.h"
+#include "support/Binary.h"
+#include "synth/ProgramGen.h"
+#include "synth/SourceGen.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 
 using namespace ipse;
 using namespace ipse::frontend;
@@ -155,16 +162,32 @@ end.
 
 TEST(Parser, AcceptsGoodProgram) {
   DiagnosticEngine Diags;
-  std::vector<Token> Tokens = lex(GoodProgram, Diags);
-  ASSERT_FALSE(Diags.hasErrors());
-  auto Ast = parse(Tokens, Diags);
-  ASSERT_NE(Ast, nullptr) << Diags.renderAll();
-  EXPECT_EQ(Ast->Name, "main");
-  EXPECT_EQ(Ast->Vars.size(), 2u);
-  EXPECT_EQ(Ast->Procs.size(), 2u);
-  EXPECT_EQ(Ast->Procs[0]->Name, "q");
-  EXPECT_EQ(Ast->Procs[1]->Params.size(), 2u);
-  EXPECT_EQ(Ast->Body.size(), 2u);
+  auto Ast = parse(GoodProgram, Diags);
+  ASSERT_TRUE(Ast) << Diags.renderAll();
+  const ast::Proc &Main = Ast->main();
+  EXPECT_EQ(Main.Name, "main");
+  EXPECT_EQ(Main.Vars.size(), 2u);
+  ASSERT_EQ(Main.Procs.size(), 2u);
+  EXPECT_EQ(Ast->Procs[Ast->list(Main.Procs)[0]].Name, "q");
+  EXPECT_EQ(Ast->Procs[Ast->list(Main.Procs)[1]].Params.size(), 2u);
+  EXPECT_EQ(Main.Body.size(), 2u);
+}
+
+TEST(Parser, NamesViewTheSource) {
+  const std::string Source = GoodProgram;
+  DiagnosticEngine Diags;
+  auto Ast = parse(Source, Diags);
+  ASSERT_TRUE(Ast) << Diags.renderAll();
+  auto InSource = [&](std::string_view Name) {
+    return Name.data() >= Source.data() &&
+           Name.data() + Name.size() <= Source.data() + Source.size();
+  };
+  for (const ast::Proc &P : Ast->Procs)
+    EXPECT_TRUE(InSource(P.Name)) << P.Name;
+  for (std::string_view Name : Ast->Names)
+    EXPECT_TRUE(InSource(Name)) << Name;
+  for (const ast::Stmt &S : Ast->Stmts)
+    EXPECT_TRUE(S.Name.empty() || InSource(S.Name)) << S.Name;
 }
 
 TEST(Parser, IfWhileNesting) {
@@ -180,31 +203,38 @@ begin
 end.
 )";
   DiagnosticEngine Diags;
-  auto Ast = parse(lex(Src, Diags), Diags);
-  ASSERT_NE(Ast, nullptr) << Diags.renderAll();
-  ASSERT_EQ(Ast->Body.size(), 1u);
-  EXPECT_EQ(Ast->Body[0]->K, ast::Stmt::Kind::If);
-  EXPECT_EQ(Ast->Body[0]->Then.size(), 2u);
-  EXPECT_EQ(Ast->Body[0]->Else.size(), 1u);
+  auto Ast = parse(Src, Diags);
+  ASSERT_TRUE(Ast) << Diags.renderAll();
+  ASSERT_EQ(Ast->main().Body.size(), 1u);
+  const ast::Stmt &If = Ast->Stmts[Ast->list(Ast->main().Body)[0]];
+  EXPECT_EQ(If.K, ast::Stmt::Kind::If);
+  ASSERT_EQ(If.Then.size(), 2u);
+  EXPECT_EQ(If.Else.size(), 1u);
+  const ast::Stmt &While = Ast->Stmts[Ast->list(If.Then)[1]];
+  EXPECT_EQ(While.K, ast::Stmt::Kind::While);
+  EXPECT_EQ(While.Then.size(), 1u);
 }
 
 TEST(Parser, NumberValues) {
   DiagnosticEngine Diags;
-  auto Ast = parse(lex("program t; var a;\nbegin a := 0042; "
-                       "a := 99999999999999999999999; end.",
-                       Diags),
+  auto Ast = parse("program t; var a;\nbegin a := 0042; "
+                   "a := 99999999999999999999999; end.",
                    Diags);
-  ASSERT_NE(Ast, nullptr) << Diags.renderAll();
-  ASSERT_EQ(Ast->Body.size(), 2u);
-  EXPECT_EQ(Ast->Body[0]->Value->Value, 42);
+  ASSERT_TRUE(Ast) << Diags.renderAll();
+  ASSERT_EQ(Ast->main().Body.size(), 2u);
+  auto ValueOf = [&](unsigned I) {
+    const ast::Stmt &S = Ast->Stmts[Ast->list(Ast->main().Body)[I]];
+    return Ast->Exprs[S.Value].Value;
+  };
+  EXPECT_EQ(ValueOf(0), 42);
   // Out of range saturates, as strtol does.
-  EXPECT_EQ(Ast->Body[1]->Value->Value, std::numeric_limits<long>::max());
+  EXPECT_EQ(ValueOf(1), std::numeric_limits<long>::max());
 }
 
 TEST(Parser, ReportsMissingDot) {
   DiagnosticEngine Diags;
-  auto Ast = parse(lex("program t; begin end", Diags), Diags);
-  EXPECT_EQ(Ast, nullptr);
+  auto Ast = parse("program t; begin end", Diags);
+  EXPECT_FALSE(Ast);
   EXPECT_TRUE(Diags.hasErrors());
 }
 
@@ -217,21 +247,21 @@ begin
 end.
 )";
   DiagnosticEngine Diags;
-  auto Ast = parse(lex(Src, Diags), Diags);
-  EXPECT_EQ(Ast, nullptr);
+  auto Ast = parse(Src, Diags);
+  EXPECT_FALSE(Ast);
   EXPECT_GE(Diags.all().size(), 2u);
 }
 
 TEST(Parser, ExpressionPrecedence) {
   DiagnosticEngine Diags;
-  auto Ast = parse(lex("program t; var a, b, c;\nbegin a := a + b * c; end.",
-                       Diags),
-                   Diags);
-  ASSERT_NE(Ast, nullptr);
-  const ast::Expr &E = *Ast->Body[0]->Value;
+  auto Ast =
+      parse("program t; var a, b, c;\nbegin a := a + b * c; end.", Diags);
+  ASSERT_TRUE(Ast);
+  const ast::Expr &E =
+      Ast->Exprs[Ast->Stmts[Ast->list(Ast->main().Body)[0]].Value];
   ASSERT_EQ(E.K, ast::Expr::Kind::Binary);
   EXPECT_EQ(E.Op, '+'); // * binds tighter.
-  EXPECT_EQ(E.Rhs->Op, '*');
+  EXPECT_EQ(Ast->Exprs[E.Rhs].Op, '*');
 }
 
 TEST(Sema, LowersGoodProgram) {
@@ -318,6 +348,25 @@ begin call p(); end.
   EXPECT_EQ(An.setToString(An.gmod(P.main())), "");
 }
 
+TEST(Sema, ShadowedNameRestoredAfterScopeExit) {
+  // Two sibling procedures declare the same local.  Leaving each one's
+  // scope must bring the global back, so main's body, lowered after both,
+  // assigns the global x.
+  CompileResult R = compileMiniProc(R"(
+program t; var x, y;
+proc p(); var x;
+begin x := 1; end;
+proc q(); var x;
+begin x := 2; end;
+begin x := 3; call p(); call q(); y := x; end.
+)");
+  ASSERT_TRUE(R.succeeded()) << R.Diags.renderAll();
+  analysis::SideEffectAnalyzer An(*R.Program);
+  EXPECT_EQ(An.setToString(An.gmod(ProcId(1))), "p.x");
+  EXPECT_EQ(An.setToString(An.gmod(ProcId(2))), "q.x");
+  EXPECT_EQ(An.setToString(An.gmod(R.Program->main())), "x, y");
+}
+
 TEST(Sema, MutualRecursionAmongSiblings) {
   CompileResult R = compileMiniProc(R"(
 program t; var g;
@@ -383,6 +432,174 @@ TEST(Frontend, LexErrorShortCircuits) {
   CompileResult R = compileMiniProc("program t; begin ? end.");
   EXPECT_FALSE(R.succeeded());
   EXPECT_TRUE(R.Diags.hasErrors());
+}
+
+//===----------------------------------------------------------------------===//
+// Goldens recorded with the pointer-AST frontend (token vector, one heap
+// node per AST node, a hash map per scope).  The frontend must make the
+// same ProgramBuilder calls in the same order and report the same
+// diagnostics, so these hold unchanged for any rewrite of it.
+//===----------------------------------------------------------------------===//
+
+std::string readCorpus(const std::string &Name) {
+  std::ifstream In(std::string(IPSE_SOURCE_DIR) + "/examples/corpus/" + Name);
+  EXPECT_TRUE(In.good()) << Name;
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+/// CRC-32 of the persist::ProgramCodec bytes of \p Source's program.
+std::uint32_t compiledCrc(const std::string &Source) {
+  CompileResult R = compileMiniProc(Source);
+  EXPECT_TRUE(R.succeeded()) << R.Diags.renderAll();
+  if (!R.succeeded())
+    return 0;
+  ByteWriter W;
+  persist::ProgramCodec::encode(*R.Program, W);
+  return crc32(W.data(), W.size());
+}
+
+std::string randomNestedSource() {
+  synth::ProgramGenConfig Cfg;
+  Cfg.Seed = 2024;
+  Cfg.NumProcs = 120;
+  Cfg.NumGlobals = 12;
+  Cfg.MaxNestDepth = 4;
+  return synth::emitMiniProc(synth::generateProgram(Cfg));
+}
+
+TEST(FrontendGolden, CompiledProgramBytes) {
+  const std::pair<std::string, std::uint32_t> Corpus[] = {
+      {"accumulator.mp", 0x85cb8e98u}, {"ackermann.mp", 0x2b79693cu},
+      {"banking.mp", 0xac10afb2u},     {"evaluator.mp", 0xe49bc772u},
+      {"shadowing.mp", 0x850b0d6au},   {"swap_chain.mp", 0x703fda35u},
+      {"tower.mp", 0x3d5ed03fu}};
+  for (const auto &[Name, Crc] : Corpus)
+    EXPECT_EQ(compiledCrc(readCorpus(Name)), Crc) << Name;
+
+  EXPECT_EQ(compiledCrc(randomNestedSource()), 0x8bfb429fu) << "random nested";
+  EXPECT_EQ(compiledCrc(synth::emitMiniProc(synth::makeCycleProgram(500, 4))),
+            0xc510d062u)
+      << "cycle-500";
+  EXPECT_EQ(compiledCrc(synth::emitMiniProc(
+                synth::makeNestedProgram(4, 20, 7))),
+            0x9f7d2c3au)
+      << "nested-4x20";
+}
+
+TEST(FrontendGolden, RandomSourceNestsAtLeastThreeDeep) {
+  CompileResult R = compileMiniProc(randomNestedSource());
+  ASSERT_TRUE(R.succeeded()) << R.Diags.renderAll();
+  EXPECT_GE(R.Program->maxProcLevel(), 3u);
+}
+
+/// Malformed sources and the exact renderAll() text of each.
+struct DiagCase {
+  const char *What;
+  const char *Source;
+  const char *Expected;
+};
+
+const DiagCase DiagCases[] = {
+    {"lexical error after a parse error",
+     "program t; var a;\nbegin\n  a := ;\n  a := 1 ? 2;\nend.\n",
+     "4:10: error: unexpected character '?'\n"},
+    {"lexical error after the final dot",
+     "program t; var a;\nbegin a := 1; end.\n  a : b\n",
+     "3:5: error: expected '=' after ':'\n"},
+    {"unterminated block comment",
+     "program t; var a;\nbegin a := 1; { never closed\nend.\n",
+     "2:15: error: unterminated '{' comment\n"},
+    {"lexical error in the first token", "? program t; begin end.\n",
+     "1:1: error: unexpected character '?'\n"},
+    {"lexical error in the second token", "program ? t; begin end.\n",
+     "1:9: error: unexpected character '?'\n"},
+    {"several lexical errors", "program t;\nbegin # $ end. %\n",
+     "2:7: error: unexpected character '#'\n"
+     "2:9: error: unexpected character '$'\n"
+     "2:16: error: unexpected character '%'\n"},
+    {"parse recoveries",
+     "program t; var a, b;\nbegin\n  a := ;\n  b c;\n  if then a := 1; "
+     "end;\n  a := 1 +;\n  call (a);\nend.\n",
+     "3:8: error: expected an expression before ';'\n"
+     "4:5: error: expected ':=' before identifier\n"
+     "5:6: error: expected an expression before 'then'\n"
+     "5:11: error: expected 'then' before identifier\n"
+     "6:11: error: expected an expression before ';'\n"
+     "7:8: error: expected identifier before '('\n"},
+    {"truncated program", "program t; var a;\nbegin a := 1;",
+     "2:14: error: expected 'end' before end of input\n"
+     "2:14: error: expected '.' before end of input\n"},
+    {"extra input after the final dot",
+     "program t;\nbegin end.\nbegin end.\n",
+     "3:1: error: extra input after final '.'\n"},
+    {"bad procedure header",
+     "program t;\nproc p(a b); begin end;\nproc ; begin end;\nbegin end.\n",
+     "2:10: error: expected ')' before identifier\n"
+     "2:10: error: expected ';' before identifier\n"
+     "2:10: error: expected 'begin' before identifier\n"
+     "2:11: error: expected ':=' before ')'\n"
+     "2:11: error: expected an expression before ')'\n"
+     "2:14: error: expected 'end' before 'begin'\n"
+     "2:14: error: expected ';' before 'begin'\n"
+     "2:23: error: expected '.' before ';'\n"
+     "2:23: error: extra input after final '.'\n"},
+    {"empty source", "",
+     "1:1: error: expected 'program' before end of input\n"
+     "1:1: error: expected identifier before end of input\n"
+     "1:1: error: expected ';' before end of input\n"
+     "1:1: error: expected 'begin' before end of input\n"
+     "1:1: error: expected 'end' before end of input\n"
+     "1:1: error: expected '.' before end of input\n"},
+    {"undeclared names",
+     "program t; var a;\nproc p(); begin b := c; call q(); end;\n"
+     "begin a := d + 1; read e; write f; end.\n",
+     "2:17: error: use of undeclared name 'b'\n"
+     "2:22: error: use of undeclared name 'c'\n"
+     "2:25: error: call to undeclared procedure 'q'\n"
+     "3:12: error: use of undeclared name 'd'\n"
+     "3:19: error: use of undeclared name 'e'\n"
+     "3:33: error: use of undeclared name 'f'\n"},
+    {"wrong kinds",
+     "program t; var g;\nproc p(); begin end;\n"
+     "begin p := 1; g := p; call g(); call p(p); end.\n",
+     "3:7: error: 'p' is a procedure, not a variable\n"
+     "3:20: error: 'p' is a procedure, not a variable\n"
+     "3:23: error: 'g' is a variable, not a procedure\n"
+     "3:33: error: 'p' expects 0 argument(s), got 1\n"},
+    {"arity mismatches",
+     "program t; var g;\nproc p(a, b); begin end;\n"
+     "begin call p(g); p(g, g, g); call p(); end.\n",
+     "3:7: error: 'p' expects 2 argument(s), got 1\n"
+     "3:18: error: 'p' expects 2 argument(s), got 3\n"
+     "3:30: error: 'p' expects 2 argument(s), got 0\n"},
+    {"duplicate declarations",
+     "\n  program t; var a, b, a;\nproc a(); begin end;\n"
+     "proc p(x, y, x); var y, p; proc p(); begin end; begin end;\n"
+     "proc p(); begin end;\nbegin end.\n",
+     "1:1: error: duplicate declaration of 'a'\n"
+     "3:1: error: duplicate declaration of 'a'\n"
+     "5:1: error: duplicate declaration of 'p'\n"
+     "4:1: error: duplicate parameter 'x' in 'p'\n"
+     "4:1: error: duplicate declaration of 'y'\n"
+     "4:28: error: duplicate declaration of 'p'\n"},
+    {"sema errors in nested scopes",
+     "program t; var g;\nproc outer(f);\n  var l;\n  proc inner();\n"
+     "  begin l := f; call outer(l); call inner(g, g); m := 1; end;\n"
+     "begin call inner(); end;\nbegin call outer(l); call inner(); end.\n",
+     "5:32: error: 'inner' expects 0 argument(s), got 2\n"
+     "5:50: error: use of undeclared name 'm'\n"
+     "7:18: error: use of undeclared name 'l'\n"
+     "7:22: error: call to undeclared procedure 'inner'\n"},
+};
+
+TEST(FrontendGolden, DiagnosticsText) {
+  for (const DiagCase &C : DiagCases) {
+    CompileResult R = compileMiniProc(C.Source);
+    EXPECT_FALSE(R.succeeded()) << C.What;
+    EXPECT_EQ(R.Diags.renderAll(), C.Expected) << C.What;
+  }
 }
 
 } // namespace

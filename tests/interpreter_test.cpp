@@ -18,7 +18,6 @@
 #include "analysis/AliasEstimator.h"
 #include "analysis/SideEffectAnalyzer.h"
 #include "frontend/Interpreter.h"
-#include "frontend/Lexer.h"
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
 #include "ir/Printer.h"
@@ -38,21 +37,23 @@ using namespace ipse::ir;
 namespace {
 
 /// Parses source into both representations: the AST (for execution) and
-/// the ir::Program (for analysis).
+/// the ir::Program (for analysis).  Holds the source, which the AST's
+/// names view.
 struct Compiled {
-  std::unique_ptr<ast::ProgramAst> Ast;
+  const std::string Source;
+  std::optional<ast::ProgramAst> Ast;
   std::optional<Program> Prog;
 
-  explicit Compiled(const std::string &Source) {
+  explicit Compiled(std::string Text) : Source(std::move(Text)) {
     DiagnosticEngine Diags;
-    std::vector<Token> Tokens = lex(Source, Diags);
-    EXPECT_FALSE(Diags.hasErrors()) << Diags.renderAll();
-    Ast = parse(Tokens, Diags);
-    EXPECT_NE(Ast, nullptr) << Diags.renderAll();
+    Ast = parse(Source, Diags);
+    EXPECT_TRUE(Ast) << Diags.renderAll();
     if (Ast)
       Prog = lowerToIr(*Ast, Diags);
     EXPECT_TRUE(Prog.has_value()) << Diags.renderAll();
   }
+  Compiled(const Compiled &) = delete;
+  Compiled &operator=(const Compiled &) = delete;
 };
 
 ExecutionResult runSource(const std::string &Source,

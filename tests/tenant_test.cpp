@@ -326,6 +326,56 @@ TEST(TenantProtocol, AttachRoutesAndFallbackAnswers) {
   EXPECT_NE(Line.find("no tenant"), std::string::npos) << Line;
 }
 
+TEST(TenantProtocol, IllegalAddCallIsRefusedAndTheServerKeepsAnswering) {
+  // An add-call whose callee is out of scope at the call site, or is the
+  // main program, violates ProgramEditor::addCall's preconditions: it must
+  // come back as ok:false, not abort the writer.
+  TenantOptions Opts;
+  Opts.Shards = 1;
+  TenantService Svc(Opts);
+  tenant::TenantConnection Conn;
+  ResponseLog Log;
+  auto Emit = [&](std::string Line) { Log(std::move(Line)); };
+  const char *Setup[] = {
+      R"({"id":1,"cmd":"open acme procs=4 globals=2 seed=5"})",
+      R"({"id":2,"cmd":"attach acme"})",
+      R"({"id":3,"cmd":"add-proc q1 p1"})",
+      R"({"id":4,"cmd":"add-proc r main"})",
+      R"({"id":5,"cmd":"add-stmt r"})"};
+  for (std::uint64_t Id = 1; Id <= 5; ++Id) {
+    tenant::handleTenantRequestLine(Svc, Conn, Setup[Id - 1], Emit);
+    ASSERT_EQ(Log.waitFor(Id).getBool("ok"), true) << Setup[Id - 1];
+  }
+
+  tenant::handleTenantRequestLine(Svc, Conn,
+                                  R"({"id":6,"cmd":"add-call r 0 q1"})", Emit);
+  std::string Line = Log.waitLine(6);
+  EXPECT_NE(Line.find("\"ok\":false"), std::string::npos) << Line;
+  EXPECT_NE(Line.find("'q1' is not visible in 'r'"), std::string::npos)
+      << Line;
+  tenant::handleTenantRequestLine(
+      Svc, Conn, R"({"id":7,"cmd":"add-call r 0 main"})", Emit);
+  Line = Log.waitLine(7);
+  EXPECT_NE(Line.find("\"ok\":false"), std::string::npos) << Line;
+  EXPECT_NE(Line.find("cannot call the main program 'main'"),
+            std::string::npos)
+      << Line;
+
+  // The server keeps answering, and a legal add-call from inside p1's
+  // subtree still applies.
+  tenant::handleTenantRequestLine(Svc, Conn,
+                                  R"({"id":8,"cmd":"add-stmt q1"})", Emit);
+  EXPECT_EQ(Log.waitFor(8).getBool("ok"), true);
+  tenant::handleTenantRequestLine(Svc, Conn,
+                                  R"({"id":9,"cmd":"add-call q1 0 q1"})", Emit);
+  EXPECT_EQ(Log.waitFor(9).getBool("ok"), true);
+  tenant::handleTenantRequestLine(Svc, Conn, R"({"id":10,"cmd":"gmod r"})",
+                                  Emit);
+  Line = Log.waitLine(10);
+  EXPECT_NE(Line.find("\"ok\":true"), std::string::npos) << Line;
+  EXPECT_NE(Line.find("GMOD(r)"), std::string::npos) << Line;
+}
+
 TEST(TenantProtocol, RoutingPrecedenceIsFieldThenAttachThenImplicit) {
   // A server given a program hosts it as the implicit tenant "": requests
   // that name no tenant reach it, an attach overrides it, and a "tenant"
