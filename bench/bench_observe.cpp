@@ -16,10 +16,10 @@
 //   {"kind":"overhead","engine":"sequential","shape":"fortran-1000",
 //    "procs":1001,"off_ms":0.61,"on_ms":0.62,"overhead_pct":1.2,"reps":25}
 //
-//  The acceptance gate is overhead_pct < 2 for every engine (spans sit at
-//  phase granularity, so the span count per run is a small constant; the
-//  only per-word cost is the EffectSet op counter, which is compiled in
-//  for both cells here).  Comparing an IPSE_OBSERVE=OFF *build* against ON
+//  The acceptance gate is overhead_pct < 2 (spans sit at phase
+//  granularity, so the span count per run is a small constant; the only
+//  per-word cost is the EffectSet op counter, which is compiled in for
+//  both cells here).  Comparing an IPSE_OBSERVE=OFF *build* against ON
 //  is a separate two-build experiment; this benchmark measures the
 //  scope-installed vs dormant gap inside one ON build, which is the cost a
 //  user pays for `--profile`.
@@ -28,7 +28,7 @@
 //  phase, so the E10 table can show where the wall time and bit-vector
 //  word operations actually go:
 //
-//   {"kind":"phase","engine":"parallel-k2","shape":"fortran-1000",
+//   {"kind":"phase","engine":"sequential","shape":"fortran-1000",
 //    "phase":"gmod","count":1,"wall_ns":180335,"bv_ops":52100}
 //
 //  Recorder rows — the flight recorder's own cost: the same engine back
@@ -44,10 +44,10 @@
 //  sequential/fortran-1000 cell: the recorder ships enabled by default
 //  in `serve`, so its overhead is a promise, not a tunable.
 //
-// Engines: the batch analyzer at K=1 ("sequential") and at K=2
-// ("parallel-k2"), driven through the ipse::Analyzer facade, like every
-// consumer.  (The demand engine's analyze() solves nothing up front, so
-// it has no pipeline to profile here.)
+// Engine: the batch analyzer ("sequential"), driven through the
+// ipse::Analyzer facade, like every consumer.  (The demand engine's
+// analyze() solves nothing up front, so it has no pipeline to profile
+// here.)
 //
 // Under IPSE_OBSERVE=OFF the overhead rows still print (both cells then
 // time the same dormant code) and the phase rows vanish.
@@ -61,7 +61,6 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <vector>
 
 using namespace ipse;
 
@@ -78,84 +77,64 @@ double timeOnceMs(const std::function<void()> &Fn) {
       .count();
 }
 
-struct EngineCell {
-  const char *Name;
-  ipse::AnalysisOptions Opts;
-};
-
-std::vector<EngineCell> engineCells() {
-  std::vector<EngineCell> Cells;
-  {
-    ipse::AnalysisOptions O;
-    O.Backend = ipse::AnalysisOptions::Engine::Sequential;
-    Cells.push_back({"sequential", O});
-  }
-  {
-    ipse::AnalysisOptions O;
-    O.Backend = ipse::AnalysisOptions::Engine::Sequential;
-    O.Threads = 2;
-    Cells.push_back({"parallel-k2", O});
-  }
-  return Cells;
-}
+/// The engine name every row carries (rows are keyed by it).
+constexpr const char *Engine = "sequential";
 
 void runShape(const char *Name, const ir::Program &P) {
-  for (const EngineCell &Cell : engineCells()) {
-    // The analyze() body is identical in both cells; only the installed
-    // scope differs.  MOD only — the overhead ratio is what matters, not
-    // the absolute pipeline width.
-    ipse::AnalysisOptions Off = Cell.Opts;
-    Off.TrackUse = false;
-    ipse::AnalysisOptions On = Off;
-    On.Profile = true;
-    const ipse::Analyzer AnOff(Off), AnOn(On);
+  // The analyze() body is identical in both cells; only the installed
+  // scope differs.  MOD only — the overhead ratio is what matters, not
+  // the absolute pipeline width.
+  ipse::AnalysisOptions Off;
+  Off.TrackUse = false;
+  ipse::AnalysisOptions On = Off;
+  On.Profile = true;
+  const ipse::Analyzer AnOff(Off), AnOn(On);
 
-    double OffMs = 0, OnMs = 0;
-    for (unsigned R = 0; R != Reps; ++R) {
-      double Ms = timeOnceMs([&] { (void)AnOff.analyze(P); });
-      if (R == 0 || Ms < OffMs)
-        OffMs = Ms;
-      Ms = timeOnceMs([&] { (void)AnOn.analyze(P); });
-      if (R == 0 || Ms < OnMs)
-        OnMs = Ms;
-    }
-    std::printf("{\"kind\":\"overhead\",\"engine\":\"%s\",\"shape\":\"%s\","
-                "\"procs\":%u,\"off_ms\":%.3f,\"on_ms\":%.3f,"
-                "\"overhead_pct\":%.1f,\"reps\":%u}\n",
-                Cell.Name, Name, (unsigned)P.numProcs(), OffMs, OnMs,
-                (OnMs - OffMs) / OffMs * 100.0, Reps);
-
-    // Recorder cells: same dormant-scope engine, flight recording off vs
-    // on.  Spans sit at phase granularity, so the delta is a handful of
-    // ring writes per run.
-    double RecOffMs = 0, RecOnMs = 0;
-    for (unsigned R = 0; R != Reps; ++R) {
-      observe::flight::setEnabled(false);
-      double Ms = timeOnceMs([&] { (void)AnOff.analyze(P); });
-      if (R == 0 || Ms < RecOffMs)
-        RecOffMs = Ms;
-      observe::flight::setEnabled(true);
-      Ms = timeOnceMs([&] { (void)AnOff.analyze(P); });
-      if (R == 0 || Ms < RecOnMs)
-        RecOnMs = Ms;
-    }
-    std::printf("{\"kind\":\"recorder\",\"engine\":\"%s\",\"shape\":\"%s\","
-                "\"procs\":%u,\"off_ms\":%.3f,\"on_ms\":%.3f,"
-                "\"recorder_overhead_pct\":%.1f,\"reps\":%u}\n",
-                Cell.Name, Name, (unsigned)P.numProcs(), RecOffMs, RecOnMs,
-                (RecOnMs - RecOffMs) / RecOffMs * 100.0, Reps);
-
-    // One profiled run for the phase breakdown.
-    ipse::Analysis A = AnOn.analyze(P);
-    for (const observe::PhaseCost &Ph : A.costs().phases())
-      std::printf("{\"kind\":\"phase\",\"engine\":\"%s\",\"shape\":\"%s\","
-                  "\"phase\":\"%s\",\"count\":%llu,\"wall_ns\":%llu,"
-                  "\"bv_ops\":%llu}\n",
-                  Cell.Name, Name, Ph.Name.c_str(),
-                  (unsigned long long)Ph.Count, (unsigned long long)Ph.WallNs,
-                  (unsigned long long)Ph.BitOps);
-    std::fflush(stdout);
+  double OffMs = 0, OnMs = 0;
+  for (unsigned R = 0; R != Reps; ++R) {
+    double Ms = timeOnceMs([&] { (void)AnOff.analyze(P); });
+    if (R == 0 || Ms < OffMs)
+      OffMs = Ms;
+    Ms = timeOnceMs([&] { (void)AnOn.analyze(P); });
+    if (R == 0 || Ms < OnMs)
+      OnMs = Ms;
   }
+  std::printf("{\"kind\":\"overhead\",\"engine\":\"%s\",\"shape\":\"%s\","
+              "\"procs\":%u,\"off_ms\":%.3f,\"on_ms\":%.3f,"
+              "\"overhead_pct\":%.1f,\"reps\":%u}\n",
+              Engine, Name, (unsigned)P.numProcs(), OffMs, OnMs,
+              (OnMs - OffMs) / OffMs * 100.0, Reps);
+
+  // Recorder cells: same dormant-scope engine, flight recording off vs
+  // on.  Spans sit at phase granularity, so the delta is a handful of
+  // ring writes per run.
+  double RecOffMs = 0, RecOnMs = 0;
+  for (unsigned R = 0; R != Reps; ++R) {
+    observe::flight::setEnabled(false);
+    double Ms = timeOnceMs([&] { (void)AnOff.analyze(P); });
+    if (R == 0 || Ms < RecOffMs)
+      RecOffMs = Ms;
+    observe::flight::setEnabled(true);
+    Ms = timeOnceMs([&] { (void)AnOff.analyze(P); });
+    if (R == 0 || Ms < RecOnMs)
+      RecOnMs = Ms;
+  }
+  std::printf("{\"kind\":\"recorder\",\"engine\":\"%s\",\"shape\":\"%s\","
+              "\"procs\":%u,\"off_ms\":%.3f,\"on_ms\":%.3f,"
+              "\"recorder_overhead_pct\":%.1f,\"reps\":%u}\n",
+              Engine, Name, (unsigned)P.numProcs(), RecOffMs, RecOnMs,
+              (RecOnMs - RecOffMs) / RecOffMs * 100.0, Reps);
+
+  // One profiled run for the phase breakdown.
+  ipse::Analysis A = AnOn.analyze(P);
+  for (const observe::PhaseCost &Ph : A.costs().phases())
+    std::printf("{\"kind\":\"phase\",\"engine\":\"%s\",\"shape\":\"%s\","
+                "\"phase\":\"%s\",\"count\":%llu,\"wall_ns\":%llu,"
+                "\"bv_ops\":%llu}\n",
+                Engine, Name, Ph.Name.c_str(),
+                (unsigned long long)Ph.Count, (unsigned long long)Ph.WallNs,
+                (unsigned long long)Ph.BitOps);
+  std::fflush(stdout);
 }
 
 } // namespace

@@ -43,14 +43,13 @@ void SetRenderer::append(std::string &Out, const EffectSet &Set) {
     Out.append(I == 0 ? "" : ", ").append(Names[Ranks[I]]);
 }
 
-std::string analysis::makeReport(const Program &P, ReportOptions Options,
-                                 unsigned Lanes) {
-  SideEffectAnalyzer Mod(P, AnalyzerOptions(), Lanes);
+std::string analysis::makeReport(const Program &P, ReportOptions Options) {
+  SideEffectAnalyzer Mod(P);
   std::unique_ptr<SideEffectAnalyzer> Use;
   if (Options.IncludeUse) {
     AnalyzerOptions UseOpts;
     UseOpts.Kind = EffectKind::Use;
-    Use = std::make_unique<SideEffectAnalyzer>(P, UseOpts, Lanes);
+    Use = std::make_unique<SideEffectAnalyzer>(P, UseOpts);
   }
   return renderReport(P, Options, Mod, Use.get());
 }

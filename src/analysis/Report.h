@@ -108,11 +108,8 @@ std::string renderReport(const ir::Program &P, ReportOptions Options,
 }
 
 /// Runs the pipeline(s) on \p P and renders the report via renderReport.
-/// \p Lanes is the analyzers' lane count; the text is the same at every
-/// value.
 std::string makeReport(const ir::Program &P,
-                       ReportOptions Options = ReportOptions(),
-                       unsigned Lanes = 1);
+                       ReportOptions Options = ReportOptions());
 
 } // namespace analysis
 } // namespace ipse

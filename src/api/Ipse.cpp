@@ -125,7 +125,7 @@ std::string renderForEngine(const AnalysisOptions &Opts, const ir::Program &P,
                             analysis::ReportOptions R) {
   observe::TraceSpan Span("report");
   if (Opts.Backend == AnalysisOptions::Engine::Sequential)
-    return analysis::makeReport(P, R, Opts.Threads);
+    return analysis::makeReport(P, R);
   demand::DemandOptions DO = Opts.demandView();
   DO.TrackUse = DO.TrackUse || R.IncludeUse;
   demand::DemandSession S(P, DO);
@@ -170,10 +170,10 @@ Analysis Analyzer::analyze(const ir::Program &P) const {
           std::make_unique<demand::DemandSession>(P, Opts.demandView());
     } else {
       Impl->SeqMod = std::make_unique<analysis::SideEffectAnalyzer>(
-          P, Opts.analyzerView(EffectKind::Mod), Opts.Threads);
+          P, Opts.analyzerView(EffectKind::Mod));
       if (Opts.TrackUse)
         Impl->SeqUse = std::make_unique<analysis::SideEffectAnalyzer>(
-            P, Opts.analyzerView(EffectKind::Use), Opts.Threads);
+            P, Opts.analyzerView(EffectKind::Use));
     }
   }
   return Analysis(std::move(Impl));

@@ -886,7 +886,7 @@ void DemandSession::solveBatch(std::span<KindState *const> Kinds) {
     analysis::LocalEffects Local(P, Masks, K->Kind);
     K->FormalBits = analysis::formalBits(P, Local);
     analysis::PassResults R = analysis::solvePasses(
-        P, CG, BG, Masks, Local, K->FormalBits, Kernel, /*Lanes=*/1);
+        P, CG, BG, Masks, Local, K->FormalBits, Kernel);
     K->Own = Local.takeOwn();
     K->Ext = Local.takeExtended();
     K->RModBits = std::move(R.RMod.ModifiedFormals);

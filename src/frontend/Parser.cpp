@@ -27,6 +27,14 @@ public:
   ParserImpl(std::string_view Source, DiagnosticEngine &Diags)
       : Lex(Source, Diags), Diags(Diags),
         LexErrorsBefore(Diags.all().size()) {
+    // Size the row tables once from the source length, so a large source
+    // neither copies them nor faults twice their pages while they grow.
+    // The densest generated sources measure about 8.2 bytes per
+    // expression row and 23 per statement row (random programs; chains,
+    // cycles and nesting run 30-130); a denser source just grows past the
+    // hint.  Untouched reserve is address space, not resident memory.
+    Ast.Exprs.reserve(Source.size() / 7);
+    Ast.Stmts.reserve(Source.size() / 20);
     Cur = Lex.next();
     Next = Lex.next();
   }

@@ -47,10 +47,9 @@ void reset();
 /// Samples ops::total() over a region: the count at construction is the
 /// baseline, delta() is the word operations performed since.  Under
 /// threads the sample is *exact* when both endpoints are quiescent points
-/// — no counted operation in flight — which a ThreadPool barrier
-/// guarantees: its completion handshake orders every worker's counted
-/// operations before the caller continues, so a scope opened before and
-/// read after a level-scheduled solve sees precisely that solve's words.
+/// — no counted operation in flight — such as before starting and after
+/// joining every thread that counts: the join orders their counted
+/// operations before the caller continues.
 /// Unlike ops::reset(), scopes nest and never disturb other measurers.
 class OpCountScope {
 public:

@@ -70,18 +70,24 @@ void StringInterner::rehash(std::size_t NumSlots) {
 
 SymbolId StringInterner::intern(std::string_view Text) {
   const std::uint32_t Hash = hashText(Text);
+  std::size_t At = 0;
   if (T && !T->Slots.empty()) {
-    const Slot &S = T->Slots[find(Text, Hash)];
-    if (S.Id != InvalidSymbol)
-      return S.Id;
+    At = find(Text, Hash);
+    if (T->Slots[At].Id != InvalidSymbol)
+      return T->Slots[At].Id;
   }
+  // A clone copies the slots as they are, so At still names the free slot
+  // the probe ended on; only a rehash moves the slots.
   own();
-  // Keep the load factor at most 1/2 after this insertion.
-  if (2 * (T->Texts.size() + 1) > T->Slots.size())
+  // Keep the load factor at most 1/2 after this insertion.  An empty
+  // table always takes this branch, so At is set before the store below.
+  if (2 * (T->Texts.size() + 1) > T->Slots.size()) {
     rehash(T->Slots.empty() ? 16 : 2 * T->Slots.size());
+    At = find(Text, Hash);
+  }
   const SymbolId Id = static_cast<SymbolId>(T->Texts.size());
   T->Texts.emplace_back(Text);
-  T->Slots[find(Text, Hash)] = Slot{Id, Hash};
+  T->Slots[At] = Slot{Id, Hash};
   return Id;
 }
 

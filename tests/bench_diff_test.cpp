@@ -80,11 +80,6 @@ struct BenchDir {
               "\n"
               R"({"kind":"phase","engine":"sequential","shape":"s","phase":"gmod","wall_ns":1000000,"bv_ops":5000})"
               "\n");
-    writeFile(Root / "seed" / "parallel.jsonl",
-              R"({"shape":"s","mode":"k4","threads":4,"wall_ms":8.5})"
-              "\n"
-              R"({"shape":"s","mode":"summary","speedup_k4":1.02})"
-              "\n");
     // Files outside the known schemas are skipped, not fatal.
     writeFile(Root / "seed" / "mystery.jsonl", R"({"x":1})"
                                                "\n");
@@ -132,8 +127,6 @@ TEST(BenchDiff, SeedsABaselineAndRerunsClean) {
   EXPECT_EQ(Obj->getDouble("incremental/small/call-churn/delta_us_per_edit"),
             20.0);
   EXPECT_EQ(Obj->getDouble("service/tiny/r2/qps"), 50000.0);
-  EXPECT_EQ(Obj->getDouble("parallel/s/k4/wall_ms"), 8.5);
-  EXPECT_EQ(Obj->getDouble("parallel/s/summary/speedup_k4"), 1.02);
   EXPECT_EQ(Obj->getDouble("observe/sequential/s/gmod/wall_ns"), 1000000.0);
   EXPECT_EQ(Obj->getDouble("observe/sequential/s/gmod/bv_ops"), 5000.0);
   // The overhead row carries no gateable identity and must not fold.
@@ -199,7 +192,9 @@ TEST(BenchDiff, FailsOnSyntheticRegression) {
             std::string::npos)
       << Out;
   // Untouched metrics stay quiet.
-  EXPECT_EQ(Out.find("REGRESSION: parallel"), std::string::npos) << Out;
+  EXPECT_EQ(Out.find("REGRESSION: observe/sequential/s/gmod/wall_ns"),
+            std::string::npos)
+      << Out;
 
   // --warn-only reports but exits 0.
   EXPECT_EQ(run(Cmd + " --warn-only", Out), 0) << Out;
@@ -211,26 +206,28 @@ TEST(BenchDiff, FailsOnSyntheticRegression) {
 }
 
 TEST(BenchDiff, HardGateFailsEvenWarnOnly) {
-  // speedup_k4 below the absolute floor trips the hard gate — with no
-  // baseline at all, and --warn-only / --threshold-scale must not open it.
+  // Recorder overhead above the absolute ceiling trips the hard gate —
+  // with no baseline at all, and --warn-only / --threshold-scale must not
+  // open it.
   BenchDir Dir("ipse_bench_diff_hard");
   std::string Out;
   fs::path Fresh = Dir.Root / "fresh";
   fs::create_directories(Fresh);
-  writeFile(Fresh / "parallel.jsonl",
-            R"({"shape":"s","mode":"summary","speedup_k4":0.5})"
+  writeFile(Fresh / "observe.jsonl",
+            R"({"kind":"recorder","engine":"sequential","shape":"fortran-1000","recorder_overhead_pct":9.0})"
             "\n");
   std::string Cmd = tool() + " --in " + Fresh.string();
   EXPECT_EQ(run(Cmd, Out), 1) << Out;
-  EXPECT_NE(Out.find("HARD GATE: parallel/s/summary/speedup_k4"),
+  EXPECT_NE(Out.find("HARD GATE: observe/sequential/fortran-1000/recorder/"
+                     "recorder_overhead_pct"),
             std::string::npos)
       << Out;
   EXPECT_EQ(run(Cmd + " --warn-only", Out), 1) << Out;
   EXPECT_EQ(run(Cmd + " --warn-only --threshold-scale 100", Out), 1) << Out;
 
-  // At the seed's healthy value the gate stays quiet.
-  writeFile(Fresh / "parallel.jsonl",
-            R"({"shape":"s","mode":"summary","speedup_k4":1.02})"
+  // At a healthy value the gate stays quiet.
+  writeFile(Fresh / "observe.jsonl",
+            R"({"kind":"recorder","engine":"sequential","shape":"fortran-1000","recorder_overhead_pct":1.4})"
             "\n");
   EXPECT_EQ(run(Cmd, Out), 0) << Out;
   EXPECT_EQ(Out.find("HARD GATE"), std::string::npos) << Out;

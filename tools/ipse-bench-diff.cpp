@@ -5,8 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Folds the JSON-lines benchmark outputs (bench_incremental, bench_parallel,
-// bench_observe, bench_service) into one canonical, sorted, diffable file —
+// Folds the JSON-lines benchmark outputs (bench_incremental, bench_observe,
+// bench_service, ...) into one canonical, sorted, diffable file —
 // BENCH_ipse.json at the repo root — and gates changes against the previous
 // fold:
 //
@@ -17,8 +17,6 @@
 // row's metrics are keyed by its identity fields, e.g.
 //
 //   incremental/small/effect-add/delta_us_per_edit
-//   parallel/fortran-2000/k4/wall_ms
-//   parallel/fortran-2000/summary/speedup_k4
 //   observe/sequential/fortran-1000/gmod/bv_ops
 //   service/fortran-500/r2/qps
 //
@@ -35,8 +33,8 @@
 //
 // A second tier — HardGates — checks absolute promises against the fresh
 // fold itself, with no baseline and no escape hatch: --warn-only and
-// --threshold-scale do not apply.  Today that is parallel/*/speedup_k4,
-// the batch analyzer's guarantee that K=4 never loses to K=1.
+// --threshold-scale do not apply.  Today that is the flight recorder's
+// overhead bound on observe/sequential/fortran-1000.
 //
 // Exit codes: 0 = no regression (or fresh baseline written), 1 = at least
 // one regression (suppressed by --warn-only), 2 = usage or I/O error.
@@ -100,14 +98,6 @@ std::string identIncremental(const JsonObject &Row) {
   return Shape.empty() || Mix.empty() ? "" : Shape + "/" + Mix;
 }
 
-std::string identParallel(const JsonObject &Row) {
-  // Rows are keyed by their "mode" ("seq", "k2".."k8", "summary"); the
-  // "threads" field stays in the JSONL for context but does not name
-  // rows.
-  std::string Shape = field(Row, "shape"), Mode = field(Row, "mode");
-  return Shape.empty() || Mode.empty() ? "" : Shape + "/" + Mode;
-}
-
 std::string identObserve(const JsonObject &Row) {
   std::string Kind = field(Row, "kind");
   std::string Engine = field(Row, "engine"), Shape = field(Row, "shape");
@@ -148,11 +138,6 @@ std::string identTenant(const JsonObject &Row) {
 const RowSpec Specs[] = {
     {"incremental", identIncremental,
      {{"delta_us_per_edit", false, 0.75, 5.0}}},
-    {"parallel", identParallel,
-     {{"wall_ms", false, 0.75, 0.5},
-      // The headline lane ratio: K=4 vs K=1.
-      // Gated both relatively (below) and absolutely (HardGates).
-      {"speedup_k4", true, 0.25, 0.1}}},
     // recorder_overhead_pct is percentage points near zero, so baseline-
     // relative drift is meaningless noise; the 3-point absolute floor
     // plus the hard gate below do the real gating.
@@ -190,28 +175,17 @@ const RowSpec Specs[] = {
 struct HardGate {
   const char *KeySuffix; ///< Matches keys ending in "/<KeySuffix>".
   const char *KeyPrefix; ///< ... that start with this prefix.
-  double Min;            ///< The fold fails if value < Min.
-  double Max;            ///< ... or value > Max.
+  double Max;            ///< The fold fails if value > Max.
   const char *Why;
 };
 
-// The lane contract: asking for K=4 must never lose to K=1.  The kernel
-// is chosen from the program alone, so both run the same kernel; lanes
-// only move wide levels onto a pool (and on a one-lane host nothing
-// moves, so the ratio sits at ~1.0).  0.85 leaves room for a sustained
-// interference burst skewing one run's median on a shared runner,
-// nothing more — a real scheduling regression (eager fan-out of narrow
-// levels, a lane-dependent kernel choice) measured 0.65-0.75 and lands
-// well below the floor.
 const HardGate HardGates[] = {
-    {"speedup_k4", "parallel/", 0.85, 1e300,
-     "the adaptive schedule must keep K=4 from losing to sequential"},
     // Only the sequential/fortran-1000 cell gates: it is the largest,
     // least jittery run, and the ring-write cost per span is the same
     // everywhere.  5% is generous — the recorder measures well under 1%
     // on that cell; a breach means a real regression (a hot record()
     // path, a lock, a cache-hostile ring layout), not noise.
-    {"recorder_overhead_pct", "observe/sequential/fortran-1000/", -1e300, 5.0,
+    {"recorder_overhead_pct", "observe/sequential/fortran-1000/", 5.0,
      "the always-on flight recorder must stay within 5% of recording "
      "disabled"},
 };
@@ -421,14 +395,8 @@ int main(int argc, char **argv) {
       if (Key.rfind(G.KeyPrefix, 0) != 0 || Key.size() < Suffix.size() ||
           Key.compare(Key.size() - Suffix.size(), Suffix.size(), Suffix) != 0)
         continue;
-      if (Cur < G.Min) {
-        std::fprintf(stderr,
-                     "HARD GATE: %s = %.6g < %.6g (%s)\n",
-                     Key.c_str(), Cur, G.Min, G.Why);
-        Exit = 1;
-      } else if (Cur > G.Max) {
-        std::fprintf(stderr,
-                     "HARD GATE: %s = %.6g > %.6g (%s)\n",
+      if (Cur > G.Max) {
+        std::fprintf(stderr, "HARD GATE: %s = %.6g > %.6g (%s)\n",
                      Key.c_str(), Cur, G.Max, G.Why);
         Exit = 1;
       }
