@@ -52,7 +52,7 @@ GModResult analysis::solveGModLevels(const ir::Program &P,
     ProcLevel[I] = P.proc(ir::ProcId(I)).Level;
 
   auto Kernel = [&](std::uint32_t C) {
-    const std::vector<NodeId> &Members = Sccs.Members[C];
+    std::span<const NodeId> Members = Sccs.members(C);
 
     // Init members from IMOD+ and fold cross edges: callee components
     // have lower ids, so they ran before this one and are final.

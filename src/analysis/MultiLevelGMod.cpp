@@ -64,7 +64,7 @@ analysis::solveMultiLevelRepeated(const ir::Program &P, const CallGraph &CG,
     EffectSet Empty(V);
     for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C) {
       EffectSet &S = Soln[C];
-      for (NodeId M : Sccs.Members[C]) {
+      for (NodeId M : Sccs.members(C)) {
         S.orWithIntersectMinus(IModPlus[M], Tracked, Empty);
         for (const Adjacency &A : Sub.succs(M)) {
           std::uint32_t SuccC = Sccs.SccOf[A.Dst];

@@ -41,7 +41,7 @@ RModResult analysis::solveRModOnBits(const ir::Program &P,
   std::vector<char> SccRMod(Sccs.numSccs(), 0);
   for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C) {
     char Value = 0;
-    for (graph::NodeId N : Sccs.Members[C]) {
+    for (graph::NodeId N : Sccs.members(C)) {
       ++Steps;
       Value |= FormalBits.test(BG.formal(N).index()) ? 1 : 0;
       for (const graph::Adjacency &A : G.succs(N)) {
@@ -64,7 +64,7 @@ RModResult analysis::solveRModOnBits(const ir::Program &P,
   for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C) {
     if (!SccRMod[C])
       continue;
-    for (graph::NodeId N : Sccs.Members[C]) {
+    for (graph::NodeId N : Sccs.members(C)) {
       ++Steps;
       Result.ModifiedFormals.set(BG.formal(N).index());
     }

@@ -141,7 +141,7 @@ analysis::solveGlobalSections(const GlobalSectionProblem &Problem) {
     bool Changed = true;
     while (Changed) {
       Changed = false;
-      for (NodeId M : Sccs.Members[C]) {
+      for (NodeId M : Sccs.members(C)) {
         for (const Adjacency &Adj : G.succs(M)) {
           const CallSite &Site = P.callSite(CG.callSite(Adj.Edge));
           for (VarId A : Arrays) {

@@ -143,7 +143,7 @@ solveSectionProblem(const SectionProblem<DomainT> &Problem) {
     while (Changed) {
       Changed = false;
       ++Rounds;
-      for (graph::NodeId M : Sccs.Members[C]) {
+      for (graph::NodeId M : Sccs.members(C)) {
         ir::VarId F = BG.formal(M);
         if (!Problem.isArray(F))
           continue;

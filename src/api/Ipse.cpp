@@ -105,22 +105,6 @@ std::string Analysis::setToString(const EffectSet &Set) const {
 
 namespace {
 
-/// One effect kind of a demand session, presented through the batch
-/// analyzers' query surface so analysis::renderReport treats both engines
-/// alike.  The report sweeps every procedure, so its first query already
-/// takes the batch path.
-class KindView {
-public:
-  KindView(demand::DemandSession &S, EffectKind Kind) : S(S), Kind(Kind) {}
-  const EffectSet &gmod(ir::ProcId Proc) const { return S.gmod(Proc, Kind); }
-  bool rmodContains(ir::VarId F) const { return S.rmodContains(F, Kind); }
-  EffectSet dmod(ir::CallSiteId C) const { return S.dmod(C, Kind); }
-
-private:
-  demand::DemandSession &S;
-  EffectKind Kind;
-};
-
 std::string renderForEngine(const AnalysisOptions &Opts, const ir::Program &P,
                             analysis::ReportOptions R) {
   observe::TraceSpan Span("report");
@@ -129,8 +113,8 @@ std::string renderForEngine(const AnalysisOptions &Opts, const ir::Program &P,
   demand::DemandOptions DO = Opts.demandView();
   DO.TrackUse = DO.TrackUse || R.IncludeUse;
   demand::DemandSession S(P, DO);
-  KindView Mod(S, EffectKind::Mod);
-  KindView Use(S, EffectKind::Use);
+  demand::KindView Mod(S, EffectKind::Mod);
+  demand::KindView Use(S, EffectKind::Use);
   return analysis::renderReport(P, R, Mod, R.IncludeUse ? &Use : nullptr);
 }
 

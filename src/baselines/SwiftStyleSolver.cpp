@@ -31,7 +31,7 @@ std::uint64_t eliminate(const ir::Program &P, const CallGraph &CG,
     bool Changed = true;
     while (Changed) {
       Changed = false;
-      for (NodeId M : Sccs.Members[C]) {
+      for (NodeId M : Sccs.members(C)) {
         for (const Adjacency &A : G.succs(M)) {
           ++Steps;
           Changed |= ApplyEdge(CG.callSite(A.Edge), X[M], X);
@@ -39,7 +39,7 @@ std::uint64_t eliminate(const ir::Program &P, const CallGraph &CG,
       }
       // Acyclic components stabilize after one sweep; components with
       // cycles iterate until their members' sets stop growing.
-      if (Sccs.Members[C].size() == 1 && !Changed)
+      if (Sccs.members(C).size() == 1 && !Changed)
         break;
     }
     (void)P;

@@ -684,7 +684,7 @@ void DemandSession::resolveGMod(KindState &K,
     std::uint32_t C = Queue.top();
     Queue.pop();
     ++Stats.ComponentsRecomputed;
-    const std::vector<graph::NodeId> &Members = Cond.members(C);
+    std::span<const graph::NodeId> Members = Cond.members(C);
     solveComponentGMod(K, Members, MemberVals);
     // Early termination: only members whose value actually changed dirty
     // their callers (the call edges among their reverse dependencies).
@@ -936,7 +936,7 @@ void DemandSession::solveRegionRMod(KindState &K,
   std::vector<char> SccVal(Sccs.numSccs(), 0);
   for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C) {
     char Value = 0;
-    for (graph::NodeId M : Sccs.Members[C]) {
+    for (graph::NodeId M : Sccs.members(C)) {
       Value |= Init[M];
       for (const graph::Adjacency &Adj : Sub.succs(M))
         Value |= SccVal[Sccs.SccOf[Adj.Dst]];
@@ -972,9 +972,9 @@ void DemandSession::solveRegionGMod(KindState &K,
   // earlier components are installed before their callers read them.
   graph::SccDecomposition Sccs = graph::computeSccs(Sub);
   std::vector<std::uint32_t> Procs;
-  for (const std::vector<graph::NodeId> &Members : Sccs.Members) {
+  for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C) {
     Procs.clear();
-    for (graph::NodeId Slot : Members)
+    for (graph::NodeId Slot : Sccs.members(C))
       Procs.push_back(Region[Slot]);
     solveComponentGMod(K, Procs, MemberVals);
     for (std::uint32_t J = 0; J != Procs.size(); ++J)

@@ -455,6 +455,22 @@ private:
 /// EditGen, resolved script commands) drive the engine through.
 void applyEdit(DemandSession &Session, const incremental::Edit &E);
 
+/// One effect kind of a session behind the batch analyzers' const query
+/// surface — gmod and rmodContains, all analysis::renderReport needs — so
+/// a report renders through the same code on either engine.  The report
+/// sweeps every procedure, so its first query already takes the batch
+/// path.
+class KindView {
+public:
+  KindView(DemandSession &S, analysis::EffectKind Kind) : S(S), Kind(Kind) {}
+  const EffectSet &gmod(ir::ProcId Proc) const { return S.gmod(Proc, Kind); }
+  bool rmodContains(ir::VarId F) const { return S.rmodContains(F, Kind); }
+
+private:
+  DemandSession &S;
+  analysis::EffectKind Kind;
+};
+
 } // namespace demand
 } // namespace ipse
 

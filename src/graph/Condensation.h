@@ -49,9 +49,9 @@ public:
   }
 
   /// Member nodes of a component.
-  const std::vector<NodeId> &members(std::uint32_t Comp) const {
+  std::span<const NodeId> members(std::uint32_t Comp) const {
     assert(Comp < Sccs.numSccs() && "component out of range");
-    return Sccs.Members[Comp];
+    return Sccs.members(Comp);
   }
 
   /// The underlying decomposition (for clients of the batch interface).

@@ -24,6 +24,8 @@ SccDecomposition graph::computeSccs(const Digraph &G) {
 
   SccDecomposition Result;
   Result.SccOf.assign(N, 0);
+  Result.Members.reserve(N);
+  Result.Offsets.reserve(N + 1);
 
   // Explicit DFS stack; AdjPos is the index of the next successor to visit.
   struct Frame {
@@ -60,16 +62,17 @@ SccDecomposition graph::computeSccs(const Digraph &G) {
       // All successors of V explored: maybe close a component, then
       // propagate the lowlink to the parent.
       if (LowLink[V] == Dfn[V]) {
-        std::vector<NodeId> Members;
+        const auto Id = static_cast<std::uint32_t>(Result.numSccs());
         NodeId U;
         do {
           U = SccStack.back();
           SccStack.pop_back();
           OnStack[U] = false;
-          Result.SccOf[U] = static_cast<std::uint32_t>(Result.Members.size());
-          Members.push_back(U);
+          Result.SccOf[U] = Id;
+          Result.Members.push_back(U);
         } while (U != V);
-        Result.Members.push_back(std::move(Members));
+        Result.Offsets.push_back(
+            static_cast<std::uint32_t>(Result.Members.size()));
       }
       DfsStack.pop_back();
       if (!DfsStack.empty()) {

@@ -17,6 +17,7 @@
 
 #include "graph/Digraph.h"
 
+#include <span>
 #include <vector>
 
 namespace ipse {
@@ -32,10 +33,17 @@ namespace graph {
 struct SccDecomposition {
   /// Component id per node.
   std::vector<std::uint32_t> SccOf;
-  /// Member nodes per component, grouped.
-  std::vector<std::vector<NodeId>> Members;
+  /// Member nodes, grouped by component in id order: component C is
+  /// Members[Offsets[C], Offsets[C+1]).
+  std::vector<NodeId> Members;
+  std::vector<std::uint32_t> Offsets{0};
 
-  std::size_t numSccs() const { return Members.size(); }
+  std::size_t numSccs() const { return Offsets.size() - 1; }
+
+  /// Member nodes of component \p C.
+  std::span<const NodeId> members(std::uint32_t C) const {
+    return {Members.data() + Offsets[C], Members.data() + Offsets[C + 1]};
+  }
 };
 
 /// Computes the SCC decomposition of \p G in O(N + E).

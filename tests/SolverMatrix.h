@@ -153,7 +153,7 @@ inline const std::vector<SolverEngine> &allSolverEngines() {
                    graph::CallGraph CG(P);
                    graph::SccDecomposition Sccs = graph::computeSccs(CG.graph());
                    for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C)
-                     for (graph::NodeId N : Sccs.Members[C])
+                     for (graph::NodeId N : Sccs.members(C))
                        (void)S.gmod(ir::ProcId(N), K);
                    return S.gmodResult(K);
                  }});

@@ -100,7 +100,7 @@ TEST(Tarjan, SingleCycle) {
   G.finalize();
   SccDecomposition S = computeSccs(G);
   EXPECT_EQ(S.numSccs(), 1u);
-  EXPECT_EQ(S.Members[0].size(), 3u);
+  EXPECT_EQ(S.members(0).size(), 3u);
 }
 
 TEST(Tarjan, TwoComponentsAndBridge) {

@@ -528,7 +528,7 @@ std::vector<EffectSet> solvedByRegions(const Program &P, EffectKind Kind) {
   graph::CallGraph CG(P);
   graph::SccDecomposition Sccs = graph::computeSccs(CG.graph());
   for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C)
-    for (graph::NodeId N : Sccs.Members[C])
+    for (graph::NodeId N : Sccs.members(C))
       (void)S.gmod(ProcId(N), Kind);
   EXPECT_EQ(S.stats().BatchSolves, 0u);
   std::vector<EffectSet> Out;

@@ -223,7 +223,8 @@ TEST_P(RandomPrograms, SccMembersShareGlobalGMod) {
       graph::computeSccs(An.callGraph().graph());
   const EffectSet &Global = An.masks().global();
 
-  for (const std::vector<graph::NodeId> &Members : Sccs.Members) {
+  for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C) {
+    std::span<const graph::NodeId> Members = Sccs.members(C);
     if (Members.size() < 2)
       continue;
     EffectSet First = An.gmod(ProcId(Members[0]));
@@ -246,7 +247,8 @@ TEST_P(RandomPrograms, BindingSccMembersShareRMod) {
   RModResult R = solveRMod(P, BG, Local);
 
   graph::SccDecomposition Sccs = graph::computeSccs(BG.graph());
-  for (const std::vector<graph::NodeId> &Members : Sccs.Members) {
+  for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C) {
+    std::span<const graph::NodeId> Members = Sccs.members(C);
     if (Members.size() < 2)
       continue;
     bool First = R.contains(BG.formal(Members[0]));

@@ -59,7 +59,7 @@ struct RandomSectionProblem {
     std::vector<unsigned> SccRank(Sccs.numSccs(), 1);
     for (std::uint32_t C = 0; C != Sccs.numSccs(); ++C) {
       unsigned MinRank = 1;
-      for (graph::NodeId M : Sccs.Members[C])
+      for (graph::NodeId M : Sccs.members(C))
         for (const graph::Adjacency &A : G.succs(M))
           if (Sccs.SccOf[A.Dst] != C)
             MinRank = std::max(MinRank, SccRank[Sccs.SccOf[A.Dst]] == 2

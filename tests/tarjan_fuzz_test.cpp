@@ -78,8 +78,8 @@ TEST_P(TarjanFuzz, MatchesMutualReachability) {
     // Members lists partition the nodes.
     std::size_t Total = 0;
     for (std::uint32_t C = 0; C != S.numSccs(); ++C) {
-      Total += S.Members[C].size();
-      for (NodeId M : S.Members[C])
+      Total += S.members(C).size();
+      for (NodeId M : S.members(C))
         EXPECT_EQ(S.SccOf[M], C);
     }
     EXPECT_EQ(Total, N);

@@ -954,24 +954,6 @@ int cmdSave(const std::vector<std::string> &Args) {
   return 0;
 }
 
-/// One effect kind of a session behind the batch analyzers' const query
-/// surface, so `load --report` renders through analysis::renderReport.
-class LoadedKindView {
-public:
-  LoadedKindView(demand::DemandSession &S, analysis::EffectKind Kind)
-      : S(S), Kind(Kind) {}
-  const EffectSet &gmod(ProcId Proc) const { return S.gmod(Proc, Kind); }
-  bool rmodContains(VarId F) const { return S.rmodContains(F, Kind); }
-  EffectSet dmod(CallSiteId C) const { return S.dmod(C, Kind); }
-  std::string setToString(const EffectSet &Set) const {
-    return S.setToString(Set);
-  }
-
-private:
-  demand::DemandSession &S;
-  analysis::EffectKind Kind;
-};
-
 int cmdLoad(const std::vector<std::string> &Args) {
   bool Report = false;
   std::string Path;
@@ -1006,8 +988,8 @@ int cmdLoad(const std::vector<std::string> &Args) {
   if (Report) {
     analysis::ReportOptions R;
     R.IncludeUse = Data.TrackUse;
-    LoadedKindView Mod(S, analysis::EffectKind::Mod);
-    LoadedKindView Use(S, analysis::EffectKind::Use);
+    demand::KindView Mod(S, analysis::EffectKind::Mod);
+    demand::KindView Use(S, analysis::EffectKind::Use);
     std::fputs(analysis::renderReport(P, R, Mod,
                                       Data.TrackUse ? &Use : nullptr)
                    .c_str(),
