@@ -15,6 +15,7 @@
 #include "analysis/AliasEstimator.h"
 #include "analysis/DMod.h"
 #include "analysis/SideEffectAnalyzer.h"
+#include "api/Ipse.h"
 #include "ir/AliasInfo.h"
 #include "synth/ProgramGen.h"
 
@@ -51,17 +52,15 @@ void BM_FullPipeline(benchmark::State &State) {
 }
 BENCHMARK(BM_FullPipeline)->RangeMultiplier(2)->Range(32, 4096)->Complexity();
 
-/// The MOD and USE problems back to back (a client wanting both).
+/// The MOD and USE problems together, through the facade a client calls:
+/// one ProgramShape, then each kind's passes.
 void BM_ModAndUse(benchmark::State &State) {
   ir::Program P = sizedProgram(static_cast<unsigned>(State.range(0)));
+  const Analyzer An;
   for (auto _ : State) {
-    analysis::AnalyzerOptions ModOpts;
-    analysis::SideEffectAnalyzer Mod(P, ModOpts);
-    analysis::AnalyzerOptions UseOpts;
-    UseOpts.Kind = analysis::EffectKind::Use;
-    analysis::SideEffectAnalyzer Use(P, UseOpts);
-    benchmark::DoNotOptimize(Mod.gmod(P.main()));
-    benchmark::DoNotOptimize(Use.gmod(P.main()));
+    Analysis A = An.analyze(P);
+    benchmark::DoNotOptimize(A.gmod(P.main()));
+    benchmark::DoNotOptimize(A.guse(P.main()));
   }
   State.SetComplexityN(State.range(0));
 }

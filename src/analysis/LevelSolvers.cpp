@@ -7,19 +7,18 @@
 
 #include "analysis/LevelSolvers.h"
 
-#include "graph/Tarjan.h"
-
 using namespace ipse;
 using namespace ipse::analysis;
 using namespace ipse::graph;
 
 GModResult analysis::solveGModLevels(const ir::Program &P,
                                      const graph::CallGraph &CG,
+                                     const SccDecomposition &Sccs,
                                      const VarMasks &Masks,
                                      const std::vector<EffectSet> &IModPlus) {
   const unsigned DP = P.maxProcLevel();
   const Digraph &G = CG.graph();
-  SccDecomposition Sccs = computeSccs(G);
+  assert(Sccs.SccOf.size() == G.numNodes() && "SCCs of another graph");
 
   const std::size_t V = P.numVars();
 

@@ -31,6 +31,7 @@
 #include "analysis/GMod.h"
 #include "analysis/VarMasks.h"
 #include "graph/CallGraph.h"
+#include "graph/Tarjan.h"
 #include "ir/Program.h"
 #include "support/EffectSet.h"
 
@@ -52,10 +53,11 @@ inline bool isWideLevel(std::size_t Width, std::size_t WordsPerTask) {
   return Width >= MinWideTasks && Width * WordsPerTask >= MinWideWords;
 }
 
-/// Equation (4) with the multi-level filter, by component.  Handles any
-/// nesting depth (degenerates to the Figure 2 filter when dP <= 1) and
-/// produces the same fixed point as solveGMod / solveMultiLevelCombined.
+/// Equation (4) with the multi-level filter, by component of \p Sccs, the
+/// SCCs of \p CG.  Handles any nesting depth (the Figure 2 filter when dP
+/// <= 1); the same fixed point as solveGMod / solveMultiLevelCombined.
 GModResult solveGModLevels(const ir::Program &P, const graph::CallGraph &CG,
+                           const graph::SccDecomposition &Sccs,
                            const VarMasks &Masks,
                            const std::vector<EffectSet> &IModPlus);
 

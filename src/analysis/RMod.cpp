@@ -7,13 +7,12 @@
 
 #include "analysis/RMod.h"
 
-#include "graph/Tarjan.h"
-
 using namespace ipse;
 using namespace ipse::analysis;
 
 RModResult analysis::solveRModOnBits(const ir::Program &P,
                                      const graph::BindingGraph &BG,
+                                     const graph::SccDecomposition &Sccs,
                                      const EffectSet &FormalBits) {
   assert(FormalBits.size() == P.numVars() && "formal bits over wrong universe");
   RModResult Result;
@@ -30,9 +29,7 @@ RModResult analysis::solveRModOnBits(const ir::Program &P,
     }
 
   const graph::Digraph &G = BG.graph();
-
-  // Step (1): SCCs of β.
-  graph::SccDecomposition Sccs = graph::computeSccs(G);
+  assert(Sccs.SccOf.size() == G.numNodes() && "SCCs of another graph");
 
   // Steps (2)+(3) fused: SCC ids are in reverse topological order, so a
   // single sweep in increasing id sees every successor component first.
@@ -87,5 +84,6 @@ EffectSet analysis::formalBits(const ir::Program &P,
 RModResult analysis::solveRMod(const ir::Program &P,
                                const graph::BindingGraph &BG,
                                const LocalEffects &Local) {
-  return solveRModOnBits(P, BG, formalBits(P, Local));
+  return solveRModOnBits(P, BG, graph::computeSccs(BG.graph()),
+                         formalBits(P, Local));
 }

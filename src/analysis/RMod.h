@@ -29,6 +29,7 @@
 
 #include "analysis/LocalEffects.h"
 #include "graph/BindingGraph.h"
+#include "graph/Tarjan.h"
 #include "ir/Program.h"
 #include "support/EffectSet.h"
 
@@ -58,11 +59,12 @@ EffectSet formalBits(const ir::Program &P, const LocalEffects &Local);
 RModResult solveRMod(const ir::Program &P, const graph::BindingGraph &BG,
                      const LocalEffects &Local);
 
-/// Re-propagation entry point for the incremental engine: runs Figure 1
-/// with explicit per-formal IMOD node values instead of a LocalEffects
-/// object.  \p FormalBits has one bit per VarId index; only formal indices
-/// are consulted.  solveRMod() is this with bits drawn from \p Local.
+/// Runs Figure 1 over \p Sccs, the SCCs of \p BG (step (1)), with explicit
+/// per-formal IMOD node values.  \p FormalBits has one bit per VarId index;
+/// only formal indices are consulted.  solveRMod() is this with the SCCs
+/// computed there and bits drawn from \p Local.
 RModResult solveRModOnBits(const ir::Program &P, const graph::BindingGraph &BG,
+                           const graph::SccDecomposition &Sccs,
                            const EffectSet &FormalBits);
 
 } // namespace analysis

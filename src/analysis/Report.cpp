@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <memory>
 
 using namespace ipse;
 using namespace ipse::analysis;
@@ -173,12 +172,6 @@ void SetRenderer::appendLine(std::string &Out, std::string_view Head,
 }
 
 std::string analysis::makeReport(const Program &P, ReportOptions Options) {
-  SideEffectAnalyzer Mod(P);
-  std::unique_ptr<SideEffectAnalyzer> Use;
-  if (Options.IncludeUse) {
-    AnalyzerOptions UseOpts;
-    UseOpts.Kind = EffectKind::Use;
-    Use = std::make_unique<SideEffectAnalyzer>(P, UseOpts);
-  }
-  return renderReport(P, Options, Mod, Use.get());
+  BatchAnalysis A(P, Options.IncludeUse);
+  return renderReport(P, Options, A.Mod, A.Use ? &*A.Use : nullptr);
 }

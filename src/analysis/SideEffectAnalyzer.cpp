@@ -15,31 +15,37 @@
 using namespace ipse;
 using namespace ipse::analysis;
 
-PassKernel analysis::chooseKernel(const ir::Program &P,
-                                  const graph::CallGraph &CG) {
+static PassKernel chooseKernel(const ir::Program &P,
+                               const graph::CallGraph &CG,
+                               const graph::SccDecomposition &CallSccs) {
   // A GMOD task streams one effect universe; no level can be wide unless
   // the whole program could fill one.
   const std::size_t Words = EffectSet(P.numVars()).wordCount();
   if (!isWideLevel(P.numProcs(), Words))
     return PassKernel::Reference;
-  for (std::uint32_t Width : graph::levelWidths(CG.graph()))
+  for (std::uint32_t Width : graph::levelWidths(CG.graph(), CallSccs))
     if (isWideLevel(Width, Words))
       return PassKernel::Condensation;
   return PassKernel::Reference;
 }
 
-PassResults analysis::solvePasses(const ir::Program &P,
-                                  const graph::CallGraph &CG,
-                                  const graph::BindingGraph &BG,
-                                  const VarMasks &Masks,
+ProgramShape::ProgramShape(const ir::Program &P)
+    : P(P), Masks(P), CG(P), BG(P), CallSccs(graph::computeSccs(CG.graph())),
+      BindingSccs(graph::computeSccs(BG.graph())),
+      Kernel(chooseKernel(P, CG, CallSccs)) {
+  GraphsSpan.close();
+}
+
+PassResults analysis::solvePasses(const ProgramShape &Shape,
                                   const LocalEffects &Local,
                                   const EffectSet &FormalBits,
                                   PassKernel Kernel,
                                   AnalyzerOptions::GModAlgorithm Algorithm) {
+  const ir::Program &P = Shape.P;
   PassResults R;
   {
     observe::TraceSpan Span("rmod");
-    R.RMod = solveRModOnBits(P, BG, FormalBits);
+    R.RMod = solveRModOnBits(P, Shape.BG, Shape.BindingSccs, FormalBits);
     observe::addCounter("rmod.boolean_steps", R.RMod.BooleanSteps);
   }
   {
@@ -49,7 +55,8 @@ PassResults analysis::solvePasses(const ir::Program &P,
 
   observe::TraceSpan Span("gmod");
   if (Kernel == PassKernel::Condensation) {
-    R.GMod = solveGModLevels(P, CG, Masks, R.IModPlus);
+    R.GMod = solveGModLevels(P, Shape.CG, Shape.CallSccs, Shape.Masks,
+                             R.IModPlus);
     return R;
   }
 
@@ -59,13 +66,13 @@ PassResults analysis::solvePasses(const ir::Program &P,
         P.maxProcLevel() <= 1 ? Algo::FindGMod : Algo::MultiLevelCombined;
   switch (Algorithm) {
   case Algo::FindGMod:
-    R.GMod = solveGMod(P, CG, Masks, R.IModPlus);
+    R.GMod = solveGMod(P, Shape.CG, Shape.Masks, R.IModPlus);
     break;
   case Algo::MultiLevelRepeated:
-    R.GMod = solveMultiLevelRepeated(P, CG, Masks, R.IModPlus);
+    R.GMod = solveMultiLevelRepeated(P, Shape.CG, Shape.Masks, R.IModPlus);
     break;
   case Algo::MultiLevelCombined:
-    R.GMod = solveMultiLevelCombined(P, CG, Masks, R.IModPlus);
+    R.GMod = solveMultiLevelCombined(P, Shape.CG, Shape.Masks, R.IModPlus);
     break;
   case Algo::Auto:
     unreachable("Auto was resolved above");
@@ -75,18 +82,32 @@ PassResults analysis::solvePasses(const ir::Program &P,
 
 SideEffectAnalyzer::SideEffectAnalyzer(const ir::Program &P,
                                        AnalyzerOptions Options)
-    : P(P), Options(Options), Masks(P), CG(P), BG(P) {
-  GraphsSpan.close();
+    : OwnShape(std::make_unique<ProgramShape>(P)), Shape(*OwnShape),
+      Options(Options) {
+  solve();
+}
+
+SideEffectAnalyzer::SideEffectAnalyzer(const ProgramShape &Shape,
+                                       AnalyzerOptions Options)
+    : Shape(Shape), Options(Options) {
+  solve();
+}
+
+void SideEffectAnalyzer::solve() {
   {
     observe::TraceSpan Span("local");
-    Local = std::make_unique<LocalEffects>(P, Masks, Options.Kind);
+    Local = std::make_unique<LocalEffects>(Shape.P, Shape.Masks, Options.Kind);
   }
   Kernel = Options.Algorithm == AnalyzerOptions::GModAlgorithm::Auto
-               ? chooseKernel(P, CG)
+               ? Shape.Kernel
                : PassKernel::Reference;
-  PassResults R = solvePasses(P, CG, BG, Masks, *Local, formalBits(P, *Local),
-                              Kernel, Options.Algorithm);
-  RMod = std::move(R.RMod);
-  IModPlus = std::move(R.IModPlus);
-  GMod = std::move(R.GMod);
+  Passes = solvePasses(Shape, *Local, formalBits(Shape.P, *Local), Kernel,
+                       Options.Algorithm);
+}
+
+BatchAnalysis::BatchAnalysis(const ir::Program &P, bool WithUse,
+                             AnalyzerOptions::GModAlgorithm Algorithm)
+    : Shape(P), Mod(Shape, {EffectKind::Mod, Algorithm}) {
+  if (WithUse)
+    Use.emplace(Shape, AnalyzerOptions{EffectKind::Use, Algorithm});
 }

@@ -15,17 +15,15 @@
 ///
 /// and answers queries.  In the absence of aliasing the whole computation
 /// is O(N (E + N)) as §5 states; with alias pairs supplied, MOD queries add
-/// time linear in the pair counts.  The same pipeline solves USE when
-/// constructed with EffectKind::Use.
+/// time linear in the pair counts.  USE mirrors every step.
 ///
-/// The RMOD, IMOD+ and GMOD passes run through one dispatch (solvePasses),
-/// shared with the demand engine's batch ceiling, on the calling thread.
-/// It picks the GMOD kernel from the program alone (chooseKernel): the
-/// condensation kernel (analysis/LevelSolvers.h) when some call-graph
-/// condensation level is wide, the reference solvers otherwise.  On a
-/// wide program the per-component GMOD kernel beats findgmod; on a deep
-/// or narrow one it loses, since the per-component bookkeeping then buys
-/// nothing.
+/// Built once per program (ProgramShape): the masks, the call graph C, β,
+/// the SCCs of both and the GMOD kernel.  Built per kind: LocalEffects,
+/// then RMOD, IMOD+ and GMOD through one dispatch (solvePasses) on the
+/// calling thread.  BatchAnalysis solves both kinds over one shape.  The
+/// kernel is the condensation kernel (analysis/LevelSolvers.h) when some
+/// level of C's condensation is wide, the reference solvers otherwise: on
+/// a deep or narrow program its per-component bookkeeping buys nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +39,7 @@
 #include "analysis/VarMasks.h"
 #include "graph/BindingGraph.h"
 #include "graph/CallGraph.h"
+#include "graph/Tarjan.h"
 #include "ir/AliasInfo.h"
 #include "ir/Printer.h"
 #include "ir/Program.h"
@@ -48,6 +47,7 @@
 #include "support/EffectSet.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,10 +74,25 @@ enum class PassKernel {
   Condensation ///< solveGModLevels.
 };
 
-/// The kernel for \p P, from the program alone: Condensation when some
-/// level of \p CG's condensation is wide (isWideLevel, one effect universe
-/// of words per component), Reference otherwise.  O(N + E).
-PassKernel chooseKernel(const ir::Program &P, const graph::CallGraph &CG);
+/// What the passes read that depends on the program alone, not on the
+/// effect kind, built under the "graphs" span.  The program must outlive it.
+class ProgramShape {
+  observe::ManualSpan GraphsSpan{"graphs"}; ///< First: spans the members.
+
+public:
+  explicit ProgramShape(const ir::Program &P);
+
+  const ir::Program &P;
+  const VarMasks Masks;
+  const graph::CallGraph CG;
+  const graph::BindingGraph BG;
+  /// The SCCs of C and of β (Figure 1, step (1)), in reverse topological
+  /// order (graph/Tarjan.h).
+  const graph::SccDecomposition CallSccs, BindingSccs;
+  /// Condensation iff some level of C's condensation is wide (isWideLevel,
+  /// one effect universe of words per component).
+  const PassKernel Kernel;
+};
 
 /// RMOD, IMOD+ and GMOD of one effect kind.
 struct PassResults {
@@ -86,28 +101,30 @@ struct PassResults {
   GModResult GMod;
 };
 
-/// The one dispatch for the paper's three passes, each under its span
-/// ("rmod", "imodplus", "gmod"): solveRModOnBits, computeIModPlus, then
-/// the GMOD kernel \p Kernel.  \p FormalBits is the IMOD bit of every
-/// formal (formalBits(P, Local)).  The Reference kernel runs \p Algorithm
-/// (Auto: findgmod for two-level programs, the combined §4 algorithm
-/// otherwise).
-PassResults solvePasses(const ir::Program &P, const graph::CallGraph &CG,
-                        const graph::BindingGraph &BG, const VarMasks &Masks,
-                        const LocalEffects &Local, const EffectSet &FormalBits,
-                        PassKernel Kernel,
+/// The one dispatch for the paper's three passes over \p Shape, each under
+/// its span ("rmod", "imodplus", "gmod"): solveRModOnBits, computeIModPlus,
+/// then the GMOD kernel \p Kernel.  \p FormalBits is the IMOD bit of
+/// every formal (formalBits(P, Local)).  The Reference kernel runs
+/// \p Algorithm (Auto: findgmod for two-level programs, the combined §4
+/// algorithm otherwise).
+PassResults solvePasses(const ProgramShape &Shape, const LocalEffects &Local,
+                        const EffectSet &FormalBits, PassKernel Kernel,
                         AnalyzerOptions::GModAlgorithm Algorithm =
                             AnalyzerOptions::GModAlgorithm::Auto);
 
-/// Runs the pipeline at construction; every query afterwards is cheap.
-/// The analyzed Program must outlive the analyzer.
+/// Runs one kind's passes at construction; every query afterwards is
+/// cheap.  The analyzed Program must outlive the analyzer.  Naming a GMOD
+/// algorithm in the options pins the reference kernel.
 class SideEffectAnalyzer {
 public:
-  /// Naming a GMOD algorithm in \p Options pins the reference kernel.
+  /// Over a ProgramShape of its own.
   explicit SideEffectAnalyzer(const ir::Program &P,
                               AnalyzerOptions Options = AnalyzerOptions());
+  /// Over \p Shape, which must outlive the analyzer.
+  explicit SideEffectAnalyzer(const ProgramShape &Shape,
+                              AnalyzerOptions Options = AnalyzerOptions());
 
-  const ir::Program &program() const { return P; }
+  const ir::Program &program() const { return Shape.P; }
   EffectKind kind() const { return Options.Kind; }
 
   /// The kernel the passes ran on.
@@ -115,14 +132,14 @@ public:
 
   /// GMOD(p) (or GUSE(p)): every variable an invocation of p may modify
   /// (use).
-  const EffectSet &gmod(ir::ProcId Proc) const { return GMod.of(Proc); }
+  const EffectSet &gmod(ir::ProcId Proc) const { return Passes.GMod.of(Proc); }
 
   /// True iff formal \p F is in RMOD of its owner.
-  bool rmodContains(ir::VarId F) const { return RMod.contains(F); }
+  bool rmodContains(ir::VarId F) const { return Passes.RMod.contains(F); }
 
   /// IMOD+(p) (equation 5).
   const EffectSet &imodPlus(ir::ProcId Proc) const {
-    return IModPlus[Proc.index()];
+    return Passes.IModPlus[Proc.index()];
   }
 
   /// The nesting-extended IMOD(p).
@@ -131,45 +148,59 @@ public:
   }
 
   /// DMOD(s) (equation 2).
-  EffectSet dmod(ir::StmtId S) const { return dmodOfStmt(P, Masks, GMod, S); }
+  EffectSet dmod(ir::StmtId S) const {
+    return dmodOfStmt(Shape.P, Shape.Masks, Passes.GMod, S);
+  }
 
   /// be(GMOD(q)) for one call site.
   EffectSet dmod(ir::CallSiteId C) const {
-    return projectCallSite(P, Masks, GMod, C);
+    return projectCallSite(Shape.P, Shape.Masks, Passes.GMod, C);
   }
 
   /// MOD(s) under the given alias pairs (§5).
   EffectSet mod(ir::StmtId S, const ir::AliasInfo &Aliases) const {
-    return modOfStmt(P, Masks, GMod, Aliases, S);
+    return modOfStmt(Shape.P, Shape.Masks, Passes.GMod, Aliases, S);
   }
 
   /// Renders a variable set as sorted "a, p.b, ..." text (for examples and
   /// debugging).
   std::string setToString(const EffectSet &Set) const {
-    return ir::setToString(P, Set);
+    return ir::setToString(Shape.P, Set);
   }
 
   /// Shared building blocks, exposed for tests and benchmarks.
-  const VarMasks &masks() const { return Masks; }
-  const graph::CallGraph &callGraph() const { return CG; }
-  const graph::BindingGraph &bindingGraph() const { return BG; }
-  const GModResult &gmodResult() const { return GMod; }
-  const RModResult &rmodResult() const { return RMod; }
+  const VarMasks &masks() const { return Shape.Masks; }
+  const graph::CallGraph &callGraph() const { return Shape.CG; }
+  const graph::BindingGraph &bindingGraph() const { return Shape.BG; }
+  const GModResult &gmodResult() const { return Passes.GMod; }
+  const RModResult &rmodResult() const { return Passes.RMod; }
 
 private:
-  const ir::Program &P;
+  void solve();
+
+  std::unique_ptr<const ProgramShape> OwnShape; ///< Null when shared.
+  const ProgramShape &Shape;
   AnalyzerOptions Options;
-  // Declared before the graphs so the "graphs" span covers their
-  // member-initializer construction; closed at the top of the ctor body.
-  observe::ManualSpan GraphsSpan{"graphs"};
-  VarMasks Masks;
-  graph::CallGraph CG;
-  graph::BindingGraph BG;
   std::unique_ptr<LocalEffects> Local;
   PassKernel Kernel = PassKernel::Reference;
-  RModResult RMod;
-  std::vector<EffectSet> IModPlus;
-  GModResult GMod;
+  PassResults Passes;
+};
+
+/// MOD and, when asked, USE over one ProgramShape.  The program must
+/// outlive it.
+struct BatchAnalysis {
+  BatchAnalysis(const ir::Program &P, bool WithUse,
+                AnalyzerOptions::GModAlgorithm Algorithm =
+                    AnalyzerOptions::GModAlgorithm::Auto);
+  BatchAnalysis(const BatchAnalysis &) = delete; ///< Mod and Use see Shape.
+
+  const SideEffectAnalyzer &of(EffectKind Kind) const {
+    return Kind == EffectKind::Mod ? Mod : *Use;
+  }
+
+  const ProgramShape Shape;
+  const SideEffectAnalyzer Mod;
+  std::optional<SideEffectAnalyzer> Use;
 };
 
 } // namespace analysis

@@ -30,13 +30,13 @@ struct Analysis::Impl {
   bool TrackUse = true;
   observe::CostReport Costs;
 
-  // Sequential.
-  std::unique_ptr<analysis::SideEffectAnalyzer> SeqMod, SeqUse;
+  // Sequential: both kinds over one shape.
+  std::optional<analysis::BatchAnalysis> Seq;
   // Demand (lazy: queries solve their region on first touch).
   std::unique_ptr<demand::DemandSession> Demand;
 
   const analysis::SideEffectAnalyzer &seq(EffectKind Kind) const {
-    return Kind == EffectKind::Mod ? *SeqMod : *SeqUse;
+    return Seq->of(Kind);
   }
 };
 
@@ -71,7 +71,7 @@ bool Analysis::rmodContains(ir::VarId Formal, EffectKind Kind) const {
 }
 
 EffectSet Analysis::dmod(ir::StmtId S) const {
-  return I->Demand ? I->Demand->dmod(S) : I->SeqMod->dmod(S);
+  return I->Demand ? I->Demand->dmod(S) : I->Seq->Mod.dmod(S);
 }
 
 EffectSet Analysis::dmod(ir::CallSiteId C) const {
@@ -85,7 +85,7 @@ EffectSet Analysis::dmod(ir::CallSiteId C, EffectKind Kind) const {
 }
 
 EffectSet Analysis::mod(ir::StmtId S, const ir::AliasInfo &Aliases) const {
-  return I->Demand ? I->Demand->mod(S, Aliases) : I->SeqMod->mod(S, Aliases);
+  return I->Demand ? I->Demand->mod(S, Aliases) : I->Seq->Mod.mod(S, Aliases);
 }
 
 const analysis::GModResult &Analysis::gmodResult(EffectKind Kind) const {
@@ -96,7 +96,7 @@ const analysis::GModResult &Analysis::gmodResult(EffectKind Kind) const {
 }
 
 std::string Analysis::setToString(const EffectSet &Set) const {
-  return I->Demand ? I->Demand->setToString(Set) : I->SeqMod->setToString(Set);
+  return I->Demand ? I->Demand->setToString(Set) : I->Seq->Mod.setToString(Set);
 }
 
 //===----------------------------------------------------------------------===//
@@ -153,11 +153,7 @@ Analysis Analyzer::analyze(const ir::Program &P) const {
       Impl->Demand =
           std::make_unique<demand::DemandSession>(P, Opts.demandView());
     } else {
-      Impl->SeqMod = std::make_unique<analysis::SideEffectAnalyzer>(
-          P, Opts.analyzerView(EffectKind::Mod));
-      if (Opts.TrackUse)
-        Impl->SeqUse = std::make_unique<analysis::SideEffectAnalyzer>(
-            P, Opts.analyzerView(EffectKind::Use));
+      Impl->Seq.emplace(P, Opts.TrackUse, Opts.Algorithm);
     }
   }
   return Analysis(std::move(Impl));

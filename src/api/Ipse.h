@@ -137,12 +137,6 @@ struct AnalysisOptions {
 
   /// \name Per-engine views (the facade's wire format)
   /// @{
-  analysis::AnalyzerOptions analyzerView(analysis::EffectKind Kind) const {
-    analysis::AnalyzerOptions O;
-    O.Kind = Kind;
-    O.Algorithm = Algorithm;
-    return O;
-  }
   demand::DemandOptions demandView() const {
     demand::DemandOptions O;
     O.TrackUse = TrackUse;

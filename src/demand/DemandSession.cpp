@@ -11,9 +11,7 @@
 #include "analysis/LocalEffects.h"
 #include "analysis/RMod.h"
 #include "analysis/SideEffectAnalyzer.h"
-#include "analysis/VarMasks.h"
 #include "demand/Dependencies.h"
-#include "graph/BindingGraph.h"
 #include "graph/CallGraph.h"
 #include "graph/Tarjan.h"
 #include "ir/Printer.h"
@@ -878,15 +876,12 @@ void DemandSession::solveBatch(std::span<KindState *const> Kinds) {
   const std::uint32_t N = P.numProcs();
   // The batch planes come in procedure order; so must the rows.
   placeRowsInProcOrder();
-  graph::CallGraph CG(P);
-  graph::BindingGraph BG(P);
-  analysis::VarMasks Masks(P);
-  const analysis::PassKernel Kernel = analysis::chooseKernel(P, CG);
+  const analysis::ProgramShape Shape(P);
   for (KindState *K : Kinds) {
-    analysis::LocalEffects Local(P, Masks, K->Kind);
+    analysis::LocalEffects Local(P, Shape.Masks, K->Kind);
     K->FormalBits = analysis::formalBits(P, Local);
-    analysis::PassResults R = analysis::solvePasses(
-        P, CG, BG, Masks, Local, K->FormalBits, Kernel);
+    analysis::PassResults R =
+        analysis::solvePasses(Shape, Local, K->FormalBits, Shape.Kernel);
     K->Own = Local.takeOwn();
     K->Ext = Local.takeExtended();
     K->RModBits = std::move(R.RMod.ModifiedFormals);

@@ -54,9 +54,6 @@ public:
     return Sccs.members(Comp);
   }
 
-  /// The underlying decomposition (for clients of the batch interface).
-  const SccDecomposition &decomposition() const { return Sccs; }
-
 private:
   SccDecomposition Sccs;
 };

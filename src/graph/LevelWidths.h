@@ -24,6 +24,7 @@
 #define IPSE_GRAPH_LEVELWIDTHS_H
 
 #include "graph/Digraph.h"
+#include "graph/Tarjan.h"
 
 #include <cstdint>
 #include <vector>
@@ -31,11 +32,15 @@
 namespace ipse {
 namespace graph {
 
-/// The number of components on each level of \p G's condensation, from
-/// one Tarjan pass that materializes neither the components nor the
-/// levels (so a 100 000-level chain costs five flat arrays, not 200 000
-/// small vectors).  O(N + E).
-std::vector<std::uint32_t> levelWidths(const Digraph &G);
+/// The number of components on each level of \p G's condensation under
+/// \p Sccs, from one sweep in ascending component id.  O(N + E).
+std::vector<std::uint32_t> levelWidths(const Digraph &G,
+                                       const SccDecomposition &Sccs);
+
+/// levelWidths over \p G's own decomposition.
+inline std::vector<std::uint32_t> levelWidths(const Digraph &G) {
+  return levelWidths(G, computeSccs(G));
+}
 
 } // namespace graph
 } // namespace ipse

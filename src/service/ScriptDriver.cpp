@@ -391,24 +391,18 @@ namespace {
 QueryResult evalCheck(const QueryTarget &Target) {
   const Program &P = Target.program();
   const bool WithUse = Target.tracksUse();
-  analysis::SideEffectAnalyzer Mod(P);
-  std::optional<analysis::SideEffectAnalyzer> Use;
-  if (WithUse) {
-    analysis::AnalyzerOptions UseOpts;
-    UseOpts.Kind = analysis::EffectKind::Use;
-    Use.emplace(P, UseOpts);
-  }
+  const analysis::BatchAnalysis Batch(P, WithUse);
   bool Ok = true;
   for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
     ProcId Proc(I);
-    if (Target.gmod(Proc) != Mod.gmod(Proc) ||
-        (WithUse && Target.guse(Proc) != Use->gmod(Proc)))
+    if (Target.gmod(Proc) != Batch.Mod.gmod(Proc) ||
+        (WithUse && Target.guse(Proc) != Batch.Use->gmod(Proc)))
       Ok = false;
     for (VarId F : P.proc(Proc).Formals)
       if (Target.rmodContains(F, analysis::EffectKind::Mod) !=
-              Mod.rmodContains(F) ||
+              Batch.Mod.rmodContains(F) ||
           (WithUse && Target.rmodContains(F, analysis::EffectKind::Use) !=
-                          Use->rmodContains(F)))
+                          Batch.Use->rmodContains(F)))
         Ok = false;
   }
   char Buf[96];

@@ -296,6 +296,10 @@ std::optional<JsonObject> oneShot(std::uint16_t Port, const char *Cmd,
     }
     Carry.append(Buf, static_cast<std::size_t>(N));
   }
+  // Wait for the server's close, so its next accept reaps this connection.
+  ::shutdown(Fd, SHUT_WR);
+  while (::read(Fd, Buf, sizeof(Buf)) > 0)
+    ;
   ::close(Fd);
 
   std::string RespLine = Carry.substr(0, Nl);

@@ -78,7 +78,8 @@ struct FrontHalf {
 inline analysis::GModResult solveByLevels(const ir::Program &P,
                                           analysis::EffectKind K) {
   FrontHalf F(P, K);
-  return analysis::solveGModLevels(P, F.CG, F.Masks, F.Plus);
+  return analysis::solveGModLevels(P, F.CG, graph::computeSccs(F.CG.graph()),
+                                   F.Masks, F.Plus);
 }
 
 } // namespace detail

@@ -534,6 +534,27 @@ TEST(Facade, ProfiledAnalyzeCollectsPhases) {
   EXPECT_GT(A.costs().counter("rmod.boolean_steps"), 0u);
 }
 
+TEST(Facade, AnalyzeBuildsTheShapeOnceAndThePassesPerKind) {
+  ir::Program P = synth::makeNestedProgram(3, 5, 2);
+  for (bool TrackUse : {true, false}) {
+    ipse::AnalysisOptions O;
+    O.Profile = true;
+    O.TrackUse = TrackUse;
+    ipse::Analysis A = ipse::Analyzer(O).analyze(P);
+    if (!observe::enabled()) {
+      EXPECT_TRUE(A.costs().empty());
+      continue;
+    }
+    const std::uint64_t Kinds = TrackUse ? 2 : 1;
+    ASSERT_NE(A.costs().phase("graphs"), nullptr);
+    EXPECT_EQ(A.costs().phase("graphs")->Count, 1u) << TrackUse;
+    for (const char *Phase : {"local", "rmod", "imodplus", "gmod"}) {
+      ASSERT_NE(A.costs().phase(Phase), nullptr) << Phase;
+      EXPECT_EQ(A.costs().phase(Phase)->Count, Kinds) << Phase << TrackUse;
+    }
+  }
+}
+
 TEST(Facade, ReportSourceSurfacesDiagnostics) {
   ipse::Analyzer An;
   ipse::ReportRun Bad = An.reportSource("proc p { this is not miniproc");

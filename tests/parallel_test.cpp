@@ -349,7 +349,7 @@ TEST(KernelChoice, ShapePicksTheKernel) {
   Cases.push_back({"small", synth::makeFortranStyleProgram(40, 8, 3, 7),
                    PassKernel::Reference});
   for (const Case &C : Cases) {
-    EXPECT_EQ(chooseKernel(C.P, graph::CallGraph(C.P)), C.Expected) << C.Name;
+    EXPECT_EQ(ProgramShape(C.P).Kernel, C.Expected) << C.Name;
     EXPECT_EQ(SideEffectAnalyzer(C.P).kernel(), C.Expected) << C.Name;
   }
 

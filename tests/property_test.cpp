@@ -287,6 +287,74 @@ TEST_P(RandomPrograms, DModContainsCalleeLocalsOnlyViaActuals) {
   }
 }
 
+/// MOD and USE over one shared ProgramShape equal two analyzers that each
+/// build their own: kind, kernel, RMOD bits, IMOD+ and GMOD/GUSE; the
+/// facade, which solves both kinds over one shape, answers the same.
+void expectSharedShapeMatchesPerKind(
+    const Program &P, const std::string &Context,
+    AnalyzerOptions::GModAlgorithm Algorithm =
+        AnalyzerOptions::GModAlgorithm::Auto) {
+  const BatchAnalysis Shared(P, /*WithUse=*/true, Algorithm);
+  ipse::AnalysisOptions Opts;
+  Opts.Algorithm = Algorithm;
+  Opts.Repr = EffectSet::defaultRepresentation();
+  const ipse::Analysis Facade = ipse::Analyzer(Opts).analyze(P);
+  for (EffectKind Kind : {EffectKind::Mod, EffectKind::Use}) {
+    const std::string Ctx =
+        Context + (Kind == EffectKind::Mod ? " (MOD)" : " (USE)");
+    const SideEffectAnalyzer Alone(P, AnalyzerOptions{Kind, Algorithm});
+    const SideEffectAnalyzer &S = Shared.of(Kind);
+    EXPECT_EQ(S.kind(), Kind) << Ctx;
+    EXPECT_EQ(S.kernel(), Alone.kernel()) << Ctx;
+    EXPECT_EQ(S.rmodResult().ModifiedFormals,
+              Alone.rmodResult().ModifiedFormals)
+        << Ctx;
+    for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
+      const ProcId Proc(I);
+      EXPECT_EQ(S.imodPlus(Proc), Alone.imodPlus(Proc)) << Ctx << " " << I;
+      EXPECT_EQ(S.gmod(Proc), Alone.gmod(Proc)) << Ctx << " " << I;
+      EXPECT_EQ(Facade.gmod(Proc, Kind), Alone.gmod(Proc)) << Ctx << " " << I;
+      for (VarId F : P.proc(Proc).Formals)
+        EXPECT_EQ(Facade.rmodContains(F, Kind), Alone.rmodContains(F))
+            << Ctx << " " << qualifiedName(P, F);
+    }
+  }
+}
+
+TEST_P(RandomPrograms, SharedShapeMatchesPerKindAnalyzers) {
+  expectSharedShapeMatchesPerKind(makeProgram(), "random");
+}
+
+/// The same on both GMOD kernels, every pinned algorithm, each set
+/// representation, nesting and a giant SCC.
+TEST(SharedShape, MatchesPerKindAnalyzersOnEveryKernelAndRepr) {
+  using Algo = AnalyzerOptions::GModAlgorithm;
+  std::vector<std::pair<std::string, Program>> Cases;
+  // Four layers of 160 over a 21-word universe: the condensation kernel.
+  Cases.emplace_back("wide", synth::makeLayeredProgram(4, 160, 3, 2, 64, 7));
+  Cases.emplace_back("giant-scc", synth::makeCycleProgram(400, 3));
+  Cases.emplace_back("nested", synth::makeNestedProgram(5, 12, 3));
+  Cases.emplace_back("fortran", synth::makeFortranStyleProgram(60, 24, 3, 11));
+  bool SawKernel[2] = {false, false};
+  for (EffectSet::Representation Repr :
+       {EffectSet::Representation::Auto, EffectSet::Representation::Dense,
+        EffectSet::Representation::Sparse}) {
+    EffectSet::setDefaultRepresentation(Repr);
+    for (const auto &[Name, P] : Cases) {
+      const std::string Ctx =
+          Name + " repr " + std::to_string(static_cast<int>(Repr));
+      SawKernel[static_cast<int>(ProgramShape(P).Kernel)] = true;
+      expectSharedShapeMatchesPerKind(P, Ctx);
+      for (Algo A : {Algo::MultiLevelRepeated, Algo::MultiLevelCombined})
+        expectSharedShapeMatchesPerKind(P, Ctx + " pinned", A);
+      if (P.maxProcLevel() <= 1)
+        expectSharedShapeMatchesPerKind(P, Ctx + " findgmod", Algo::FindGMod);
+    }
+  }
+  EffectSet::setDefaultRepresentation(EffectSet::Representation::Auto);
+  EXPECT_TRUE(SawKernel[0] && SawKernel[1]) << "a kernel went untested";
+}
+
 /// Elimination is idempotent, and on an all-reachable program a second
 /// elimination pass is an exact identity for the analysis results.
 TEST_P(RandomPrograms, EliminationIsIdempotent) {

@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -594,10 +595,12 @@ TEST(Server, TraceIdsAreEchoedOrServerAssigned) {
   tenant::TenantConnection Conn;
 
   std::mutex M;
+  std::condition_variable Emitted;
   std::vector<std::string> Lines;
   auto Emit = [&](const std::string &L) {
     std::lock_guard<std::mutex> Lock(M);
     Lines.push_back(L);
+    Emitted.notify_all();
   };
   tenant::handleTenantRequestLine(
       *Svc, Conn, R"({"id":1,"cmd":"gmod main","trace":"cli-7"})", Emit);
@@ -607,16 +610,12 @@ TEST(Server, TraceIdsAreEchoedOrServerAssigned) {
   tenant::handleTenantRequestLine(
       *Svc, Conn, R"({"id":3,"cmd":"load x.mp","trace":"cli-9"})", Emit);
 
-  // Resident queries answer on the calling thread, but wait regardless.
-  for (int Spin = 0; Spin != 5000; ++Spin) {
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      if (Lines.size() == 3)
-        break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::lock_guard<std::mutex> Lock(M);
+  // Resident queries answer on the calling thread, but wait regardless:
+  // for the third response, not for a span of wall time.  The bound only
+  // keeps a lost response from hanging the suite.
+  std::unique_lock<std::mutex> Lock(M);
+  Emitted.wait_for(Lock, std::chrono::minutes(1),
+                   [&] { return Lines.size() == 3; });
   ASSERT_EQ(Lines.size(), 3u);
 
   std::map<std::uint64_t, JsonObject> ById;

@@ -420,36 +420,44 @@ int cmdCheck(const std::vector<std::string> &Args) {
   // Establish the paper's §3.3 precondition first.
   P = graph::eliminateUnreachable(P);
 
+  // The batch pipeline against six solvers over graphs of their own.
+  const analysis::BatchAnalysis Batch(P, /*WithUse=*/true);
   analysis::VarMasks Masks(P);
   graph::CallGraph CG(P);
   graph::BindingGraph BG(P);
-  analysis::LocalEffects Local(P, Masks, analysis::EffectKind::Mod);
-  analysis::RModResult RMod = analysis::solveRMod(P, BG, Local);
-  std::vector<EffectSet> Plus = analysis::computeIModPlus(P, Local, RMod);
-
-  analysis::GModResult Fast =
-      P.maxProcLevel() <= 1
-          ? analysis::solveGMod(P, CG, Masks, Plus)
-          : analysis::solveMultiLevelCombined(P, CG, Masks, Plus);
-  analysis::GModResult Rep =
-      analysis::solveMultiLevelRepeated(P, CG, Masks, Plus);
-  baselines::IterativeResult Oracle =
-      baselines::solveIterative(P, CG, Masks, Local);
-  baselines::IterativeResult Work =
-      baselines::solveWorklist(P, CG, Masks, Local);
-  baselines::SwiftResult Swift = baselines::solveSwift(P, CG, Masks, Local);
-  // The condensation kernel.
-  analysis::GModResult Levels = analysis::solveGModLevels(P, CG, Masks, Plus);
-
+  const graph::SccDecomposition Sccs = graph::computeSccs(CG.graph());
   bool Ok = true;
-  for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
-    Ok &= Fast.GMod[I] == Oracle.GMod.GMod[I];
-    Ok &= Rep.GMod[I] == Oracle.GMod.GMod[I];
-    Ok &= Work.GMod.GMod[I] == Oracle.GMod.GMod[I];
-    Ok &= Swift.GMod.GMod[I] == Oracle.GMod.GMod[I];
-    Ok &= Levels.GMod[I] == Oracle.GMod.GMod[I];
+  for (analysis::EffectKind Kind :
+       {analysis::EffectKind::Mod, analysis::EffectKind::Use}) {
+    analysis::LocalEffects Local(P, Masks, Kind);
+    analysis::RModResult RMod = analysis::solveRMod(P, BG, Local);
+    std::vector<EffectSet> Plus = analysis::computeIModPlus(P, Local, RMod);
+
+    analysis::GModResult Fast =
+        P.maxProcLevel() <= 1
+            ? analysis::solveGMod(P, CG, Masks, Plus)
+            : analysis::solveMultiLevelCombined(P, CG, Masks, Plus);
+    analysis::GModResult Rep =
+        analysis::solveMultiLevelRepeated(P, CG, Masks, Plus);
+    baselines::IterativeResult Oracle =
+        baselines::solveIterative(P, CG, Masks, Local);
+    baselines::IterativeResult Work =
+        baselines::solveWorklist(P, CG, Masks, Local);
+    baselines::SwiftResult Swift = baselines::solveSwift(P, CG, Masks, Local);
+    // The condensation kernel.
+    analysis::GModResult Levels =
+        analysis::solveGModLevels(P, CG, Sccs, Masks, Plus);
+
+    const analysis::SideEffectAnalyzer &Shared = Batch.of(Kind);
+    Ok &= Shared.rmodResult().ModifiedFormals == RMod.ModifiedFormals;
+    for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
+      const EffectSet &Want = Oracle.GMod.GMod[I];
+      Ok &= Shared.gmod(ProcId(I)) == Want && Fast.GMod[I] == Want &&
+            Rep.GMod[I] == Want && Work.GMod.GMod[I] == Want &&
+            Swift.GMod.GMod[I] == Want && Levels.GMod[I] == Want;
+    }
   }
-  std::printf("%zu procedures, 6 solvers: %s\n", P.numProcs(),
+  std::printf("%zu procedures, 7 solvers, MOD and USE: %s\n", P.numProcs(),
               Ok ? "all agree" : "DISAGREEMENT");
   return Ok ? 0 : 1;
 }
