@@ -18,6 +18,11 @@
 ///
 ///   ∀x ∈ DMOD(s): if <x,y> ∈ ALIAS(p) then y ∈ MOD(s).
 ///
+/// These are the only bodies of both steps.  The batch analyzer, the
+/// demand engine and the service's snapshots all project through them;
+/// each supplies GMOD(q) and LOCAL(q) of a callee q its own way (a
+/// CalleeSets).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPSE_ANALYSIS_DMOD_H
@@ -32,17 +37,47 @@
 namespace ipse {
 namespace analysis {
 
+/// What the projection reads of a callee q: GMOD(q), in the effect kind
+/// being projected, and LOCAL(q).
+class CalleeSets {
+public:
+  virtual ~CalleeSets() = default;
+  virtual const EffectSet &gmod(ir::ProcId Q) const = 0;
+  /// LOCAL(q): a mask the implementation keeps, or one it builds into
+  /// \p Scratch and returns.
+  virtual const EffectSet &local(ir::ProcId Q, EffectSet &Scratch) const = 0;
+};
+
+/// CalleeSets over a batch solution and its VarMasks.
+class MaskedCallees final : public CalleeSets {
+public:
+  MaskedCallees(const VarMasks &Masks, const GModResult &GMod)
+      : Masks(Masks), GMod(GMod) {}
+  const EffectSet &gmod(ir::ProcId Q) const override { return GMod.of(Q); }
+  const EffectSet &local(ir::ProcId Q, EffectSet &) const override {
+    return Masks.local(Q);
+  }
+
+private:
+  const VarMasks &Masks;
+  const GModResult &GMod;
+};
+
 /// be(GMOD(q)) for one call site: the call's contribution to the DMOD of
 /// its enclosing statement.  O(|vars| / word + formals of q).
-EffectSet projectCallSite(const ir::Program &P, const VarMasks &Masks,
-                          const GModResult &GMod, ir::CallSiteId Site);
+EffectSet projectCallSite(const ir::Program &P, const CalleeSets &Callees,
+                          ir::CallSiteId Site);
 
 /// DMOD(s) by equation (2).
-EffectSet dmodOfStmt(const ir::Program &P, const VarMasks &Masks,
-                     const GModResult &GMod, ir::StmtId S);
+EffectSet dmodOfStmt(const ir::Program &P, const CalleeSets &Callees,
+                     ir::StmtId S);
 
 /// MOD(s): DMOD(s) closed (one application) under ALIAS of the enclosing
 /// procedure (§5 step 2).  Linear in |DMOD(s)| + |ALIAS(p)|.
+EffectSet modOfStmt(const ir::Program &P, const CalleeSets &Callees,
+                    const ir::AliasInfo &Aliases, ir::StmtId S);
+
+/// MOD(s) over a batch solution (modOfStmt through MaskedCallees).
 EffectSet modOfStmt(const ir::Program &P, const VarMasks &Masks,
                     const GModResult &GMod, const ir::AliasInfo &Aliases,
                     ir::StmtId S);

@@ -149,12 +149,13 @@ public:
 
   /// DMOD(s) (equation 2).
   EffectSet dmod(ir::StmtId S) const {
-    return dmodOfStmt(Shape.P, Shape.Masks, Passes.GMod, S);
+    return dmodOfStmt(Shape.P, MaskedCallees(Shape.Masks, Passes.GMod), S);
   }
 
   /// be(GMOD(q)) for one call site.
   EffectSet dmod(ir::CallSiteId C) const {
-    return projectCallSite(Shape.P, Shape.Masks, Passes.GMod, C);
+    return projectCallSite(Shape.P, MaskedCallees(Shape.Masks, Passes.GMod),
+                           C);
   }
 
   /// MOD(s) under the given alias pairs (§5).

@@ -26,3 +26,13 @@ VarMasks::VarMasks(const ir::Program &P) {
       Global.set(I);
   }
 }
+
+EffectSet analysis::localMask(const ir::Program &P, ir::ProcId Proc) {
+  EffectSet M(P.numVars());
+  const ir::Procedure PR = P.proc(Proc);
+  for (ir::VarId F : PR.Formals)
+    M.set(F.index());
+  for (ir::VarId L : PR.Locals)
+    M.set(L.index());
+  return M;
+}

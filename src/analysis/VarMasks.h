@@ -23,6 +23,10 @@
 namespace ipse {
 namespace analysis {
 
+/// LOCAL(\p Proc) alone, from its formals and locals: what VarMasks::local
+/// holds, for callers that keep no VarMasks.
+EffectSet localMask(const ir::Program &P, ir::ProcId Proc);
+
 /// Bit masks over VarId indices, built once per program.
 class VarMasks {
 public:

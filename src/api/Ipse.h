@@ -70,7 +70,8 @@ struct AnalysisOptions {
     Sequential, ///< analysis::SideEffectAnalyzer (batch); `serve` and
                 ///< `session` publish / answer from full solutions.
     Demand      ///< demand::DemandSession (query-driven region solving);
-                ///< `serve` keeps partial snapshots.
+                ///< `serve` publishes snapshots covering what
+                ///< queries solved.
   };
   Engine Backend = Engine::Sequential;
 
@@ -151,8 +152,8 @@ struct AnalysisOptions {
     O.MaxResident = TenantMaxResident;
     O.MaxProcs = TenantMaxProcs;
     O.MaxQueuedEdits = TenantMaxQueuedEdits;
-    // `--engine=demand --tenants`: tenants hold DemandSessions, publish
-    // partial snapshots, and fault back in without re-solving anything.
+    // `--engine=demand --tenants`: tenants publish snapshots covering
+    // what queries solved, and fault back in without re-solving anything.
     O.DemandFaultIn = Backend == Engine::Demand;
     // The implicit tenant's store files and the named tenants' t-<name>
     // subtrees are disjoint namespaces within one data directory.

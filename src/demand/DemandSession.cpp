@@ -7,6 +7,7 @@
 
 #include "demand/DemandSession.h"
 
+#include "analysis/DMod.h"
 #include "analysis/IModPlus.h"
 #include "analysis/LocalEffects.h"
 #include "analysis/RMod.h"
@@ -221,13 +222,7 @@ const EffectSet &DemandSession::localMask(ir::ProcId Proc) {
   fitRows(LocalMasks, R, NumRows);
   fitRows(LocalMaskReady, R, NumRows);
   if (!LocalMaskReady[R]) {
-    EffectSet M(P.numVars());
-    const ir::Procedure PR = P.proc(Proc);
-    for (ir::VarId F : PR.Formals)
-      M.set(F.index());
-    for (ir::VarId L : PR.Locals)
-      M.set(L.index());
-    LocalMasks[R] = std::move(M);
+    LocalMasks[R] = analysis::localMask(P, Proc);
     LocalMaskReady[R] = 1;
   }
   return LocalMasks[R];
@@ -1017,50 +1012,34 @@ bool DemandSession::rmodContains(ir::VarId Formal, EffectKind Kind) {
   return state(Kind).RModBits.test(Formal.index());
 }
 
-EffectSet DemandSession::projectSite(KindState &K, ir::CallSiteId Site) {
-  const ir::CallSite &C = P.callSite(Site);
-  const ir::Procedure &Callee = P.proc(C.Callee);
-  const EffectSet &G = K.GMod.GMod[row(C.Callee.index())];
-
-  EffectSet Out(P.numVars());
-  Out.orWithAndNot(G, localMask(C.Callee));
-  for (unsigned Pos = 0; Pos != C.Actuals.size(); ++Pos) {
-    const ir::Actual &A = C.Actuals[Pos];
-    if (A.isVariable() && G.test(Callee.Formals[Pos].index()))
-      Out.set(A.Var.index());
+/// A kind's GMOD rows and the cached LOCAL masks, as the projection in
+/// analysis/DMod reads them.  Every callee read must be Solved.
+class DemandSession::Callees final : public analysis::CalleeSets {
+public:
+  Callees(DemandSession &S, const KindState &K) : S(S), K(K) {}
+  const EffectSet &gmod(ir::ProcId Q) const override {
+    return K.GMod.GMod[S.row(Q.index())];
   }
-  return Out;
-}
+  const EffectSet &local(ir::ProcId Q, EffectSet &) const override {
+    return S.localMask(Q);
+  }
+
+private:
+  DemandSession &S;
+  const KindState &K;
+};
 
 EffectSet DemandSession::effectOfStmt(EffectKind Kind, ir::StmtId S,
                                       const ir::AliasInfo *Aliases) {
   const ir::Statement &Stmt = P.stmt(S);
-  std::vector<ir::ProcId> Callees;
-  Callees.reserve(Stmt.Calls.size());
+  std::vector<ir::ProcId> CalleeProcs;
+  CalleeProcs.reserve(Stmt.Calls.size());
   for (ir::CallSiteId C : Stmt.Calls)
-    Callees.push_back(P.callSite(C).Callee);
-  ensureSolved(Callees, Kind);
-
-  KindState &K = state(Kind);
-  EffectSet DMod(P.numVars());
-  // Direct effects come from LMod for both kinds — DMOD/DUSE differ only
-  // in which GMOD plane the call sites project (mirrors dmodOfStmt).
-  for (ir::VarId V : Stmt.LMod)
-    DMod.set(V.index());
-  for (ir::CallSiteId C : Stmt.Calls)
-    DMod.orWith(projectSite(K, C));
-  if (!Aliases)
-    return DMod;
-
-  // One application of the pairs against DMOD(s) (§5 step 2).
-  EffectSet Out = DMod;
-  for (const auto &[X, Y] : Aliases->pairs(Stmt.Parent)) {
-    if (DMod.test(X.index()))
-      Out.set(Y.index());
-    if (DMod.test(Y.index()))
-      Out.set(X.index());
-  }
-  return Out;
+    CalleeProcs.push_back(P.callSite(C).Callee);
+  ensureSolved(CalleeProcs, Kind);
+  const Callees Q(*this, state(Kind));
+  return Aliases ? analysis::modOfStmt(P, Q, *Aliases, S)
+                 : analysis::dmodOfStmt(P, Q, S);
 }
 
 EffectSet DemandSession::dmod(ir::StmtId S) {
@@ -1078,7 +1057,7 @@ EffectSet DemandSession::dmod(ir::CallSiteId C) {
 EffectSet DemandSession::dmod(ir::CallSiteId C, EffectKind Kind) {
   ir::ProcId Callee = P.callSite(C).Callee;
   ensureSolved({{Callee}}, Kind);
-  return projectSite(state(Kind), C);
+  return analysis::projectCallSite(P, Callees(*this, state(Kind)), C);
 }
 
 EffectSet DemandSession::mod(ir::StmtId S, const ir::AliasInfo &Aliases) {
@@ -1097,11 +1076,6 @@ EffectSet DemandSession::use(ir::StmtId S, const ir::AliasInfo &Aliases) {
 const analysis::GModResult &DemandSession::gmodResult(EffectKind Kind) {
   ensureSolvedAll(); // Every procedure holds a row, in procedure order.
   return state(Kind).GMod;
-}
-
-const EffectSet &DemandSession::rmodBits(EffectKind Kind) {
-  ensureSolvedAll();
-  return state(Kind).RModBits;
 }
 
 analysis::GModResult DemandSession::peekGModResult(EffectKind Kind) {

@@ -273,20 +273,20 @@ public:
   }
 
   /// \name Whole-program export hooks
-  /// These cover everything first (ensureSolvedAll) — the full-snapshot,
-  /// persistence and report paths.
+  /// These cover everything first (ensureSolvedAll) — the persistence and
+  /// report paths.
   /// @{
   const analysis::GModResult &gmodResult(analysis::EffectKind Kind);
-  const EffectSet &rmodBits(analysis::EffectKind Kind);
   SessionPlanes exportPlanes();
   /// @}
 
-  /// \name Partial-plane peeks
+  /// \name Plane peeks
   /// Flush pending invalidation but solve nothing: the planes as they are,
-  /// with un-Solved entries holding stale/empty bits.  Callers must gate
-  /// every read through the coverage flags (service::AnalysisSnapshot::
-  /// capturePartial does).  peekGModResult copies the planes into
-  /// procedure order; un-Solved entries may be empty.
+  /// with un-Solved entries holding stale/empty bits, and the Solved flags
+  /// that say which entries are final.  service::AnalysisSnapshot::capture
+  /// copies all three and checks a procedure's flag at every read of its
+  /// entries.  peekGModResult copies the planes into procedure order;
+  /// un-Solved entries may be empty.
   /// @{
   analysis::GModResult peekGModResult(analysis::EffectKind Kind);
   const EffectSet &peekRModBits(analysis::EffectKind Kind);
@@ -393,7 +393,10 @@ private:
   /// The batch ceiling: runs the batch pass pipeline over the whole
   /// program for each of \p Kinds and installs every plane as Solved.
   void solveBatch(std::span<KindState *const> Kinds);
-  EffectSet projectSite(KindState &K, ir::CallSiteId Site);
+  /// A kind's GMOD rows and LOCAL masks as analysis/DMod reads them.
+  class Callees;
+  /// Solves \p S's callees in \p Kind, then projects DMOD(s), or MOD(s)
+  /// under \p Aliases.
   EffectSet effectOfStmt(analysis::EffectKind Kind, ir::StmtId S,
                          const ir::AliasInfo *Aliases);
 

@@ -248,6 +248,16 @@ void TraceSpan::closeNow() {
   closeSpan(Name, StartNs, StartOps, Depth);
 }
 
+void TraceSpan::discard() {
+  if (Active) {
+    Active = false;
+    // Undo openSpan's nesting step, as closeSpan would.
+    if (ActiveCtx && ActiveCtx->Depth > 0)
+      --ActiveCtx->Depth;
+  }
+  closeNow();
+}
+
 ManualSpan::ManualSpan(const char *Name) : Name(Name) {
   Active = openSpan(StartNs, StartOps, Depth);
   if (flight::enabled()) {

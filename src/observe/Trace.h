@@ -256,6 +256,11 @@ public:
   /// Closes the span early (the destructor becomes a no-op).
   void closeNow();
 
+  /// Closes the span without recording it into the scope's report or
+  /// sink, for work that was abandoned and will be redone under a span of
+  /// its own.  The flight recorder still pairs its begin with an end.
+  void discard();
+
 private:
   const char *Name;
   std::uint64_t StartNs = 0;
@@ -304,6 +309,7 @@ class TraceSpan {
 public:
   explicit TraceSpan(const char *) {}
   void closeNow() {}
+  void discard() {}
 };
 
 class ManualSpan {

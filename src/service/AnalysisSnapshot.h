@@ -6,14 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One immutable, self-contained copy of a full analysis solution: the
-/// program as of some session generation, the shared variable masks, and
-/// the per-effect-kind GMOD / RMOD results.  The service publishes a new
-/// snapshot after each committed edit batch (a shared_ptr swap)
-/// and readers answer every query from whichever snapshot they pinned —
-/// MVCC in miniature: readers never block writers, writers never tear
-/// readers, and a pinned snapshot stays valid for as long as the pin is
-/// held, regardless of how many generations the writer publishes meanwhile.
+/// One immutable, self-contained copy of a demand session's solution: the
+/// program as of some session generation, the per-effect-kind GMOD planes
+/// and RMOD bits, and the per-procedure coverage flags that say which
+/// plane entries were final when the copy was taken.  The service
+/// publishes a new snapshot after each committed edit batch (a shared_ptr
+/// swap) and readers answer every query from whichever snapshot they
+/// pinned — MVCC in miniature: readers never block writers, writers never
+/// tear readers, and a pinned snapshot stays valid for as long as the pin
+/// is held, regardless of how many generations the writer publishes
+/// meanwhile.
+///
+/// There is one form.  A session solved everywhere (ensureSolvedAll, the
+/// tenant service's eager mode) yields a snapshot that covers every
+/// procedure; a demand session yields one that covers the procedures its
+/// queries have solved.  Each accessor checks, at the read, the flag of
+/// every procedure whose plane it reads and throws UncoveredRead on a
+/// miss, so no reader ever sees a stale or empty entry.  Coverage is
+/// sound per procedure: Solved(p) implies every procedure p's answers
+/// depend on is Solved too.
 ///
 /// Self-containment is the invariant that makes the concurrency story
 /// trivial: a snapshot holds copies, not references into the session, so
@@ -26,8 +37,6 @@
 
 #include "analysis/EffectKind.h"
 #include "analysis/GMod.h"
-#include "analysis/VarMasks.h"
-#include "ir/AliasInfo.h"
 #include "ir/Program.h"
 #include "service/ScriptDriver.h"
 #include "support/EffectSet.h"
@@ -37,24 +46,21 @@
 namespace ipse {
 namespace service {
 
+/// Thrown by a snapshot read of a plane entry whose procedure was not
+/// solved when the snapshot was taken.  The tenant service's inline read
+/// path catches it and hands the query to the tenant's writer shard,
+/// which solves the missing region and republishes.
+struct UncoveredRead {};
+
 class AnalysisSnapshot final : public QueryTarget {
 public:
-  /// Solves whatever \p Session has not covered (ensureSolvedAll) and
-  /// copies the full solution.  \p Generation is the session generation
-  /// the copy reflects (the service passes Session.generation() after
-  /// draining an edit batch).
+  /// Copies \p Session's program, planes and coverage flags as they
+  /// stand; solves nothing (pending edits are applied as invalidation).
+  /// Call Session.ensureSolvedAll() first for a snapshot that covers
+  /// every procedure.  \p Generation is the session generation the copy
+  /// reflects.
   static std::shared_ptr<const AnalysisSnapshot>
   capture(demand::DemandSession &Session, std::uint64_t Generation);
-
-  /// Copies a demand session's planes as they stand — solved procedures
-  /// only, no fixed-point work.  Readers must gate every query through
-  /// covers(); the service falls back to the writer (which extends the
-  /// region and republishes) when a query names an uncovered procedure.
-  /// Soundness of per-procedure coverage: Solved(p) implies every
-  /// procedure p's answers depend on is also Solved, so covered planes
-  /// hold final bits even though the rest of the plane is stale or empty.
-  static std::shared_ptr<const AnalysisSnapshot>
-  capturePartial(demand::DemandSession &Session, std::uint64_t Generation);
 
   std::uint64_t generation() const { return Gen; }
 
@@ -62,63 +68,40 @@ public:
   const ir::Program &program() const override { return P; }
 
   const EffectSet &gmod(ir::ProcId Proc) const override {
-    assert(covered(Proc, analysis::EffectKind::Mod) && "uncovered GMOD read");
-    return ModResult.of(Proc);
+    return plane(Proc, analysis::EffectKind::Mod);
   }
   const EffectSet &guse(ir::ProcId Proc) const override {
     assert(HasUse && "guse on a snapshot without a USE pipeline");
-    assert(covered(Proc, analysis::EffectKind::Use) && "uncovered GUSE read");
-    return UseResult.of(Proc);
+    return plane(Proc, analysis::EffectKind::Use);
   }
   bool rmodContains(ir::VarId Formal,
-                    analysis::EffectKind Kind) const override {
-    return (Kind == analysis::EffectKind::Mod ? ModRMod : UseRMod)
-        .test(Formal.index());
-  }
+                    analysis::EffectKind Kind) const override;
   EffectSet modNoAlias(ir::StmtId S) const override;
   EffectSet useNoAlias(ir::StmtId S) const override;
   EffectSet dmodSite(ir::CallSiteId C) const override;
 
   bool tracksUse() const override { return HasUse; }
 
-  /// True when this snapshot holds only a solved region (capturePartial).
-  bool partial() const { return Partial; }
-
-  /// True when \p Proc's plane entries are final in \p Kind.  Full
-  /// snapshots cover everything.
+  /// True when \p Proc's plane entries were final in \p Kind.
   bool covered(ir::ProcId Proc, analysis::EffectKind Kind) const {
-    if (!Partial)
-      return true;
     const std::vector<char> &C =
         Kind == analysis::EffectKind::Mod ? ModCovered : UseCovered;
     return Proc.index() < C.size() && C[Proc.index()];
   }
 
-  /// True when \p Cmd (a query command) is answerable from this snapshot's
-  /// covered region.  Commands with unresolvable names report covered —
-  /// they fail identically against any target, so the normal evaluation
-  /// path should render the error.
-  bool covers(const ScriptCommand &Cmd) const;
-
 private:
+  class Callees;
+
   AnalysisSnapshot() = default;
 
-  /// be(GMOD(callee)) for partial snapshots, which carry no VarMasks: the
-  /// callee's local mask is rebuilt per call, keeping resident memory
-  /// proportional to the solved region instead of O(procs × vars).
-  EffectSet projectSitePartial(const analysis::GModResult &G,
-                               ir::CallSiteId Site) const;
-  EffectSet effectOfStmtPartial(const analysis::GModResult &G,
-                                ir::StmtId S) const;
+  /// GMOD(Proc) in \p Kind; throws UncoveredRead unless covered.
+  const EffectSet &plane(ir::ProcId Proc, analysis::EffectKind Kind) const;
 
   std::uint64_t Gen = 0;
   ir::Program P;
-  std::unique_ptr<analysis::VarMasks> Masks;
   analysis::GModResult ModResult, UseResult;
   EffectSet ModRMod, UseRMod;
-  ir::AliasInfo NoAliases;
   bool HasUse = false;
-  bool Partial = false;
   std::vector<char> ModCovered, UseCovered;
 };
 

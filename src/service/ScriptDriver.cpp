@@ -9,11 +9,11 @@
 
 #include "analysis/SideEffectAnalyzer.h"
 #include "demand/DemandSession.h"
-#include "ir/AliasInfo.h"
 #include "synth/ProgramGen.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
 
 using namespace ipse;
@@ -67,8 +67,20 @@ constexpr OpSpec Specs[] = {
     {"attach", ScriptCommand::Op::Attach, 1},
 };
 
-unsigned parseIndex(const std::string &S) {
-  return static_cast<unsigned>(std::atoi(S.c_str()));
+/// A statement or call-site index, or a `gen` value: decimal digits
+/// only, below 2^32.  Signs, hex prefixes, an empty operand and overflow
+/// are script errors.
+std::uint32_t parseNumber(std::string_view S, unsigned LineNo) {
+  bool Ok = !S.empty() && S.find_first_not_of("0123456789") == S.npos;
+  std::uint64_t V = 0;
+  for (std::size_t I = 0; Ok && I != S.size(); ++I) {
+    V = V * 10 + unsigned(S[I] - '0');
+    Ok = V <= UINT32_MAX;
+  }
+  if (!Ok)
+    die(LineNo, "'" + std::string(S) +
+                    "' is not a decimal number below 2^32");
+  return static_cast<std::uint32_t>(V);
 }
 
 } // namespace
@@ -116,7 +128,7 @@ service::parseGenSpec(const std::vector<std::string> &Args, unsigned LineNo) {
     if (Eq == std::string::npos)
       throw ScriptError{LineNo, "'gen' operands are key=value"};
     std::string Key = Arg.substr(0, Eq);
-    unsigned Val = static_cast<unsigned>(std::atoi(Arg.c_str() + Eq + 1));
+    unsigned Val = parseNumber(std::string_view(Arg).substr(Eq + 1), LineNo);
     if (Key == "procs")
       Cfg.NumProcs = Val;
     else if (Key == "globals")
@@ -253,7 +265,7 @@ incremental::Edit service::resolveEditCommand(const Program &P,
              : Cmd.Kind == ScriptCommand::Op::AddUse
                  ? incremental::EditKind::AddUse
                  : incremental::EditKind::RemoveUse;
-    E.Stmt = stmtAt(P, Proc, parseIndex(A[1]), LineNo);
+    E.Stmt = stmtAt(P, Proc, parseNumber(A[1], LineNo), LineNo);
     E.Var = findVisibleVar(P, Proc, A[2], LineNo);
     return E;
   }
@@ -264,7 +276,7 @@ incremental::Edit service::resolveEditCommand(const Program &P,
   case ScriptCommand::Op::AddCall: {
     ProcId Proc = findProc(P, A[0], LineNo);
     E.Kind = incremental::EditKind::AddCall;
-    E.Stmt = stmtAt(P, Proc, parseIndex(A[1]), LineNo);
+    E.Stmt = stmtAt(P, Proc, parseNumber(A[1], LineNo), LineNo);
     E.Callee = findProc(P, A[2], LineNo);
     // ProgramEditor::addCall's preconditions, refused here as script
     // errors instead of tripping its asserts.
@@ -284,7 +296,7 @@ incremental::Edit service::resolveEditCommand(const Program &P,
   }
   case ScriptCommand::Op::RmCall: {
     ProcId Proc = findProc(P, A[0], LineNo);
-    unsigned K = parseIndex(A[1]);
+    unsigned K = parseNumber(A[1], LineNo);
     if (K >= P.proc(Proc).CallSites.size())
       die(LineNo, "procedure '" + A[0] + "' has only " +
                       std::to_string(P.proc(Proc).CallSites.size()) +
@@ -361,13 +373,12 @@ bool DemandSessionQueryTarget::rmodContains(VarId Formal,
                                             analysis::EffectKind Kind) const {
   return S.rmodContains(Formal, Kind);
 }
+// MOD(s) under the empty alias relation is DMOD(s).
 EffectSet DemandSessionQueryTarget::modNoAlias(StmtId St) const {
-  ir::AliasInfo NoAliases(S.program());
-  return S.mod(St, NoAliases);
+  return S.dmod(St);
 }
 EffectSet DemandSessionQueryTarget::useNoAlias(StmtId St) const {
-  ir::AliasInfo NoAliases(S.program());
-  return S.use(St, NoAliases);
+  return S.duse(St);
 }
 EffectSet DemandSessionQueryTarget::dmodSite(ir::CallSiteId C) const {
   return S.dmod(C);
@@ -387,23 +398,39 @@ namespace {
 
 /// `check`: the target's answers must equal a fresh batch analysis of its
 /// program — the end-to-end consistency probe every driver exposes.  A
-/// target without a USE pipeline is checked on MOD alone.
+/// target without a USE pipeline is checked on MOD alone.  Every answer
+/// is read before the batch analysis is built, so a target that cannot
+/// answer (a snapshot read off its coverage) refuses at no solving cost.
 QueryResult evalCheck(const QueryTarget &Target) {
   const Program &P = Target.program();
   const bool WithUse = Target.tracksUse();
-  const analysis::BatchAnalysis Batch(P, WithUse);
-  bool Ok = true;
+  std::vector<EffectSet> GMod, GUse;
+  std::vector<char> RMod, RUse; // Per formal, in procedure order.
   for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
     ProcId Proc(I);
-    if (Target.gmod(Proc) != Batch.Mod.gmod(Proc) ||
-        (WithUse && Target.guse(Proc) != Batch.Use->gmod(Proc)))
+    GMod.push_back(Target.gmod(Proc));
+    if (WithUse)
+      GUse.push_back(Target.guse(Proc));
+    for (VarId F : P.proc(Proc).Formals) {
+      RMod.push_back(Target.rmodContains(F, analysis::EffectKind::Mod));
+      if (WithUse)
+        RUse.push_back(Target.rmodContains(F, analysis::EffectKind::Use));
+    }
+  }
+  const analysis::BatchAnalysis Batch(P, WithUse);
+  bool Ok = true;
+  std::size_t Formal = 0;
+  for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
+    ProcId Proc(I);
+    if (GMod[I] != Batch.Mod.gmod(Proc) ||
+        (WithUse && GUse[I] != Batch.Use->gmod(Proc)))
       Ok = false;
-    for (VarId F : P.proc(Proc).Formals)
-      if (Target.rmodContains(F, analysis::EffectKind::Mod) !=
-              Batch.Mod.rmodContains(F) ||
-          (WithUse && Target.rmodContains(F, analysis::EffectKind::Use) !=
-                          Batch.Use->rmodContains(F)))
+    for (VarId F : P.proc(Proc).Formals) {
+      if (bool(RMod[Formal]) != Batch.Mod.rmodContains(F) ||
+          (WithUse && bool(RUse[Formal]) != Batch.Use->rmodContains(F)))
         Ok = false;
+      ++Formal;
+    }
   }
   char Buf[96];
   std::snprintf(Buf, sizeof(Buf), "check: %s (%u procedures, %u call sites)",
@@ -452,7 +479,7 @@ QueryResult service::evalQueryCommand(const QueryTarget &Target,
   case ScriptCommand::Op::Use: {
     const Program &P = Target.program();
     ProcId Proc = findProc(P, A[0], LineNo);
-    StmtId St = stmtAt(P, Proc, parseIndex(A[1]), LineNo);
+    StmtId St = stmtAt(P, Proc, parseNumber(A[1], LineNo), LineNo);
     bool IsMod = Cmd.Kind == ScriptCommand::Op::Mod;
     EffectSet Set = IsMod ? Target.modNoAlias(St) : Target.useNoAlias(St);
     OS << (IsMod ? "MOD" : "USE") << "(" << A[0] << "#" << A[1] << ") = {"
@@ -480,7 +507,8 @@ QueryResult service::evalQueryCommand(const QueryTarget &Target,
       }
       std::string Name = A[I].substr(0, Hash);
       ProcId Proc = findProc(P, Name, LineNo);
-      unsigned K = parseIndex(A[I].substr(Hash + 1));
+      unsigned K =
+          parseNumber(std::string_view(A[I]).substr(Hash + 1), LineNo);
       std::span<const ir::CallSiteId> Sites = P.proc(Proc).CallSites;
       if (K >= Sites.size())
         die(LineNo, "procedure '" + Name + "' has only " +

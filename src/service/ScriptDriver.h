@@ -190,7 +190,8 @@ incremental::Edit applyEditCommand(demand::DemandSession &Session,
 /// snapshot (service).  Methods are const so a pinned
 /// shared_ptr<const AnalysisSnapshot> can answer directly; the session
 /// adapter's constness is shallow (the referenced session still solves
-/// lazily on query).
+/// lazily on query).  A snapshot refuses a read off its coverage by
+/// throwing service::UncoveredRead, which evalQueryCommand lets through.
 class QueryTarget {
 public:
   virtual ~QueryTarget() = default;

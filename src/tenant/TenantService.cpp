@@ -169,8 +169,8 @@ void TenantService::seedImplicitTenant(std::optional<ir::Program> Initial) {
 std::string TenantService::installEngine(Tenant &T, ir::Program Prog) {
   T.TrackUse = Opts.TrackUse;
   // Nothing is solved here: an eager tenant's first publish (or a durable
-  // open's snapshot) covers the whole program at batch cost, a partial
-  // one's first query only its own region.
+  // open's snapshot) covers the whole program at batch cost, a
+  // DemandFaultIn one's first query only its own region.
   demand::DemandOptions DO;
   DO.TrackUse = Opts.TrackUse;
   T.Engine = std::make_unique<demand::DemandSession>(std::move(Prog), DO);
@@ -313,9 +313,6 @@ bool TenantService::tryInlineQuery(const std::shared_ptr<Tenant> &T, Job &J) {
   std::shared_ptr<const service::AnalysisSnapshot> Snap = T->Snap.pin();
   if (!Snap)
     return false;
-  if (!Snap->covers(J.Cmd))
-    return false; // Partial (demand) snapshot: the shard solves the
-                  // missing region and republishes.
   Response R;
   R.Id = J.Id;
   R.TraceId = J.TraceId;
@@ -337,6 +334,12 @@ bool TenantService::tryInlineQuery(const std::shared_ptr<Tenant> &T, Job &J) {
       R.Ok = false;
       R.Error = E.Message;
       CntErrors.fetch_add(1, std::memory_order_relaxed);
+    } catch (const service::UncoveredRead &) {
+      // A demand snapshot that has not solved what the query reads: the
+      // shard solves the missing region and republishes.  The attempt
+      // counts nothing and leaves no span.
+      Span.discard();
+      return false;
     }
   }
   const std::uint64_t EvalUs = (observe::nowNanos() - T0) / 1000;
@@ -637,14 +640,13 @@ void TenantService::shardLoop(unsigned Idx) {
 }
 
 void TenantService::publish(Tenant &T) {
-  const std::uint64_t Gen = T.Engine->generation();
-  // A partial snapshot holds exactly the procedures queries have solved so
-  // far: readers of uncovered procedures miss covers() on the inline path
-  // and queue to the shard, which extends the region.
+  // Under DemandFaultIn the snapshot covers exactly the procedures queries
+  // have solved so far: a read of any other misses on the inline path and
+  // queues to the shard, which extends the region.
+  if (!Opts.DemandFaultIn)
+    T.Engine->ensureSolvedAll();
   T.Snap.publish(
-      Opts.DemandFaultIn
-          ? service::AnalysisSnapshot::capturePartial(*T.Engine, Gen)
-          : service::AnalysisSnapshot::capture(*T.Engine, Gen));
+      service::AnalysisSnapshot::capture(*T.Engine, T.Engine->generation()));
 }
 
 void TenantService::runOpen(Job &J) {
@@ -655,16 +657,20 @@ void TenantService::runOpen(Job &J) {
   try {
     std::vector<std::string> Spec(J.Cmd.Args.begin() + 1, J.Cmd.Args.end());
     synth::ProgramGenConfig Cfg = service::parseGenSpec(Spec, J.Cmd.LineNo);
-    Prog = synth::generateProgram(Cfg);
+    // The quota is checked before generation, which allocates the whole
+    // program; the generator adds main to Cfg.NumProcs procedures.
+    const std::size_t NumProcs = std::size_t(Cfg.NumProcs) + 1;
+    if (Opts.MaxProcs && NumProcs > Opts.MaxProcs) {
+      Fail = "tenant quota: " + std::to_string(NumProcs) +
+             " procedures exceeds the cap (" + std::to_string(Opts.MaxProcs) +
+             ")";
+      CntRejected.fetch_add(1, std::memory_order_relaxed);
+      T.CtrRejected->add();
+    } else {
+      Prog = synth::generateProgram(Cfg);
+    }
   } catch (const ScriptError &E) {
     Fail = E.Message;
-  }
-  if (Fail.empty() && Opts.MaxProcs && Prog.numProcs() > Opts.MaxProcs) {
-    Fail = "tenant quota: " + std::to_string(Prog.numProcs()) +
-           " procedures exceeds the cap (" + std::to_string(Opts.MaxProcs) +
-           ")";
-    CntRejected.fetch_add(1, std::memory_order_relaxed);
-    T.CtrRejected->add();
   }
   if (Fail.empty() && !Opts.DataDir.empty()) {
     std::string Dir = tenantDir(T.Name);
@@ -779,9 +785,9 @@ void TenantService::runQuery(Job &J) {
     R.Ok = false;
     R.Error = std::move(Err);
   } else if (Opts.DemandFaultIn) {
-    // Partial snapshots: answer from the live engine — the query solves
-    // (at most) its own region — then republish the enlarged partial
-    // snapshot so repeat queries take the inline path.
+    // Answer from the live engine — the query solves (at most) its own
+    // region — then republish the snapshot with the region covered, so
+    // repeat queries take the inline path.
     const std::uint64_t Gen = T.Engine->generation();
     R.Generation = Gen;
     const std::uint64_t T0 = observe::nowNanos();
@@ -937,9 +943,9 @@ void TenantService::runEditGroup(std::vector<Job> &Batch, std::size_t Begin,
         Scope.emplace(nullptr, Opts.Sink,
                       observe::ScopeTags{Batch[Begin].TraceId, Gen, T.Name});
       observe::TraceSpan Span("tenant.flush");
-      // capture() solves what the group invalidated; this is its one
-      // solve.  (capturePartial() only applies the invalidation — the next
-      // query re-solves whatever the group dirtied.)
+      // An eager publish solves what the group invalidated; this is its
+      // one solve.  (Under DemandFaultIn it only applies the invalidation —
+      // the next query re-solves whatever the group dirtied.)
       publish(T);
     }
     const std::uint64_t FlushUs = (observe::nowNanos() - T0) / 1000;
@@ -1004,8 +1010,8 @@ bool TenantService::ensureResident(Tenant &T, std::string &Err) {
   }
   // Warm restore: the snapshot's planes install fully memoized and the WAL
   // tail replays as deltas.  An eager publish then re-solves only what the
-  // tail invalidated; a partial one solves nothing — the first query after
-  // fault-in pays for its own region.
+  // tail invalidated; a DemandFaultIn one solves nothing — the first query
+  // after fault-in pays for its own region.
   T.TrackUse = RS.Snapshot.TrackUse;
   demand::DemandOptions DO;
   DO.TrackUse = RS.Snapshot.TrackUse;
@@ -1036,8 +1042,8 @@ void TenantService::evictIfIdle(Tenant &T) {
     return; // WAL failure made it memory-only; evicting would lose data.
   // Fold the WAL first so fault-in is a snapshot load plus zero replay.
   // (Compaction exports full planes, forcing the whole program solved —
-  // eviction is where a partial-snapshot tenant pays its solve, not open
-  // or fault-in.)
+  // eviction is where a DemandFaultIn tenant pays its solve, not open or
+  // fault-in.)
   std::string Err;
   if (T.Store->walRecords() > 0 &&
       !T.Store->compact(persist::SnapshotSource::of(*T.Engine), Err)) {

@@ -121,13 +121,16 @@ struct TenantOptions {
   /// Per-tenant queued-edit quota (0 = unlimited): trySubmit refuses
   /// edits for a tenant already carrying this many unanswered ones.
   std::size_t MaxQueuedEdits = 0;
-  /// Partial snapshots (`--engine=demand`).  Every tenant runs a
-  /// demand::DemandSession; by default ("eager") each publish solves
-  /// whatever the last edits invalidated and copies a full snapshot.  With
-  /// this set, queries solve only their backward-reachable region and the
-  /// published snapshot covers exactly the solved procedures
-  /// (service::AnalysisSnapshot::capturePartial), and an evicted tenant's
-  /// fault-in is warm-restore + WAL replay with no solving at all.
+  /// Demand-driven tenants (`--engine=demand`).  Every tenant runs a
+  /// demand::DemandSession and publishes one kind of snapshot
+  /// (service::AnalysisSnapshot::capture), which covers the procedures
+  /// solved when it was taken.  By default ("eager") each publish first
+  /// solves whatever the last edits invalidated, so every snapshot covers
+  /// the whole program.  With this set, queries solve only their
+  /// backward-reachable region: an inline read of an unsolved procedure
+  /// misses and goes to the shard, which solves and republishes.  An
+  /// evicted tenant's fault-in is then warm-restore + WAL replay with no
+  /// solving at all.
   /// Trade-off: durable open / eviction / shutdown must write full planes,
   /// so they force the whole program solved.
   bool DemandFaultIn = false;
@@ -333,9 +336,8 @@ private:
   /// MaxResident (best effort; busy tenants are skipped).  \p Keep is
   /// never chosen (the tenant just touched).
   void enforceResidentCap(unsigned SelfIdx, const Tenant *Keep);
-  /// Publishes \p T's engine state at its current generation: a full
-  /// snapshot (solving what edits invalidated) or, under DemandFaultIn,
-  /// the partial one.
+  /// Publishes \p T's engine state at its current generation, first
+  /// solving what edits invalidated unless DemandFaultIn is set.
   void publish(Tenant &T);
 
   /// Rewrites DataDir/tenants.json from the live registry (atomic write

@@ -21,6 +21,7 @@
 #include "incremental/Edit.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
+#include "ir/AliasInfo.h"
 #include "ir/Printer.h"
 #include "ir/ProgramBuilder.h"
 #include "service/AnalysisSnapshot.h"
@@ -194,36 +195,162 @@ TEST(ScriptDriver, ResolutionErrorsNameTheProblem) {
                ScriptError);
 }
 
+TEST(ScriptDriver, IndicesAreStrictDecimal) {
+  // Statement and call-site indices, in queries and in every edit verb,
+  // and gen values take decimal digits below 2^32 and nothing else.
+  demand::DemandSession S(makeProgram());
+  DemandSessionQueryTarget Target(S);
+  for (const char *Bad :
+       {"mod main 0x", "mod main +0", "use main -1", "mod main 99999999999",
+        "mod main 4294967296", "query main#0x", "query main#", "query main#-1"})
+    EXPECT_THROW(evalQueryCommand(Target, *parseScriptLine(Bad, 1)),
+                 ScriptError)
+        << Bad;
+  for (const char *Bad : {"add-mod main 0x g0", "rm-mod main +0 g0",
+                          "add-use main -0 g0", "rm-use main 1e3 g0",
+                          "add-call main 0x p1", "rm-call main -1"})
+    EXPECT_THROW(resolveEditCommand(S.program(), *parseScriptLine(Bad, 1)),
+                 ScriptError)
+        << Bad;
+  for (const char *Bad : {"procs=-1", "globals=0x10", "seed=", "depth=+1",
+                          "procs=4294967296"})
+    EXPECT_THROW(parseGenSpec({Bad}, 1), ScriptError) << Bad;
+  try {
+    evalQueryCommand(Target, *parseScriptLine("mod main 0x", 3));
+    ADD_FAILURE() << "expected ScriptError";
+  } catch (const ScriptError &E) {
+    EXPECT_EQ(E.LineNo, 3u);
+    EXPECT_EQ(E.Message, "'0x' is not a decimal number below 2^32");
+  }
+  EXPECT_EQ(parseGenSpec({"procs=4294967295"}, 1).NumProcs, 4294967295u);
+  EXPECT_NO_THROW(evalQueryCommand(Target, *parseScriptLine("mod main 00", 1)));
+}
+
 //===----------------------------------------------------------------------===//
 // Snapshot capture.
 //===----------------------------------------------------------------------===//
 
-TEST(AnalysisSnapshot, MatchesBatchAnalyzersAndLiveSession) {
-  demand::DemandSession S(makeProgram());
-  auto Snap = AnalysisSnapshot::capture(S, S.generation());
-  const ir::Program &P = Snap->program();
+/// Reads counted by expectSnapshotReads.
+struct SnapshotReads {
+  unsigned Covered = 0, Missed = 0;
+};
 
-  analysis::SideEffectAnalyzer Mod(P);
-  analysis::AnalyzerOptions UseOpts;
-  UseOpts.Kind = analysis::EffectKind::Use;
-  analysis::SideEffectAnalyzer Use(P, UseOpts);
+/// Compares every read a query can make of \p Snap — GMOD, GUSE and RMOD
+/// of every procedure, MOD and USE under no aliases of every statement,
+/// DMOD of every call site — with a fresh batch analysis of its program
+/// and with the live session \p Live.  A covered read must equal both; a
+/// read of a procedure \p Snap does not cover must throw UncoveredRead.
+SnapshotReads expectSnapshotReads(const AnalysisSnapshot &Snap,
+                                  demand::DemandSession &Live) {
+  using analysis::EffectKind;
+  const ir::Program &P = Snap.program();
+  const analysis::BatchAnalysis Batch(P, /*WithUse=*/true);
+  const ir::AliasInfo NoAliases(P);
+  SnapshotReads R;
+  auto Read = [&](bool Covered, auto Got, const auto &Want,
+                  const std::string &What) {
+    if (!Covered) {
+      EXPECT_THROW(Got(), UncoveredRead) << What;
+      ++R.Missed;
+      return;
+    }
+    EXPECT_EQ(Got(), Want) << What;
+    ++R.Covered;
+  };
+  auto CalleesCovered = [&](ir::StmtId St, EffectKind Kind) {
+    for (ir::CallSiteId C : P.stmt(St).Calls)
+      if (!Snap.covered(P.callSite(C).Callee, Kind))
+        return false;
+    return true;
+  };
 
   for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
-    ir::ProcId Proc(I);
-    EXPECT_EQ(Snap->gmod(Proc), Mod.gmod(Proc));
-    EXPECT_EQ(Snap->guse(Proc), Use.gmod(Proc));
-    for (ir::VarId F : P.proc(Proc).Formals) {
-      EXPECT_EQ(Snap->rmodContains(F, analysis::EffectKind::Mod),
-                Mod.rmodContains(F));
-      EXPECT_EQ(Snap->rmodContains(F, analysis::EffectKind::Use),
-                Use.rmodContains(F));
-    }
+    const ir::ProcId Proc(I);
+    const std::string Name = P.name(Proc);
+    Read(Snap.covered(Proc, EffectKind::Mod),
+         [&]() -> EffectSet { return Snap.gmod(Proc); }, Batch.Mod.gmod(Proc),
+         "gmod " + Name);
+    Read(Snap.covered(Proc, EffectKind::Use),
+         [&]() -> EffectSet { return Snap.guse(Proc); },
+         Batch.Use->gmod(Proc), "guse " + Name);
+    EXPECT_EQ(Live.gmod(Proc), Batch.Mod.gmod(Proc)) << Name;
+    EXPECT_EQ(Live.guse(Proc), Batch.Use->gmod(Proc)) << Name;
+    for (ir::VarId F : P.proc(Proc).Formals)
+      for (EffectKind Kind : {EffectKind::Mod, EffectKind::Use}) {
+        const bool Want = Batch.of(Kind).rmodContains(F);
+        Read(Snap.covered(Proc, Kind),
+             [&] { return Snap.rmodContains(F, Kind); }, Want,
+             "rmod " + P.name(F));
+        EXPECT_EQ(Live.rmodContains(F, Kind), Want) << P.name(F);
+      }
   }
+  for (std::uint32_t I = 0; I != P.numStmts(); ++I) {
+    const ir::StmtId St(I);
+    const std::string What = "stmt " + std::to_string(I);
+    // MOD(s) under the empty alias relation is DMOD(s).
+    EXPECT_EQ(Batch.Mod.mod(St, NoAliases), Batch.Mod.dmod(St)) << What;
+    Read(CalleesCovered(St, EffectKind::Mod),
+         [&] { return Snap.modNoAlias(St); }, Batch.Mod.dmod(St),
+         "mod " + What);
+    Read(CalleesCovered(St, EffectKind::Use),
+         [&] { return Snap.useNoAlias(St); }, Batch.Use->dmod(St),
+         "use " + What);
+    EXPECT_EQ(Live.dmod(St), Batch.Mod.dmod(St)) << What;
+    EXPECT_EQ(Live.duse(St), Batch.Use->dmod(St)) << What;
+  }
+  for (std::uint32_t I = 0; I != P.numCallSites(); ++I) {
+    const ir::CallSiteId C(I);
+    const std::string What = "call site " + std::to_string(I);
+    Read(Snap.covered(P.callSite(C).Callee, EffectKind::Mod),
+         [&] { return Snap.dmodSite(C); }, Batch.Mod.dmod(C), What);
+    EXPECT_EQ(Live.dmod(C), Batch.Mod.dmod(C)) << What;
+  }
+  return R;
+}
+
+TEST(AnalysisSnapshot, MatchesBatchAnalyzersAndLiveSession) {
+  // A snapshot of a fully solved session answers every read.
+  {
+    demand::DemandSession S(makeProgram());
+    S.ensureSolvedAll();
+    auto Snap = AnalysisSnapshot::capture(S, S.generation());
+    SnapshotReads R = expectSnapshotReads(*Snap, S);
+    EXPECT_GT(R.Covered, 0u);
+    EXPECT_EQ(R.Missed, 0u);
+  }
+  // One taken after a query solved only part of the program answers the
+  // reads its coverage holds and refuses the rest.  (makeProgram's
+  // procedures all depend on one another; a generated program has small
+  // regions.)
+  synth::ProgramGenConfig Cfg;
+  Cfg.NumProcs = 10;
+  Cfg.NumGlobals = 5;
+  Cfg.Seed = 7;
+  unsigned PartialSnapshots = 0;
+  for (std::uint32_t I = 0; I != Cfg.NumProcs + 1; ++I) {
+    demand::DemandSession S(synth::generateProgram(Cfg));
+    S.gmod(ir::ProcId(I));
+    if (S.coveredCount(analysis::EffectKind::Mod) == S.program().numProcs())
+      continue;
+    auto Snap = AnalysisSnapshot::capture(S, S.generation());
+    SnapshotReads R = expectSnapshotReads(*Snap, S);
+    EXPECT_GT(R.Covered, 0u) << "after gmod of proc " << I;
+    EXPECT_GT(R.Missed, 0u) << "after gmod of proc " << I;
+    ++PartialSnapshots;
+  }
+  EXPECT_GT(PartialSnapshots, 0u);
+}
+
+/// What an eager tenant publishes: \p S solved everywhere, then copied.
+std::shared_ptr<const AnalysisSnapshot>
+fullSnapshot(demand::DemandSession &S, std::uint64_t Generation) {
+  S.ensureSolvedAll();
+  return AnalysisSnapshot::capture(S, Generation);
 }
 
 TEST(AnalysisSnapshot, IsImmuneToLaterSessionEdits) {
   demand::DemandSession S(makeProgram());
-  auto Snap = AnalysisSnapshot::capture(S, S.generation());
+  auto Snap = fullSnapshot(S, S.generation());
   std::string Before =
       setToString(Snap->program(), Snap->gmod(S.program().main()));
   std::size_t ProcsBefore = Snap->program().numProcs();
@@ -248,7 +375,7 @@ TEST(AnalysisSnapshot, FullPublishCountsNoQueries) {
   observe::Counter &Hits =
       observe::MetricsRegistry::global().counter("demand.memo_hits");
   const std::uint64_t HitsBefore = Hits.value();
-  AnalysisSnapshot::capture(S, S.generation());
+  fullSnapshot(S, S.generation());
 
   ir::VarId G;
   for (std::uint32_t I = 0; I != S.program().numVars(); ++I)
@@ -258,8 +385,8 @@ TEST(AnalysisSnapshot, FullPublishCountsNoQueries) {
     }
   ASSERT_TRUE(G.isValid());
   S.addMod(S.addStmt(S.program().main()), G);
-  auto Snap = AnalysisSnapshot::capture(S, S.generation());
-  AnalysisSnapshot::capture(S, S.generation());
+  auto Snap = fullSnapshot(S, S.generation());
+  fullSnapshot(S, S.generation());
 
   EXPECT_EQ(S.stats().Queries, 0u);
   EXPECT_EQ(S.stats().MemoHits, 0u);
@@ -428,6 +555,25 @@ TEST(ImplicitTenant, EchoesTraceIdsAndTagsSpans) {
   ASSERT_FALSE(Flushes.empty());
   EXPECT_EQ(Flushes[0].TraceId, "req-e");
   EXPECT_EQ(Flushes[0].Generation, 1u);
+}
+
+TEST(AnalysisSnapshot, CheckRefusesBeforeBuildingItsBatchAnalysis) {
+  // A snapshot of a session nothing has solved covers nothing: `check`
+  // misses at its first read, before its batch analysis records a span.
+  demand::DemandSession S(makeProgram());
+  auto Snap = AnalysisSnapshot::capture(S, S.generation());
+  ServiceTagSink Sink;
+  {
+    observe::TraceScope Scope(nullptr, &Sink);
+    EXPECT_THROW(evalQueryCommand(*Snap, *parseScriptLine("check", 1)),
+                 UncoveredRead);
+  }
+  EXPECT_TRUE(Sink.Rows.empty());
+  // Solved everywhere, the same session's snapshot checks out.
+  EXPECT_TRUE(
+      evalQueryCommand(*fullSnapshot(S, S.generation()),
+                       *parseScriptLine("check", 1))
+          .CheckOk);
 }
 
 TEST(ImplicitTenant, MetricsVerbSpeaksJsonAndPrometheus) {
@@ -734,7 +880,7 @@ TEST(ServiceStress, EveryResponseMatchesItsSnapshotGeneration) {
   demand::DemandSession Mirror(makeProgram(24, 8, 11));
   std::map<std::uint64_t, std::shared_ptr<const AnalysisSnapshot>> History;
   History[Mirror.generation()] =
-      AnalysisSnapshot::capture(Mirror, Mirror.generation());
+      fullSnapshot(Mirror, Mirror.generation());
 
   // Query pool drawn from the initial program; later generations may
   // invalidate some names (rm-proc), which must surface as clean error
@@ -786,7 +932,7 @@ TEST(ServiceStress, EveryResponseMatchesItsSnapshotGeneration) {
     Response R = Svc->call("", Line);
     ASSERT_TRUE(R.Ok) << R.Error << " for " << Line;
     ASSERT_EQ(R.Generation, Mirror.generation()) << Line;
-    History[R.Generation] = AnalysisSnapshot::capture(Mirror, R.Generation);
+    History[R.Generation] = fullSnapshot(Mirror, R.Generation);
     ++EditsApplied;
   }
   for (std::thread &T : Readers)

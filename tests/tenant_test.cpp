@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "demand/DemandSession.h"
+#include "observe/Trace.h"
 #include "persist/Snapshot.h"
 #include "support/Json.h"
 #include "synth/ProgramGen.h"
@@ -190,6 +191,35 @@ TEST(TenantLifecycle, NameValidationAndQuotas) {
   EXPECT_GE(Svc.counters().Rejected, 1u);
 }
 
+TEST(TenantLifecycle, ProcQuotaIsCheckedBeforeGeneration) {
+  TenantOptions Opts;
+  Opts.Shards = 1;
+  Opts.MaxProcs = 5;
+  TenantService Svc(Opts);
+
+  // The spec's count is checked against the cap before the generator
+  // allocates anything (procs=200000 means 200001 with main).
+  Response R = Svc.call("", "open big procs=200000 globals=2 seed=1");
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("tenant quota: 200001 procedures exceeds the cap (5)"),
+            std::string::npos)
+      << R.Error;
+  EXPECT_FALSE(Svc.hasTenant("big"));
+  EXPECT_EQ(Svc.counters().Rejected, 1u);
+
+  // A negative count is a parse error, not 2^32 - 1 procedures.
+  R = Svc.call("", "open neg procs=-1 globals=2 seed=1");
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("'-1' is not a decimal number"), std::string::npos)
+      << R.Error;
+  EXPECT_FALSE(Svc.hasTenant("neg"));
+
+  // At the cap the open goes through.
+  R = Svc.call("", "open fits procs=4 globals=2 seed=1");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Result, "opened 'fits' (5 procs)");
+}
+
 TEST(TenantLifecycle, EditQuotaShedsStormWithRetry) {
   TenantOptions Opts;
   Opts.Shards = 1;
@@ -324,6 +354,33 @@ TEST(TenantProtocol, AttachRoutesAndFallbackAnswers) {
   Line = Log.waitLine(7);
   EXPECT_NE(Line.find("\"ok\":false"), std::string::npos) << Line;
   EXPECT_NE(Line.find("no tenant"), std::string::npos) << Line;
+}
+
+TEST(TenantProtocol, MalformedIndicesAreErrorsOnBothEngines) {
+  // With DemandFaultIn the first read of main lands on a snapshot that
+  // covers nothing; a malformed index must still be an error reply, never
+  // a read of an unsolved plane.
+  for (bool Demand : {false, true}) {
+    TenantOptions Opts;
+    Opts.Shards = 1;
+    Opts.DemandFaultIn = Demand;
+    TenantService Svc(Opts);
+    ASSERT_TRUE(Svc.call("", "open acme procs=10 globals=5 seed=7").Ok);
+    Oracle Model("procs=10 globals=5 seed=7");
+    for (const char *Bad : {"mod main 0x", "mod main +0", "query main#0x",
+                            "mod main 99999999999", "add-mod main -1 g0",
+                            "rm-call main 0x"}) {
+      Response R = Svc.call("acme", Bad);
+      EXPECT_FALSE(R.Ok) << Bad << " (demand " << Demand << ")";
+      EXPECT_NE(R.Error.find("is not a decimal number below 2^32"),
+                std::string::npos)
+          << Bad << ": " << R.Error;
+    }
+    Response R = Svc.call("acme", "gmod main");
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.Result, Model.query("gmod main"));
+    EXPECT_EQ(R.Generation, 0u);
+  }
 }
 
 TEST(TenantProtocol, IllegalAddCallIsRefusedAndTheServerKeepsAnswering) {
@@ -468,7 +525,8 @@ TEST(TenantDurable, WarmRestartFaultsInWithoutResolve) {
 }
 
 //===----------------------------------------------------------------------===//
-// Demand-driven tenants: partial snapshots, solve-free fault-in.
+// Demand-driven tenants: snapshots covering solved regions, solve-free
+// fault-in.
 //===----------------------------------------------------------------------===//
 
 TEST(TenantDemand, DemandTenantsMatchSessionTenants) {
@@ -480,7 +538,7 @@ TEST(TenantDemand, DemandTenantsMatchSessionTenants) {
   ASSERT_TRUE(Svc.call("", "open acme procs=10 globals=5 seed=7").Ok);
   Oracle Model("procs=10 globals=5 seed=7");
 
-  // Interleave edits with queries so partial snapshots republish between
+  // Interleave edits with queries so demand snapshots republish between
   // invalidations; every answer must match the batch-backed oracle.
   for (const std::string &L : tenantEditScript(3)) {
     Response R = Svc.call("acme", L);
@@ -501,6 +559,52 @@ TEST(TenantDemand, DemandTenantsMatchSessionTenants) {
   Response R = Svc.call("acme", "query main p1");
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Result, Model.query("query main p1"));
+}
+
+/// Counts the `tenant.query` spans and slow-query records it receives.
+struct QuerySpanSink : observe::TraceSink {
+  std::atomic<unsigned> Spans{0}, Slow{0};
+  void onSpan(const observe::SpanRecord &R) override {
+    if (std::string(R.Name) == "tenant.query")
+      ++Spans;
+  }
+  void onSlowQuery(const observe::SlowQueryRecord &) override { ++Slow; }
+};
+
+TEST(TenantDemand, InlineMissesCountNothingAndLeaveNoSpan) {
+  QuerySpanSink Sink;
+  TenantOptions Opts;
+  Opts.Shards = 1;
+  Opts.DemandFaultIn = true;
+  Opts.Sink = &Sink;
+  Opts.SlowQueryUs = 1;
+  TenantService Svc(Opts);
+  ASSERT_TRUE(Svc.call("", "open acme procs=10 globals=5 seed=7").Ok);
+  Oracle Model("procs=10 globals=5 seed=7");
+
+  // Nothing is solved yet: the inline read misses and the shard answers,
+  // solving main's region (its demand attribution shows the solve).
+  Response First = Svc.call("acme", "query main");
+  ASSERT_TRUE(First.Ok) << First.Error;
+  EXPECT_TRUE(First.HasStats);
+  EXPECT_GT(First.RegionProcs, 0u);
+  // The republished snapshot covers the region: these answer inline.
+  Response Again = Svc.call("acme", "query main");
+  ASSERT_TRUE(Again.Ok) << Again.Error;
+  EXPECT_FALSE(Again.HasStats);
+  EXPECT_EQ(Again.Result, First.Result);
+  EXPECT_EQ(Again.Result, Model.query("query main"));
+  Response Mod = Svc.call("acme", "mod main 0");
+  ASSERT_TRUE(Mod.Ok) << Mod.Error;
+  EXPECT_EQ(Mod.Result, Model.query("mod main 0"));
+
+  // Three queries answered, one span each; the miss added neither a
+  // count, nor a span, nor a slow-log record.
+  EXPECT_EQ(Svc.counters().Queries, 3u);
+  if (!observe::enabled())
+    return;
+  EXPECT_EQ(Sink.Spans.load(), 3u);
+  EXPECT_LE(Sink.Slow.load(), 3u);
 }
 
 TEST(TenantDemand, FaultInAnswersFromPartialRegion) {
