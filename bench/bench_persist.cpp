@@ -19,8 +19,8 @@
 // recovery_ms times the full boot path the service takes with --data-dir:
 // Store::open (manifest, snapshot decode + CRC + graph cross-check, WAL
 // tail recovery), the plane-restoring session constructor, replay of the
-// WAL tail, and bringing every procedure up to date (what the server's
-// first full-snapshot publish does).  cold_solve_ms builds the same
+// WAL tail, and bringing every procedure up to date (ensureSolvedAll; the
+// server leaves that to its queries).  cold_solve_ms builds the same
 // session from source and pays the first full solve.  warm_speedup is their
 // ratio; the acceptance bar is >1 at 4000 procs.  wal_append_us is the
 // mean per-record append with one fsync per append — the worst-case

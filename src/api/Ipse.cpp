@@ -212,8 +212,8 @@ int Analyzer::runSessionScript(const std::string &Script, std::FILE *Out,
     Scope.emplace(Opts.Profile ? CostsOut : nullptr, Opts.Sink);
 
   // The script drives one DemandSession.  By default queries see the
-  // whole program solved first (as the server's full snapshots do); under
-  // --engine=demand each query solves only the region it touches.
+  // whole program solved first; under --engine=demand (and in the server)
+  // each query solves only the region it touches.
   const bool Eager = Opts.Backend != AnalysisOptions::Engine::Demand;
   std::optional<demand::DemandSession> D;
   auto session = [&](unsigned LineNo) -> demand::DemandSession & {

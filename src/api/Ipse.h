@@ -65,13 +65,12 @@ namespace ipse {
 /// One options struct for every engine.  Engine-specific knobs are
 /// ignored by engines that don't consume them.
 struct AnalysisOptions {
-  /// Which engine answers.
+  /// Which engine answers.  serve() ignores it: every tenant is a demand
+  /// session whose snapshots cover what its queries solved.
   enum class Engine {
-    Sequential, ///< analysis::SideEffectAnalyzer (batch); `serve` and
-                ///< `session` publish / answer from full solutions.
-    Demand      ///< demand::DemandSession (query-driven region solving);
-                ///< `serve` publishes snapshots covering what
-                ///< queries solved.
+    Sequential, ///< analysis::SideEffectAnalyzer (batch); `session`
+                ///< answers from full solutions.
+    Demand      ///< demand::DemandSession (query-driven region solving).
   };
   Engine Backend = Engine::Sequential;
 
@@ -152,9 +151,6 @@ struct AnalysisOptions {
     O.MaxResident = TenantMaxResident;
     O.MaxProcs = TenantMaxProcs;
     O.MaxQueuedEdits = TenantMaxQueuedEdits;
-    // `--engine=demand --tenants`: tenants publish snapshots covering
-    // what queries solved, and fault back in without re-solving anything.
-    O.DemandFaultIn = Backend == Engine::Demand;
     // The implicit tenant's store files and the named tenants' t-<name>
     // subtrees are disjoint namespaces within one data directory.
     O.DataDir = DataDir;
@@ -245,13 +241,13 @@ public:
   /// every procedure final.
   std::unique_ptr<demand::DemandSession> open_demand(ir::Program Initial) const;
 
-  /// Starts the sharded MVCC server (server knobs, TrackUse, DataDir),
-  /// recovering the tenant manifest in durable mode.  \p Initial, when
-  /// given, becomes the implicit tenant "" that requests naming no tenant
-  /// reach; a store at the root of DataDir takes its place.  Throws
-  /// std::runtime_error when the data directory is unusable.  Serve it
-  /// with tenant::serveTenantFd / tenantConnectionHandler (`ipse-cli
-  /// serve`).
+  /// Starts the sharded MVCC server (server knobs, TrackUse, DataDir;
+  /// Backend is ignored, every tenant is demand-driven), recovering the
+  /// tenant manifest in durable mode.  \p Initial, when given, becomes
+  /// the implicit tenant "" that requests naming no tenant reach; a store
+  /// at the root of DataDir takes its place.  Throws std::runtime_error
+  /// when the data directory is unusable.  Serve it with
+  /// tenant::serveTenantFd / tenantConnectionHandler (`ipse-cli serve`).
   std::unique_ptr<tenant::TenantService>
   serve(std::optional<ir::Program> Initial = std::nullopt) const;
 

@@ -17,14 +17,13 @@
 /// is held, regardless of how many generations the writer publishes
 /// meanwhile.
 ///
-/// There is one form.  A session solved everywhere (ensureSolvedAll, the
-/// tenant service's eager mode) yields a snapshot that covers every
-/// procedure; a demand session yields one that covers the procedures its
-/// queries have solved.  Each accessor checks, at the read, the flag of
-/// every procedure whose plane it reads and throws UncoveredRead on a
-/// miss, so no reader ever sees a stale or empty entry.  Coverage is
-/// sound per procedure: Solved(p) implies every procedure p's answers
-/// depend on is Solved too.
+/// There is one form.  A session solved everywhere (ensureSolvedAll)
+/// yields a snapshot that covers every procedure; otherwise it covers the
+/// procedures the session's queries have solved.  Each accessor checks,
+/// at the read, the flag of every procedure whose plane it reads and
+/// throws UncoveredRead on a miss, so no reader ever sees a stale or
+/// empty entry.  Coverage is sound per procedure: Solved(p) implies every
+/// procedure p's answers depend on is Solved too.
 ///
 /// Self-containment is the invariant that makes the concurrency story
 /// trivial: a snapshot holds copies, not references into the session, so

@@ -166,19 +166,19 @@ bool service::isValidTenantName(std::string_view Name) {
   return true;
 }
 
-std::optional<ScriptCommand> service::parseScriptLine(std::string_view Line,
-                                                      unsigned LineNo) {
-  std::string Text(Line);
+std::string_view service::stripComment(std::string_view Line) {
   // A '#' opens a comment only at line start or after whitespace; mid-token
   // it is data ("query p12#0" names p12's call site 0).
-  for (std::size_t Hash = Text.find('#'); Hash != std::string::npos;
-       Hash = Text.find('#', Hash + 1))
-    if (Hash == 0 ||
-        std::isspace(static_cast<unsigned char>(Text[Hash - 1]))) {
-      Text.resize(Hash);
-      break;
-    }
-  std::istringstream Tok(Text);
+  for (std::size_t Hash = Line.find('#'); Hash != std::string_view::npos;
+       Hash = Line.find('#', Hash + 1))
+    if (Hash == 0 || std::isspace(static_cast<unsigned char>(Line[Hash - 1])))
+      return Line.substr(0, Hash);
+  return Line;
+}
+
+std::optional<ScriptCommand> service::parseScriptLine(std::string_view Line,
+                                                      unsigned LineNo) {
+  std::istringstream Tok{std::string(stripComment(Line))};
   std::vector<std::string> T;
   for (std::string W; Tok >> W;)
     T.push_back(W);

@@ -153,7 +153,11 @@ bool isValidTenantName(std::string_view Name);
 synth::ProgramGenConfig parseGenSpec(const std::vector<std::string> &Args,
                                      unsigned LineNo);
 
-/// Parses one script line ('#' starts a comment).  Returns nullopt for
+/// \p Line without its comment: a '#' at line start or after whitespace
+/// opens one; mid-token ("main#0") it is data.
+std::string_view stripComment(std::string_view Line);
+
+/// Parses one script line (stripComment first).  Returns nullopt for
 /// blank/comment-only lines; throws ScriptError on unknown commands or
 /// wrong arity.
 std::optional<ScriptCommand> parseScriptLine(std::string_view Line,

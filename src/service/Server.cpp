@@ -7,6 +7,7 @@
 
 #include "service/Server.h"
 
+#include "service/ScriptDriver.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -346,12 +347,11 @@ int service::runClient(std::uint16_t Port, std::FILE *In, std::FILE *Out) {
     ssize_t Len = ::getline(&LinePtr, &LineCap, In);
     if (Len < 0)
       break;
-    std::string Script(LinePtr, static_cast<std::size_t>(Len));
+    std::string Script(
+        stripComment({LinePtr, static_cast<std::size_t>(Len)}));
     while (!Script.empty() &&
            (Script.back() == '\n' || Script.back() == '\r'))
       Script.pop_back();
-    if (std::size_t Hash = Script.find('#'); Hash != std::string::npos)
-      Script.resize(Hash);
     bool AllSpace = true;
     for (char C : Script)
       if (!std::isspace(static_cast<unsigned char>(C)))

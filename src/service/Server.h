@@ -150,9 +150,9 @@ private:
 };
 
 /// Connects to 127.0.0.1:\p Port, wraps each line of \p In (a session
-/// script; '#' comments and blanks skipped) into a protocol request, and
-/// prints each response line to \p Out.  Returns 0 on success, 1 on
-/// connection failure or any ok=false response.
+/// script; comments, by stripComment's rule, and blanks skipped) into a
+/// protocol request, and prints each response line to \p Out.  Returns 0
+/// on success, 1 on connection failure or any ok=false response.
 int runClient(std::uint16_t Port, std::FILE *In, std::FILE *Out);
 
 /// Connects to 127.0.0.1:\p Port, issues one `metrics` request, and

@@ -168,9 +168,8 @@ void TenantService::seedImplicitTenant(std::optional<ir::Program> Initial) {
 
 std::string TenantService::installEngine(Tenant &T, ir::Program Prog) {
   T.TrackUse = Opts.TrackUse;
-  // Nothing is solved here: an eager tenant's first publish (or a durable
-  // open's snapshot) covers the whole program at batch cost, a
-  // DemandFaultIn one's first query only its own region.
+  // Nothing is solved here (a durable open's snapshot aside, which writes
+  // full planes): the first query pays for its own region.
   demand::DemandOptions DO;
   DO.TrackUse = Opts.TrackUse;
   T.Engine = std::make_unique<demand::DemandSession>(std::move(Prog), DO);
@@ -314,44 +313,59 @@ bool TenantService::tryInlineQuery(const std::shared_ptr<Tenant> &T, Job &J) {
   if (!Snap)
     return false;
   Response R;
+  try {
+    R = answerQuery(*T, J, *Snap, Snap->generation());
+  } catch (const service::UncoveredRead &) {
+    // The snapshot has not solved what the query reads: the shard solves
+    // the missing region and republishes.
+    return false;
+  }
+  observe::MetricsRegistry::global()
+      .histogram("tenant.read_lat_us")
+      .record(elapsedMicros(J));
+  J.Done(std::move(R));
+  return true;
+}
+
+Response TenantService::answerQuery(Tenant &T, const Job &J,
+                                    const service::QueryTarget &Target,
+                                    std::uint64_t Gen) {
+  Response R;
   R.Id = J.Id;
   R.TraceId = J.TraceId;
-  R.Generation = Snap->generation();
+  R.Generation = Gen;
   const std::uint64_t T0 = observe::nowNanos();
+  service::QueryResult QR;
   {
     std::optional<observe::TraceScope> Scope;
     if (Opts.Sink)
       Scope.emplace(nullptr, Opts.Sink,
-                    observe::ScopeTags{J.TraceId, Snap->generation(), T->Name});
+                    observe::ScopeTags{J.TraceId, Gen, T.Name});
     observe::TraceSpan Span("tenant.query");
     try {
-      service::QueryResult QR = service::evalQueryCommand(*Snap, J.Cmd);
+      QR = service::evalQueryCommand(Target, J.Cmd);
       R.Result = std::move(QR.Text);
       R.CheckOk = QR.CheckOk;
-      T->CtrQueries->add();
+      R.HasStats = QR.HasStats;
+      R.RegionProcs = QR.RegionProcs;
+      R.MemoHits = QR.MemoHits;
+      R.FrontierCuts = QR.FrontierCuts;
+      T.CtrQueries->add();
       CntQueries.fetch_add(1, std::memory_order_relaxed);
     } catch (const ScriptError &E) {
       R.Ok = false;
       R.Error = E.Message;
       CntErrors.fetch_add(1, std::memory_order_relaxed);
     } catch (const service::UncoveredRead &) {
-      // A demand snapshot that has not solved what the query reads: the
-      // shard solves the missing region and republishes.  The attempt
-      // counts nothing and leaves no span.
       Span.discard();
-      return false;
+      throw;
     }
   }
   const std::uint64_t EvalUs = (observe::nowNanos() - T0) / 1000;
   if (Opts.SlowQueryUs && EvalUs > Opts.SlowQueryUs)
-    noteSlowOp(Opts, T->Name, "tenant.query", EvalUs, J.TraceId,
-               Snap->generation());
-  touch(*T);
-  observe::MetricsRegistry::global()
-      .histogram("tenant.read_lat_us")
-      .record(elapsedMicros(J));
-  J.Done(std::move(R));
-  return true;
+    noteSlowOp(Opts, T.Name, "tenant.query", EvalUs, J.TraceId, Gen, &QR);
+  touch(T);
+  return R;
 }
 
 bool TenantService::submit(std::string TenantName, Job J, bool Blocking) {
@@ -640,11 +654,9 @@ void TenantService::shardLoop(unsigned Idx) {
 }
 
 void TenantService::publish(Tenant &T) {
-  // Under DemandFaultIn the snapshot covers exactly the procedures queries
-  // have solved so far: a read of any other misses on the inline path and
-  // queues to the shard, which extends the region.
-  if (!Opts.DemandFaultIn)
-    T.Engine->ensureSolvedAll();
+  // The snapshot covers exactly the procedures queries have solved so
+  // far: a read of any other misses on the inline path and queues to the
+  // shard, which extends the region.
   T.Snap.publish(
       service::AnalysisSnapshot::capture(*T.Engine, T.Engine->generation()));
 }
@@ -775,81 +787,26 @@ void TenantService::runClose(Job &J) {
 void TenantService::runQuery(Job &J) {
   Tenant &T = *J.T;
   Response R;
-  R.Id = J.Id;
-  R.TraceId = J.TraceId;
   std::string Err;
   if (T.Closed.load(std::memory_order_acquire)) {
-    R.Ok = false;
-    R.Error = "unknown tenant '" + T.Name + "'";
-  } else if (!ensureResident(T, Err)) {
+    Err = "unknown tenant '" + T.Name + "'";
+  } else if (ensureResident(T, Err)) {
+    // Answer from the live session, which solves (at most) the query's
+    // own region, and republish only if it solved one, so repeat queries
+    // take the inline path.
+    const std::uint64_t Solves = T.Engine->stats().RegionSolves;
+    R = answerQuery(T, J, service::DemandSessionQueryTarget(*T.Engine),
+                    T.Engine->generation());
+    if (T.Engine->stats().RegionSolves != Solves)
+      publish(T);
+  }
+  if (!Err.empty()) {
+    R.Id = J.Id;
+    R.TraceId = J.TraceId;
     R.Ok = false;
     R.Error = std::move(Err);
-  } else if (Opts.DemandFaultIn) {
-    // Answer from the live engine — the query solves (at most) its own
-    // region — then republish the snapshot with the region covered, so
-    // repeat queries take the inline path.
-    const std::uint64_t Gen = T.Engine->generation();
-    R.Generation = Gen;
-    const std::uint64_t T0 = observe::nowNanos();
-    service::QueryResult QR;
-    {
-      std::optional<observe::TraceScope> Scope;
-      if (Opts.Sink)
-        Scope.emplace(nullptr, Opts.Sink,
-                      observe::ScopeTags{J.TraceId, Gen, T.Name});
-      observe::TraceSpan Span("tenant.query");
-      try {
-        service::DemandSessionQueryTarget QT(*T.Engine);
-        QR = service::evalQueryCommand(QT, J.Cmd);
-        R.Result = std::move(QR.Text);
-        R.CheckOk = QR.CheckOk;
-        if (QR.HasStats) {
-          R.HasStats = true;
-          R.RegionProcs = QR.RegionProcs;
-          R.MemoHits = QR.MemoHits;
-          R.FrontierCuts = QR.FrontierCuts;
-        }
-        T.CtrQueries->add();
-        CntQueries.fetch_add(1, std::memory_order_relaxed);
-      } catch (const ScriptError &E) {
-        R.Ok = false;
-        R.Error = E.Message;
-      }
-    }
-    const std::uint64_t EvalUs = (observe::nowNanos() - T0) / 1000;
-    if (Opts.SlowQueryUs && EvalUs > Opts.SlowQueryUs)
-      noteSlowOp(Opts, T.Name, "tenant.query", EvalUs, J.TraceId, Gen, &QR);
-    publish(T);
-    touch(T);
-  } else {
-    std::shared_ptr<const service::AnalysisSnapshot> Snap = T.Snap.pin();
-    R.Generation = Snap->generation();
-    const std::uint64_t T0 = observe::nowNanos();
-    {
-      std::optional<observe::TraceScope> Scope;
-      if (Opts.Sink)
-        Scope.emplace(nullptr, Opts.Sink,
-                      observe::ScopeTags{J.TraceId, Snap->generation(), T.Name});
-      observe::TraceSpan Span("tenant.query");
-      try {
-        service::QueryResult QR = service::evalQueryCommand(*Snap, J.Cmd);
-        R.Result = std::move(QR.Text);
-        R.CheckOk = QR.CheckOk;
-        T.CtrQueries->add();
-        CntQueries.fetch_add(1, std::memory_order_relaxed);
-      } catch (const ScriptError &E) {
-        R.Ok = false;
-        R.Error = E.Message;
-      }
-    }
-    const std::uint64_t EvalUs = (observe::nowNanos() - T0) / 1000;
-    if (Opts.SlowQueryUs && EvalUs > Opts.SlowQueryUs)
-      noteSlowOp(Opts, T.Name, "tenant.query", EvalUs, J.TraceId,
-                 Snap->generation());
-    touch(T);
-  }
-  if (!R.Ok)
     CntErrors.fetch_add(1, std::memory_order_relaxed);
+  }
   observe::MetricsRegistry::global()
       .histogram("tenant.read_lat_us")
       .record(elapsedMicros(J));
@@ -943,9 +900,8 @@ void TenantService::runEditGroup(std::vector<Job> &Batch, std::size_t Begin,
         Scope.emplace(nullptr, Opts.Sink,
                       observe::ScopeTags{Batch[Begin].TraceId, Gen, T.Name});
       observe::TraceSpan Span("tenant.flush");
-      // An eager publish solves what the group invalidated; this is its
-      // one solve.  (Under DemandFaultIn it only applies the invalidation —
-      // the next query re-solves whatever the group dirtied.)
+      // The publish applies the group's invalidation; the next query
+      // re-solves whatever the group dirtied.
       publish(T);
     }
     const std::uint64_t FlushUs = (observe::nowNanos() - T0) / 1000;
@@ -1009,9 +965,8 @@ bool TenantService::ensureResident(Tenant &T, std::string &Err) {
     return false;
   }
   // Warm restore: the snapshot's planes install fully memoized and the WAL
-  // tail replays as deltas.  An eager publish then re-solves only what the
-  // tail invalidated; a DemandFaultIn one solves nothing — the first query
-  // after fault-in pays for its own region.
+  // tail replays as deltas.  The publish solves nothing: the first query
+  // after fault-in pays for whatever the tail invalidated in its region.
   T.TrackUse = RS.Snapshot.TrackUse;
   demand::DemandOptions DO;
   DO.TrackUse = RS.Snapshot.TrackUse;
@@ -1042,8 +997,7 @@ void TenantService::evictIfIdle(Tenant &T) {
     return; // WAL failure made it memory-only; evicting would lose data.
   // Fold the WAL first so fault-in is a snapshot load plus zero replay.
   // (Compaction exports full planes, forcing the whole program solved —
-  // eviction is where a DemandFaultIn tenant pays its solve, not open or
-  // fault-in.)
+  // eviction, like a durable open, is where a tenant pays its solve.)
   std::string Err;
   if (T.Store->walRecords() > 0 &&
       !T.Store->compact(persist::SnapshotSource::of(*T.Engine), Err)) {
@@ -1135,11 +1089,14 @@ std::size_t TenantService::residentCount() const {
   return Resident.load(std::memory_order_relaxed);
 }
 
-std::uint64_t TenantService::generation(const std::string &Name) const {
+std::shared_ptr<const service::AnalysisSnapshot>
+TenantService::snapshot(const std::string &Name) const {
   std::shared_ptr<Tenant> T = lookup(Name);
-  if (!T)
-    return 0;
-  std::shared_ptr<const service::AnalysisSnapshot> Snap = T->Snap.pin();
+  return T ? T->Snap.pin() : nullptr;
+}
+
+std::uint64_t TenantService::generation(const std::string &Name) const {
+  std::shared_ptr<const service::AnalysisSnapshot> Snap = snapshot(Name);
   return Snap ? Snap->generation() : 0;
 }
 

@@ -23,11 +23,15 @@
 /// applies every consecutive edit for the tenant, appends them to the
 /// tenant's WAL with one fsync, and captures/publishes one snapshot.
 ///
-/// Queries against a *resident* tenant never enter a queue: the caller
-/// pins the tenant's published snapshot (one shared_ptr copy under the
-/// tenant's snapshot mutex) and evaluates on its own thread, so reads scale with client threads rather
-/// than with a worker-pool knob.  Queries against an evicted tenant queue
-/// to the shard, which faults the session back in first.
+/// A published snapshot covers what the tenant's queries have solved: no
+/// publish solves anything.  A query whose reads it covers never enters a
+/// queue: the caller pins the snapshot (one shared_ptr copy under the
+/// tenant's snapshot mutex) and evaluates on its own thread, so reads
+/// scale with client threads rather than with a worker-pool knob.  Any
+/// other query (a read off the coverage, or an evicted tenant) queues to
+/// the shard, which faults the session in if needed, answers from the
+/// live session (solving only the query's region) and republishes when
+/// that solved something.
 ///
 /// LRU evict-to-disk: with MaxResident set (durable mode only), a shard
 /// that finds the resident population over the cap picks the
@@ -36,8 +40,8 @@
 /// null the published snapshot.  In-flight readers keep their pinned
 /// snapshots (immutable, shared_ptr-kept), so eviction is invisible to
 /// them; the next query faults the tenant back in from its snapshot file
-/// with zero re-solving (the warm-restart path PR 6 built).  Cross-shard
-/// victims are evicted by posting an Evict job to their owning shard.
+/// with zero re-solving (a warm restart).  Cross-shard victims are
+/// evicted by posting an Evict job to their owning shard.
 ///
 /// Durable layout under DataDir:
 ///
@@ -121,19 +125,6 @@ struct TenantOptions {
   /// Per-tenant queued-edit quota (0 = unlimited): trySubmit refuses
   /// edits for a tenant already carrying this many unanswered ones.
   std::size_t MaxQueuedEdits = 0;
-  /// Demand-driven tenants (`--engine=demand`).  Every tenant runs a
-  /// demand::DemandSession and publishes one kind of snapshot
-  /// (service::AnalysisSnapshot::capture), which covers the procedures
-  /// solved when it was taken.  By default ("eager") each publish first
-  /// solves whatever the last edits invalidated, so every snapshot covers
-  /// the whole program.  With this set, queries solve only their
-  /// backward-reachable region: an inline read of an unsolved procedure
-  /// misses and goes to the shard, which solves and republishes.  An
-  /// evicted tenant's fault-in is then warm-restore + WAL replay with no
-  /// solving at all.
-  /// Trade-off: durable open / eviction / shutdown must write full planes,
-  /// so they force the whole program solved.
-  bool DemandFaultIn = false;
   /// When non-empty, durable mode: tenants.json + one store subtree per
   /// named tenant, and the implicit tenant's store at the root (created
   /// if missing; recovered if present).
@@ -146,8 +137,8 @@ struct TenantOptions {
   observe::TraceSink *Sink = nullptr;
   /// Slow-op threshold in microseconds (0 = off).  Query evaluations and
   /// edit-group flushes exceeding it emit a structured SlowQueryRecord
-  /// (with tenant name and, for demand tenants, per-query region
-  /// attribution) to \c Sink, a flight-recorder event, and the
+  /// (with tenant name and, for a `query` the shard answers, per-query
+  /// region attribution) to \c Sink, a flight-recorder event, and the
   /// "slow_queries_total" counter.
   std::uint64_t SlowQueryUs = 0;
 };
@@ -210,6 +201,9 @@ public:
   std::size_t tenantCount() const;
   /// Tenants currently holding a live session.
   std::size_t residentCount() const;
+  /// The published snapshot of \p Name (null if unknown or evicted).
+  std::shared_ptr<const service::AnalysisSnapshot>
+  snapshot(const std::string &Name) const;
   /// The published generation of \p Name (0 if unknown or evicted).
   std::uint64_t generation(const std::string &Name) const;
 
@@ -317,8 +311,17 @@ private:
 
   bool submit(std::string TenantName, Job J, bool Blocking);
   /// The resident-query fast path; false when the tenant has no
-  /// published snapshot (caller queues to the shard instead).
+  /// published snapshot or the snapshot does not cover the query's reads
+  /// (caller queues to the shard instead).
   bool tryInlineQuery(const std::shared_ptr<Tenant> &T, Job &J);
+  /// The one query body, for a pinned snapshot and the live session
+  /// alike: evaluates \p J against \p Target under a tenant-tagged
+  /// `tenant.query` span, counts it, and logs it when slow.  A snapshot
+  /// miss (service::UncoveredRead) propagates with nothing counted and
+  /// the span discarded.
+  service::Response answerQuery(Tenant &T, const Job &J,
+                                const service::QueryTarget &Target,
+                                std::uint64_t Gen);
 
   void shardLoop(unsigned Idx);
   void runOpen(Job &J);
@@ -336,8 +339,8 @@ private:
   /// MaxResident (best effort; busy tenants are skipped).  \p Keep is
   /// never chosen (the tenant just touched).
   void enforceResidentCap(unsigned SelfIdx, const Tenant *Keep);
-  /// Publishes \p T's engine state at its current generation, first
-  /// solving what edits invalidated unless DemandFaultIn is set.
+  /// Publishes \p T's engine state at its current generation, covering
+  /// the procedures solved so far; solves nothing.
   void publish(Tenant &T);
 
   /// Rewrites DataDir/tenants.json from the live registry (atomic write

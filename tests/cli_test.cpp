@@ -414,26 +414,23 @@ TEST(Cli, ServeOverStdio) {
 
 TEST(Cli, ServeWithoutUseAnswersUseQueriesWithAnError) {
   // A server started with --no-use keeps no USE pipeline: guse / use are a
-  // clean per-request error, and the server keeps answering (both the
-  // default full snapshots and --engine=demand's partial ones).
+  // clean per-request error, and the server keeps answering.  (--engine is
+  // accepted and changes nothing.)
   std::string Requests = R"({"id":1,"cmd":"guse p1"}\n)"
                          R"({"id":2,"cmd":"use p1 0"}\n)"
                          R"({"id":3,"cmd":"gmod p1"}\n)"
                          R"({"id":4,"cmd":"check"}\n)";
-  for (const char *Engine : {"", " --engine=demand"}) {
-    std::string Out;
-    ASSERT_EQ(run("printf '" + Requests + "' | " + cli() +
-                      " serve --gen procs=10,seed=3 --no-use" + Engine,
-                  Out),
-              0)
-        << Engine << Out;
-    EXPECT_NE(Out.find("\"id\":1,\"ok\":false"), std::string::npos) << Out;
-    EXPECT_NE(Out.find("\"id\":2,\"ok\":false"), std::string::npos) << Out;
-    EXPECT_NE(Out.find("no USE pipeline"), std::string::npos) << Out;
-    EXPECT_NE(Out.find("\"result\":\"GMOD(p1) = {"), std::string::npos)
-        << Out;
-    EXPECT_NE(Out.find("check: OK"), std::string::npos) << Out;
-  }
+  std::string Out;
+  ASSERT_EQ(run("printf '" + Requests + "' | " + cli() +
+                    " serve --gen procs=10,seed=3 --no-use --engine=demand",
+                Out),
+            0)
+      << Out;
+  EXPECT_NE(Out.find("\"id\":1,\"ok\":false"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("\"id\":2,\"ok\":false"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("no USE pipeline"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("\"result\":\"GMOD(p1) = {"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("check: OK"), std::string::npos) << Out;
 }
 
 TEST(Cli, ServeReportsScriptErrorsPerRequest) {
@@ -522,6 +519,46 @@ TEST(Cli, ServeClientMetricsDumpOverTcpWithChromeTrace) {
     EXPECT_EQ(countOf(Doc, "\"dur\":-"), 0u) << Doc;
   }
   std::remove(Trace.c_str());
+  std::remove(Script.c_str());
+  std::remove(ErrFile.c_str());
+  std::remove(Done.c_str());
+}
+
+TEST(Cli, ClientSendsMidTokenHashesAndDropsComments) {
+  // The line client strips comments by the script parser's rule: a '#'
+  // after whitespace opens one, a '#' inside a token is data.  So
+  // `main#0` reaches the server whole and the reply names the call site.
+  std::string Dir = testing::TempDir();
+  std::string ErrFile = Dir + "/ipse_clienthash_err.txt";
+  std::string Done = Dir + "/ipse_clienthash_done";
+  std::string Script = Dir + "/ipse_clienthash_script.txt";
+  {
+    std::ofstream S(Script);
+    S << "# a comment line\n"
+      << "query main main#0 # trailing comment\n";
+  }
+  std::remove(Done.c_str());
+  std::remove(ErrFile.c_str());
+
+  std::string Cmd =
+      "( while [ ! -e " + Done + " ]; do sleep 0.1; done ) | " + cli() +
+      " serve --gen procs=10,globals=5,seed=7 --port 0 2>" +
+      ErrFile + " & SRV=$!; "
+      "for I in $(seq 1 100); do"
+      "  grep -q 'serving on' " + ErrFile + " 2>/dev/null && break;"
+      "  sleep 0.1; "
+      "done; "
+      "PORT=$(sed -n 's/.*127\\.0\\.0\\.1:\\([0-9]*\\).*/\\1/p' " + ErrFile +
+      "); " +
+      cli() + " client --port $PORT " + Script + "; RC=$?; "
+      "touch " + Done + "; wait $SRV; exit $RC";
+  std::string Out;
+  ASSERT_EQ(run(Cmd, Out), 0) << Out << "\nserver stderr:\n"
+                              << slurp(ErrFile);
+  EXPECT_EQ(countOf(Out, "\"id\":"), 1u) << Out;
+  EXPECT_NE(Out.find("\"result\":\"GMOD(main) = {"), std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("; DMOD(main#0) = {"), std::string::npos) << Out;
   std::remove(Script.c_str());
   std::remove(ErrFile.c_str());
   std::remove(Done.c_str());

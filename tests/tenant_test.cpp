@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "demand/DemandSession.h"
+#include "observe/Metrics.h"
 #include "observe/Trace.h"
 #include "persist/Snapshot.h"
 #include "support/Json.h"
@@ -31,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -356,31 +358,28 @@ TEST(TenantProtocol, AttachRoutesAndFallbackAnswers) {
   EXPECT_NE(Line.find("no tenant"), std::string::npos) << Line;
 }
 
-TEST(TenantProtocol, MalformedIndicesAreErrorsOnBothEngines) {
-  // With DemandFaultIn the first read of main lands on a snapshot that
-  // covers nothing; a malformed index must still be an error reply, never
-  // a read of an unsolved plane.
-  for (bool Demand : {false, true}) {
-    TenantOptions Opts;
-    Opts.Shards = 1;
-    Opts.DemandFaultIn = Demand;
-    TenantService Svc(Opts);
-    ASSERT_TRUE(Svc.call("", "open acme procs=10 globals=5 seed=7").Ok);
-    Oracle Model("procs=10 globals=5 seed=7");
-    for (const char *Bad : {"mod main 0x", "mod main +0", "query main#0x",
-                            "mod main 99999999999", "add-mod main -1 g0",
-                            "rm-call main 0x"}) {
-      Response R = Svc.call("acme", Bad);
-      EXPECT_FALSE(R.Ok) << Bad << " (demand " << Demand << ")";
-      EXPECT_NE(R.Error.find("is not a decimal number below 2^32"),
-                std::string::npos)
-          << Bad << ": " << R.Error;
-    }
-    Response R = Svc.call("acme", "gmod main");
-    ASSERT_TRUE(R.Ok) << R.Error;
-    EXPECT_EQ(R.Result, Model.query("gmod main"));
-    EXPECT_EQ(R.Generation, 0u);
+TEST(TenantProtocol, MalformedIndicesAreErrors) {
+  // The first read of main lands on a snapshot that covers nothing; a
+  // malformed index must still be an error reply, never a read of an
+  // unsolved plane.
+  TenantOptions Opts;
+  Opts.Shards = 1;
+  TenantService Svc(Opts);
+  ASSERT_TRUE(Svc.call("", "open acme procs=10 globals=5 seed=7").Ok);
+  Oracle Model("procs=10 globals=5 seed=7");
+  for (const char *Bad : {"mod main 0x", "mod main +0", "query main#0x",
+                          "mod main 99999999999", "add-mod main -1 g0",
+                          "rm-call main 0x"}) {
+    Response R = Svc.call("acme", Bad);
+    EXPECT_FALSE(R.Ok) << Bad;
+    EXPECT_NE(R.Error.find("is not a decimal number below 2^32"),
+              std::string::npos)
+        << Bad << ": " << R.Error;
   }
+  Response R = Svc.call("acme", "gmod main");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Result, Model.query("gmod main"));
+  EXPECT_EQ(R.Generation, 0u);
 }
 
 TEST(TenantProtocol, IllegalAddCallIsRefusedAndTheServerKeepsAnswering) {
@@ -532,7 +531,6 @@ TEST(TenantDurable, WarmRestartFaultsInWithoutResolve) {
 TEST(TenantDemand, DemandTenantsMatchSessionTenants) {
   TenantOptions Opts;
   Opts.Shards = 1;
-  Opts.DemandFaultIn = true;
   TenantService Svc(Opts);
 
   ASSERT_TRUE(Svc.call("", "open acme procs=10 globals=5 seed=7").Ok);
@@ -575,7 +573,6 @@ TEST(TenantDemand, InlineMissesCountNothingAndLeaveNoSpan) {
   QuerySpanSink Sink;
   TenantOptions Opts;
   Opts.Shards = 1;
-  Opts.DemandFaultIn = true;
   Opts.Sink = &Sink;
   Opts.SlowQueryUs = 1;
   TenantService Svc(Opts);
@@ -607,6 +604,114 @@ TEST(TenantDemand, InlineMissesCountNothingAndLeaveNoSpan) {
   EXPECT_LE(Sink.Slow.load(), 3u);
 }
 
+TEST(TenantDemand, OpenAndEditsSolveNothing) {
+  // Neither an open nor an invalidating edit group solves anything: the
+  // published snapshot covers only what queries solved.  The next query of
+  // a dirtied procedure goes to the shard and solves its region; the one
+  // after it answers inline.
+  observe::Counter &RegionProcs =
+      observe::MetricsRegistry::global().counter("demand.region_procs");
+  TenantOptions Opts;
+  Opts.Shards = 1;
+  TenantService Svc(Opts);
+  const std::uint64_t Before = RegionProcs.value();
+  ASSERT_TRUE(Svc.call("", "open acme procs=10 globals=5 seed=7").Ok);
+  Oracle Model("procs=10 globals=5 seed=7");
+  EXPECT_EQ(RegionProcs.value(), Before);
+  const ir::ProcId Main = Svc.snapshot("acme")->program().main();
+  EXPECT_FALSE(Svc.snapshot("acme")->covered(Main, analysis::EffectKind::Mod));
+
+  ASSERT_TRUE(Svc.call("acme", "query main").Ok);
+  ASSERT_TRUE(Svc.snapshot("acme")->covered(Main, analysis::EffectKind::Mod));
+  for (const char *Edit : {"add-global eg", "add-mod main 0 eg"}) {
+    const std::uint64_t Solved = RegionProcs.value();
+    Response R = Svc.call("acme", Edit);
+    ASSERT_TRUE(R.Ok) << Edit << ": " << R.Error;
+    Model.apply(Edit);
+    EXPECT_EQ(RegionProcs.value(), Solved) << Edit;
+    EXPECT_FALSE(
+        Svc.snapshot("acme")->covered(Main, analysis::EffectKind::Mod))
+        << Edit;
+  }
+
+  Response Shard = Svc.call("acme", "query main");
+  ASSERT_TRUE(Shard.Ok) << Shard.Error;
+  EXPECT_TRUE(Shard.HasStats);
+  EXPECT_GT(Shard.RegionProcs, 0u);
+  EXPECT_EQ(Shard.Result, Model.query("query main"));
+  Response Inline = Svc.call("acme", "query main");
+  ASSERT_TRUE(Inline.Ok) << Inline.Error;
+  EXPECT_FALSE(Inline.HasStats);
+  EXPECT_EQ(Inline.Result, Shard.Result);
+  EXPECT_EQ(Inline.Generation, 2u);
+}
+
+TEST(TenantDemand, ShardQueriesRepublishOnlyWhenTheySolve) {
+  TenantOptions Opts;
+  Opts.Shards = 1;
+  TenantService Svc(Opts);
+  ASSERT_TRUE(Svc.call("", "open acme procs=10 globals=5 seed=7").Ok);
+  Oracle Model("procs=10 globals=5 seed=7");
+  Model.apply("add-stmt main");
+  using SnapshotPtr = std::shared_ptr<const service::AnalysisSnapshot>;
+
+  // An edit's reply holds the shard, so both queries below miss inline
+  // (nothing is solved) and queue behind it: the first solves main's
+  // region, the second finds it solved.  Each reply records the snapshot
+  // published when it was answered.
+  std::promise<void> Gate;
+  std::shared_future<void> Release = Gate.get_future().share();
+  SnapshotPtr Edited;
+  const bool Held = Svc.trySubmit(
+      "acme", 1, *service::parseScriptLine("add-stmt main", 1),
+      [&Svc, &Edited, Release](Response) {
+        Edited = Svc.snapshot("acme");
+        Release.wait();
+      });
+  struct Reply {
+    Response R;
+    SnapshotPtr Published;
+  };
+  std::promise<Reply> First, Second;
+  std::future<Reply> FirstDone = First.get_future(),
+                     SecondDone = Second.get_future();
+  auto Submit = [&](std::uint64_t Id, std::promise<Reply> &P) {
+    return Svc.trySubmit("acme", Id,
+                         *service::parseScriptLine("query main", 1),
+                         [&Svc, &P](Response R) {
+                           P.set_value({std::move(R), Svc.snapshot("acme")});
+                         });
+  };
+  const bool Queued = Submit(2, First) && Submit(3, Second);
+  Gate.set_value();
+  ASSERT_TRUE(Held && Queued);
+  Reply A = FirstDone.get(), B = SecondDone.get();
+
+  // The solving query published a snapshot that covers its region: the
+  // same query reads it without a miss.
+  ASSERT_TRUE(A.R.Ok) << A.R.Error;
+  EXPECT_TRUE(A.R.HasStats);
+  EXPECT_GT(A.R.RegionProcs, 0u);
+  EXPECT_EQ(A.R.Result, Model.query("query main"));
+  ASSERT_TRUE(Edited && A.Published);
+  EXPECT_NE(A.Published, Edited);
+  try {
+    EXPECT_EQ(service::evalQueryCommand(*A.Published,
+                                        *service::parseScriptLine(
+                                            "query main", 1))
+                  .Text,
+              A.R.Result);
+  } catch (const service::UncoveredRead &) {
+    ADD_FAILURE() << "the solving query's snapshot misses its region";
+  }
+  // The covered one solved nothing and left the pinned snapshot alone.
+  ASSERT_TRUE(B.R.Ok) << B.R.Error;
+  EXPECT_TRUE(B.R.HasStats);
+  EXPECT_EQ(B.R.RegionProcs, 0u);
+  EXPECT_EQ(B.R.Result, A.R.Result);
+  EXPECT_EQ(B.Published, A.Published);
+}
+
 TEST(TenantDemand, FaultInAnswersFromPartialRegion) {
   std::string Dir = freshDir("demand_restart");
   std::string PreGmod, PreQuery;
@@ -614,8 +719,7 @@ TEST(TenantDemand, FaultInAnswersFromPartialRegion) {
     TenantOptions Opts;
     Opts.Shards = 2;
     Opts.DataDir = Dir;
-    Opts.DemandFaultIn = true;
-    TenantService Svc(Opts);
+      TenantService Svc(Opts);
     ASSERT_TRUE(Svc.call("", "open acme procs=12 globals=5 seed=21").Ok);
     for (const std::string &L : tenantEditScript(2))
       ASSERT_TRUE(Svc.call("acme", L).Ok);
@@ -633,8 +737,7 @@ TEST(TenantDemand, FaultInAnswersFromPartialRegion) {
     TenantOptions Opts;
     Opts.Shards = 2;
     Opts.DataDir = Dir;
-    Opts.DemandFaultIn = true;
-    TenantService Svc(Opts);
+      TenantService Svc(Opts);
     EXPECT_TRUE(Svc.hasTenant("acme"));
     EXPECT_EQ(Svc.residentCount(), 0u); // lazy: fault in on first touch
 
@@ -659,7 +762,6 @@ TEST(TenantDemand, EvictionChurnKeepsDemandAnswersExact) {
   TenantOptions Opts;
   Opts.Shards = 2;
   Opts.DataDir = Dir;
-  Opts.DemandFaultIn = true;
   Opts.MaxResident = 1; // two tenants through one seat: every switch evicts
   Opts.CompactWalRecords = 4;
   TenantService Svc(Opts);

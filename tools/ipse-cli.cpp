@@ -136,7 +136,7 @@ namespace {
       "        [--port N] [--queue N] [--batch N] [--no-use]\n"
       "        [--compact-records N] [--compact-bytes N]\n"
       "        [--trace-out=FILE] [--trace-format=F] [--slow-ms N]\n"
-      "        [--tenants[=SHARDS]] [--resident-cap N]\n"
+      "        [--tenants[=SHARDS]] [--resident-cap N] [--engine=E]\n"
       "        [--tenant-max-procs N] [--tenant-max-edits N]\n"
       "                                      concurrent analysis service;\n"
       "                                      newline-delimited JSON over\n"
@@ -166,7 +166,9 @@ namespace {
       "                                      sessions (LRU evict-to-disk),\n"
       "                                      --tenant-max-procs /\n"
       "                                      --tenant-max-edits set per-\n"
-      "                                      tenant quotas.\n"
+      "                                      tenant quotas.  --engine is\n"
+      "                                      ignored: every tenant solves\n"
+      "                                      only what its queries reach.\n"
       "                                      --slow-ms logs queries and\n"
       "                                      flushes slower than N ms to\n"
       "                                      the --trace-out sink with\n"
