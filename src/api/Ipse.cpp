@@ -26,26 +26,16 @@ using analysis::EffectKind;
 //===----------------------------------------------------------------------===//
 
 struct Analysis::Impl {
-  AnalysisOptions::Engine Engine = AnalysisOptions::Engine::Sequential;
   bool TrackUse = true;
   observe::CostReport Costs;
-
-  // Sequential: both kinds over one shape.
-  std::optional<analysis::BatchAnalysis> Seq;
-  // Demand (lazy: queries solve their region on first touch).
-  std::unique_ptr<demand::DemandSession> Demand;
-
-  const analysis::SideEffectAnalyzer &seq(EffectKind Kind) const {
-    return Seq->of(Kind);
-  }
+  // Both kinds over one shape.
+  std::optional<analysis::BatchAnalysis> Batch;
 };
 
 Analysis::Analysis(std::unique_ptr<Impl> Impl) : I(std::move(Impl)) {}
 Analysis::Analysis(Analysis &&) noexcept = default;
 Analysis &Analysis::operator=(Analysis &&) noexcept = default;
 Analysis::~Analysis() = default;
-
-AnalysisOptions::Engine Analysis::engine() const { return I->Engine; }
 
 const observe::CostReport &Analysis::costs() const { return I->Costs; }
 
@@ -60,19 +50,16 @@ const EffectSet &Analysis::guse(ir::ProcId Proc) const {
 const EffectSet &Analysis::gmod(ir::ProcId Proc, EffectKind Kind) const {
   assert((Kind == EffectKind::Mod || I->TrackUse) &&
          "USE queries need AnalysisOptions::TrackUse");
-  return I->Demand ? I->Demand->gmod(Proc, Kind) : I->seq(Kind).gmod(Proc);
+  return I->Batch->of(Kind).gmod(Proc);
 }
 
 bool Analysis::rmodContains(ir::VarId Formal, EffectKind Kind) const {
   assert((Kind == EffectKind::Mod || I->TrackUse) &&
          "USE queries need AnalysisOptions::TrackUse");
-  return I->Demand ? I->Demand->rmodContains(Formal, Kind)
-                   : I->seq(Kind).rmodContains(Formal);
+  return I->Batch->of(Kind).rmodContains(Formal);
 }
 
-EffectSet Analysis::dmod(ir::StmtId S) const {
-  return I->Demand ? I->Demand->dmod(S) : I->Seq->Mod.dmod(S);
-}
+EffectSet Analysis::dmod(ir::StmtId S) const { return I->Batch->Mod.dmod(S); }
 
 EffectSet Analysis::dmod(ir::CallSiteId C) const {
   return dmod(C, EffectKind::Mod);
@@ -81,22 +68,21 @@ EffectSet Analysis::dmod(ir::CallSiteId C) const {
 EffectSet Analysis::dmod(ir::CallSiteId C, EffectKind Kind) const {
   assert((Kind == EffectKind::Mod || I->TrackUse) &&
          "USE queries need AnalysisOptions::TrackUse");
-  return I->Demand ? I->Demand->dmod(C, Kind) : I->seq(Kind).dmod(C);
+  return I->Batch->of(Kind).dmod(C);
 }
 
 EffectSet Analysis::mod(ir::StmtId S, const ir::AliasInfo &Aliases) const {
-  return I->Demand ? I->Demand->mod(S, Aliases) : I->Seq->Mod.mod(S, Aliases);
+  return I->Batch->Mod.mod(S, Aliases);
 }
 
 const analysis::GModResult &Analysis::gmodResult(EffectKind Kind) const {
   assert((Kind == EffectKind::Mod || I->TrackUse) &&
          "USE queries need AnalysisOptions::TrackUse");
-  // Under demand this is a full-plane export: it solves everything.
-  return I->Demand ? I->Demand->gmodResult(Kind) : I->seq(Kind).gmodResult();
+  return I->Batch->of(Kind).gmodResult();
 }
 
 std::string Analysis::setToString(const EffectSet &Set) const {
-  return I->Demand ? I->Demand->setToString(Set) : I->Seq->Mod.setToString(Set);
+  return I->Batch->Mod.setToString(Set);
 }
 
 //===----------------------------------------------------------------------===//
@@ -104,19 +90,6 @@ std::string Analysis::setToString(const EffectSet &Set) const {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-std::string renderForEngine(const AnalysisOptions &Opts, const ir::Program &P,
-                            analysis::ReportOptions R) {
-  observe::TraceSpan Span("report");
-  if (Opts.Backend == AnalysisOptions::Engine::Sequential)
-    return analysis::makeReport(P, R);
-  demand::DemandOptions DO = Opts.demandView();
-  DO.TrackUse = DO.TrackUse || R.IncludeUse;
-  demand::DemandSession S(P, DO);
-  demand::KindView Mod(S, EffectKind::Mod);
-  demand::KindView Use(S, EffectKind::Use);
-  return analysis::renderReport(P, R, Mod, R.IncludeUse ? &Use : nullptr);
-}
 
 void printDemandStats(const demand::DemandStats &St, std::FILE *Out) {
   std::fprintf(Out,
@@ -141,20 +114,12 @@ void printDemandStats(const demand::DemandStats &St, std::FILE *Out) {
 Analysis Analyzer::analyze(const ir::Program &P) const {
   EffectSet::setDefaultRepresentation(Opts.Repr);
   auto Impl = std::make_unique<Analysis::Impl>();
-  Impl->Engine = Opts.Backend;
   Impl->TrackUse = Opts.TrackUse;
   {
     std::optional<observe::TraceScope> Scope;
     if (Opts.Profile || Opts.Sink)
       Scope.emplace(Opts.Profile ? &Impl->Costs : nullptr, Opts.Sink);
-
-    if (Impl->Engine == AnalysisOptions::Engine::Demand) {
-      // No eager solve: the first query pays for its region only.
-      Impl->Demand =
-          std::make_unique<demand::DemandSession>(P, Opts.demandView());
-    } else {
-      Impl->Seq.emplace(P, Opts.TrackUse, Opts.Algorithm);
-    }
+    Impl->Batch.emplace(P, Opts.TrackUse);
   }
   return Analysis(std::move(Impl));
 }
@@ -166,7 +131,8 @@ ReportRun Analyzer::report(const ir::Program &P,
   std::optional<observe::TraceScope> Scope;
   if (Opts.Profile || Opts.Sink)
     Scope.emplace(Opts.Profile ? &Run.Costs : nullptr, Opts.Sink);
-  Run.Output = renderForEngine(Opts, P, R);
+  observe::TraceSpan Span("report");
+  Run.Output = analysis::makeReport(P, R);
   return Run;
 }
 
@@ -186,7 +152,8 @@ ReportRun Analyzer::reportSource(std::string_view Source,
     Run.Ok = false;
     return Run;
   }
-  Run.Output = renderForEngine(Opts, *CR.Program, R);
+  observe::TraceSpan Span("report");
+  Run.Output = analysis::makeReport(*CR.Program, R);
   return Run;
 }
 
@@ -211,10 +178,8 @@ int Analyzer::runSessionScript(const std::string &Script, std::FILE *Out,
   if ((Opts.Profile && CostsOut) || Opts.Sink)
     Scope.emplace(Opts.Profile ? CostsOut : nullptr, Opts.Sink);
 
-  // The script drives one DemandSession.  By default queries see the
-  // whole program solved first; under --engine=demand (and in the server)
-  // each query solves only the region it touches.
-  const bool Eager = Opts.Backend != AnalysisOptions::Engine::Demand;
+  // The script drives one DemandSession.  As in the server, each query
+  // solves only the region it touches.
   std::optional<demand::DemandSession> D;
   auto session = [&](unsigned LineNo) -> demand::DemandSession & {
     if (!D)
@@ -267,10 +232,7 @@ int Analyzer::runSessionScript(const std::string &Script, std::FILE *Out,
       } else if (service::isEditCommand(Cmd->Kind)) {
         service::applyEditCommand(session(LineNo), *Cmd);
       } else {
-        demand::DemandSession &S = session(LineNo);
-        if (Eager)
-          S.ensureSolvedAll();
-        service::DemandSessionQueryTarget Target(S);
+        service::DemandSessionQueryTarget Target(session(LineNo));
         service::QueryResult R = service::evalQueryCommand(Target, *Cmd);
         std::fprintf(Out, "%s\n", R.Text.c_str());
         AllChecksPassed &= R.CheckOk;

@@ -6,24 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The library's single public entry point.  The repository has two
-/// engines — the batch analyzer (analysis::SideEffectAnalyzer) and the
-/// stateful demand-driven session (demand::DemandSession), which answers
-/// queries and absorbs edits by solving only what they touch, never at
-/// more than batch cost — plus the sharded MVCC server
-/// (tenant::TenantService), each with its own options struct and entry
-/// header.  This facade folds them behind two types:
+/// The library's single public entry point.  The repository has the
+/// batch analyzer (analysis::BatchAnalysis), the stateful demand-driven
+/// session (demand::DemandSession), which answers queries and absorbs
+/// edits by solving only what they touch, never at more than batch
+/// cost, and the sharded MVCC server (tenant::TenantService), each with
+/// its own options struct and entry header.  This facade folds them
+/// behind two types:
 ///
-///  - ipse::AnalysisOptions: one options struct (engine selection, effect
-///    tracking, trace sink / profiling) with per-engine view methods.  The
-///    per-engine structs remain as the facade's internal wire format; new
-///    code should not reach for them.
+///  - ipse::AnalysisOptions: one options struct (effect tracking,
+///    representation, server knobs, trace sink / profiling) with
+///    per-subsystem view methods.  The per-subsystem structs remain as
+///    the facade's internal wire format; new code should not reach for
+///    them.
 ///
-///  - ipse::Analyzer: the entry point.  analyze() runs a batch analysis
-///    on the selected engine and returns a unified query handle;
-///    report() / reportSource() render the standard MOD/USE report (byte
-///    identical across engines); open_demand() and serve() hand back the
-///    long-lived engines configured from the same options.
+///  - ipse::Analyzer: the entry point.  Each method has one fixed mode:
+///    analyze(), report() and reportSource() are batch; open_demand(),
+///    runSessionScript() and every serve() tenant are demand-driven.
+///    GMOD and RMOD are least fixed points, so a region solve and a
+///    batch solve give the same answer; no caller picks an engine.
 ///
 /// The batch analyzer picks its GMOD kernel from the program's shape
 /// (analysis/SideEffectAnalyzer.h) and runs on the calling thread;
@@ -62,32 +63,18 @@
 
 namespace ipse {
 
-/// One options struct for every engine.  Engine-specific knobs are
-/// ignored by engines that don't consume them.
+/// One options struct for every entry point.  Knobs an entry point does
+/// not consume are ignored there.
 struct AnalysisOptions {
-  /// Which engine answers.  serve() ignores it: every tenant is a demand
-  /// session whose snapshots cover what its queries solved.
-  enum class Engine {
-    Sequential, ///< analysis::SideEffectAnalyzer (batch); `session`
-                ///< answers from full solutions.
-    Demand      ///< demand::DemandSession (query-driven region solving).
-  };
-  Engine Backend = Engine::Sequential;
-
-  /// Has no effect on anything: every engine runs its solvers on the
-  /// calling thread.  Kept so existing callers that set it still compile.
+  /// Has no effect on anything: every solver runs on the calling thread.
+  /// Kept so existing callers that set it still compile.
   unsigned Threads = 1;
 
   /// Maintain the USE pipeline alongside MOD (guse / DUSE queries and
   /// report lines need this).
   bool TrackUse = true;
 
-  /// GMOD algorithm for the batch analyzer (naming one pins the reference
-  /// kernel; Auto lets the program's shape choose).
-  analysis::AnalyzerOptions::GModAlgorithm Algorithm =
-      analysis::AnalyzerOptions::GModAlgorithm::Auto;
-
-  /// Effect-set representation for every engine this facade starts
+  /// Effect-set representation for everything this facade starts
   /// (`ipse-cli --repr=`).  Auto is the hybrid crossover heuristic (sets
   /// start sparse, densify at ~2 set bits per universe word); Dense
   /// pins the word-array form the solvers always used; Sparse pins the
@@ -135,7 +122,7 @@ struct AnalysisOptions {
   unsigned SlowMs = 0;
   /// @}
 
-  /// \name Per-engine views (the facade's wire format)
+  /// \name Per-subsystem views (the facade's wire format)
   /// @{
   demand::DemandOptions demandView() const {
     demand::DemandOptions O;
@@ -163,23 +150,16 @@ struct AnalysisOptions {
   /// @}
 };
 
-/// A finished batch analysis: one engine's results behind the unified
-/// query surface.  Movable, engine-agnostic; the analyzed Program must
-/// outlive it (the Demand engine keeps its own copy, but ids are shared
-/// so queries still refer to the caller's program).
+/// A finished batch analysis of MOD (and USE, with TrackUse) behind the
+/// SideEffectAnalyzer query surface.  Movable; the analyzed Program must
+/// outlive it.
 class Analysis {
 public:
   Analysis(Analysis &&) noexcept;
   Analysis &operator=(Analysis &&) noexcept;
   ~Analysis();
 
-  /// The engine that produced the results.
-  AnalysisOptions::Engine engine() const;
-
   /// \name Queries (the SideEffectAnalyzer surface)
-  /// Under the Demand engine a returned reference is valid until the next
-  /// query, which may solve a region and move the session's planes
-  /// (demand::DemandSession); copy a set that must outlive it.
   /// @{
   const EffectSet &gmod(ir::ProcId Proc) const;
   const EffectSet &guse(ir::ProcId Proc) const; ///< Requires TrackUse.
@@ -220,11 +200,12 @@ public:
 
   const AnalysisOptions &options() const { return Opts; }
 
-  /// Runs a batch analysis of \p P on the selected engine.
+  /// Runs a batch analysis of \p P (MOD, and USE with TrackUse).
   Analysis analyze(const ir::Program &P) const;
 
-  /// Renders the standard MOD/USE report for \p P.  Byte-identical across
-  /// engines.
+  /// Renders the standard MOD/USE report for \p P from a batch analysis
+  /// (the "report" span).  A fully queried DemandSession renders the same
+  /// bytes (analysis::renderReport over demand::KindView).
   ReportRun report(const ir::Program &P,
                    analysis::ReportOptions R = analysis::ReportOptions()) const;
 
@@ -242,7 +223,7 @@ public:
   std::unique_ptr<demand::DemandSession> open_demand(ir::Program Initial) const;
 
   /// Starts the sharded MVCC server (server knobs, TrackUse, DataDir;
-  /// Backend is ignored, every tenant is demand-driven), recovering the
+  /// every tenant is demand-driven), recovering the
   /// tenant manifest in durable mode.  \p Initial, when given, becomes
   /// the implicit tenant "" that requests naming no tenant reach; a store
   /// at the root of DataDir takes its place.  Throws std::runtime_error
@@ -252,8 +233,8 @@ public:
   serve(std::optional<ir::Program> Initial = std::nullopt) const;
 
   /// Runs a session script (the service/ScriptDriver.h grammar) against a
-  /// fresh DemandSession, printing query results to \p Out.  Queries see
-  /// the whole program solved first unless the engine is Demand.  Returns the
+  /// fresh DemandSession, printing query results to \p Out.  Each query
+  /// solves only the region it reaches, as in the server.  Returns the
   /// process exit code: 0 on success, 1 on a script error (reported to
   /// stderr) or any failed `check`.  Spans stream to Sink; with Profile
   /// set and \p CostsOut non-null, phase costs accumulate there.

@@ -30,9 +30,9 @@
 ///                                         for each named procedure, DMOD
 ///                                         for each proc#k call site (the
 ///                                         k-th call site of proc), all on
-///                                         one line joined by "; ".  Under
-///                                         --engine=demand only the named
-///                                         sites' regions are solved.
+///                                         one line joined by "; ".  Only
+///                                         the named sites' regions are
+///                                         solved.
 ///   check                                 compare against fresh batch runs
 ///   stats                                 driver-dependent counters
 ///   metrics [--format=json|prom]          process-wide metrics registry

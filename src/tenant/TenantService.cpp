@@ -419,7 +419,9 @@ bool TenantService::submit(std::string TenantName, Job J, bool Blocking) {
   if (K == Op::Open || K == Op::Close) {
     if (J.Cmd.Args.empty() || !service::isValidTenantName(J.Cmd.Args[0]))
       return Inline(false, "invalid tenant name");
-    const std::string &Name = J.Cmd.Args[0];
+    // A copy: a refused push destroys the job, and the rollback below
+    // still needs the name.
+    const std::string Name = J.Cmd.Args[0];
     std::shared_ptr<Tenant> T;
     if (K == Op::Open) {
       std::string Err;

@@ -125,25 +125,18 @@ inline const std::vector<SolverEngine> &allSolverEngines() {
                    return analysis::solveMultiLevelCombined(P, F.CG, F.Masks,
                                                             F.Plus);
                  }});
-    // The remaining engines answer through the ipse::Analyzer facade —
-    // the public path every consumer takes.
-    auto viaFacade = [](ipse::AnalysisOptions Opts, const Program &P,
-                        EffectKind K) {
-      return ipse::Analyzer(Opts).analyze(P).gmodResult(K);
-    };
-    E.push_back({"analyzer", false, [viaFacade](const Program &P,
-                                                EffectKind K) {
-                   ipse::AnalysisOptions Opts;
-                   Opts.Backend = ipse::AnalysisOptions::Engine::Sequential;
-                   return viaFacade(Opts, P, K);
+    // The remaining engines start from the ipse::Analyzer facade — the
+    // public path every consumer takes.
+    E.push_back({"analyzer", false, [](const Program &P, EffectKind K) {
+                   return ipse::Analyzer().analyze(P).gmodResult(K);
                  }});
     // The stateful engine, eager: the whole program is one region, so
     // this row is its batch ceiling (the pass pipeline over everything).
-    E.push_back({"eager-demand", false, [viaFacade](const Program &P,
-                                                    EffectKind K) {
-                   ipse::AnalysisOptions Opts;
-                   Opts.Backend = ipse::AnalysisOptions::Engine::Demand;
-                   return viaFacade(Opts, P, K);
+    E.push_back({"eager-demand", false, [](const Program &P, EffectKind K) {
+                   std::unique_ptr<demand::DemandSession> S =
+                       ipse::Analyzer().open_demand(P);
+                   S->ensureSolvedAll();
+                   return S->gmodResult(K);
                  }});
     // The same engine driven by single-procedure queries, callees first
     // (ascending call-graph SCC id), so every region is small and the
@@ -169,10 +162,11 @@ inline const std::vector<SolverEngine> &allSolverEngines() {
       E.push_back({Repr == EffectSet::Representation::Dense
                        ? "analyzer-dense"
                        : "analyzer-sparse",
-                   false, [viaFacade, Repr](const Program &P, EffectKind K) {
+                   false, [Repr](const Program &P, EffectKind K) {
                      ipse::AnalysisOptions Opts;
                      Opts.Repr = Repr;
-                     analysis::GModResult R = viaFacade(Opts, P, K);
+                     analysis::GModResult R =
+                         ipse::Analyzer(Opts).analyze(P).gmodResult(K);
                      // Restore the process default for engines that do
                      // not pass through the facade.
                      EffectSet::setDefaultRepresentation(

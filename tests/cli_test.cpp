@@ -107,7 +107,8 @@ TEST(Cli, CheckAgreesOnEveryCorpusFile) {
                            "ackermann.mp"}) {
     std::string Out;
     EXPECT_EQ(run(cli() + " check " + corpus(Name), Out), 0) << Name;
-    EXPECT_NE(Out.find("all agree"), std::string::npos) << Name << Out;
+    EXPECT_NE(Out.find("8 solvers, MOD and USE: all agree"), std::string::npos)
+        << Name << Out;
   }
 }
 
@@ -136,6 +137,7 @@ TEST(Cli, SessionScriptOnStdin) {
   std::string Script = "load " + corpus("accumulator.mp") +
                        "\n"
                        "gmod process\n"
+                       "stats\n"
                        "add-mod add 0 count\n"
                        "check\n"
                        "rm-call process 2\n"
@@ -148,13 +150,22 @@ TEST(Cli, SessionScriptOnStdin) {
   EXPECT_NE(Out.find("GMOD(process) = {"), std::string::npos) << Out;
   EXPECT_NE(Out.find("check: OK"), std::string::npos) << Out;
   EXPECT_EQ(Out.find("MISMATCH"), std::string::npos) << Out;
-  // The stats line prints the engine's counters: two edits; the first
-  // query covered the program with one batch solve per kind, and neither
-  // edit (an absorbed-or-GMOD-only add-mod, a formal-free rm-call) had to
+  // The stats lines print the session's counters.  The session is lazy:
+  // the first query solved only MOD over process's region (process, add
+  // and publish: three of four procedures, so the batch pipeline ran
+  // once); USE stayed unsolved.
+  EXPECT_NE(Out.find("edits 0  queries 1  region-solves 1  region-procs 3"
+                     "  batch-solves 1  memo-hits 0"),
+            std::string::npos)
+      << Out;
+  // The checks then solved USE over the whole program (one more batch
+  // solve) and found everything else solved; neither edit (an
+  // absorbed-or-GMOD-only add-mod, a formal-free rm-call) had to
   // un-solve anything.
-  EXPECT_NE(Out.find("edits 2 "), std::string::npos) << Out;
-  EXPECT_NE(Out.find("batch-solves 2 "), std::string::npos) << Out;
-  EXPECT_NE(Out.find("invalidations 0 "), std::string::npos) << Out;
+  EXPECT_NE(Out.find("edits 2  queries 25  region-solves 2  region-procs 7"
+                     "  batch-solves 2  memo-hits 23  invalidations 0"),
+            std::string::npos)
+      << Out;
   EXPECT_NE(Out.find("full-resets 0"), std::string::npos) << Out;
 }
 
@@ -223,22 +234,14 @@ TEST(Cli, SessionRefusesIllegalAddCallWithACleanError) {
       << Out;
 }
 
-TEST(Cli, ReportEnginesAreByteIdentical) {
-  std::string Seq, Dem;
-  ASSERT_EQ(run(cli() + " report --rmod " + corpus("tower.mp"), Seq), 0);
-  ASSERT_EQ(run(cli() + " report --rmod --engine=demand " +
-                    corpus("tower.mp"),
-                Dem),
-            0);
-  EXPECT_EQ(Seq, Dem);
-}
-
 TEST(Cli, CommandsRejectTheRemovedParallelFlag) {
-  // The analyzer has no lanes to ask for: --parallel[=K] is an unknown
-  // option and a clean usage error in every command that takes the
-  // analysis flags, not a path or a query operand.
+  // The analyzer has no lanes to ask for and no engine to pick (each
+  // command has one fixed mode): --parallel[=K] and --engine=E are
+  // unknown options and a clean usage error in every command that takes
+  // the analysis flags, not a path or a query operand.
   const std::string Tower = corpus("tower.mp");
-  for (const char *Flag : {"--parallel=4", "--parallel"})
+  for (const char *Flag : {"--parallel=4", "--parallel", "--engine=demand",
+                           "--engine=sequential"})
     for (const std::string &Cmd :
          {" report " + std::string(Flag) + " " + Tower,
           " session " + std::string(Flag) + " - < /dev/null",
@@ -254,21 +257,17 @@ TEST(Cli, CommandsRejectTheRemovedParallelFlag) {
 }
 
 TEST(Cli, ReportProfileAppendsPhaseTable) {
-  for (const char *Flags : {"--profile", "--profile --engine=demand"}) {
-    std::string Out;
-    ASSERT_EQ(run(cli() + " report " + Flags + " " + corpus("tower.mp"), Out),
-              0)
-        << Flags;
-    // The report itself is unchanged and the profile block follows it.
-    EXPECT_NE(Out.find("call sites:"), std::string::npos) << Out;
-    std::size_t At = Out.find("profile:");
-    ASSERT_NE(At, std::string::npos) << Flags << Out;
-    if (ipse::observe::enabled()) {
-      EXPECT_NE(Out.find("parse", At), std::string::npos) << Flags << Out;
-      EXPECT_NE(Out.find("report", At), std::string::npos) << Flags << Out;
-      EXPECT_NE(Out.find("render", At), std::string::npos) << Flags << Out;
-      EXPECT_NE(Out.find("bv_ops", At), std::string::npos) << Flags << Out;
-    }
+  std::string Out;
+  ASSERT_EQ(run(cli() + " report --profile " + corpus("tower.mp"), Out), 0);
+  // The report itself is unchanged and the profile block follows it.
+  EXPECT_NE(Out.find("call sites:"), std::string::npos) << Out;
+  std::size_t At = Out.find("profile:");
+  ASSERT_NE(At, std::string::npos) << Out;
+  if (ipse::observe::enabled()) {
+    EXPECT_NE(Out.find("parse", At), std::string::npos) << Out;
+    EXPECT_NE(Out.find("report", At), std::string::npos) << Out;
+    EXPECT_NE(Out.find("render", At), std::string::npos) << Out;
+    EXPECT_NE(Out.find("bv_ops", At), std::string::npos) << Out;
   }
 }
 
@@ -349,27 +348,6 @@ TEST(Cli, ReportTraceOutUnwritableFails) {
             1);
 }
 
-TEST(Cli, ReportUnknownEngineFails) {
-  std::string Out;
-  EXPECT_EQ(run(cli() + " report --engine=quantum " + corpus("tower.mp"),
-                Out),
-            2);
-  // The removed session engine is an unknown engine like any other: a
-  // clean usage error, on every verb that takes --engine.
-  EXPECT_EQ(run("(" + cli() + " report --engine=session " +
-                    corpus("tower.mp") + " 2>&1)",
-                Out),
-            2);
-  EXPECT_NE(Out.find("unknown engine 'session'"), std::string::npos) << Out;
-  EXPECT_EQ(run("printf 'gen procs=4\n' | " + cli() +
-                    " session --engine=session -",
-                Out),
-            2);
-  EXPECT_EQ(run(cli() + " serve --gen procs=4 --engine=session < /dev/null",
-                Out),
-            2);
-}
-
 TEST(Cli, SessionMetricsVerb) {
   std::string Out;
   ASSERT_EQ(run("printf 'gen procs=6 globals=3 seed=2\\nmetrics\\n' | " +
@@ -390,7 +368,8 @@ TEST(Cli, SessionProfile) {
       << Out;
   EXPECT_NE(Out.find("profile:"), std::string::npos) << Out;
   if (ipse::observe::enabled()) {
-    // The first query covers the whole program: the batch ceiling.
+    // The first query's region holds five of the seven procedures, past
+    // half the program: the batch ceiling solves it.
     EXPECT_NE(Out.find("demand.batch"), std::string::npos) << Out;
   }
 }
@@ -414,15 +393,14 @@ TEST(Cli, ServeOverStdio) {
 
 TEST(Cli, ServeWithoutUseAnswersUseQueriesWithAnError) {
   // A server started with --no-use keeps no USE pipeline: guse / use are a
-  // clean per-request error, and the server keeps answering.  (--engine is
-  // accepted and changes nothing.)
+  // clean per-request error, and the server keeps answering.
   std::string Requests = R"({"id":1,"cmd":"guse p1"}\n)"
                          R"({"id":2,"cmd":"use p1 0"}\n)"
                          R"({"id":3,"cmd":"gmod p1"}\n)"
                          R"({"id":4,"cmd":"check"}\n)";
   std::string Out;
   ASSERT_EQ(run("printf '" + Requests + "' | " + cli() +
-                    " serve --gen procs=10,seed=3 --no-use --engine=demand",
+                    " serve --gen procs=10,seed=3 --no-use",
                 Out),
             0)
       << Out;
@@ -734,6 +712,30 @@ TEST(Cli, ServeTenantsSurviveKillNine) {
   EXPECT_NE(Banner.find("tenants stopped; 2 in manifest"), std::string::npos)
       << Banner;
   run("rm -rf " + Dir + " && rm -f " + Out1 + " " + Err2 + " " + Done, Out);
+}
+
+TEST(Cli, ServeAnswersEveryOpenOfAStormPastTheQueue) {
+  // 800 opens overflow the shard queues (256 slots each): every refused
+  // open must be answered with a retry and rolled back, and the server
+  // must keep answering and exit cleanly.
+  std::string Dir = testing::TempDir() + "/ipse_cli_open_storm";
+  std::string Out;
+  run("rm -rf " + Dir, Out);
+  ASSERT_EQ(run("for I in $(seq 0 799); do printf "
+                "'{\"id\":%d,\"cmd\":\"open t%d procs=200 globals=16\"}\\n'"
+                " $I $I; done | " +
+                    cli() + " serve --tenants --data-dir " + Dir +
+                    " --resident-cap 64",
+                Out),
+            0);
+  EXPECT_EQ(countOf(Out, "{\"id\":"), 800u) << Out.substr(0, 2000);
+  for (unsigned I = 0; I < 800; I += 97)
+    EXPECT_NE(Out.find("{\"id\":" + std::to_string(I) + ","),
+              std::string::npos)
+        << I;
+  EXPECT_EQ(countOf(Out, "\"ok\":false"), countOf(Out, "\"retry\":true"))
+      << Out.substr(0, 2000);
+  run("rm -rf " + Dir, Out);
 }
 
 TEST(Cli, ServeSigquitWritesFlightDump) {

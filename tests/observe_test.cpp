@@ -454,26 +454,26 @@ TEST(Facade, ReportsByteIdenticalAcrossEnginesAndProfiling) {
   RO.IncludeRMod = true;
   const std::string Baseline = analysis::makeReport(P, RO);
 
-  using Engine = ipse::AnalysisOptions::Engine;
-  for (Engine E : {Engine::Sequential, Engine::Demand}) {
-    for (bool Profile : {false, true}) {
-      ipse::AnalysisOptions O;
-      O.Backend = E;
-      O.Threads = 3;
-      O.Profile = Profile;
-      ipse::ReportRun Run = ipse::Analyzer(O).report(P, RO);
-      EXPECT_TRUE(Run.Ok);
-      EXPECT_EQ(Run.Output, Baseline)
-          << "engine " << int(E) << " profile " << Profile;
-      if (Profile && observe::enabled()) {
-        EXPECT_NE(Run.Costs.phase("report"), nullptr);
-        EXPECT_NE(Run.Costs.phase("render"), nullptr);
-      }
-      if (!Profile) {
-        EXPECT_TRUE(Run.Costs.empty());
-      }
+  for (bool Profile : {false, true}) {
+    ipse::AnalysisOptions O;
+    O.Threads = 3;
+    O.Profile = Profile;
+    ipse::ReportRun Run = ipse::Analyzer(O).report(P, RO);
+    EXPECT_TRUE(Run.Ok);
+    EXPECT_EQ(Run.Output, Baseline) << "profile " << Profile;
+    if (Profile && observe::enabled()) {
+      EXPECT_NE(Run.Costs.phase("report"), nullptr);
+      EXPECT_NE(Run.Costs.phase("render"), nullptr);
+    }
+    if (!Profile) {
+      EXPECT_TRUE(Run.Costs.empty());
     }
   }
+  // A demand session's answers render the same bytes.
+  demand::DemandSession S(P);
+  demand::KindView Mod(S, EffectKind::Mod);
+  demand::KindView Use(S, EffectKind::Use);
+  EXPECT_EQ(analysis::renderReport(P, RO, Mod, &Use), Baseline);
 }
 
 TEST(Facade, AnalyzeAnswersTheSameQueriesOnEveryEngine) {
@@ -484,37 +484,34 @@ TEST(Facade, AnalyzeAnswersTheSameQueriesOnEveryEngine) {
   Cfg.MaxNestDepth = 2;
   ir::Program P = synth::generateProgram(Cfg);
 
-  ipse::AnalysisOptions SeqO;
-  SeqO.Backend = ipse::AnalysisOptions::Engine::Sequential;
-  ipse::Analysis Seq = ipse::Analyzer(SeqO).analyze(P);
+  ipse::Analysis Seq = ipse::Analyzer().analyze(P);
+  ipse::AnalysisOptions O;
+  O.Threads = 2;
+  ipse::Analysis A = ipse::Analyzer(O).analyze(P);
+  std::unique_ptr<demand::DemandSession> D = ipse::Analyzer(O).open_demand(P);
 
-  using Engine = ipse::AnalysisOptions::Engine;
-  for (Engine E : {Engine::Sequential, Engine::Demand}) {
-    ipse::AnalysisOptions O;
-    O.Backend = E;
-    O.Threads = 2;
-    ipse::Analysis A = ipse::Analyzer(O).analyze(P);
-    EXPECT_EQ(A.engine(), E);
+  // The batch handle and the lazy session answer every query alike.
+  auto expectSameAnswers = [&](auto &X, const char *Name) {
     for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
       ir::ProcId Proc(I);
-      EXPECT_EQ(A.gmod(Proc), Seq.gmod(Proc)) << "proc " << I;
-      EXPECT_EQ(A.guse(Proc), Seq.guse(Proc)) << "proc " << I;
-      EXPECT_EQ(A.setToString(A.gmod(Proc)), Seq.setToString(Seq.gmod(Proc)));
+      EXPECT_EQ(X.gmod(Proc, EffectKind::Mod), Seq.gmod(Proc))
+          << Name << " proc " << I;
+      EXPECT_EQ(X.gmod(Proc, EffectKind::Use), Seq.guse(Proc))
+          << Name << " proc " << I;
+      EXPECT_EQ(X.setToString(X.gmod(Proc, EffectKind::Mod)),
+                Seq.setToString(Seq.gmod(Proc)))
+          << Name;
     }
     for (std::uint32_t I = 0; I != P.numCallSites(); ++I) {
       ir::CallSiteId C(I);
-      EXPECT_EQ(A.dmod(C), Seq.dmod(C)) << "site " << I;
-      EXPECT_EQ(A.dmod(C, EffectKind::Use), Seq.dmod(C, EffectKind::Use));
+      EXPECT_EQ(X.dmod(C, EffectKind::Mod), Seq.dmod(C))
+          << Name << " site " << I;
+      EXPECT_EQ(X.dmod(C, EffectKind::Use), Seq.dmod(C, EffectKind::Use))
+          << Name;
     }
-  }
-}
-
-TEST(Facade, ThreadsNeverChooseTheEngine) {
-  ipse::AnalysisOptions O;
-  EXPECT_EQ(O.Backend, ipse::AnalysisOptions::Engine::Sequential);
-  O.Threads = 4;
-  ipse::Analysis A = ipse::Analyzer(O).analyze(synth::makeChainProgram(8, 2));
-  EXPECT_EQ(A.engine(), ipse::AnalysisOptions::Engine::Sequential);
+  };
+  expectSameAnswers(A, "batch");
+  expectSameAnswers(*D, "demand");
 }
 
 TEST(Facade, ProfiledAnalyzeCollectsPhases) {

@@ -289,14 +289,14 @@ TEST_P(RandomPrograms, DModContainsCalleeLocalsOnlyViaActuals) {
 
 /// MOD and USE over one shared ProgramShape equal two analyzers that each
 /// build their own: kind, kernel, RMOD bits, IMOD+ and GMOD/GUSE; the
-/// facade, which solves both kinds over one shape, answers the same.
+/// facade, which solves both kinds over one shape at the default kernel
+/// choice, answers the same as every pinned kernel.
 void expectSharedShapeMatchesPerKind(
     const Program &P, const std::string &Context,
     AnalyzerOptions::GModAlgorithm Algorithm =
         AnalyzerOptions::GModAlgorithm::Auto) {
   const BatchAnalysis Shared(P, /*WithUse=*/true, Algorithm);
   ipse::AnalysisOptions Opts;
-  Opts.Algorithm = Algorithm;
   Opts.Repr = EffectSet::defaultRepresentation();
   const ipse::Analysis Facade = ipse::Analyzer(Opts).analyze(P);
   for (EffectKind Kind : {EffectKind::Mod, EffectKind::Use}) {

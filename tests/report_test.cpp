@@ -9,8 +9,9 @@
 // each GMOD/GUSE set's ranks once, and projects every DMOD/DUSE line from
 // its callee's sorted list.  This suite checks it byte for byte against a
 // naive reference renderer (collect the names, std::sort the strings,
-// join; DMOD from the analyzer's projectCallSite) on every engine, every
-// effect-set representation and K in {1, 4}, and on hand-built call
+// join; DMOD from the analyzer's projectCallSite) for the batch report
+// (K in {1, 4}) and a demand session's, under every effect-set
+// representation, and on hand-built call
 // sites that each exercise one case of the projection.  The programs are built to make id order and name order
 // disagree: a global `p_x` beside a local `p.x`, one local name repeated
 // in every procedure, and ids whose order is the reverse of their names'.
@@ -20,6 +21,7 @@
 #include "analysis/Report.h"
 #include "analysis/SideEffectAnalyzer.h"
 #include "api/Ipse.h"
+#include "demand/DemandSession.h"
 #include "ir/Printer.h"
 #include "ir/ProgramBuilder.h"
 #include "support/Rng.h"
@@ -153,24 +155,33 @@ std::string naiveReport(const ir::Program &P, analysis::ReportOptions O) {
   return OS.str();
 }
 
-/// Renders \p P on both engines and every effect-set representation,
-/// checks each report against the naive one, and returns it.
+/// The report of \p P rendered from a demand session's answers, every
+/// plane solved on first touch, in representation \p Rep.
+std::string demandReport(const ir::Program &P, analysis::ReportOptions O,
+                         EffectSet::Representation Rep) {
+  EffectSet::setDefaultRepresentation(Rep);
+  demand::DemandSession S(P);
+  demand::KindView Mod(S, analysis::EffectKind::Mod);
+  demand::KindView Use(S, analysis::EffectKind::Use);
+  return analysis::renderReport(P, O, Mod, O.IncludeUse ? &Use : nullptr);
+}
+
+/// Renders \p P in batch and from a demand session under every effect-set
+/// representation, checks each report against the naive one, and returns
+/// it.
 std::string reportOnEveryEngine(const ir::Program &P,
                                 analysis::ReportOptions O =
                                     analysis::ReportOptions()) {
-  using Engine = AnalysisOptions::Engine;
   using Repr = EffectSet::Representation;
   const std::string Expected = naiveReport(P, O);
-  for (Engine E : {Engine::Sequential, Engine::Demand})
-    for (Repr Rep : {Repr::Dense, Repr::Sparse, Repr::Auto}) {
-      AnalysisOptions Opts;
-      Opts.Backend = E;
-      Opts.Repr = Rep;
-      ReportRun Run = Analyzer(Opts).report(P, O);
-      EXPECT_TRUE(Run.Ok);
-      EXPECT_EQ(Run.Output, Expected)
-          << "engine " << int(E) << " repr " << int(Rep);
-    }
+  for (Repr Rep : {Repr::Dense, Repr::Sparse, Repr::Auto}) {
+    AnalysisOptions Opts;
+    Opts.Repr = Rep;
+    ReportRun Run = Analyzer(Opts).report(P, O);
+    EXPECT_TRUE(Run.Ok);
+    EXPECT_EQ(Run.Output, Expected) << "batch, repr " << int(Rep);
+    EXPECT_EQ(demandReport(P, O, Rep), Expected) << "demand, repr " << int(Rep);
+  }
   EffectSet::setDefaultRepresentation(Repr::Auto);
   return Expected;
 }
@@ -186,7 +197,6 @@ std::string line(const std::string &Report, const std::string &From,
 }
 
 TEST(ReportOrder, MatchesNaiveRendererOnEveryEngine) {
-  using Engine = AnalysisOptions::Engine;
   using Repr = EffectSet::Representation;
   const std::uint64_t Base = testseed::baseSeed(1);
   for (std::uint64_t K = 0; K != 12; ++K) {
@@ -195,19 +205,19 @@ TEST(ReportOrder, MatchesNaiveRendererOnEveryEngine) {
     analysis::ReportOptions O;
     O.IncludeRMod = K % 2 == 1;
     const std::string Expected = naiveReport(P, O);
-    for (Engine E : {Engine::Sequential, Engine::Demand})
-      for (Repr Rep : {Repr::Dense, Repr::Sparse, Repr::Auto})
-        for (unsigned Threads : {1u, 4u}) {
-          AnalysisOptions Opts;
-          Opts.Backend = E;
-          Opts.Repr = Rep;
-          Opts.Threads = Threads;
-          ReportRun Run = Analyzer(Opts).report(P, O);
-          ASSERT_TRUE(Run.Ok);
-          EXPECT_EQ(Run.Output, Expected)
-              << "seed " << Seed << " engine " << int(E) << " repr "
-              << int(Rep) << " K=" << Threads;
-        }
+    for (Repr Rep : {Repr::Dense, Repr::Sparse, Repr::Auto}) {
+      for (unsigned Threads : {1u, 4u}) {
+        AnalysisOptions Opts;
+        Opts.Repr = Rep;
+        Opts.Threads = Threads;
+        ReportRun Run = Analyzer(Opts).report(P, O);
+        ASSERT_TRUE(Run.Ok);
+        EXPECT_EQ(Run.Output, Expected) << "seed " << Seed << " batch, repr "
+                                        << int(Rep) << " K=" << Threads;
+      }
+      EXPECT_EQ(demandReport(P, O, Rep), Expected)
+          << "seed " << Seed << " demand, repr " << int(Rep);
+    }
   }
   EffectSet::setDefaultRepresentation(Repr::Auto);
 }

@@ -432,6 +432,76 @@ TEST(TenantProtocol, IllegalAddCallIsRefusedAndTheServerKeepsAnswering) {
   EXPECT_NE(Line.find("GMOD(r)"), std::string::npos) << Line;
 }
 
+TEST(TenantProtocol, RefusedOpensRollBackTheirRegistration) {
+  // One shard with a one-slot queue, held busy by an open whose reply
+  // waits on a gate: nearly every open below is refused at submission,
+  // and each refusal must take back the name it registered.
+  TenantOptions Opts;
+  Opts.Shards = 1;
+  Opts.QueueCapacity = 1;
+  TenantService Svc(Opts);
+  std::promise<void> Gate;
+  std::shared_future<void> Release = Gate.get_future().share();
+  const bool Held = Svc.trySubmit(
+      "", 1000,
+      *service::parseScriptLine("open holder procs=4 globals=2 seed=1", 1),
+      [Release](Response) { Release.wait(); });
+
+  constexpr unsigned Opens = 64;
+  tenant::TenantConnection Conn;
+  ResponseLog Log;
+  auto Emit = [&](std::string Line) { Log(std::move(Line)); };
+  for (unsigned I = 0; I != Opens; ++I)
+    tenant::handleTenantRequestLine(
+        Svc, Conn,
+        "{\"id\":" + std::to_string(I) + ",\"cmd\":\"open t" +
+            std::to_string(I) + " procs=4 globals=2 seed=1\"}",
+        Emit);
+  // Only refusals are answered while the shard is held: each is a retry.
+  std::vector<bool> Refused(Opens, false);
+  {
+    std::lock_guard<std::mutex> G(Log.M);
+    for (const std::string &L : Log.Lines) {
+      std::string Err;
+      std::optional<JsonObject> Obj = parseJsonObject(L, Err);
+      if (!Obj || Obj->getUInt("id").value_or(Opens) >= Opens) {
+        ADD_FAILURE() << "unexpected reply " << L;
+        continue;
+      }
+      EXPECT_EQ(Obj->getBool("ok"), false) << L;
+      EXPECT_EQ(Obj->getBool("retry"), true) << L;
+      Refused[*Obj->getUInt("id")] = true;
+    }
+  }
+  Gate.set_value();
+  ASSERT_TRUE(Held);
+
+  // The accepted opens are answered in order once the shard is free.
+  unsigned Accepted = 0;
+  for (unsigned I = 0; I != Opens; ++I) {
+    if (Refused[I])
+      continue;
+    ++Accepted;
+    EXPECT_EQ(Log.waitFor(I).getBool("ok"), true) << "open t" << I;
+  }
+  EXPECT_LT(Accepted, Opens);
+  // The registry holds exactly the holder and the accepted tenants.
+  for (unsigned I = 0; I != Opens; ++I)
+    EXPECT_EQ(Svc.hasTenant("t" + std::to_string(I)), !Refused[I])
+        << "t" << I;
+  EXPECT_EQ(Svc.tenantCount(), Accepted + 1);
+  EXPECT_GE(Svc.counters().Rejected, Opens - Accepted);
+
+  // A refused name is free to open again.
+  unsigned First = 0;
+  while (!Refused[First])
+    ++First;
+  Response R = Svc.call(
+      "", "open t" + std::to_string(First) + " procs=4 globals=2 seed=1");
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_TRUE(Svc.hasTenant("t" + std::to_string(First)));
+}
+
 TEST(TenantProtocol, RoutingPrecedenceIsFieldThenAttachThenImplicit) {
   // A server given a program hosts it as the implicit tenant "": requests
   // that name no tenant reach it, an attach overrides it, and a "tenant"

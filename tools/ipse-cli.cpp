@@ -80,14 +80,11 @@ namespace {
   std::fprintf(
       stderr,
       "usage: ipse-cli <command> [options] [file.mp]\n"
-      "  report [--rmod] [--no-use] [--engine=E] [--repr=R]\n"
+      "  report [--rmod] [--no-use] [--repr=R]\n"
       "         [--profile] [--trace-out=FILE] [--trace-format=F] <file>\n"
-      "                                      MOD/USE summary report\n"
-      "                                      (--engine: sequential or\n"
-      "                                      demand; the report is\n"
-      "                                      byte-identical on every\n"
-      "                                      engine.\n"
-      "                                      --repr: effect-set storage —\n"
+      "                                      MOD/USE summary report from a\n"
+      "                                      batch analysis\n"
+      "                                      (--repr: effect-set storage —\n"
       "                                      auto (sparse until dense pays,\n"
       "                                      the default), dense, or sparse;\n"
       "                                      results are byte-identical.\n"
@@ -99,35 +96,32 @@ namespace {
       "                                      Trace Event JSON for Perfetto)\n"
       "  dot [--beta] <file>                 call graph (or beta) as dot\n"
       "  stats <file>                        program and graph sizes\n"
-      "  check <file>                        run all solvers and verify\n"
+      "  check <file>                        run all solvers (batch, the\n"
+      "                                      baselines, a fully queried\n"
+      "                                      demand session) and verify\n"
       "  generate [--seed N] [--procs N] [--globals N] [--depth N]\n"
       "                                      emit a random MiniProc program\n"
       "  roundtrip <file>                    compile -> emit -> recompile\n"
-      "  session [--engine=E] [--profile] [--trace-out=FILE]\n"
+      "  session [--repr=R] [--profile] [--trace-out=FILE]\n"
       "          [--trace-format=F] <script>\n"
       "                                      drive a demand-driven analysis\n"
       "                                      session ('-' reads stdin; see\n"
       "                                      'session' section of README).\n"
-      "                                      Queries see the whole program\n"
-      "                                      solved (a region solve, or the\n"
-      "                                      batch pipeline once a region\n"
-      "                                      reaches half the program);\n"
-      "                                      --engine=demand solves only\n"
-      "                                      the queried regions.  'stats'\n"
-      "                                      prints the engine's counters:\n"
+      "                                      Each query solves only the\n"
+      "                                      region it reaches.  'stats'\n"
+      "                                      prints the session's counters:\n"
       "                                      edits, queries, region-solves,\n"
       "                                      region-procs, batch-solves,\n"
       "                                      memo-hits, invalidations,\n"
       "                                      absorbed, components (GMOD-only\n"
       "                                      re-solves), full-resets\n"
-      "  query (--program <file> | --gen k=v[,k=v...]) [--engine=E]\n"
+      "  query (--program <file> | --gen k=v[,k=v...])\n"
       "        [--stats] <proc|proc#k> ...\n"
       "                                      demand-driven one-shot query:\n"
       "                                      GMOD for each named procedure,\n"
       "                                      DMOD for each proc#k call site,\n"
       "                                      solving only the region the\n"
-      "                                      queries reach (--engine=demand\n"
-      "                                      is the default here; --stats\n"
+      "                                      queries reach (--stats\n"
       "                                      appends this run's region\n"
       "                                      attribution — region procs,\n"
       "                                      memo hits, frontier cuts —\n"
@@ -136,7 +130,7 @@ namespace {
       "        [--port N] [--queue N] [--batch N] [--no-use]\n"
       "        [--compact-records N] [--compact-bytes N]\n"
       "        [--trace-out=FILE] [--trace-format=F] [--slow-ms N]\n"
-      "        [--tenants[=SHARDS]] [--resident-cap N] [--engine=E]\n"
+      "        [--tenants[=SHARDS]] [--resident-cap N]\n"
       "        [--tenant-max-procs N] [--tenant-max-edits N]\n"
       "                                      concurrent analysis service;\n"
       "                                      newline-delimited JSON over\n"
@@ -166,9 +160,9 @@ namespace {
       "                                      sessions (LRU evict-to-disk),\n"
       "                                      --tenant-max-procs /\n"
       "                                      --tenant-max-edits set per-\n"
-      "                                      tenant quotas.  --engine is\n"
-      "                                      ignored: every tenant solves\n"
-      "                                      only what its queries reach.\n"
+      "                                      tenant quotas.  Every tenant\n"
+      "                                      solves only what its queries\n"
+      "                                      reach.\n"
       "                                      --slow-ms logs queries and\n"
       "                                      flushes slower than N ms to\n"
       "                                      the --trace-out sink with\n"
@@ -226,7 +220,7 @@ Program compileOrDie(const std::string &Path) {
   return std::move(*R.Program);
 }
 
-/// The engine / observability flags shared by `report`, `session`,
+/// The representation / observability flags shared by `report`, `session`,
 /// `query` and `serve`: one ipse::AnalysisOptions plus the owned `--trace-out` sink
 /// feeding it.
 struct CommonFlags {
@@ -235,24 +229,11 @@ struct CommonFlags {
   std::string TracePath;
   bool TraceChrome = false;
 
-  /// Consumes --engine=E / --repr=R / --profile / --trace-out=FILE
+  /// Consumes --repr=R / --profile / --trace-out=FILE
   /// / --trace-format=jsonl|chrome.  Returns false when \p A is some
-  /// other argument.  Exits on an unknown engine or trace format name.
+  /// other argument.  Exits on an unknown representation or trace format
+  /// name.
   bool parse(const std::string &A) {
-    using Engine = ipse::AnalysisOptions::Engine;
-    const std::string EnginePrefix = "--engine=";
-    if (A.compare(0, EnginePrefix.size(), EnginePrefix) == 0) {
-      std::string Name = A.substr(EnginePrefix.size());
-      if (Name == "sequential")
-        Opts.Backend = Engine::Sequential;
-      else if (Name == "demand")
-        Opts.Backend = Engine::Demand;
-      else {
-        std::fprintf(stderr, "error: unknown engine '%s'\n", Name.c_str());
-        std::exit(2);
-      }
-      return true;
-    }
     if (A == "--profile") {
       Opts.Profile = true;
       return true;
@@ -422,8 +403,10 @@ int cmdCheck(const std::vector<std::string> &Args) {
   // Establish the paper's §3.3 precondition first.
   P = graph::eliminateUnreachable(P);
 
-  // The batch pipeline against six solvers over graphs of their own.
+  // The batch pipeline against six solvers over graphs of their own and
+  // a demand session queried for every procedure.
   const analysis::BatchAnalysis Batch(P, /*WithUse=*/true);
+  demand::DemandSession Demand(P);
   analysis::VarMasks Masks(P);
   graph::CallGraph CG(P);
   graph::BindingGraph BG(P);
@@ -456,10 +439,11 @@ int cmdCheck(const std::vector<std::string> &Args) {
       const EffectSet &Want = Oracle.GMod.GMod[I];
       Ok &= Shared.gmod(ProcId(I)) == Want && Fast.GMod[I] == Want &&
             Rep.GMod[I] == Want && Work.GMod.GMod[I] == Want &&
-            Swift.GMod.GMod[I] == Want && Levels.GMod[I] == Want;
+            Swift.GMod.GMod[I] == Want && Levels.GMod[I] == Want &&
+            Demand.gmod(ProcId(I), Kind) == Want;
     }
   }
-  std::printf("%zu procedures, 7 solvers, MOD and USE: %s\n", P.numProcs(),
+  std::printf("%zu procedures, 8 solvers, MOD and USE: %s\n", P.numProcs(),
               Ok ? "all agree" : "DISAGREEMENT");
   return Ok ? 0 : 1;
 }
@@ -565,9 +549,6 @@ int cmdQuery(const std::vector<std::string> &Args) {
   std::string ProgramPath, GenSpec;
   bool PrintStats = false;
   CommonFlags F;
-  // Demand is the point of this command; --engine=sequential answers
-  // from the whole program solved first, to cross-check.
-  F.Opts.Backend = ipse::AnalysisOptions::Engine::Demand;
   std::vector<std::string> Operands;
   for (std::size_t I = 0; I != Args.size(); ++I) {
     auto strArg = [&]() -> std::string {
@@ -599,8 +580,6 @@ int cmdQuery(const std::vector<std::string> &Args) {
   ipse::Analyzer An(F.Opts);
   try {
     std::unique_ptr<demand::DemandSession> D = An.open_demand(std::move(P));
-    if (F.Opts.Backend != ipse::AnalysisOptions::Engine::Demand)
-      D->ensureSolvedAll();
     service::DemandSessionQueryTarget Target(*D);
     service::QueryResult R = service::evalQueryCommand(Target, Cmd);
     std::printf("%s\n", R.Text.c_str());
