@@ -26,8 +26,8 @@ GModResult analysis::solveGModLevels(const ir::Program &P,
   // an edge whose callee sits at level L (only those variables survive the
   // return).  For two-level programs Below[1] is exactly GLOBAL, making
   // this the Figure 2 filter.  Dense whatever the set policy: every fold
-  // filters through one, and a dense filter keeps dense folds on the SIMD
-  // kernels (a sparse one sends them down the word-cursor loop).
+  // filters through one, and a dense filter keeps dense folds on the plain
+  // word loop (a sparse one sends them through a word cursor).
   std::vector<EffectSet> Below(
       DP + 1, EffectSet(V, EffectSet::Representation::Dense));
   for (unsigned L = 1; L <= DP; ++L) {

@@ -175,7 +175,7 @@ void DemandSession::rebuildVarStructure() {
   const unsigned DP = P.maxProcLevel();
 
   // The level filters are read by every GMOD step; dense words keep those
-  // steps on the SIMD kernels whatever the representation policy.  No
+  // steps on the plain word loop whatever the representation policy.  No
   // filter holds a deepest-level variable, so only the declarations of
   // shallower procedures are visited.
   const EffectSet Empty(V, EffectSet::Representation::Dense);

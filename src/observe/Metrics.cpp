@@ -30,14 +30,10 @@ MetricsRegistry &MetricsRegistry::global() {
   // valid through static destruction order.
   static MetricsRegistry *R = [] {
     auto *Reg = new MetricsRegistry();
-    // Which dense-kernel table this process dispatched to — an info
-    // metric (constant 1, the label carries the value), so every
-    // `metrics` dump records the ISA its numbers were measured on.
-    Reg->gauge(std::string("simd.kernel{isa=") + simd::dispatchedIsa() + "}")
-        .set(1);
-    // Identify the binary behind any scraped dump: release line, the
-    // dispatched SIMD ISA again (so build_info alone suffices), and
-    // whether the observe layer is compiled in.
+    // Identify the binary behind any scraped dump: an info metric
+    // (constant 1, the labels carry the values) naming the release line,
+    // the host's vector ISA (support/SimdKernels.h) and whether the
+    // observe layer is compiled in.
     Reg->gauge(std::string("build.info{version=") + VersionString +
                ",isa=" + simd::dispatchedIsa() +
                ",observe=" + (observe::enabled() ? "on" : "off") + "}")

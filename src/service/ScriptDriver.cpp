@@ -67,23 +67,29 @@ constexpr OpSpec Specs[] = {
     {"attach", ScriptCommand::Op::Attach, 1},
 };
 
-/// A statement or call-site index, or a `gen` value: decimal digits
-/// only, below 2^32.  Signs, hex prefixes, an empty operand and overflow
-/// are script errors.
+/// A statement or call-site index, or a `gen` value, by parseDecimal's
+/// rule; anything else is a script error.
 std::uint32_t parseNumber(std::string_view S, unsigned LineNo) {
-  bool Ok = !S.empty() && S.find_first_not_of("0123456789") == S.npos;
-  std::uint64_t V = 0;
-  for (std::size_t I = 0; Ok && I != S.size(); ++I) {
-    V = V * 10 + unsigned(S[I] - '0');
-    Ok = V <= UINT32_MAX;
-  }
-  if (!Ok)
+  std::optional<std::uint32_t> V = service::parseDecimal(S);
+  if (!V)
     die(LineNo, "'" + std::string(S) +
                     "' is not a decimal number below 2^32");
-  return static_cast<std::uint32_t>(V);
+  return *V;
 }
 
 } // namespace
+
+std::optional<std::uint32_t> service::parseDecimal(std::string_view S) {
+  if (S.empty() || S.find_first_not_of("0123456789") != S.npos)
+    return std::nullopt;
+  std::uint64_t V = 0;
+  for (char C : S) {
+    V = V * 10 + unsigned(C - '0');
+    if (V > UINT32_MAX)
+      return std::nullopt;
+  }
+  return static_cast<std::uint32_t>(V);
+}
 
 bool service::isEditCommand(ScriptCommand::Op Op) {
   switch (Op) {

@@ -71,6 +71,7 @@
 #include "ir/Program.h"
 #include "support/EffectSet.h"
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -152,6 +153,11 @@ bool isValidTenantName(std::string_view Name);
 /// Throws ScriptError on unknown keys.
 synth::ProgramGenConfig parseGenSpec(const std::vector<std::string> &Args,
                                      unsigned LineNo);
+
+/// The one rule for every number a script line or an `ipse-cli` flag
+/// carries: decimal digits only, below 2^32.  Signs, hex prefixes, an
+/// empty string and overflow answer nullopt.
+std::optional<std::uint32_t> parseDecimal(std::string_view S);
 
 /// \p Line without its comment: a '#' at line start or after whitespace
 /// opens one; mid-token ("main#0") it is data.

@@ -10,19 +10,19 @@
 // proportional to its population), a dense destination with sparse filter
 // operands streams words through a cursor that materializes each filter
 // word on the fly (one amortized pass over the index list), and the
-// all-dense case lands in the SIMD kernel table.  A sparse destination
-// under a non-Sparse policy densifies before absorbing a dense source —
-// the result was about to cross the threshold anyway.
+// all-dense case is a plain word loop.  Both dense-destination cases run
+// through updateWords, whose all-dense bodies the compiler vectorizes for
+// the build's target.  A sparse destination under a non-Sparse policy
+// densifies before absorbing a dense source — the result was about to
+// cross the threshold anyway.
 //
 // Every mutating operation charges wordCount() to the shared op registry
-// before dispatch, so bv_ops is identical across representations and ISAs
-// (see the header's accounting note).
+// before dispatch, so bv_ops is identical across representations and
+// machines (see the header's accounting note).
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/EffectSet.h"
-
-#include "support/SimdKernels.h"
 
 #include <algorithm>
 #include <atomic>
@@ -59,6 +59,21 @@ struct SparseCursor {
     return W;
   }
 };
+
+/// The one dense word loop: Dst[I] = Update(Dst[I], I) in ascending I
+/// (so Update may advance a SparseCursor).  Returns true iff any word
+/// changed.  The old^new difference is or-ed into one accumulator that is
+/// tested once at the end, so the body never branches on it.
+template <typename UpdateFn>
+bool updateWords(EffectSet::Word *Dst, std::size_t N, UpdateFn Update) {
+  EffectSet::Word Diff = 0;
+  for (std::size_t I = 0; I != N; ++I) {
+    EffectSet::Word New = Update(Dst[I], I);
+    Diff |= Dst[I] ^ New;
+    Dst[I] = New;
+  }
+  return Diff != 0;
+}
 
 /// Dst := Dst ∪ Add (both sorted).  Returns true iff Dst grew.  The
 /// common fixpoint case — nothing new — is detected with a walk and no
@@ -274,21 +289,26 @@ bool EffectSet::orFused(const EffectSet &A, const EffectSet *Keep,
     densify();
 
   if (Dense) {
+    Word *D = Words.data();
+    const std::size_t N = Words.size();
+    const Word *S = A.Words.data();
     const bool KeepDense = !Keep || Keep->Dense;
     const bool DropDense = !Drop || Drop->Dense;
     if (KeepDense && DropDense) {
-      const simd::WordKernels &K = simd::kernels();
-      Word *D = Words.data();
-      const Word *S = A.Words.data();
-      std::size_t N = Words.size();
+      const Word *K = Keep ? Keep->Words.data() : nullptr;
+      const Word *R = Drop ? Drop->Words.data() : nullptr;
       if (Keep && Drop)
-        return K.OrIntersectMinus(D, S, Keep->Words.data(), Drop->Words.data(),
-                                  N);
+        return updateWords(D, N, [&](Word W, std::size_t I) {
+          return W | (S[I] & K[I] & ~R[I]);
+        });
       if (Keep)
-        return K.OrIntersect(D, S, Keep->Words.data(), N);
+        return updateWords(
+            D, N, [&](Word W, std::size_t I) { return W | (S[I] & K[I]); });
       if (Drop)
-        return K.OrAndNot(D, S, Drop->Words.data(), N);
-      return K.Or(D, S, N);
+        return updateWords(
+            D, N, [&](Word W, std::size_t I) { return W | (S[I] & ~R[I]); });
+      return updateWords(D, N,
+                         [&](Word W, std::size_t I) { return W | S[I]; });
     }
     // Sparse filter operands: stream their words through cursors.
     SparseCursor KC, DC;
@@ -296,15 +316,11 @@ bool EffectSet::orFused(const EffectSet &A, const EffectSet *Keep,
       KC.S = &Keep->Sparse;
     if (Drop && !Drop->Dense)
       DC.S = &Drop->Sparse;
-    bool Changed = false;
-    for (std::size_t I = 0, E = Words.size(); I != E; ++I) {
+    return updateWords(D, N, [&](Word W, std::size_t I) {
       Word KW = !Keep ? ~Word(0) : (Keep->Dense ? Keep->Words[I] : KC.at(I));
       Word DW = !Drop ? 0 : (Drop->Dense ? Drop->Words[I] : DC.at(I));
-      Word New = Words[I] | (A.Words[I] & KW & ~DW);
-      Changed |= New != Words[I];
-      Words[I] = New;
-    }
-    return Changed;
+      return W | (S[I] & KW & ~DW);
+    });
   }
 
   // Pinned-sparse destination, dense source: collect the surviving source
@@ -354,16 +370,14 @@ bool EffectSet::andWith(const EffectSet &RHS) {
     Sparse.erase(It, Sparse.end());
     return Changed;
   }
-  if (RHS.Dense)
-    return simd::kernels().And(Words.data(), RHS.Words.data(), Words.size());
-  SparseCursor RC{&RHS.Sparse, 0};
-  bool Changed = false;
-  for (std::size_t I = 0, E = Words.size(); I != E; ++I) {
-    Word New = Words[I] & RC.at(I);
-    Changed |= New != Words[I];
-    Words[I] = New;
+  if (RHS.Dense) {
+    const Word *R = RHS.Words.data();
+    return updateWords(Words.data(), Words.size(),
+                       [R](Word W, std::size_t I) { return W & R[I]; });
   }
-  return Changed;
+  SparseCursor RC{&RHS.Sparse, 0};
+  return updateWords(Words.data(), Words.size(),
+                     [&RC](Word W, std::size_t I) { return W & RC.at(I); });
 }
 
 bool EffectSet::andNotWith(const EffectSet &RHS) {
@@ -376,16 +390,14 @@ bool EffectSet::andNotWith(const EffectSet &RHS) {
     Sparse.erase(It, Sparse.end());
     return Changed;
   }
-  if (RHS.Dense)
-    return simd::kernels().AndNot(Words.data(), RHS.Words.data(), Words.size());
-  SparseCursor RC{&RHS.Sparse, 0};
-  bool Changed = false;
-  for (std::size_t I = 0, E = Words.size(); I != E; ++I) {
-    Word New = Words[I] & ~RC.at(I);
-    Changed |= New != Words[I];
-    Words[I] = New;
+  if (RHS.Dense) {
+    const Word *R = RHS.Words.data();
+    return updateWords(Words.data(), Words.size(),
+                       [R](Word W, std::size_t I) { return W & ~R[I]; });
   }
-  return Changed;
+  SparseCursor RC{&RHS.Sparse, 0};
+  return updateWords(Words.data(), Words.size(),
+                     [&RC](Word W, std::size_t I) { return W & ~RC.at(I); });
 }
 
 //===----------------------------------------------------------------------===//

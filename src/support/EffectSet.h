@@ -22,8 +22,8 @@
 /// The representation behind that surface is an implementation detail
 /// with two forms:
 ///
-///  - dense: a word array driven by the runtime-dispatched SIMD kernels
-///    of support/SimdKernels.h (AVX2 / NEON / scalar, probed once);
+///  - dense: a word array, updated by one plain word loop that the
+///    compiler vectorizes for the build's target;
 ///  - sparse: a sorted index list, for the long tail of small sets — on
 ///    FORTRAN-shaped programs most GMOD planes carry a handful of bits
 ///    over a universe of thousands, and streaming mostly-zero words is
@@ -40,9 +40,9 @@
 ///
 /// Word-step accounting is machine-independent by design: every mutating
 /// op counts the words the *dense cost model* would touch, no matter
-/// which representation or ISA executed it.  That keeps bv_ops a stable,
-/// tightly-gateable metric (the paper's "bit-vector steps") while wall
-/// time reaps the kernel wins.
+/// which representation or machine executed it.  That keeps bv_ops a
+/// stable, tightly-gateable metric (the paper's "bit-vector steps") while
+/// wall time is free to move.
 ///
 //===----------------------------------------------------------------------===//
 

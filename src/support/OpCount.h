@@ -9,10 +9,10 @@
 /// The process-wide "bit-vector step" counter shared by every set
 /// representation.  The paper states its complexity results in bit-vector
 /// steps; ipse counts one step per 64-bit word an operation *covers in the
-/// dense cost model*, regardless of which kernel executed it — the scalar
-/// loop, a SIMD lane, or a sparse merge that never touched most words.
-/// Counting the model rather than the machine keeps the metric comparable
-/// across representations, ISAs, and hosts, which is what lets the bench
+/// dense cost model*, regardless of how it executed — the dense word loop
+/// or a sparse merge that never touched most words.  Counting the model
+/// rather than the machine keeps the metric comparable across
+/// representations and hosts, which is what lets the bench
 /// gate hold bv_ops to tight deterministic thresholds while wall-clock
 /// moves freely.
 ///

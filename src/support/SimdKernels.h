@@ -1,4 +1,4 @@
-//===- support/SimdKernels.h - Dispatched dense word kernels ----*- C++ -*-===//
+//===- support/SimdKernels.h - Host instruction-set descriptor --*- C++ -*-===//
 //
 // Part of the ipse project: a reproduction of Cooper & Kennedy,
 // "Interprocedural Side-Effect Analysis in Linear Time", PLDI 1988.
@@ -6,71 +6,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dense engine room behind support::EffectSet: straight-line word
-/// kernels for the solver's fused updates, compiled once per instruction
-/// set and selected exactly once at startup.
-///
-/// Three implementations exist:
-///
-///  - scalar: portable C++, the reference semantics every other kernel is
-///    differentially tested against (tests/effectset_test.cpp);
-///  - avx2: 4 words per vector on x86-64, compiled via the function
-///    target attribute so no special build flags are needed, and chosen
-///    at runtime only when the CPU reports AVX2;
-///  - neon: 2 words per vector on aarch64 (baseline ISA there, so it is
-///    chosen whenever the target is aarch64).
-///
-/// Configure with -DIPSE_SIMD=OFF to compile the vector bodies out
-/// entirely; kernels() then always answers with the scalar table, which CI
-/// proves stays green.  Every kernel returns the same changed flag and
-/// produces byte-identical destination words — SIMD here is an execution
-/// detail, never a semantic one.  dispatchedIsa() names the selected
-/// table so benchmarks and `ipse-cli --version` can record which kernel
-/// actually ran.
+/// A host descriptor, not a kernel choice.  Every dense effect-set update
+/// runs one plain word loop in support/EffectSet.cpp that the compiler
+/// vectorizes for the build's target; nothing is dispatched at runtime.
+/// What stays here is the label benchmark rows, `build.info` and
+/// `ipse-cli version` record as the host's `isa`, so runs from machines
+/// with different vector units are never compared as one host.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPSE_SUPPORT_SIMDKERNELS_H
 #define IPSE_SUPPORT_SIMDKERNELS_H
 
-#include <cstddef>
-#include <cstdint>
-
 namespace ipse {
 namespace simd {
 
-using Word = std::uint64_t;
-
-/// One table of dense word kernels.  Every function applies its update
-/// over \p N words and returns true iff any destination word changed.
-struct WordKernels {
-  const char *Name; ///< "scalar", "avx2", or "neon".
-  /// Dst |= A.
-  bool (*Or)(Word *Dst, const Word *A, std::size_t N);
-  /// Dst &= A.
-  bool (*And)(Word *Dst, const Word *A, std::size_t N);
-  /// Dst &= ~A.
-  bool (*AndNot)(Word *Dst, const Word *A, std::size_t N);
-  /// Dst |= A & ~B (equation (4)'s fused update).
-  bool (*OrAndNot)(Word *Dst, const Word *A, const Word *B, std::size_t N);
-  /// Dst |= A & K (the cross-level edge filter).
-  bool (*OrIntersect)(Word *Dst, const Word *A, const Word *K, std::size_t N);
-  /// Dst |= A & K & ~D (the full §4 per-edge filter).
-  bool (*OrIntersectMinus)(Word *Dst, const Word *A, const Word *K,
-                           const Word *D, std::size_t N);
-};
-
-/// The portable reference table.  Always available; the differential
-/// suite runs every other table against it.
-const WordKernels &scalarKernels();
-
-/// The table selected for this process: probed once (thread-safe static
-/// init), then immutable.  AVX2 where the CPU has it, NEON on aarch64,
-/// scalar otherwise or when built with -DIPSE_SIMD=OFF.
-const WordKernels &kernels();
-
-/// kernels().Name — the ISA the dense path actually runs.
-const char *dispatchedIsa();
+/// "avx2" on an x86-64 CPU that reports AVX2, "neon" on aarch64,
+/// "scalar" otherwise.  A label only: it selects no code path.  (The
+/// benchmark harness calls it by this name.)
+inline const char *dispatchedIsa() {
+#if defined(__aarch64__)
+  return "neon";
+#elif defined(__x86_64__)
+  return __builtin_cpu_supports("avx2") ? "avx2" : "scalar";
+#else
+  return "scalar";
+#endif
+}
 
 } // namespace simd
 } // namespace ipse

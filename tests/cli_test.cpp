@@ -12,6 +12,7 @@
 
 #include "observe/Trace.h"
 #include "support/Json.h"
+#include "support/SimdKernels.h"
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -50,6 +52,17 @@ TEST(Cli, NoArgsShowsUsage) {
 TEST(Cli, UnknownCommandShowsUsage) {
   std::string Out;
   EXPECT_EQ(run(cli() + " frobnicate", Out), 2);
+}
+
+TEST(Cli, VersionNamesTheHostIsa) {
+  // The label benchmark rows and build.info carry; compare.py refuses to
+  // compare runs whose labels differ.
+  std::string Out;
+  ASSERT_EQ(run(cli() + " version", Out), 0);
+  EXPECT_NE(Out.find(std::string("host isa: ") + ipse::simd::dispatchedIsa() +
+                     "\n"),
+            std::string::npos)
+      << Out;
 }
 
 TEST(Cli, ReportOnCorpus) {
@@ -123,6 +136,43 @@ TEST(Cli, GenerateEmitsCompilableSource) {
   // Different seed, different program.
   ASSERT_EQ(run(cli() + " generate --seed 6 --procs 12 --depth 3", Out2), 0);
   EXPECT_NE(Out, Out2);
+}
+
+TEST(Cli, NumericFlagsParseStrictly) {
+  // One rule for every numeric flag (the scripts' rule: decimal digits,
+  // below 2^32) plus a range per flag; anything else is a usage error
+  // before any work starts, never a wrapped or zeroed value.
+  const std::string Tower = corpus("tower.mp");
+  const std::string Src = " --program " + Tower + " < /dev/null";
+  const std::vector<std::string> Bad = {
+      " generate --procs abc",
+      " generate --procs -1",
+      " generate --seed 0x10",
+      " generate --globals +3",
+      " generate --depth 4294967296",
+      " generate --procs ''",
+      " serve --tenants=-1 < /dev/null",
+      " serve --tenants=0 < /dev/null",
+      " serve --tenants=257 < /dev/null",
+      " serve --tenants --resident-cap 1k < /dev/null",
+      " serve --port 70000" + Src,
+      " serve --port -1" + Src,
+      " serve --queue -1" + Src,
+      " serve --queue 0" + Src,
+      " serve --batch 0" + Src,
+      " client --port 70000 < /dev/null",
+      " metrics-dump --port 65536",
+      " debug-dump --port x"};
+  for (const std::string &Cmd : Bad) {
+    std::string Out;
+    EXPECT_EQ(run("(" + cli() + Cmd + " 2>&1)", Out), 2) << Cmd << "\n" << Out;
+    EXPECT_NE(Out.find("takes a decimal number in ["), std::string::npos)
+        << Cmd << "\n" << Out;
+  }
+  // The bounds themselves are accepted.
+  std::string Out;
+  EXPECT_EQ(run(cli() + " generate --seed 4294967295 --procs 0", Out), 0);
+  EXPECT_EQ(run(cli() + " serve --queue 1 --batch 1" + Src, Out), 0);
 }
 
 TEST(Cli, RoundtripPreservesShape) {

@@ -1,4 +1,4 @@
-//===- tests/effectset_test.cpp - EffectSet / kernel differential suite ------===//
+//===- tests/effectset_test.cpp - EffectSet differential suite --------------===//
 //
 // Part of the ipse project: a reproduction of Cooper & Kennedy,
 // "Interprocedural Side-Effect Analysis in Linear Time", PLDI 1988.
@@ -6,23 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The differential battery behind support/EffectSet and
-/// support/SimdKernels: every dispatched word kernel against the scalar
-/// reference, and every EffectSet representation (dense, sparse, and the
-/// Auto hybrid mid-migration) against a naive std::vector<bool> model.
-/// Universe sizes straddle the word boundary (63/64/65) so the vector
-/// kernels' scalar tail epilogue and the clear-unused-bits invariant are
-/// both on the hook, and the random mix includes empty and full sets so
-/// the all-zeros / all-ones fast paths cannot hide a bug.
+/// The differential battery behind support/EffectSet: every
+/// representation (dense, sparse, and the Auto hybrid mid-migration)
+/// against a naive std::vector<bool> model, change flags included.
+/// Universe sizes straddle the word boundary (63/64/65), and the
+/// 2..33-word universes give the vectorized dense word loop full bodies
+/// and ragged tails, so both that loop and the clear-unused-bits invariant
+/// are on the hook; the random mix includes empty and full sets so the
+/// all-zeros / all-ones fast paths cannot hide a bug.
 ///
 /// This suite runs under ASan/UBSan and TSan in CI and is the designated
-/// killer for the kernel mutants in tools/ipse-mutate (dropped tail mask,
-/// wrong sparse merge).
+/// killer for the effect-set mutants in tools/ipse-mutate (dropped tail
+/// mask, wrong sparse merge, a dense loop that misses growth).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/EffectSet.h"
-#include "support/SimdKernels.h"
 
 #include "TestSeed.h"
 
@@ -37,108 +36,6 @@
 using namespace ipse;
 
 namespace {
-
-using Word = simd::Word;
-
-//===----------------------------------------------------------------------===//
-// Word-kernel differential: dispatched table vs scalar reference
-//===----------------------------------------------------------------------===//
-
-std::vector<Word> randomWords(std::mt19937_64 &Rng, std::size_t N,
-                              int Density) {
-  // Density 0 => all zeros, 3 => all ones, else random with a bias so
-  // both mostly-zero and mostly-one inputs appear.
-  std::vector<Word> W(N);
-  for (Word &V : W) {
-    if (Density == 0)
-      V = 0;
-    else if (Density == 3)
-      V = ~Word(0);
-    else if (Density == 1)
-      V = Rng() & Rng() & Rng(); // sparse-ish
-    else
-      V = Rng() | Rng(); // dense-ish
-  }
-  return W;
-}
-
-// Applies every kernel of both tables to copies of the same inputs and
-// insists on byte-identical destinations and identical changed flags.
-void diffKernelsOnce(std::mt19937_64 &Rng, std::size_t N) {
-  const simd::WordKernels &Fast = simd::kernels();
-  const simd::WordKernels &Ref = simd::scalarKernels();
-
-  const int DstD = static_cast<int>(Rng() % 4);
-  const int AD = static_cast<int>(Rng() % 4);
-  const int BD = static_cast<int>(Rng() % 4);
-  const int KD = static_cast<int>(Rng() % 4);
-  const std::vector<Word> Dst0 = randomWords(Rng, N, DstD);
-  const std::vector<Word> A = randomWords(Rng, N, AD);
-  const std::vector<Word> B = randomWords(Rng, N, BD);
-  const std::vector<Word> K = randomWords(Rng, N, KD);
-
-  auto Check = [&](const char *Op, auto Apply) {
-    std::vector<Word> DF = Dst0, DR = Dst0;
-    const bool CF = Apply(Fast, DF);
-    const bool CR = Apply(Ref, DR);
-    EXPECT_EQ(CF, CR) << Op << " changed-flag mismatch at N=" << N;
-    EXPECT_EQ(DF, DR) << Op << " destination words diverge at N=" << N;
-  };
-
-  Check("Or", [&](const simd::WordKernels &T, std::vector<Word> &D) {
-    return T.Or(D.data(), A.data(), N);
-  });
-  Check("And", [&](const simd::WordKernels &T, std::vector<Word> &D) {
-    return T.And(D.data(), A.data(), N);
-  });
-  Check("AndNot", [&](const simd::WordKernels &T, std::vector<Word> &D) {
-    return T.AndNot(D.data(), A.data(), N);
-  });
-  Check("OrAndNot", [&](const simd::WordKernels &T, std::vector<Word> &D) {
-    return T.OrAndNot(D.data(), A.data(), B.data(), N);
-  });
-  Check("OrIntersect", [&](const simd::WordKernels &T, std::vector<Word> &D) {
-    return T.OrIntersect(D.data(), A.data(), K.data(), N);
-  });
-  Check("OrIntersectMinus",
-        [&](const simd::WordKernels &T, std::vector<Word> &D) {
-          return T.OrIntersectMinus(D.data(), A.data(), K.data(), B.data(), N);
-        });
-}
-
-TEST(SimdKernels, DispatchedTableMatchesScalarReference) {
-  std::mt19937_64 Rng(testseed::baseSeed(1));
-  // 0 and 1 words, the vector width, one past it, and sizes long enough
-  // that AVX2 (4 words/lane) and NEON (2 words/lane) both run full
-  // vectors plus a ragged tail.
-  for (std::size_t N : {std::size_t(0), std::size_t(1), std::size_t(2),
-                        std::size_t(3), std::size_t(4), std::size_t(5),
-                        std::size_t(7), std::size_t(8), std::size_t(9),
-                        std::size_t(16), std::size_t(33)})
-    for (int Round = 0; Round != 64; ++Round)
-      diffKernelsOnce(Rng, N);
-}
-
-TEST(SimdKernels, NoChangeMeansFalse) {
-  // Or with a subset must report no change — the solvers' fixpoint test.
-  const simd::WordKernels &Fast = simd::kernels();
-  for (std::size_t N : {std::size_t(1), std::size_t(4), std::size_t(9)}) {
-    std::vector<Word> Dst(N, ~Word(0));
-    std::vector<Word> A(N, Word(0x5555555555555555ULL));
-    EXPECT_FALSE(Fast.Or(Dst.data(), A.data(), N));
-    EXPECT_FALSE(Fast.OrAndNot(Dst.data(), A.data(), A.data(), N));
-    EXPECT_FALSE(Fast.OrIntersect(Dst.data(), A.data(), A.data(), N));
-    for (Word W : Dst)
-      EXPECT_EQ(W, ~Word(0));
-  }
-}
-
-TEST(SimdKernels, DispatchedIsaNamesTheTable) {
-  EXPECT_STREQ(simd::dispatchedIsa(), simd::kernels().Name);
-#ifdef IPSE_SIMD_OFF
-  EXPECT_STREQ(simd::dispatchedIsa(), "scalar");
-#endif
-}
 
 //===----------------------------------------------------------------------===//
 // EffectSet differential: every representation vs a naive model
@@ -332,11 +229,36 @@ void effectSetBattleOnce(std::mt19937_64 &Rng, std::size_t N) {
 TEST(EffectSetDifferential, RandomOpsMatchNaiveModelAcrossRepresentations) {
   std::mt19937_64 Rng(testseed::baseSeed(1));
   // 63/64/65 straddle the word boundary; 1 and 129 exercise the single-
-  // word and multi-word-plus-tail shapes; 512 runs full vector bodies.
-  for (std::size_t N : {std::size_t(1), std::size_t(63), std::size_t(64),
-                        std::size_t(65), std::size_t(129), std::size_t(512)})
+  // word and multi-word-plus-tail shapes.  The rest hold 2, 3, 4, 5, 7,
+  // 8, 9, 16 and 33 words (some with a partial last word), so the
+  // vectorized dense loop runs full vector bodies and every ragged tail.
+  for (std::size_t N :
+       {std::size_t(1), std::size_t(63), std::size_t(64), std::size_t(65),
+        std::size_t(128), std::size_t(129), std::size_t(190),
+        std::size_t(256), std::size_t(300), std::size_t(448),
+        std::size_t(512), std::size_t(570), std::size_t(1024),
+        std::size_t(2100)})
     for (int Round = 0; Round != 200; ++Round)
       effectSetBattleOnce(Rng, N);
+}
+
+TEST(EffectSetDifferential, OrOfASubsetReportsNoChange) {
+  // Or-ing a subset into a full dense set must report no change — the
+  // solvers' fixpoint test — for every or-family op, and leave it full.
+  for (std::size_t N : {std::size_t(64), std::size_t(256), std::size_t(576)}) {
+    EffectSet Full(N, EffectSet::Representation::Dense);
+    EffectSet Half(N, EffectSet::Representation::Dense);
+    for (std::size_t I = 0; I != N; ++I) {
+      Full.set(I);
+      if (I % 2 == 0)
+        Half.set(I);
+    }
+    const EffectSet Before = Full;
+    EXPECT_FALSE(Full.orWith(Half)) << N;
+    EXPECT_FALSE(Full.orWithAndNot(Half, Half)) << N;
+    EXPECT_FALSE(Full.orWithIntersect(Half, Half)) << N;
+    EXPECT_TRUE(Full == Before) << N;
+  }
 }
 
 TEST(EffectSetDifferential, AutoPolicyDensifiesAtThresholdAndStaysEqual) {
@@ -420,7 +342,7 @@ TEST(EffectSetDifferential, ResizeKeepsLowBitsDropsHighOnes) {
 TEST(EffectSetDifferential, OpAccountingIsRepresentationBlind) {
   // The dense cost model charges wordCount() per mutating op no matter
   // which form executed it — that is what keeps bv_ops byte-stable
-  // across --repr and ISA.
+  // across --repr and hosts.
   const std::size_t N = 640; // 10 words
   for (EffectSet::Representation R :
        {EffectSet::Representation::Dense, EffectSet::Representation::Sparse}) {

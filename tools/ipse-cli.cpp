@@ -196,8 +196,28 @@ namespace {
       "                                      and CRC status; exit 0 only\n"
       "                                      if every checksum verifies\n"
       "  version                             print build info and the\n"
-      "                                      dispatched SIMD kernel ISA\n");
+      "                                      host's vector ISA\n");
   std::exit(2);
+}
+
+/// The value of numeric flag \p Flag by the scripts' strict rule
+/// (service::parseDecimal: decimal digits, below 2^32), within
+/// [\p Min, \p Max].  Anything else is a usage error.
+unsigned numArg(const std::string &Flag, const std::string &Text,
+                unsigned Min = 0, unsigned Max = UINT32_MAX) {
+  std::optional<std::uint32_t> V = service::parseDecimal(Text);
+  if (!V || *V < Min || *V > Max) {
+    std::fprintf(stderr, "error: %s takes a decimal number in [%u, %u], "
+                         "not '%s'\n",
+                 Flag.c_str(), Min, Max, Text.c_str());
+    std::exit(2);
+  }
+  return *V;
+}
+
+/// A `--port` value: 0 (an ephemeral port) up to 65535.
+std::uint16_t portArg(const std::string &Text) {
+  return static_cast<std::uint16_t>(numArg("--port", Text, 0, 65535));
 }
 
 std::string readFile(const std::string &Path) {
@@ -455,7 +475,8 @@ int cmdGenerate(const std::vector<std::string> &Args) {
     auto intArg = [&](unsigned &Out) {
       if (I + 1 >= Args.size())
         usage();
-      Out = static_cast<unsigned>(std::atoi(Args[++I].c_str()));
+      Out = numArg(Args[I], Args[I + 1]);
+      ++I;
     };
     if (Args[I] == "--seed") {
       unsigned S = 0;
@@ -691,8 +712,9 @@ int cmdServe(const std::vector<std::string> &Args) {
         usage();
       return Args[++I];
     };
-    auto intArg = [&]() {
-      return static_cast<unsigned>(std::atoi(strArg().c_str()));
+    auto intArg = [&](unsigned Min = 0) {
+      const std::string &Flag = Args[I];
+      return numArg(Flag, strArg(), Min);
     };
     if (Args[I] == "--program")
       ProgramPath = strArg();
@@ -706,11 +728,11 @@ int cmdServe(const std::vector<std::string> &Args) {
       Opts.CompactWalBytes = intArg();
     else if (Args[I] == "--port") {
       HavePort = true;
-      Port = static_cast<std::uint16_t>(intArg());
+      Port = portArg(strArg());
     } else if (Args[I] == "--queue")
-      Opts.ServiceQueueCapacity = intArg();
+      Opts.ServiceQueueCapacity = intArg(1);
     else if (Args[I] == "--batch")
-      Opts.ServiceMaxBatch = intArg();
+      Opts.ServiceMaxBatch = intArg(1);
     else if (Args[I] == "--slow-ms")
       Opts.SlowMs = intArg();
     else if (Args[I] == "--no-use")
@@ -719,8 +741,7 @@ int cmdServe(const std::vector<std::string> &Args) {
       SourceOptional = true;
     else if (Args[I].rfind("--tenants=", 0) == 0) {
       SourceOptional = true;
-      Opts.TenantShards =
-          static_cast<unsigned>(std::atoi(Args[I].c_str() + 10));
+      Opts.TenantShards = numArg("--tenants=", Args[I].substr(10), 1, 256);
     } else if (Args[I] == "--resident-cap")
       Opts.TenantMaxResident = intArg();
     else if (Args[I] == "--tenant-max-procs")
@@ -836,7 +857,7 @@ int cmdClient(const std::vector<std::string> &Args) {
       if (I + 1 >= Args.size())
         usage();
       HavePort = true;
-      Port = static_cast<std::uint16_t>(std::atoi(Args[++I].c_str()));
+      Port = portArg(Args[++I]);
     } else {
       ScriptPath = Args[I];
     }
@@ -866,7 +887,7 @@ int cmdMetricsDump(const std::vector<std::string> &Args) {
       if (I + 1 >= Args.size())
         usage();
       HavePort = true;
-      Port = static_cast<std::uint16_t>(std::atoi(Args[++I].c_str()));
+      Port = portArg(Args[++I]);
     } else if (Args[I] == "--format=prom") {
       Prom = true;
     } else if (Args[I] == "--format=json") {
@@ -888,7 +909,7 @@ int cmdDebugDump(const std::vector<std::string> &Args) {
       if (I + 1 >= Args.size())
         usage();
       HavePort = true;
-      Port = static_cast<std::uint16_t>(std::atoi(Args[++I].c_str()));
+      Port = portArg(Args[++I]);
     } else {
       usage();
     }
@@ -1025,17 +1046,11 @@ int main(int argc, char **argv) {
   std::string Cmd = argv[1];
   std::vector<std::string> Args(argv + 2, argv + argc);
   if (Cmd == "version" || Cmd == "--version") {
-    // The dispatched ISA is part of the version story: two hosts running
-    // the same binary can execute different dense kernels.
+    // The host's ISA labels any timing taken with this binary.
     std::printf("ipse-cli (Cooper-Kennedy PLDI'88 side-effect analysis)\n"
-                "simd kernels: %s%s\n"
+                "host isa: %s\n"
                 "observability: %s\n",
                 ipse::simd::dispatchedIsa(),
-#ifdef IPSE_SIMD_OFF
-                " (built with IPSE_SIMD=OFF)",
-#else
-                "",
-#endif
 #ifdef IPSE_OBSERVE_OFF
                 "off (built with IPSE_OBSERVE=OFF)"
 #else
